@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import qnet
 from .actions import CATALOG_SIZE, apply
@@ -255,16 +255,7 @@ def _run_loop(
 def _greedy_probe_yield(corpus: SeedCorpus, config: CampaignConfig, params: QParams, sample: int = 100) -> float:
     """Greedy yield on a deterministic head-of-corpus subsample."""
     probe = SeedCorpus(corpus.entries[: min(sample, len(corpus.entries))], trust=corpus.trust)
-    probe_config = CampaignConfig(
-        backends=config.backends,
-        max_episode=1,
-        max_modification=config.max_modification,
-        reward_scheme=config.reward_scheme,
-        rng_seed=config.rng_seed,
-        reference_time=config.reference_time,
-        registry=config.registry,
-    )
-    _, stats = run_inference(probe, params, probe_config)
+    _, stats = run_inference(probe, params, replace(config, max_episode=1, db_path=None))
     return stats.yield_ratio
 
 

@@ -40,7 +40,6 @@ from .certs import (
 from .verdicts import TrustAnchor, TrustStore, is_discrepancy
 
 DB_SUFFIX = ".db"
-INDEX_SUFFIX = ".idx"
 
 
 class EmptyCorpus(ValueError):
@@ -326,18 +325,13 @@ class DiscrepancyDb:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.index_path = self.path.with_suffix(self.path.suffix + INDEX_SUFFIX)
 
     def append(self, record: DiscrepancyRecord) -> None:
         if not is_discrepancy(record.verdicts):
             raise ValueError("record verdicts contain no discrepancy")
         payload = record.to_json()
-        line = f"{len(payload)}\t{payload}\n"
-        offset = self.path.stat().st_size if self.path.exists() else 0
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-        with open(self.index_path, "a", encoding="utf-8") as handle:
-            handle.write(f"{offset}\t{record.seed_id}\n")
+            handle.write(f"{len(payload)}\t{payload}\n")
 
     def load_all(self) -> list[DiscrepancyRecord]:
         if not self.path.exists():
@@ -355,14 +349,6 @@ class DiscrepancyDb:
                     raise CorruptDatabase(f"record {lineno}: bad length prefix") from None
                 records.append(DiscrepancyRecord.from_json(payload))
         return records
-
-
-def record(db: DiscrepancyDb, rec: DiscrepancyRecord) -> None:
-    db.append(rec)
-
-
-def load_all(db: DiscrepancyDb) -> list[DiscrepancyRecord]:
-    return db.load_all()
 
 
 def replay_record(corpus: SeedCorpus, rec: DiscrepancyRecord, now=None) -> Certificate:

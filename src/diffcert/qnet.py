@@ -94,7 +94,6 @@ class Transition:
 @dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 0.9
-    epsilon: float = 0.1
     learning_rate: float = 1e-3
     replay_capacity: int = 10_000
     batch_size: int = 32
@@ -106,8 +105,6 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
         if self.max_grad_norm < 0.0:
             raise ValueError("max_grad_norm must be >= 0")
 

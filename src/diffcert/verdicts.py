@@ -325,116 +325,111 @@ _EXT_ERROR_CODES = {
 }
 
 
-@dataclass
-class _ParsedInput:
-    """Parse results shared by every simulated backend for one input."""
+@dataclass(frozen=True)
+class InputFacts:
+    """What verification derives from one input and a trust store,
+    independently of any profile.
 
-    strict: Certificate | None
-    lenient: Certificate | None
+    ``cert`` is the strict parse, or the lenient one when only that
+    succeeds (``strict_ok`` false), or None when neither does.  Extension
+    codes keep extension order; ``-10`` marks an unknown critical
+    extension, every other code a malformed known one.  ``trust_code`` is
+    the trust failure once the chain is accepted: self-sign, unknown
+    issuer or signature mismatch.
+    """
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "_ParsedInput":
-        strict = lenient = None
+    cert: Certificate | None
+    strict_ok: bool = False
+    name_failures: int = 0
+    ext_codes: tuple[int, ...] = ()
+    malformed_known: int = 0
+    legacy_issuer: bool = False  # issued by a v1/v2 intermediate anchor
+    trust_code: int | None = None
+
+
+def derive_facts(data: bytes, trust: TrustStore) -> InputFacts:
+    """The one pass over an input that every simulated profile shares."""
+    try:
+        cert, strict_ok = parse_der(data), True
+    except (MalformedDer, UnsupportedStructure):
         try:
-            strict = lenient = parse_der(data)
+            cert, strict_ok = parse_der(data, lenient=True), False
         except (MalformedDer, UnsupportedStructure):
-            try:
-                lenient = parse_der(data, lenient=True)
-            except (MalformedDer, UnsupportedStructure):
-                lenient = None
-        return cls(strict, lenient)
+            return InputFacts(None)
 
-
-def _check_names(cert: Certificate) -> list[int]:
-    failures = []
+    names = (cert.issuer, cert.subject)
+    name_failures = sum(attr.oid == oid.COUNTRY and len(attr.value) != 2 for name in names for attr in name.attributes())
     if not cert.subject.rdns and cert.extension(oid.SUBJECT_ALT_NAME) is None:
-        failures.append(SUBJECT_ISSUER_ERROR)
-    for name in (cert.issuer, cert.subject):
-        for attr in name.attributes():
-            if attr.oid == oid.COUNTRY and len(attr.value) != 2:
-                failures.append(SUBJECT_ISSUER_ERROR)
-    return failures
+        name_failures += 1
+
+    ext_codes = []
+    malformed_known = 0
+    for ext in cert.extensions:
+        if ext.oid in VALIDATOR_KNOWN_EXTENSIONS:
+            if extension_malformed(ext):
+                ext_codes.append(_EXT_ERROR_CODES.get(ext.oid, OTHER_EXTENSION_ERROR))
+                malformed_known += 1
+        elif ext.critical:
+            ext_codes.append(UNKNOWN_CRITICAL_EXTENSION)
+
+    legacy_issuer, trust_code = False, None
+    subject_der, issuer_der = cert.subject_der(), cert.issuer_der()
+    if trust.lookup(subject_der) is None:  # an anchor itself is trusted by fiat
+        anchor = trust.lookup(issuer_der)
+        if anchor is None:
+            trust_code = SELF_SIGN if subject_der == issuer_der else UNKNOWN_ISSUER
+        else:
+            legacy_issuer = anchor.version < 3 and not anchor.is_root
+            if cert.signature_value != b"\x00" + mock_sign(cert.tbs_raw, anchor.tag):
+                trust_code = SIGNATURE_ERROR
+    return InputFacts(cert, strict_ok, name_failures, tuple(ext_codes), malformed_known, legacy_issuer, trust_code)
 
 
-def _check_version(profile: FlawProfile, cert: Certificate) -> list[int]:
-    if cert.version not in (1, 2, 3):
-        if cert.version == 4 and profile.accept_v4:
-            return []
-        return [VERSION_ERROR]
-    if cert.version in (1, 2) and cert.extensions:
-        accept = profile.accept_v1_with_v3_ext if cert.version == 1 else profile.accept_v2_with_v3_ext
-        if not accept:
-            return [VERSION_ERROR]
-    return []
+def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
+    """One profile's verdict: waive what its switches accept, then report
+    the first failure met or the most severe one."""
+    cert = facts.cert
+    if cert is None or not (facts.strict_ok or profile.lenient_parse):
+        return profile.parse_error_code
+    # Stages in check order: names, extension values read as parse errors,
+    # version, algorithm, validity, serial, trust, extensions.
+    failures = [SUBJECT_ISSUER_ERROR] * facts.name_failures
+    ext_codes = facts.ext_codes
+    if profile.ext_value_error_as_parse:
+        failures += [profile.parse_error_code] * facts.malformed_known
+        ext_codes = [c for c in ext_codes if c == UNKNOWN_CRITICAL_EXTENSION]
+    if profile.ignore_unknown_critical:
+        ext_codes = [c for c in ext_codes if c != UNKNOWN_CRITICAL_EXTENSION]
 
+    version = cert.version
+    if version not in (1, 2, 3):
+        if not (version == 4 and profile.accept_v4):
+            failures.append(VERSION_ERROR)
+    elif version in (1, 2) and cert.extensions:
+        if not (profile.accept_v1_with_v3_ext if version == 1 else profile.accept_v2_with_v3_ext):
+            failures.append(VERSION_ERROR)
+    if not profile.accept_weak_sig_alg and cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS:
+        failures.append(ALGORITHM_ERROR)
 
-def _check_validity(profile: FlawProfile, cert: Certificate, now: dt.datetime) -> list[int]:
     linger = dt.timedelta(seconds=profile.time_linger_seconds)
     local_now = now + dt.timedelta(seconds=profile.local_time_offset_seconds)
-    not_before, not_after = cert.not_before.at, cert.not_after.at
-    failures = []
-    if int(not_before.timestamp()) > int((local_now + linger).timestamp()):
+    if int(cert.not_before.at.timestamp()) > int((local_now + linger).timestamp()):
         failures.append(VALIDITY_PERIOD_ERROR)
-    elif int(local_now.timestamp()) > int((not_after + linger).timestamp()):
+    elif int(local_now.timestamp()) > int((cert.not_after.at + linger).timestamp()):
         failures.append(VALIDITY_PERIOD_ERROR)
-    return failures
 
-
-def _check_serial(profile: FlawProfile, cert: Certificate) -> list[int]:
-    failures = []
     if cert.serial <= 0 and not profile.accept_nonpositive_serial:
         failures.append(OTHER_ERROR)
     elif len(cert.serial_raw) > 20 and not profile.accept_long_serial:
         failures.append(OTHER_ERROR)
-    return failures
 
+    # A rejected legacy chain stops the trust check before the signature.
+    if facts.legacy_issuer and not profile.accept_v1v2_intermediate:
+        failures.append(CHAIN_ERROR)
+    elif facts.trust_code is not None:
+        failures.append(facts.trust_code)
+    failures += ext_codes
 
-def _check_trust(profile: FlawProfile, cert: Certificate, trust: TrustStore, tbs: bytes) -> list[int]:
-    subject_der, issuer_der = cert.subject_der(), cert.issuer_der()
-    if trust.lookup(subject_der) is not None:
-        return []  # the certificate is itself an anchor; trusted by fiat
-    anchor = trust.lookup(issuer_der)
-    if anchor is None:
-        return [SELF_SIGN] if subject_der == issuer_der else [UNKNOWN_ISSUER]
-    if anchor.version < 3 and not anchor.is_root and not profile.accept_v1v2_intermediate:
-        return [CHAIN_ERROR]
-    if cert.signature_value != b"\x00" + mock_sign(tbs, anchor.tag):
-        return [SIGNATURE_ERROR]
-    return []
-
-
-def _check_extensions(profile: FlawProfile, cert: Certificate) -> tuple[list[int], list[int]]:
-    """Returns (parse-stage failures, extension-stage failures)."""
-    parse_stage: list[int] = []
-    ext_stage: list[int] = []
-    for ext in cert.extensions:
-        known = ext.oid in VALIDATOR_KNOWN_EXTENSIONS
-        if known and extension_malformed(ext):
-            if profile.ext_value_error_as_parse:
-                parse_stage.append(profile.parse_error_code)
-            else:
-                ext_stage.append(_EXT_ERROR_CODES.get(ext.oid, OTHER_EXTENSION_ERROR))
-        elif not known and ext.critical and not profile.ignore_unknown_critical:
-            ext_stage.append(UNKNOWN_CRITICAL_EXTENSION)
-    return parse_stage, ext_stage
-
-
-def _verify_parsed(profile: FlawProfile, parsed: _ParsedInput, trust: TrustStore, now: dt.datetime) -> int:
-    cert = parsed.lenient if profile.lenient_parse else parsed.strict
-    if cert is None:
-        return profile.parse_error_code
-    ext_parse_failures, ext_failures = _check_extensions(profile, cert)
-    # Checks run in a fixed order; under first_error_only the first failing
-    # stage's code is returned, otherwise the most severe one wins.
-    failures = _check_names(cert)
-    failures += ext_parse_failures
-    failures += _check_version(profile, cert)
-    if not profile.accept_weak_sig_alg and cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS:
-        failures.append(ALGORITHM_ERROR)
-    failures += _check_validity(profile, cert, now)
-    failures += _check_serial(profile, cert)
-    failures += _check_trust(profile, cert, trust, cert.tbs_raw)
-    failures += ext_failures
     if not failures:
         return VALID
     if profile.first_error_only:
@@ -445,7 +440,7 @@ def _verify_parsed(profile: FlawProfile, parsed: _ParsedInput, trust: TrustStore
 def simulate_verify(profile: FlawProfile, cert, trust: TrustStore, now: dt.datetime) -> int:
     """Verdict of one simulated backend; total, never raises on cert content."""
     data = encode_der(cert) if isinstance(cert, Certificate) else bytes(cert)
-    return _verify_parsed(profile, _ParsedInput.from_bytes(data), trust, now)
+    return judge(profile, derive_facts(data, trust), now)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +536,8 @@ class SimulatedBackend:
         self.profile = profile
         self.trust = trust
 
-    def verify_prepared(self, parsed: _ParsedInput, now: dt.datetime) -> int:
-        return _verify_parsed(self.profile, parsed, self.trust, now)
+    def verify_prepared(self, facts: InputFacts, now: dt.datetime) -> int:
+        return judge(self.profile, facts, now)
 
 
 class ExternalBackend:
@@ -585,13 +580,16 @@ def verify_all(cert, backends, now: dt.datetime) -> VerdictVector:
     if len(backends) < 2:
         raise InsufficientBackends(f"need at least 2 backends, have {len(backends)}")
     data = encode_der(cert) if isinstance(cert, Certificate) else bytes(cert)
-    parsed = _ParsedInput.from_bytes(data)
 
     codes: list[int | None] = [None] * len(backends)
+    facts_by_store: dict[TrustStore, InputFacts] = {}
     external_jobs = []
     for i, backend in enumerate(backends):
         if backend.kind == "simulated":
-            codes[i] = backend.verify_prepared(parsed, now)
+            facts = facts_by_store.get(backend.trust)
+            if facts is None:
+                facts = facts_by_store[backend.trust] = derive_facts(data, backend.trust)
+            codes[i] = backend.verify_prepared(facts, now)
         else:
             external_jobs.append(i)
     if len(external_jobs) == 1:

@@ -135,7 +135,7 @@ def test_criterion_05_q_learning_sanity():
         config = TrainConfig()
         converged_at = None
         for update in range(1, 5001):
-            action = qnet.select_action(qnet.forward(params, state), config.epsilon, rng)
+            action = qnet.select_action(qnet.forward(params, state), EpsilonSchedule().at(0), rng)
             reward = 100 if action == winner else -1
             params, _ = qnet.train_step(params, [Transition(state, action, reward, None, True)], config)
             if update % 25 == 0 and int(np.argmax(qnet.forward(params, state))) == winner:

@@ -11,7 +11,7 @@ from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_t
 from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
 from diffcert.qnet import TrainConfig
-from diffcert.verdicts import InsufficientBackends, default_backends, is_discrepancy, verify_all
+from diffcert.verdicts import InsufficientBackends, TrustStore, default_backends, is_discrepancy, verify_all
 
 WINNING_ACTION = 3  # set version to 4
 
@@ -20,13 +20,14 @@ class RiggedBackend:
     """Accepts exactly version-4 certificates; rejects everything else."""
 
     kind = "simulated"
+    trust = TrustStore()
 
     def __init__(self, backend_id, accepts_v4):
         self.id = backend_id
         self.accepts_v4 = accepts_v4
 
-    def verify_prepared(self, parsed, now):
-        cert = parsed.strict or parsed.lenient
+    def verify_prepared(self, facts, now):
+        cert = facts.cert
         if cert is None:
             return -3
         if cert.version == 4 and self.accepts_v4:
@@ -107,7 +108,7 @@ def test_discrepant_seed_short_circuits():
     # a corpus whose every seed is already discrepancy-triggering: no
     # mutation happens, yield is 1.0
     class AlwaysSplit(RiggedBackend):
-        def verify_prepared(self, parsed, now):
+        def verify_prepared(self, facts, now):
             return 1 if self.accepts_v4 else -2
 
     backends = (AlwaysSplit("yes", True), AlwaysSplit("no", False))
@@ -220,8 +221,8 @@ def test_delta_scheme_saturation_stop():
     # two backends that always disagree on rejection reason: every mutant
     # saturates the category count, so each seed stops after one action
     class AlwaysTwoCodes(RiggedBackend):
-        def verify_prepared(self, parsed, now):
-            cert = parsed.strict or parsed.lenient
+        def verify_prepared(self, facts, now):
+            cert = facts.cert
             if cert is None:
                 return -3
             base = -4 if self.accepts_v4 else -5
@@ -268,8 +269,8 @@ def test_delta_reward_scheme_stops_on_category_growth():
     # under the delta scheme a category-count increase ends the seed's
     # loop even without an acceptance present
     class TwoCodes(RiggedBackend):
-        def verify_prepared(self, parsed, now):
-            cert = parsed.strict or parsed.lenient
+        def verify_prepared(self, facts, now):
+            cert = facts.cert
             if cert is None:
                 return -3
             if cert.version == 4:

@@ -12,8 +12,6 @@ from diffcert.corpus import (
     EmptyCorpus,
     generate_corpus,
     ingest_dir,
-    load_all,
-    record,
     replay_record,
     report,
     write_corpus,
@@ -97,32 +95,30 @@ def test_db_round_trip(tmp_path):
     db = DiscrepancyDb(tmp_path / "found.db")
     recs = [make_record(seed_id=f"s{i}", trace=(i % 10,)) for i in range(10)]
     for rec in recs:
-        record(db, rec)
-    loaded = load_all(db)
+        db.append(rec)
+    loaded = db.load_all()
     assert loaded == recs  # byte-identical fields, insertion order
-    assert db.index_path.exists()
-    assert len(db.index_path.read_text().splitlines()) == 10
 
 
 def test_db_rejects_non_discrepancy(tmp_path):
     db = DiscrepancyDb(tmp_path / "found.db")
     with pytest.raises(ValueError):
-        record(db, make_record(verdicts=(1, 1, 1, 1, 1, 1)))
+        db.append(make_record(verdicts=(1, 1, 1, 1, 1, 1)))
     with pytest.raises(ValueError):
-        record(db, make_record(verdicts=(-1, -2, -3, -4, -5, -6)))
+        db.append(make_record(verdicts=(-1, -2, -3, -4, -5, -6)))
 
 
 def test_db_detects_corruption(tmp_path):
     db = DiscrepancyDb(tmp_path / "found.db")
-    record(db, make_record())
+    db.append(make_record())
     blob = db.path.read_text()
     db.path.write_text("9999\t" + blob.split("\t", 1)[1])
     with pytest.raises(corpus_mod.CorruptDatabase):
-        load_all(db)
+        db.load_all()
 
 
 def test_db_missing_file_is_empty(tmp_path):
-    assert load_all(DiscrepancyDb(tmp_path / "nothing.db")) == []
+    assert DiscrepancyDb(tmp_path / "nothing.db").load_all() == []
 
 
 def test_replay_record_round_trip(tmp_path):

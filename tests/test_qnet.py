@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffcert import qnet
+from diffcert.campaign import EpsilonSchedule
 from diffcert.features import FEATURE_LENGTH, default_registry
 from diffcert.qnet import (
     ACTION_COUNT,
@@ -277,7 +278,7 @@ def test_toy_mdp_one_state(tmp_path):
         params = init(seed)
         cfg = TrainConfig()
         for step in range(3000):
-            action = select_action(forward(params, state), cfg.epsilon, rng)
+            action = select_action(forward(params, state), EpsilonSchedule().at(0), rng)
             reward = 100 if action == k else -1
             tr = Transition(state, action, reward, None, True)
             params, _ = train_step(params, [tr], cfg)

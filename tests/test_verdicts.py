@@ -3,6 +3,9 @@ validator, profile monotonicity, discrepancy/reward semantics and the
 external subprocess adapters."""
 
 import dataclasses
+import datetime
+import hashlib
+import random
 import sys
 
 import pytest
@@ -15,7 +18,10 @@ from diffcert.certs import (
     build_synthetic,
     default_params,
     encode_der,
+    mock_sign,
+    parse_der,
 )
+from diffcert.corpus import generate_corpus
 from diffcert.verdicts import (
     ALL_CODES,
     STRICT_PROFILE,
@@ -460,3 +466,98 @@ def test_trust_store_round_trip(env):
     assert {a.name_der: (a.tag, a.version, a.is_root) for a in again.anchors()} == {
         a.name_der: (a.tag, a.version, a.is_root) for a in store.anchors()
     }
+
+
+# ---------------------------------------------------------------------------
+# Per-profile judgement of the shared facts: stage order, masking and
+# the pinned verdicts of a seeded mutant sweep.
+
+def test_legacy_intermediate_chain_error_masks_signature():
+    # issued by a v1 intermediate anchor and signed by someone else: a
+    # profile that rejects the legacy chain never reaches the signature
+    cert = issued(signer_tag="rogue")
+    store = TrustStore([TrustAnchor(cert.issuer_der(), "acme-root", version=1, is_root=False)])
+    assert simulate_verify(STRICT_PROFILE, cert, store, NOW) == -11
+    assert simulate_verify(SHIPPED_PROFILES["mbedtls-like"], cert, store, NOW) == -11
+    waived = dataclasses.replace(STRICT_PROFILE, accept_v1v2_intermediate=True)
+    assert simulate_verify(waived, cert, store, NOW) == -6
+    # the genuine signature passes once the legacy chain is accepted
+    genuine = issued()
+    assert simulate_verify(waived, genuine, store, NOW) == 1
+    assert simulate_verify(STRICT_PROFILE, genuine, store, NOW) == -11
+
+
+@pytest.mark.parametrize("unknown_first", [True, False])
+def test_extension_value_error_as_parse_ordering(env, unknown_first):
+    # a malformed basicConstraints plus an unknown critical extension:
+    # with ext_value_error_as_parse the malformed value moves ahead of
+    # every other stage as the profile's parse code; without it both stay
+    # in the extension stage, interleaved in extension order
+    _, store = env
+    malformed_bc = ExtensionParam(oid.BASIC_CONSTRAINTS, True, b"\x04\x02ab")
+    unknown = ExtensionParam(oid.SCT_LIST, True, b"\x04\x02ab")
+    exts = (unknown, malformed_bc) if unknown_first else (malformed_bc, unknown)
+    cert = issued(extensions=exts)
+    first = dataclasses.replace(STRICT_PROFILE, first_error_only=True)
+    as_parse = dataclasses.replace(STRICT_PROFILE, ext_value_error_as_parse=True)
+    first_as_parse = dataclasses.replace(first, ext_value_error_as_parse=True)
+    assert simulate_verify(first, cert, store, NOW) == (-10 if unknown_first else -9)
+    assert simulate_verify(STRICT_PROFILE, cert, store, NOW) == -9  # -9 outranks -10
+    assert simulate_verify(first_as_parse, cert, store, NOW) == -3
+    assert simulate_verify(as_parse, cert, store, NOW) == -3
+    other_code = dataclasses.replace(first_as_parse, parse_error_code=-15)
+    assert simulate_verify(other_code, cert, store, NOW) == -15
+    # ignoring unknown-critical leaves only the malformed value
+    ignoring = dataclasses.replace(first, ignore_unknown_critical=True)
+    assert simulate_verify(ignoring, cert, store, NOW) == -9
+    assert simulate_verify(dataclasses.replace(ignoring, ext_value_error_as_parse=True), cert, store, NOW) == -3
+
+
+def _sweep_inputs(corpus, rng):
+    """Each seed, four random action sequences on it and three bit-flipped
+    copies of its DER (mostly strict-parse failures)."""
+    for entry in corpus.entries:
+        seed = parse_der(entry.der)
+        yield entry.der
+        for _ in range(4):
+            cert = seed
+            for _ in range(1 + rng.randrange(6)):
+                cert = actions.apply(cert, rng.randrange(actions.CATALOG_SIZE))
+            yield encode_der(cert)
+        for _ in range(3):
+            der = bytearray(entry.der)
+            for _ in range(1 + rng.randrange(3)):
+                der[rng.randrange(len(der))] ^= 1 << rng.randrange(8)
+            yield bytes(der)
+
+
+# SHA-256 over the six shipped profiles' verdict vectors of the seeded
+# sweep below, pinned before the verifier was restructured into one facts
+# pass plus a per-profile judgement.  A change meant to move a verdict
+# must re-pin it and say why.
+SWEEP_DIGEST = "46fbf912a374e8fc0a195bf6bcc12a49d3ddccece8469f0be76ba46bf82cb4d1"
+
+
+def test_six_profile_verdict_lock():
+    corpus = generate_corpus(60, rng_seed=3)
+    backends = default_backends(corpus.trust)
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    for der in _sweep_inputs(corpus, rng):
+        for now in (NOW, NOW + datetime.timedelta(hours=13)):
+            digest.update(bytes(c & 0xFF for c in verify_all(der, backends, now).codes))
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def test_panel_signs_once_per_input(env, monkeypatch):
+    # the trust facts are derived once per input, not once per profile
+    cert, store = env
+    calls = []
+
+    def counting_sign(tbs, tag):
+        calls.append(tag)
+        return mock_sign(tbs, tag)
+
+    monkeypatch.setattr(verdicts, "mock_sign", counting_sign)
+    assert verify_all(cert, default_backends(store), NOW).codes == (1,) * 6
+    assert calls == ["acme-root"]
