@@ -22,7 +22,6 @@ from .certs import (
     Extension,
     TimeValue,
     AlgorithmId,
-    encode_der,
 )
 
 CATALOG_SIZE = 86
@@ -152,85 +151,6 @@ ADD_DEFAULT_VALUES: dict[str, bytes] = {
     oid.SCT_LIST: asn1.tlv(asn1.OCTET_STRING, b"\xab\xcd"),
 }
 
-# One fixed malformed blob per type: a SEQUENCE header promising five
-# content bytes but delivering two, plus a type-index marker byte.
-EXTENSION_TARGETS: tuple[str, ...] = (
-    oid.BASIC_CONSTRAINTS,
-    oid.KEY_USAGE,
-    oid.EXT_KEY_USAGE,
-    oid.SUBJECT_ALT_NAME,
-    oid.AUTHORITY_KEY_ID,
-    oid.SUBJECT_KEY_ID,
-    oid.CRL_DISTRIBUTION_POINTS,
-    oid.CERTIFICATE_POLICIES,
-    oid.AUTHORITY_INFO_ACCESS,
-    oid.NAME_CONSTRAINTS,
-    oid.SCT_LIST,
-)
-
-CORRUPT_VALUES: dict[str, bytes] = {
-    ext_oid: b"\x30\x05\xde" + bytes([i]) for i, ext_oid in enumerate(EXTENSION_TARGETS)
-}
-
-
-def _replace_first(cert: Certificate, ext_oid: str, **changes) -> Certificate:
-    exts = list(cert.extensions)
-    for i, ext in enumerate(exts):
-        if ext.oid == ext_oid:
-            exts[i] = replace(ext, **changes)
-            return replace(cert, extensions=tuple(exts))
-    raise KeyError(ext_oid)
-
-
-def _delete_extension(cert: Certificate, ext_oid: str) -> Certificate:
-    exts = tuple(e for e in cert.extensions if e.oid != ext_oid)
-    return replace(cert, extensions=exts)
-
-
-def _add_default(cert: Certificate, ext_oid: str) -> Certificate:
-    value = ADD_DEFAULT_VALUES[ext_oid]
-    if cert.extension(ext_oid) is not None:
-        return _replace_first(cert, ext_oid, value=value)
-    ext = Extension(ext_oid, critical=False, value=value)
-    return replace(cert, extensions=cert.extensions + (ext,))
-
-
-def _set_critical(cert: Certificate, ext_oid: str) -> Certificate:
-    if cert.extension(ext_oid) is not None:
-        return _replace_first(cert, ext_oid, critical=True, critical_encoded=True)
-    ext = Extension(ext_oid, critical=True, value=ADD_DEFAULT_VALUES[ext_oid], critical_encoded=True)
-    return replace(cert, extensions=cert.extensions + (ext,))
-
-
-def _clear_critical(cert: Certificate, ext_oid: str) -> Certificate:
-    # Writes the flag explicitly even when FALSE: an encoded default is a
-    # deliberate DER violation that probes parser strictness downstream.
-    if cert.extension(ext_oid) is not None:
-        return _replace_first(cert, ext_oid, critical=False, critical_encoded=True)
-    ext = Extension(ext_oid, critical=False, value=ADD_DEFAULT_VALUES[ext_oid], critical_encoded=True)
-    return replace(cert, extensions=cert.extensions + (ext,))
-
-
-def _corrupt_value(cert: Certificate, ext_oid: str) -> Certificate:
-    value = CORRUPT_VALUES[ext_oid]
-    if cert.extension(ext_oid) is not None:
-        return _replace_first(cert, ext_oid, value=value)
-    ext = Extension(ext_oid, critical=False, value=value)
-    return replace(cert, extensions=cert.extensions + (ext,))
-
-
-# ---------------------------------------------------------------------------
-# Catalog assembly
-
-SIG_ALG_MENU: tuple[tuple[str, str], ...] = (
-    (oid.MD5_RSA, "md5WithRSAEncryption"),
-    (oid.SHA1_RSA, "sha1WithRSAEncryption"),
-    (oid.SHA384_RSA, "sha384WithRSAEncryption"),
-    (oid.SHA512_RSA, "sha512WithRSAEncryption"),
-    (oid.ECDSA_SHA256, "ecdsa-with-SHA256"),
-    (oid.DSA_SHA256, "dsa-with-SHA256"),
-)
-
 EXTENSION_TARGET_NAMES: dict[str, str] = {
     oid.BASIC_CONSTRAINTS: "basicConstraints",
     oid.KEY_USAGE: "keyUsage",
@@ -244,6 +164,43 @@ EXTENSION_TARGET_NAMES: dict[str, str] = {
     oid.NAME_CONSTRAINTS: "nameConstraints",
     oid.SCT_LIST: "privateExtension(sctList)",
 }
+EXTENSION_TARGETS: tuple[str, ...] = tuple(EXTENSION_TARGET_NAMES)
+
+# One fixed malformed blob per type: a SEQUENCE header promising five
+# content bytes but delivering two, plus a type-index marker byte.
+CORRUPT_VALUES: dict[str, bytes] = {
+    ext_oid: b"\x30\x05\xde" + bytes([i]) for i, ext_oid in enumerate(EXTENSION_TARGETS)
+}
+
+
+def _delete_extension(cert: Certificate, ext_oid: str) -> Certificate:
+    exts = tuple(e for e in cert.extensions if e.oid != ext_oid)
+    return replace(cert, extensions=exts)
+
+
+def _upsert(cert: Certificate, ext_oid: str, **fields) -> Certificate:
+    """Edit the first extension of type ``ext_oid``, or append one that
+    carries the type's default value unless ``fields`` sets a value."""
+    exts = list(cert.extensions)
+    for i, ext in enumerate(exts):
+        if ext.oid == ext_oid:
+            exts[i] = replace(ext, **fields)
+            return replace(cert, extensions=tuple(exts))
+    fields.setdefault("value", ADD_DEFAULT_VALUES[ext_oid])
+    return replace(cert, extensions=cert.extensions + (Extension(ext_oid, **fields),))
+
+
+# ---------------------------------------------------------------------------
+# Catalog assembly
+
+SIG_ALG_MENU: tuple[tuple[str, str], ...] = (
+    (oid.MD5_RSA, "md5WithRSAEncryption"),
+    (oid.SHA1_RSA, "sha1WithRSAEncryption"),
+    (oid.SHA384_RSA, "sha384WithRSAEncryption"),
+    (oid.SHA512_RSA, "sha512WithRSAEncryption"),
+    (oid.ECDSA_SHA256, "ecdsa-with-SHA256"),
+    (oid.DSA_SHA256, "dsa-with-SHA256"),
+)
 
 
 def _build_catalog():
@@ -279,13 +236,14 @@ def _build_catalog():
     add(Family.NAME, "copy the issuer name into the subject", lambda c, now: replace(c, subject=c.issuer))
     add(Family.KEY, "halve the declared public-key length", lambda c, now: _resize_key(c, 0.5))
     add(Family.KEY, "double the declared public-key length", lambda c, now: _resize_key(c, 2.0))
-    for ext_oid in EXTENSION_TARGETS:
-        name = EXTENSION_TARGET_NAMES[ext_oid]
+    for ext_oid, name in EXTENSION_TARGET_NAMES.items():
         add(Family.EXTENSION, f"delete {name}", lambda c, now, o=ext_oid: _delete_extension(c, o), ext_oid)
-        add(Family.EXTENSION, f"add {name} with its default value", lambda c, now, o=ext_oid: _add_default(c, o), ext_oid)
-        add(Family.EXTENSION, f"mark {name} critical", lambda c, now, o=ext_oid: _set_critical(c, o), ext_oid)
-        add(Family.EXTENSION, f"mark {name} non-critical (flag encoded explicitly)", lambda c, now, o=ext_oid: _clear_critical(c, o), ext_oid)
-        add(Family.EXTENSION, f"corrupt the value of {name}", lambda c, now, o=ext_oid: _corrupt_value(c, o), ext_oid)
+        add(Family.EXTENSION, f"add {name} with its default value", lambda c, now, o=ext_oid: _upsert(c, o, value=ADD_DEFAULT_VALUES[o]), ext_oid)
+        add(Family.EXTENSION, f"mark {name} critical", lambda c, now, o=ext_oid: _upsert(c, o, critical=True, critical_encoded=True), ext_oid)
+        # Writes the flag explicitly even when FALSE: an encoded default is a
+        # deliberate DER violation that probes parser strictness downstream.
+        add(Family.EXTENSION, f"mark {name} non-critical (flag encoded explicitly)", lambda c, now, o=ext_oid: _upsert(c, o, critical=False, critical_encoded=True), ext_oid)
+        add(Family.EXTENSION, f"corrupt the value of {name}", lambda c, now, o=ext_oid: _upsert(c, o, value=CORRUPT_VALUES[o]), ext_oid)
 
     assert len(specs) == CATALOG_SIZE
     return tuple(specs), tuple(ops)
@@ -338,7 +296,3 @@ FEATURE_INVARIANT_ON_DEFAULT_FIXTURE = frozenset(
     | {52, 57, 62, 67, 72, 77, 82}  # add-default on existence-mode types
     | {55, 60, 65, 70, 75, 80, 85}  # corrupt on existence-mode types
 )
-
-
-def bytes_changed(cert: Certificate, action: int, now: dt.datetime = REFERENCE_TIME) -> bool:
-    return encode_der(apply(cert, action, now=now)) != encode_der(cert)

@@ -71,7 +71,6 @@ class CampaignConfig:
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
     registry: LabelRegistry = field(default_factory=default_registry)
     db_path: str | None = None
-    reset_replay_each_episode: bool = False
 
     def __post_init__(self):
         if self.max_modification < 0:
@@ -197,8 +196,6 @@ def _run_loop(
 
     for episode_index in range(config.max_episode):
         episode = EpisodeStats()
-        if learner is not None and config.reset_replay_each_episode:
-            learner.buffer.clear()
         order = list(range(len(corpus.entries)))
         rng.shuffle(order)
         for index in order:
@@ -217,9 +214,9 @@ def _run_loop(
                 continue
 
             current, previous = seed, verdicts
+            state = extract(seed, now, registry)
             trace: list[int] = []
             for step in range(config.max_modification + 1):
-                state = extract(current, now, registry)
                 action = choose(state)
                 mutant = apply(current, action, now=now)
                 mutant_der = encode_der(mutant)
@@ -228,14 +225,14 @@ def _run_loop(
                 exhausted = step == config.max_modification
                 terminal = stop or exhausted
                 trace.append(action)
+                next_state = None if terminal else extract(mutant, now, registry)
                 if learner is not None:
-                    next_state = None if terminal else extract(mutant, now, registry)
                     learner.observe(Transition(state, action, reward, next_state, terminal))
                 if is_discrepancy(verdicts):
                     book(entry.seed_id, tuple(trace), mutant_der, verdicts, episode)
                 if terminal:
                     break
-                current, previous = mutant, verdicts
+                current, previous, state = mutant, verdicts, next_state
         stats.episodes.append(episode)
         log.info(
             "episode %d: corpus %d discrepancies %d proportion %.1f%%",

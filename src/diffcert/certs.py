@@ -230,6 +230,13 @@ class Certificate:
                 return ext
         return None
 
+    @property
+    def strict_der(self) -> bool:
+        """False when an extension encodes a FALSE criticality flag: the one
+        leniency ``parse_der(lenient=True)`` tolerates, so a lenient parse
+        that reads True here is also a strict one."""
+        return not any(ext.critical_encoded and not ext.critical for ext in self.extensions)
+
 
 # ---------------------------------------------------------------------------
 # Parsing

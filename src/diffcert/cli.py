@@ -40,7 +40,6 @@ from .verdicts import (
 EXIT_OK = 0
 EXIT_DISCREPANCY = 10
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 
 
 class CliError(Exception):

@@ -8,8 +8,8 @@ with the trust store that makes them meaningful to the simulated
 verifiers.
 
 The discrepancy database is an append-only stream of length-prefixed JSON
-records with base64-embedded certificate bytes, plus a human-inspectable
-offset index sidecar.
+records with base64-embedded certificate bytes, one record per line; a
+record torn by a crash mid-append is dropped when the database is opened.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import base64
 import dataclasses
 import datetime as dt
 import json
+import logging
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +41,7 @@ from .certs import (
 )
 from .verdicts import TrustAnchor, TrustStore, is_discrepancy
 
-DB_SUFFIX = ".db"
+log = logging.getLogger(__name__)
 
 
 class EmptyCorpus(ValueError):
@@ -325,6 +327,25 @@ class DiscrepancyDb:
 
     def __init__(self, path):
         self.path = Path(path)
+        self._drop_torn_tail()
+
+    def _drop_torn_tail(self) -> None:
+        """Truncate an unterminated final line, the trace of a crash mid-append,
+        so the intact records load and the next append starts a fresh line."""
+        try:
+            size = self.path.stat().st_size
+        except FileNotFoundError:
+            return
+        if size == 0:
+            return
+        with open(self.path, "rb") as handle:
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+            handle.seek(0)
+            keep = handle.read().rfind(b"\n") + 1
+        os.truncate(self.path, keep)
+        log.warning("%s: dropped %d bytes of a torn final record", self.path, size - keep)
 
     def append(self, record: DiscrepancyRecord) -> None:
         if not is_discrepancy(record.verdicts):

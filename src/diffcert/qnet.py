@@ -262,9 +262,6 @@ class ReplayBuffer:
     def sample(self, k: int, rng: random.Random) -> list[Transition]:
         return [self._items[rng.randrange(len(self._items))] for _ in range(k)]
 
-    def clear(self) -> None:
-        self._items.clear()
-
     def __len__(self):
         return len(self._items)
 

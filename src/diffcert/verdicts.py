@@ -330,8 +330,8 @@ class InputFacts:
     """What verification derives from one input and a trust store,
     independently of any profile.
 
-    ``cert`` is the strict parse, or the lenient one when only that
-    succeeds (``strict_ok`` false), or None when neither does.  Extension
+    ``cert`` is the lenient parse, or None when it fails; ``strict_ok``
+    says whether a strict parse would have succeeded too.  Extension
     codes keep extension order; ``-10`` marks an unknown critical
     extension, every other code a malformed known one.  ``trust_code`` is
     the trust failure once the chain is accepted: self-sign, unknown
@@ -350,12 +350,9 @@ class InputFacts:
 def derive_facts(data: bytes, trust: TrustStore) -> InputFacts:
     """The one pass over an input that every simulated profile shares."""
     try:
-        cert, strict_ok = parse_der(data), True
+        cert = parse_der(data, lenient=True)
     except (MalformedDer, UnsupportedStructure):
-        try:
-            cert, strict_ok = parse_der(data, lenient=True), False
-        except (MalformedDer, UnsupportedStructure):
-            return InputFacts(None)
+        return InputFacts(None)
 
     names = (cert.issuer, cert.subject)
     name_failures = sum(attr.oid == oid.COUNTRY and len(attr.value) != 2 for name in names for attr in name.attributes())
@@ -382,7 +379,7 @@ def derive_facts(data: bytes, trust: TrustStore) -> InputFacts:
             legacy_issuer = anchor.version < 3 and not anchor.is_root
             if cert.signature_value != b"\x00" + mock_sign(cert.tbs_raw, anchor.tag):
                 trust_code = SIGNATURE_ERROR
-    return InputFacts(cert, strict_ok, name_failures, tuple(ext_codes), malformed_known, legacy_issuer, trust_code)
+    return InputFacts(cert, cert.strict_der, name_failures, tuple(ext_codes), malformed_known, legacy_issuer, trust_code)
 
 
 def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:

@@ -3,6 +3,7 @@ determinism, byte-change coverage on the reference fixture and trace
 replay."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,3 +246,20 @@ def test_apply_total_over_awkward_fixtures():
             assert encoded
             # and a second application of the same action still encodes
             assert encode_der(apply(apply(cert, spec.id), spec.id))
+
+
+# SHA-256 over every action's output on every awkward fixture, pinned
+# before the four extension edits were folded into one upsert primitive.
+# The extension-free v1/v2 fixtures exercise the append branch of every
+# extension edit; the others exercise the edit-in-place branch.
+AWKWARD_APPLY_DIGEST = "0059131411df9ca5fde58e9c73cac9c7d4f980a8564275b8648e57c14ee7afd1"
+
+
+def test_awkward_fixture_outputs_locked():
+    digest = hashlib.sha256()
+    for cert in awkward_fixtures():
+        for spec in catalog():
+            der = encode_der(apply(cert, spec.id))
+            digest.update(len(der).to_bytes(4, "big"))
+            digest.update(der)
+    assert digest.hexdigest() == AWKWARD_APPLY_DIGEST

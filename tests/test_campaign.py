@@ -2,8 +2,11 @@
 one action triggers a discrepancy, plus budget, determinism and the
 closed-form baseline yield."""
 
+import hashlib
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from diffcert import campaign as campaign_mod
@@ -11,7 +14,15 @@ from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_t
 from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
 from diffcert.qnet import TrainConfig
-from diffcert.verdicts import InsufficientBackends, TrustStore, default_backends, is_discrepancy, verify_all
+from diffcert.verdicts import (
+    InsufficientBackends,
+    TrustStore,
+    bind_backends,
+    default_backend_specs,
+    default_backends,
+    is_discrepancy,
+    verify_all,
+)
 
 WINNING_ACTION = 3  # set version to 4
 
@@ -283,3 +294,79 @@ def test_delta_reward_scheme_stops_on_category_growth():
     params, records, stats = run_training(corpus, config)
     assert records == []  # rejection-only splits are not discrepancies
     assert stats.discrepancies == 0
+
+
+def test_training_featurizes_each_certificate_once(monkeypatch):
+    # the seed and every non-terminal mutant are featurized once: the
+    # mutant's vector is both the transition's next state and the next
+    # step's state
+    counts = {"apply": 0, "extract": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(campaign_mod, "apply", counting("apply", campaign_mod.apply))
+    monkeypatch.setattr(campaign_mod, "extract", counting("extract", campaign_mod.extract))
+    corpus = generate_corpus(12, rng_seed=3)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=1, rng_seed=5)
+    run_training(corpus, config)
+    assert counts["apply"] > 0
+    assert counts["extract"] == counts["apply"]
+
+
+# SHA-256 over the records read back from the database -- (seed id,
+# trace, mutant DER) of each -- then the final weights, for a seeded
+# training campaign and a seeded random-action baseline.  Pinned before
+# the verifier, mutator and loop were reworked to do each step's work
+# once; a change meant to move a record or a weight must re-pin it and
+# say why.
+CAMPAIGN_LOCK_DIGEST = "6f0374ae088f4c698cff159fce8c7f42e9b3ee7913ce105ed2facea98e7ab74b"
+
+
+def _lock_digest(parts) -> str:
+    digest = hashlib.sha256()
+
+    def field(blob: bytes) -> None:
+        digest.update(struct.pack("<Q", len(blob)))
+        digest.update(blob)
+
+    for records, params in parts:
+        field(b"part")
+        for rec in records:
+            field(rec.seed_id.encode("utf-8"))
+            field(bytes(rec.trace))
+            field(rec.mutant_der)
+        if params is not None:
+            for array in params.arrays():
+                field(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_campaign_behaviour_lock(tmp_path):
+    corpus = generate_corpus(24, 1)
+    config = CampaignConfig(
+        backends=tuple(default_backends(corpus.trust)),
+        max_episode=2,
+        rng_seed=11,
+        epsilon=campaign_mod.EpsilonSchedule.annealed(),
+        train=TrainConfig(use_target_network=True),
+        db_path=str(tmp_path / "train.db"),
+    )
+    params, _, _ = run_training(corpus, config)
+    parts = [(DiscrepancyDb(config.db_path).load_all(), params)]
+
+    corpus = generate_corpus(64, 1)
+    pair = [spec for spec in default_backend_specs() if spec.id in ("mbedtls-like", "openssl-like")]
+    config = CampaignConfig(
+        backends=tuple(bind_backends(pair, corpus.trust)),
+        max_episode=1,
+        rng_seed=11,
+        db_path=str(tmp_path / "pair.db"),
+    )
+    run_baseline(corpus, config)
+    parts.append((DiscrepancyDb(config.db_path).load_all(), None))
+    assert _lock_digest(parts) == CAMPAIGN_LOCK_DIGEST

@@ -115,6 +115,8 @@ def test_db_detects_corruption(tmp_path):
     db.path.write_text("9999\t" + blob.split("\t", 1)[1])
     with pytest.raises(corpus_mod.CorruptDatabase):
         db.load_all()
+    with pytest.raises(corpus_mod.CorruptDatabase):
+        DiscrepancyDb(db.path).load_all()  # opening drops only an unterminated tail
 
 
 def test_db_missing_file_is_empty(tmp_path):
@@ -171,3 +173,20 @@ def test_report_empty():
     assert rep.proportion == 0.0
     assert "no discrepancies" in rep.to_text()
     assert rep.to_json_lines().startswith("{")
+
+
+def test_db_recovers_torn_tail(tmp_path, caplog):
+    path = tmp_path / "found.db"
+    db = DiscrepancyDb(path)
+    recs = [make_record(seed_id=f"s{i}") for i in range(3)]
+    for rec in recs:
+        db.append(rec)
+    size = path.stat().st_size
+    with open(path, "r+b") as handle:
+        handle.truncate(size - 20)  # a crash mid-way through the third append
+    with caplog.at_level("WARNING", logger="diffcert.corpus"):
+        db = DiscrepancyDb(path)
+    assert db.load_all() == recs[:2]
+    assert f"dropped {size // 3 - 20} bytes" in caplog.text  # the three lines are equally long
+    db.append(recs[2])
+    assert DiscrepancyDb(path).load_all() == recs

@@ -561,3 +561,21 @@ def test_panel_signs_once_per_input(env, monkeypatch):
     monkeypatch.setattr(verdicts, "mock_sign", counting_sign)
     assert verify_all(cert, default_backends(store), NOW).codes == (1,) * 6
     assert calls == ["acme-root"]
+
+
+def test_explicit_false_flag_parsed_once(env, monkeypatch):
+    # one lenient parse per input: strictness is read from the parsed
+    # criticality flags instead of from a failed strict parse
+    cert, store = env
+    mutant = encode_der(actions.apply(cert, 34))  # basicConstraints with an explicit FALSE flag
+    calls = []
+
+    def counting_parse(data, **kwargs):
+        calls.append(kwargs)
+        return parse_der(data, **kwargs)
+
+    monkeypatch.setattr(verdicts, "parse_der", counting_parse)
+    verify_all(mutant, default_backends(store), NOW)
+    assert len(calls) == 1
+    assert not verdicts.derive_facts(mutant, store).strict_ok
+    assert verdicts.derive_facts(encode_der(cert), store).strict_ok
