@@ -22,7 +22,7 @@ from .actions import CATALOG_SIZE, apply
 from .certs import REFERENCE_TIME, MalformedDer, UnsupportedStructure, encode_der, parse_der
 from .corpus import DiscrepancyDb, DiscrepancyRecord, SeedCorpus
 from .features import LabelRegistry, default_registry, extract
-from .qnet import QParams, ReplayBuffer, TrainConfig, Transition
+from .qnet import QParams, ReplayBuffer, TrainConfig
 from .verdicts import InsufficientBackends, VerdictVector, is_discrepancy, reward_delta, reward_primary, verify_all
 
 log = logging.getLogger(__name__)
@@ -122,6 +122,7 @@ class _Learner:
     One gradient step per transition, on a batch made of the fresh
     transition plus a uniform replay sample once the buffer can supply
     one; raw batch-of-one updates destabilize the value scale badly.
+    The batch is read from the replay ring by logical index.
     """
 
     def __init__(self, config: CampaignConfig, rng: random.Random):
@@ -137,13 +138,15 @@ class _Learner:
         q = qnet.forward(self.params, state)
         return qnet.select_action(q, self.config.epsilon.at(self.updates), self.rng)
 
-    def observe(self, transition: Transition) -> None:
+    def observe(self, state, action: int, reward: int, next_state) -> None:
+        """Learn from one transition; ``next_state`` is None when terminal."""
         cfg = self.config.train
         target = self.target if cfg.use_target_network else None
-        self.buffer.add(transition)
-        batch = [transition]
+        self.buffer.add(state, action, reward, next_state)
+        indices = [len(self.buffer) - 1]
         if len(self.buffer) >= cfg.batch_size:
-            batch = batch + self.buffer.sample(cfg.batch_size - 1, self.rng)
+            indices += self.buffer.sample(cfg.batch_size - 1, self.rng)
+        batch = self.buffer.batch(indices)
         self.params, self.last_loss = qnet.train_step(self.params, batch, cfg, params_target=target)
         self.updates += 1
         if cfg.use_target_network and self.updates % cfg.target_sync_interval == 0:
@@ -227,7 +230,7 @@ def _run_loop(
                 trace.append(action)
                 next_state = None if terminal else extract(mutant, now, registry)
                 if learner is not None:
-                    learner.observe(Transition(state, action, reward, next_state, terminal))
+                    learner.observe(state, action, reward, next_state)
                 if is_discrepancy(verdicts):
                     book(entry.seed_id, tuple(trace), mutant_der, verdicts, episode)
                 if terminal:

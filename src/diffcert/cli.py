@@ -291,6 +291,9 @@ def _stats_json(stats) -> str:
                 for ep in stats.episodes
             ],
             "modification_histogram": {str(k): v for k, v in sorted(stats.modification_histogram.items())},
+            "type_counts": {",".join(map(str, k)): v for k, v in sorted(stats.type_counts.items())},
+            "updates": stats.updates,
+            "final_loss": stats.final_loss,
         },
         indent=2,
     )

@@ -1,6 +1,6 @@
 """The 101->100->100->86 fully-connected Q-network: forward pass,
 epsilon-greedy selection, temporal-difference targets, one-step SGD
-training, experience replay and checkpointing.
+training on array batches, an array-backed replay ring and checkpointing.
 
 Everything is plain numpy with hand-written backpropagation; parameters
 are treated as immutable and every training step returns a fresh set.
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 import struct
-from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +32,9 @@ class DimensionMismatch(ValueError):
 class NonFiniteLoss(RuntimeError):
     """A training step produced a non-finite loss; carries the batch."""
 
-    def __init__(self, loss: float, batch):
+    def __init__(self, loss: float, batch: Batch):
         super().__init__(f"non-finite loss {loss!r}")
-        self.batch = list(batch)
+        self.batch = batch
 
 
 class CorruptCheckpoint(ValueError):
@@ -89,6 +89,29 @@ class Transition:
             raise DimensionMismatch(f"state length {len(self.state)} != {FEATURE_LENGTH}")
         if self.next_state is not None and len(self.next_state) != FEATURE_LENGTH:
             raise DimensionMismatch(f"next_state length {len(self.next_state)} != {FEATURE_LENGTH}")
+
+
+class Batch(NamedTuple):
+    """Transitions as parallel arrays, the form `train_step` takes.
+
+    ``next_states`` rows of terminal transitions are never read.
+    """
+
+    states: np.ndarray  # (n, FEATURE_LENGTH) float64
+    actions: np.ndarray  # (n,) intp
+    rewards: np.ndarray  # (n,) float64
+    next_states: np.ndarray  # (n, FEATURE_LENGTH) float64
+    terminal: np.ndarray  # (n,) bool
+
+
+def _empty_batch(rows: int) -> Batch:
+    return Batch(
+        np.zeros((rows, FEATURE_LENGTH)),
+        np.zeros(rows, dtype=np.intp),
+        np.zeros(rows),
+        np.zeros((rows, FEATURE_LENGTH)),
+        np.zeros(rows, dtype=bool),
+    )
 
 
 @dataclass(frozen=True)
@@ -174,11 +197,20 @@ def select_action(qvalues, epsilon: float, rng: random.Random) -> int:
     return int(np.argmax(q))
 
 
-def td_target(transition: Transition, params_target: QParams, gamma: float = 0.9) -> float:
-    """Bellman target: reward, plus discounted max next-Q when non-terminal."""
-    if transition.terminal:
-        return float(transition.reward)
-    return float(transition.reward) + gamma * float(np.max(forward(params_target, transition.next_state)))
+def td_targets(batch: Batch, params_target: QParams, gamma: float) -> np.ndarray:
+    """Bellman targets: reward, plus discounted max next-Q when non-terminal.
+
+    The non-terminal next states go through one forward stacked as
+    ``(n, 1, 101)``, so each row takes the same one-row product as
+    `forward` and rounds exactly as it does; a plain ``(n, 101)`` product
+    sums in another order and rounds differently.
+    """
+    targets = batch.rewards.copy()
+    live = ~batch.terminal
+    if live.any():
+        q_next = _forward_batch(params_target, batch.next_states[live][:, None, :])[-1]
+        targets[live] += gamma * q_next.max(axis=-1)[:, 0]
+    return targets
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +218,7 @@ def td_target(transition: Transition, params_target: QParams, gamma: float = 0.9
 
 def train_step(
     params: QParams,
-    batch,
+    batch: Batch,
     config: TrainConfig,
     params_target: QParams | None = None,
 ) -> tuple[QParams, float]:
@@ -196,21 +228,17 @@ def train_step(
     ``paper_literal_loss`` it is the maximum Q-value of the state.
     Returns fresh parameters and the scalar loss.
     """
-    batch = list(batch)
-    if not batch:
+    n = len(batch.actions)
+    if not n:
         raise ValueError("empty batch")
     target_net = params_target if params_target is not None else params
 
-    x = np.asarray([t.state for t in batch], dtype=np.float64)
-    targets = np.asarray([td_target(t, target_net, config.gamma) for t in batch])
+    x = batch.states
+    targets = td_targets(batch, target_net, config.gamma)
     z0, h0, z1, h1, q = _forward_batch(params, x)
 
-    n = len(batch)
     rows = np.arange(n)
-    if config.paper_literal_loss:
-        cols = np.argmax(q, axis=1)
-    else:
-        cols = np.asarray([t.action for t in batch], dtype=np.intp)
+    cols = np.argmax(q, axis=1) if config.paper_literal_loss else batch.actions
     predicted = q[rows, cols]
     errors = predicted - targets
     with np.errstate(over="ignore"):
@@ -251,19 +279,60 @@ def train_step(
 
 
 class ReplayBuffer:
-    """Bounded uniform-sampling experience store."""
+    """Bounded uniform-sampling experience store: a ring of `Batch` rows.
+
+    Logical index 0 is the oldest stored transition, as in a
+    ``deque(maxlen=capacity)``; once full, each add overwrites the oldest.
+    The arrays start small and double up to ``capacity`` rows, so a short
+    campaign never holds a full-size ring.
+    """
+
+    _INITIAL_ROWS = 64
 
     def __init__(self, capacity: int):
-        self._items: deque[Transition] = deque(maxlen=capacity)
+        if capacity < 1:
+            raise ValueError("replay capacity must be >= 1")
+        self.capacity = capacity
+        self.store = _empty_batch(min(capacity, self._INITIAL_ROWS))
+        self._size = 0
+        self._next = 0  # row the next add writes
 
-    def add(self, transition: Transition) -> None:
-        self._items.append(transition)
+    def add(self, state, action: int, reward: int, next_state) -> None:
+        """Store one transition; ``next_state`` is None for a terminal one."""
+        allocated = len(self.store.actions)
+        if self._next == allocated and allocated < self.capacity:
+            grown = _empty_batch(min(2 * allocated, self.capacity))
+            for new, old in zip(grown, self.store):
+                new[:allocated] = old
+            self.store = grown
+        i = self._next
+        self.store.states[i], self.store.actions[i], self.store.rewards[i] = state, action, reward
+        self.store.terminal[i] = next_state is None
+        if next_state is not None:
+            self.store.next_states[i] = next_state
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, k: int, rng: random.Random) -> list[Transition]:
-        return [self._items[rng.randrange(len(self._items))] for _ in range(k)]
+    def sample(self, k: int, rng: random.Random) -> list[int]:
+        """``k`` logical indices drawn uniformly with ``rng.randrange``."""
+        return [rng.randrange(self._size) for _ in range(k)]
+
+    def batch(self, indices) -> Batch:
+        """The transitions at the given logical indices."""
+        rows = (np.asarray(indices, dtype=np.intp) + (self._next - self._size)) % self.capacity
+        return Batch(*(column[rows] for column in self.store))
 
     def __len__(self):
-        return len(self._items)
+        return self._size
+
+
+def as_batch(transitions) -> Batch:
+    """Stack `Transition` objects into a `Batch`, in order."""
+    transitions = list(transitions)
+    ring = ReplayBuffer(max(len(transitions), 1))
+    for t in transitions:
+        ring.add(t.state, t.action, t.reward, t.next_state)
+    return ring.batch(range(len(transitions)))
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,13 @@ def _codes(v) -> tuple[int, ...]:
 
 
 def is_discrepancy(v) -> bool:
-    """True when the panel both accepted and rejected the same certificate."""
+    """True when the panel both accepted and rejected the same certificate.
+
+    A connection error (an external verifier that timed out or could not
+    run) is neither an acceptance nor a rejection.
+    """
     codes = _codes(v)
-    return VALID in codes and any(c != VALID for c in codes)
+    return VALID in codes and any(c not in (VALID, CONNECTION_ERROR) for c in codes)
 
 
 def reward_primary(v) -> int:

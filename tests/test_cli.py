@@ -1,10 +1,13 @@
 """CLI tests exercising every subcommand in-process via main()."""
 
 import json
+import math
+from collections import Counter
 
 import pytest
 
 from diffcert import cli
+from diffcert.corpus import DiscrepancyDb
 
 
 def run_cli(*argv):
@@ -55,6 +58,9 @@ def test_train_fuzz_baseline_report(tmp_path, corpus_dir, capsys):
     assert (run_dir / "discrepancies.db").exists()
     stats = json.loads((run_dir / "stats.json").read_text())
     assert stats["seeds_processed"] == 30
+    assert stats["updates"] > 0 and math.isfinite(stats["final_loss"])
+    booked = Counter(",".join(map(str, rec.verdicts)) for rec in DiscrepancyDb(run_dir / "discrepancies.db").load_all())
+    assert stats["type_counts"] == dict(booked) and sum(booked.values()) == stats["discrepancies"] > 0
 
     fuzz_dir = tmp_path / "fuzz"
     assert run_cli("fuzz", str(corpus_dir), str(run_dir / "qnet.ckpt"), "--out", str(fuzz_dir)) == 0

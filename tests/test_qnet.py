@@ -1,11 +1,13 @@
 """Q-network tests: shape contracts, the frozen forward golden, selection
-semantics, TD targets, gradient correctness against central finite
-differences, convergence, and checkpoint round-trips."""
+semantics, TD targets against a per-transition oracle, gradient
+correctness against central finite differences, convergence, the replay
+ring against a deque reference, and checkpoint round-trips."""
 
 import dataclasses
 import json
 import math
 import random
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +25,11 @@ from diffcert.qnet import (
     ReplayBuffer,
     TrainConfig,
     Transition,
+    as_batch,
     forward,
     init,
     select_action,
-    td_target,
+    td_targets,
     train_step,
 )
 
@@ -46,6 +49,13 @@ def random_transition(rng):
         next_state=None if terminal else random_state(rng),
         terminal=terminal,
     )
+
+
+def td_target(transition: Transition, params_target: QParams, gamma: float = 0.9) -> float:
+    """Oracle: one transition's Bellman target through the one-row `forward`."""
+    if transition.terminal:
+        return float(transition.reward)
+    return float(transition.reward) + gamma * float(np.max(forward(params_target, transition.next_state)))
 
 
 def test_init_deterministic():
@@ -124,12 +134,13 @@ def test_td_target_branches():
     p = init(2)
     state = tuple([1] * FEATURE_LENGTH)
     terminal = Transition(state, 0, 100, None, True)
-    assert td_target(terminal, p) == 100.0
+    assert list(td_targets(as_batch([terminal]), p, 0.9)) == [100.0]
     nxt = tuple([2] * FEATURE_LENGTH)
     non_terminal = Transition(state, 0, -1, nxt, False)
     expected = -1 + 0.9 * float(np.max(forward(p, nxt)))
-    assert td_target(non_terminal, p, gamma=0.9) == pytest.approx(expected)
-    assert td_target(non_terminal, p, gamma=0.0) == -1.0
+    assert td_targets(as_batch([non_terminal]), p, 0.9)[0] == pytest.approx(expected)
+    assert list(td_targets(as_batch([non_terminal]), p, 0.0)) == [-1.0]
+    assert list(td_targets(as_batch([terminal, non_terminal]), p, 0.9)) == [100.0, pytest.approx(expected)]
 
 
 def test_td_target_arithmetic_example():
@@ -139,7 +150,20 @@ def test_td_target_arithmetic_example():
     nxt = tuple([2] * FEATURE_LENGTH)
     bumped = dataclasses.replace(p, b2=p.b2 + (10.0 - float(np.max(forward(p, nxt)))))
     tr = Transition(state, 0, -1, nxt, False)
-    assert td_target(tr, bumped, gamma=0.9) == pytest.approx(8.0, abs=1e-9)
+    assert td_targets(as_batch([tr]), bumped, 0.9)[0] == pytest.approx(8.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("batch_size", [1, 32])
+def test_batched_targets_equal_oracle_exactly(batch_size):
+    # the (n, 1, 101) stacking keeps every row on the one-row product, so
+    # the batched targets must equal the per-transition oracle bit for bit
+    rng = random.Random(batch_size)
+    transitions = [random_transition(rng) for _ in range(1024)]
+    assert 400 < sum(t.terminal for t in transitions) < 624
+    params = init(batch_size + 40)
+    for start in range(0, len(transitions), batch_size):
+        chunk = transitions[start : start + batch_size]
+        assert list(td_targets(as_batch(chunk), params, 0.9)) == [td_target(t, params, 0.9) for t in chunk]
 
 
 def test_transition_invariant():
@@ -154,13 +178,13 @@ def test_zero_learning_rate_is_identity():
     rng = random.Random(5)
     p = init(5)
     batch = [random_transition(rng) for _ in range(4)]
-    updated, _ = train_step(p, batch, TrainConfig(learning_rate=0.0))
+    updated, _ = train_step(p, as_batch(batch), TrainConfig(learning_rate=0.0))
     assert all((a == b).all() for a, b in zip(p.arrays(), updated.arrays()))
 
 
 def test_train_step_rejects_empty_batch():
     with pytest.raises(ValueError):
-        train_step(init(1), [], TrainConfig())
+        train_step(init(1), as_batch([]), TrainConfig())
 
 
 def test_single_transition_convergence():
@@ -169,7 +193,7 @@ def test_single_transition_convergence():
     tr = Transition(state, 17, 100, None, True)
     params, cfg = init(7), TrainConfig()
     for step in range(5000):
-        params, _ = train_step(params, [tr], cfg)
+        params, _ = train_step(params, as_batch([tr]), cfg)
         if abs(float(forward(params, state)[17]) - 100.0) < 1.0:
             break
     assert abs(float(forward(params, state)[17]) - 100.0) < 1.0
@@ -203,7 +227,7 @@ def finite_difference_check(batch_seed: int, param_seed: int, coords_per_tensor:
     targets = np.asarray([td_target(t, frozen_target, cfg.gamma) for t in batch])
 
     probe = TrainConfig(learning_rate=1.0, max_grad_norm=0.0)
-    updated, _ = train_step(params, batch, probe, params_target=frozen_target)
+    updated, _ = train_step(params, as_batch(batch), probe, params_target=frozen_target)
     analytic = {name: getattr(params, name) - getattr(updated, name) for name in ("w0", "b0", "w1", "b1", "w2", "b2")}
 
     h = 1e-4
@@ -240,7 +264,7 @@ def test_paper_literal_loss_trains_max_column():
     state = random_state(rng)
     tr = Transition(state, 5, 100, None, True)
     cfg = TrainConfig(paper_literal_loss=True)
-    updated, _ = train_step(p, [tr], cfg)
+    updated, _ = train_step(p, as_batch([tr]), cfg)
     before = forward(p, state)
     after = forward(updated, state)
     moved = int(np.argmax(np.abs(after - before)))
@@ -254,7 +278,18 @@ def test_non_finite_loss_reported():
     tr = Transition(state, 0, 100, None, True)
     with pytest.raises(qnet.NonFiniteLoss):
         # squaring 1e200 errors overflows to inf
-        train_step(bad, [tr], TrainConfig())
+        train_step(bad, as_batch([tr]), TrainConfig())
+
+
+def _add(buf, transition):
+    buf.add(transition.state, transition.action, transition.reward, transition.next_state)
+
+
+def _transitions(batch):
+    return [
+        Transition(tuple(s), int(a), int(r), None if t else tuple(n), bool(t))
+        for s, a, r, n, t in zip(batch.states, batch.actions, batch.rewards, batch.next_states, batch.terminal)
+    ]
 
 
 def test_replay_buffer_capacity_and_uniformity():
@@ -262,10 +297,41 @@ def test_replay_buffer_capacity_and_uniformity():
     buf = ReplayBuffer(capacity=5)
     items = [random_transition(rng) for _ in range(8)]
     for item in items:
-        buf.add(item)
+        _add(buf, item)
     assert len(buf) == 5
-    sample = buf.sample(10, rng)
+    sample = _transitions(buf.batch(buf.sample(10, rng)))
     assert all(s in items[3:] for s in sample)
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 64, 100, 300])
+def test_replay_ring_matches_deque_reference(capacity):
+    # same rng, same draws: the ring must hand back exactly the transitions
+    # a deque(maxlen=capacity) would, before and after eviction, and its
+    # arrays (grown by doubling) must never exceed capacity rows
+    rng = random.Random(capacity)
+    ring, reference = ReplayBuffer(capacity), deque(maxlen=capacity)
+    ring_rng, reference_rng = random.Random(7), random.Random(7)
+    for step in range(3 * capacity + 7):
+        item = random_transition(rng)
+        _add(ring, item)
+        reference.append(item)
+        assert len(ring) == len(reference)
+        assert all(len(column) <= capacity for column in ring.store)
+        k = 1 + step % 8
+        indices = ring.sample(k, ring_rng)
+        expected = [reference[reference_rng.randrange(len(reference))] for _ in range(k)]
+        assert _transitions(ring.batch([len(ring) - 1] + indices)) == [reference[-1]] + expected
+    assert len(ring.store.actions) == capacity
+
+
+def test_replay_ring_grows_by_doubling():
+    buf = ReplayBuffer(capacity=10_000)
+    rng = random.Random(4)
+    sizes = set()
+    for _ in range(300):
+        _add(buf, random_transition(rng))
+        sizes.add(len(buf.store.states))
+    assert sizes == {64, 128, 256, 512}
 
 
 def test_toy_mdp_one_state(tmp_path):
@@ -281,7 +347,7 @@ def test_toy_mdp_one_state(tmp_path):
             action = select_action(forward(params, state), EpsilonSchedule().at(0), rng)
             reward = 100 if action == k else -1
             tr = Transition(state, action, reward, None, True)
-            params, _ = train_step(params, [tr], cfg)
+            params, _ = train_step(params, as_batch([tr]), cfg)
             if step % 50 == 0 and int(np.argmax(forward(params, state))) == k and step > 200:
                 break
         assert int(np.argmax(forward(params, state))) == k

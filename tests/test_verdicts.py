@@ -270,6 +270,15 @@ def test_is_discrepancy_examples():
     assert not is_discrepancy([-1, -2, -3, -4, -5, -6])
 
 
+def test_connection_error_is_neither_accept_nor_reject():
+    # an external verifier that timed out says nothing about the certificate
+    assert not is_discrepancy((1, -13))
+    assert not is_discrepancy((1, 1, -13))
+    assert is_discrepancy((1, -13, -4))
+    assert reward_primary((1, -13)) == -1
+    assert reward_primary((1, -13, -4)) == 100
+
+
 def test_reward_primary_examples():
     assert reward_primary([1, -14, -6, 1, 1, 1]) == 100
     assert reward_primary([1, 1, 1, 1, 1, 1]) == -1
@@ -292,7 +301,7 @@ codes_strategy = st.lists(st.sampled_from(ALL_CODES), min_size=2, max_size=8)
 @settings(max_examples=300)
 @given(codes=codes_strategy)
 def test_discrepancy_predicate_property(codes):
-    expected = (1 in codes) and any(c != 1 for c in codes)
+    expected = (1 in codes) and any(c not in (1, -13) for c in codes)
     assert is_discrepancy(codes) == expected
     assert (reward_primary(codes) == 100) == expected
 
