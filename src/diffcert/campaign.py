@@ -23,7 +23,7 @@ from .certs import REFERENCE_TIME, MalformedDer, UnsupportedStructure, encode_de
 from .corpus import DiscrepancyDb, DiscrepancyRecord, SeedCorpus
 from .features import LabelRegistry, default_registry, extract
 from .qnet import QParams, ReplayBuffer, TrainConfig
-from .verdicts import InsufficientBackends, VerdictVector, is_discrepancy, reward_delta, reward_primary, verify_all
+from .verdicts import InsufficientBackends, VerdictVector, is_discrepancy, reward_delta, reward_primary, verdict_categories, verify_all
 
 log = logging.getLogger(__name__)
 
@@ -159,7 +159,7 @@ def _seed_stop(config: CampaignConfig, verdicts: VerdictVector, previous: Verdic
         reward = reward_primary(verdicts)
         return reward, reward == 100
     reward = reward_delta(previous, verdicts)
-    saturated = len(set(verdicts.codes)) == len(config.backends)
+    saturated = len(verdict_categories(verdicts)) == len(config.backends)
     return reward, reward > 0 or saturated
 
 

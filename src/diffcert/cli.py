@@ -117,7 +117,10 @@ def _effective_config(args: argparse.Namespace) -> dict:
 
 
 def _load_backends(settings: dict, trust: TrustStore):
-    specs = load_backend_specs(settings["backends"]) if settings["backends"] else default_backend_specs()
+    try:
+        specs = load_backend_specs(settings["backends"]) if settings["backends"] else default_backend_specs()
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"backends: {type(exc).__name__}: {exc}") from exc
     bound = bind_backends(specs, trust)
     if len(bound) < 2:
         raise CliError(f"backends: only {len(bound)} available, need at least 2")

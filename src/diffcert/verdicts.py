@@ -2,7 +2,7 @@
 backends, normalize every outcome into a 16-code taxonomy, detect
 discrepancies and compute rewards.
 
-Two backend kinds exist.  Simulated backends are parameterized reference
+Two backend types exist.  Simulated backends are parameterized reference
 validators whose acceptance switches each re-create one known class of
 real-world validation flaw; the six shipped profiles are behavioral
 caricatures of popular TLS libraries, not emulations.  External backends
@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, replace
@@ -131,9 +132,14 @@ def reward_primary(v) -> int:
     return 100 if is_discrepancy(v) else -1
 
 
+def verdict_categories(v) -> set[int]:
+    """The distinct verdicts of a vector; a connection error is none."""
+    return set(_codes(v)) - {CONNECTION_ERROR}
+
+
 def reward_delta(v_before, v_after) -> int:
     """Growth in the number of distinct verdict categories."""
-    return len(set(_codes(v_after))) - len(set(_codes(v_before)))
+    return len(verdict_categories(v_after)) - len(verdict_categories(v_before))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +357,18 @@ class InputFacts:
     trust_code: int | None = None
 
 
-def derive_facts(data: bytes, trust: TrustStore) -> InputFacts:
-    """The one pass over an input that every simulated profile shares."""
+def derive_facts(data: bytes, trust: TrustStore, lenient: bool) -> InputFacts:
+    """The one pass over an input that every simulated profile shares.
+
+    Without a ``lenient`` profile to read them, the facts of an input
+    that is not strict DER stop at the parse.
+    """
     try:
         cert = parse_der(data, lenient=True)
     except (MalformedDer, UnsupportedStructure):
         return InputFacts(None)
+    if not (cert.strict_der or lenient):
+        return InputFacts(cert)
 
     names = (cert.issuer, cert.subject)
     name_failures = sum(attr.oid == oid.COUNTRY and len(attr.value) != 2 for name in names for attr in name.attributes())
@@ -441,7 +453,7 @@ def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
 def simulate_verify(profile: FlawProfile, cert, trust: TrustStore, now: dt.datetime) -> int:
     """Verdict of one simulated backend; total, never raises on cert content."""
     data = encode_der(cert) if isinstance(cert, Certificate) else bytes(cert)
-    return judge(profile, derive_facts(data, trust), now)
+    return judge(profile, derive_facts(data, trust, profile.lenient_parse), now)
 
 
 # ---------------------------------------------------------------------------
@@ -467,58 +479,51 @@ class PatternRule:
 
 
 @dataclass(frozen=True)
-class BackendSpec:
-    """Configuration of one verifier backend.
+class ExternalBackend:
+    """A verification utility run on a certificate file.
 
     ``command`` entries may contain ``{cert}`` and ``{trust}``
-    placeholders.  The pattern table must end with a catch-all rule
-    mapping to "Other error".
+    placeholders; ``{trust}`` becomes ``trust_path``.  The pattern table
+    must end with a catch-all rule mapping to "Other error".
     """
 
     id: str
-    kind: str  # "simulated" | "external"
-    profile: FlawProfile | None = None
-    command: tuple[str, ...] = ()
+    command: tuple[str, ...]
+    patterns: tuple[PatternRule, ...]
     trust_path: str = ""
-    patterns: tuple[PatternRule, ...] = ()
     timeout: float = 10.0
 
     def __post_init__(self):
-        if self.kind not in ("simulated", "external"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "simulated" and self.profile is None:
-            raise ValueError("simulated backend needs a profile")
-        if self.kind == "external":
-            if not self.command:
-                raise ValueError("external backend needs a command")
-            if not self.patterns or self.patterns[-1].match or self.patterns[-1].exit_status is not None:
-                raise ValueError("pattern table must end with a catch-all rule")
-            if self.patterns[-1].code != OTHER_ERROR:
-                raise ValueError("the catch-all rule must map to Other error (-15)")
+        if not self.command:
+            raise ValueError("external backend needs a command")
+        if not self.patterns or self.patterns[-1].match or self.patterns[-1].exit_status is not None:
+            raise ValueError("pattern table must end with a catch-all rule")
+        if self.patterns[-1].code != OTHER_ERROR:
+            raise ValueError("the catch-all rule must map to Other error (-15)")
 
 
-def external_verify(spec: BackendSpec, cert_bytes: bytes, trust_path: str) -> int:
+def external_verify(backend: ExternalBackend, cert_bytes: bytes) -> int:
     """Run an external utility on a certificate file and normalize its outcome."""
     with tempfile.NamedTemporaryFile(suffix=".der", delete=False) as handle:
         handle.write(cert_bytes)
         cert_path = handle.name
     try:
-        argv = [arg.format(cert=cert_path, trust=trust_path) for arg in spec.command]
+        argv = [arg.format(cert=cert_path, trust=backend.trust_path) for arg in backend.command]
         try:
             proc = subprocess.run(
                 argv,
                 capture_output=True,
                 text=True,
                 errors="replace",  # verifiers may emit non-UTF-8 diagnostics
-                timeout=spec.timeout,
+                timeout=backend.timeout,
             )
         except FileNotFoundError as exc:
-            raise BackendUnavailable(f"{spec.id}: {argv[0]} not found") from exc
+            raise BackendUnavailable(f"{backend.id}: {argv[0]} not found") from exc
         except subprocess.TimeoutExpired:
-            log.warning("backend %s timed out after %.1fs; reporting connection error", spec.id, spec.timeout)
+            log.warning("backend %s timed out after %.1fs; reporting connection error", backend.id, backend.timeout)
             return CONNECTION_ERROR
         combined = proc.stdout + proc.stderr
-        for rule in spec.patterns:
+        for rule in backend.patterns:
             if rule.matches(proc.returncode, combined):
                 return rule.code
         return OTHER_ERROR  # unreachable given the catch-all invariant
@@ -527,123 +532,95 @@ def external_verify(spec: BackendSpec, cert_bytes: bytes, trust_path: str) -> in
 
 
 # ---------------------------------------------------------------------------
-# Bound backends and the panel runner
+# Simulated backends and the panel runner
 
+@dataclass(frozen=True)
 class SimulatedBackend:
-    kind = "simulated"
+    """A flaw profile judging inputs against a trust store; ``trust`` is
+    None until `bind_backends` supplies the campaign's store."""
 
-    def __init__(self, backend_id: str, profile: FlawProfile, trust: TrustStore):
-        self.id = backend_id
-        self.profile = profile
-        self.trust = trust
+    id: str
+    profile: FlawProfile
+    trust: TrustStore | None = None
 
     def verify_prepared(self, facts: InputFacts, now: dt.datetime) -> int:
         return judge(self.profile, facts, now)
 
 
-class ExternalBackend:
-    kind = "external"
-
-    def __init__(self, spec: BackendSpec):
-        self.id = spec.id
-        self.spec = spec
-
-    def verify_bytes(self, data: bytes) -> int:
-        return external_verify(self.spec, data, self.spec.trust_path)
-
-
-def bind_backends(specs, trust: TrustStore) -> list:
-    """Attach runtime state to backend specs, dropping unavailable externals."""
-    import shutil
-
+def bind_backends(backends, trust: TrustStore) -> list:
+    """Give each simulated backend the trust store, dropping externals
+    whose utility is not on PATH."""
     bound = []
-    for spec in specs:
-        if spec.kind == "simulated":
-            bound.append(SimulatedBackend(spec.id, spec.profile, trust))
+    for backend in backends:
+        if isinstance(backend, SimulatedBackend):
+            bound.append(replace(backend, trust=trust))
+        elif shutil.which(backend.command[0]) is not None:
+            bound.append(backend)
         else:
-            if shutil.which(spec.command[0]) is None:
-                log.warning("backend %s unavailable (%s not on PATH); skipping", spec.id, spec.command[0])
-                continue
-            bound.append(ExternalBackend(spec))
+            log.warning("backend %s unavailable (%s not on PATH); skipping", backend.id, backend.command[0])
     return bound
 
 
 def default_backends(trust: TrustStore) -> list[SimulatedBackend]:
-    return [SimulatedBackend(name, profile, trust) for name, profile in SHIPPED_PROFILES.items()]
+    return bind_backends(default_backend_specs(), trust)
 
 
 def verify_all(cert, backends, now: dt.datetime) -> VerdictVector:
     """One verdict per backend, in configuration order.
 
-    External backends may run concurrently; the result order never
-    depends on completion order.
+    External backends run concurrently; the result order never depends
+    on completion order.
     """
     if len(backends) < 2:
         raise InsufficientBackends(f"need at least 2 backends, have {len(backends)}")
     data = encode_der(cert) if isinstance(cert, Certificate) else bytes(cert)
 
+    lenient = any(b.profile.lenient_parse for b in backends if not isinstance(b, ExternalBackend))
     codes: list[int | None] = [None] * len(backends)
     facts_by_store: dict[TrustStore, InputFacts] = {}
-    external_jobs = []
+    externals = []
     for i, backend in enumerate(backends):
-        if backend.kind == "simulated":
-            facts = facts_by_store.get(backend.trust)
-            if facts is None:
-                facts = facts_by_store[backend.trust] = derive_facts(data, backend.trust)
-            codes[i] = backend.verify_prepared(facts, now)
-        else:
-            external_jobs.append(i)
-    if len(external_jobs) == 1:
-        i = external_jobs[0]
-        codes[i] = backends[i].verify_bytes(data)
-    elif external_jobs:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(external_jobs))) as pool:
-            futures = {pool.submit(backends[i].verify_bytes, data): i for i in external_jobs}
-            for future in concurrent.futures.as_completed(futures):
-                codes[futures[future]] = future.result()
+        if isinstance(backend, ExternalBackend):
+            externals.append(i)
+            continue
+        facts = facts_by_store.get(backend.trust)
+        if facts is None:
+            facts = facts_by_store[backend.trust] = derive_facts(data, backend.trust, lenient)
+        codes[i] = backend.verify_prepared(facts, now)
+    if externals:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(externals))) as pool:
+            for i, code in zip(externals, pool.map(lambda i: external_verify(backends[i], data), externals)):
+                codes[i] = code
     return VerdictVector(tuple(codes), tuple(b.id for b in backends))
 
 
 # ---------------------------------------------------------------------------
 # Backend configuration files
 
-def load_backend_specs(path) -> list[BackendSpec]:
-    """Read a backend configuration file (JSON, versioned)."""
+def load_backend_specs(path) -> list:
+    """Read a backend configuration file (JSON, versioned) into unbound
+    `SimulatedBackend`s and `ExternalBackend`s."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if doc.get("format") != "diffcert-backends" or doc.get("version") != 1:
         raise ValueError("not a diffcert backend configuration file")
-    specs = []
+    backends = []
     for entry in doc["backends"]:
         if entry["kind"] == "simulated":
-            profile_spec = entry.get("profile", {})
-            if isinstance(profile_spec, str):
-                profile = SHIPPED_PROFILES[profile_spec]
-            else:
-                profile = replace(FlawProfile(), **profile_spec)
-            specs.append(BackendSpec(entry["id"], "simulated", profile=profile))
-        else:
+            profile = entry.get("profile", {})
+            profile = SHIPPED_PROFILES[profile] if isinstance(profile, str) else replace(STRICT_PROFILE, **profile)
+            backends.append(SimulatedBackend(entry["id"], profile))
+        elif entry["kind"] == "external":
             patterns = tuple(
-                PatternRule(
-                    code=rule["code"],
-                    match=rule.get("match", ""),
-                    is_regex=bool(rule.get("regex", False)),
-                    exit_status=rule.get("exit_status"),
-                )
+                PatternRule(rule["code"], rule.get("match", ""), bool(rule.get("regex", False)), rule.get("exit_status"))
                 for rule in entry["patterns"]
             )
-            specs.append(
-                BackendSpec(
-                    entry["id"],
-                    "external",
-                    command=tuple(entry["command"]),
-                    trust_path=entry.get("trust", ""),
-                    patterns=patterns,
-                    timeout=float(entry.get("timeout", 10.0)),
-                )
-            )
-    return specs
+            timeout = float(entry.get("timeout", 10.0))
+            backends.append(ExternalBackend(entry["id"], tuple(entry["command"]), patterns, entry.get("trust", ""), timeout))
+        else:
+            raise ValueError(f"unknown backend kind {entry['kind']!r}")
+    return backends
 
 
-def default_backend_specs() -> list[BackendSpec]:
-    return [BackendSpec(name, "simulated", profile=profile) for name, profile in SHIPPED_PROFILES.items()]
+def default_backend_specs() -> list[SimulatedBackend]:
+    return [SimulatedBackend(name, profile) for name, profile in SHIPPED_PROFILES.items()]

@@ -15,6 +15,7 @@ from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, enco
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
 from diffcert.qnet import TrainConfig
 from diffcert.verdicts import (
+    STRICT_PROFILE,
     InsufficientBackends,
     TrustStore,
     bind_backends,
@@ -30,7 +31,7 @@ WINNING_ACTION = 3  # set version to 4
 class RiggedBackend:
     """Accepts exactly version-4 certificates; rejects everything else."""
 
-    kind = "simulated"
+    profile = STRICT_PROFILE
     trust = TrustStore()
 
     def __init__(self, backend_id, accepts_v4):
@@ -246,6 +247,22 @@ def test_delta_scheme_saturation_stop():
     assert records == []
     # one transition per seed: delta reward 0 but categories == backends
     assert stats.updates == len(corpus.entries)
+
+
+def test_delta_scheme_ignores_connection_errors():
+    # a backend that always times out (-13) adds no verdict category: it
+    # neither earns a delta reward nor saturates the pair, so every seed
+    # runs its full mutation budget
+    class TimesOut(RiggedBackend):
+        def verify_prepared(self, facts, now):
+            return 1 if self.accepts_v4 else -13
+
+    backends = (TimesOut("a", True), TimesOut("b", False))
+    corpus = small_corpus(3)
+    config = CampaignConfig(backends=backends, max_episode=1, max_modification=4, rng_seed=1, reward_scheme="delta")
+    _, records, stats = run_training(corpus, config)
+    assert records == []
+    assert stats.updates == len(corpus.entries) * 5
 
 
 def test_custom_reference_clock_replays_exactly(tmp_path):

@@ -210,3 +210,28 @@ def test_backends_config_file(tmp_path, corpus_dir, capsys):
     out = capsys.readouterr().out
     assert "strict-a" in out and "gnutls-twin" in out
     assert code in (0, 10)
+
+
+_SIMULATED = {"id": "strict-a", "kind": "simulated"}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no file
+        "{not json",
+        {"format": "diffcert-backends", "version": 1, "backends": [{"kind": "simulated"}, _SIMULATED]},
+        {"format": "diffcert-backends", "version": 1, "backends": [{"id": "b", "kind": "simulatd"}, _SIMULATED]},
+    ],
+    ids=["missing-file", "bad-json", "missing-key", "unknown-kind"],
+)
+def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, content):
+    path = tmp_path / "backends.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    capsys.readouterr()
+    code = run_cli("verify", str(issued), "--trust", str(corpus_dir / "trust.json"), "--backends", str(path))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: backends: ")

@@ -6,7 +6,10 @@ import dataclasses
 import datetime
 import hashlib
 import random
+import re
+import shutil
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,17 +29,19 @@ from diffcert.verdicts import (
     ALL_CODES,
     STRICT_PROFILE,
     SHIPPED_PROFILES,
-    BackendSpec,
     BackendUnavailable,
+    ExternalBackend,
     FlawProfile,
     InsufficientBackends,
     PatternRule,
+    SimulatedBackend,
     TrustAnchor,
     TrustStore,
     VerdictVector,
     default_backends,
     external_verify,
     is_discrepancy,
+    load_backend_specs,
     reward_delta,
     reward_primary,
     simulate_verify,
@@ -309,7 +314,14 @@ def test_discrepancy_predicate_property(codes):
 @settings(max_examples=200)
 @given(before=codes_strategy, after=codes_strategy)
 def test_reward_delta_property(before, after):
-    assert reward_delta(before, after) == len(set(after)) - len(set(before))
+    assert reward_delta(before, after) == len(set(after) - {-13}) - len(set(before) - {-13})
+
+
+def test_connection_error_is_no_delta_category():
+    # a timed-out external verifier adds no verdict category
+    assert reward_delta((1, 1), (1, -13)) == 0
+    assert reward_delta((1, -13), (1, -2)) == 1
+    assert reward_delta((-4, -13), (-4, -5)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +329,7 @@ def test_reward_delta_property(before, after):
 
 def _script_backend(script: str, patterns, timeout=10.0, command_prefix=None):
     command = tuple(command_prefix or (sys.executable, "-c", script, "{cert}", "{trust}"))
-    return BackendSpec("stub", "external", command=command, patterns=tuple(patterns), timeout=timeout)
+    return ExternalBackend("stub", command, tuple(patterns), timeout=timeout)
 
 
 CATCH_ALL = PatternRule(code=-15)
@@ -329,7 +341,7 @@ def test_external_verify_pattern_match(tmp_path):
         "import sys; print('certificate has expired'); sys.exit(2)",
         [PatternRule(code=-2, match="certificate has expired"), CATCH_ALL],
     )
-    assert external_verify(spec, b"\x30\x00", str(tmp_path / "trust")) == -2
+    assert external_verify(spec, b"\x30\x00") == -2
 
 
 def test_external_verify_exit_status_rule(tmp_path):
@@ -337,7 +349,7 @@ def test_external_verify_exit_status_rule(tmp_path):
         "import sys; sys.exit(0)",
         [PatternRule(code=1, exit_status=0), PatternRule(code=-2, match="expired"), CATCH_ALL],
     )
-    assert external_verify(spec, b"\x30\x00", "trust") == 1
+    assert external_verify(spec, b"\x30\x00") == 1
 
 
 def test_external_verify_first_match_wins(tmp_path):
@@ -345,7 +357,7 @@ def test_external_verify_first_match_wins(tmp_path):
         "print('expired and self signed')",
         [PatternRule(code=-12, match="self signed"), PatternRule(code=-2, match="expired"), CATCH_ALL],
     )
-    assert external_verify(spec, b"\x30\x00", "trust") == -12
+    assert external_verify(spec, b"\x30\x00") == -12
 
 
 def test_external_verify_unmatched_falls_through(tmp_path):
@@ -353,19 +365,19 @@ def test_external_verify_unmatched_falls_through(tmp_path):
         "print('some novel diagnostic nobody classified')",
         [PatternRule(code=-2, match="expired"), CATCH_ALL],
     )
-    assert external_verify(spec, b"\x30\x00", "trust") == -15
+    assert external_verify(spec, b"\x30\x00") == -15
 
 
 def test_external_verify_receives_cert_file(tmp_path):
     script = "import sys; blob = open(sys.argv[1], 'rb').read(); print('LEN', len(blob))"
     spec = _script_backend(script, [PatternRule(code=1, match="LEN 4"), CATCH_ALL])
-    assert external_verify(spec, b"\x30\x02\x05\x00", "trust") == 1
+    assert external_verify(spec, b"\x30\x02\x05\x00") == 1
 
 
 def test_external_verify_tolerates_non_utf8_output():
     script = "import sys; sys.stdout.buffer.write(b'bad \\xff\\xfe bytes then expired\\n')"
     spec = _script_backend(script, [PatternRule(code=-2, match="expired"), CATCH_ALL])
-    assert external_verify(spec, b"\x30\x00", "trust") == -2
+    assert external_verify(spec, b"\x30\x00") == -2
 
 
 def test_external_verify_timeout_maps_to_connection_error():
@@ -374,33 +386,44 @@ def test_external_verify_timeout_maps_to_connection_error():
         [CATCH_ALL],
         timeout=0.3,
     )
-    assert external_verify(spec, b"\x30\x00", "trust") == -13
+    assert external_verify(spec, b"\x30\x00") == -13
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="openssl not installed")
+def test_openssl_verify_adapter():
+    # the real utility's exit status and diagnostics through the pattern table
+    backend = ExternalBackend(
+        "openssl",
+        ("openssl", "verify", "-no-CAfile", "-no-CApath", "-no-CAstore", "{cert}"),
+        (
+            PatternRule(code=-1, match="unable to get local issuer certificate"),
+            PatternRule(code=1, exit_status=0),
+            CATCH_ALL,
+        ),
+    )
+    assert external_verify(backend, encode_der(issued())) == -1
+    assert external_verify(backend, b"\x30\x00") == -15
 
 
 def test_external_verify_missing_binary():
-    spec = BackendSpec(
-        "gone",
-        "external",
-        command=("/nonexistent/verifier", "{cert}"),
-        patterns=(CATCH_ALL,),
-    )
+    spec = ExternalBackend("gone", ("/nonexistent/verifier", "{cert}"), (CATCH_ALL,))
     with pytest.raises(BackendUnavailable):
-        external_verify(spec, b"\x30\x00", "trust")
+        external_verify(spec, b"\x30\x00")
 
 
 def test_backend_spec_requires_catch_all():
     with pytest.raises(ValueError):
-        BackendSpec("x", "external", command=("v",), patterns=(PatternRule(code=-2, match="expired"),))
+        ExternalBackend("x", ("v",), (PatternRule(code=-2, match="expired"),))
     with pytest.raises(ValueError):
-        BackendSpec("x", "external", command=("v",), patterns=(PatternRule(code=-2),))
+        ExternalBackend("x", ("v",), (PatternRule(code=-2),))
 
 
 def test_bind_backends_drops_missing_external(env):
     cert, store = env
     specs = [
-        BackendSpec("sim-a", "simulated", profile=STRICT_PROFILE),
-        BackendSpec("sim-b", "simulated", profile=SHIPPED_PROFILES["matrixssl-like"]),
-        BackendSpec("gone", "external", command=("/nonexistent/verifier", "{cert}"), patterns=(CATCH_ALL,)),
+        SimulatedBackend("sim-a", STRICT_PROFILE),
+        SimulatedBackend("sim-b", SHIPPED_PROFILES["matrixssl-like"]),
+        ExternalBackend("gone", ("/nonexistent/verifier", "{cert}"), (CATCH_ALL,)),
     ]
     bound = verdicts.bind_backends(specs, store)
     assert [b.id for b in bound] == ["sim-a", "sim-b"]
@@ -408,10 +431,29 @@ def test_bind_backends_drops_missing_external(env):
     assert v.backend_ids == ("sim-a", "sim-b")
 
 
+def test_readme_backend_config_loads(tmp_path):
+    # the configuration example in the README stays loadable
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Backend configuration") :]
+    path = tmp_path / "backends.json"
+    path.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    loaded = load_backend_specs(path)
+    assert [type(b) for b in loaded] == [SimulatedBackend, ExternalBackend]
+    assert loaded[0].profile == SHIPPED_PROFILES["gnutls-like"]
+    assert loaded[1].trust_path and loaded[1].patterns[-1] == CATCH_ALL
+
+
+def test_load_backend_specs_rejects_unknown_kind(tmp_path):
+    path = tmp_path / "backends.json"
+    path.write_text('{"format": "diffcert-backends", "version": 1, "backends": [{"id": "a", "kind": "simulatd"}]}')
+    with pytest.raises(ValueError, match="simulatd"):
+        load_backend_specs(path)
+
+
 def test_verify_all_mixed_simulated_external(env, tmp_path):
     cert, store = env
     stub = _script_backend("import sys; sys.exit(0)", [PatternRule(code=1, exit_status=0), CATCH_ALL])
-    backends = default_backends(store) + [verdicts.ExternalBackend(stub)]
+    backends = default_backends(store) + [stub]
     v = verify_all(cert, backends, NOW)
     assert len(v.codes) == 7
     assert v.codes[-1] == 1
@@ -421,19 +463,17 @@ def test_verify_all_multiple_externals_keep_configured_order(env):
     # two external backends run through the thread pool; results land in
     # configuration order regardless of completion order
     cert, store = env
-    slow = BackendSpec(
+    slow = ExternalBackend(
         "slow",
-        "external",
-        command=(sys.executable, "-c", "import time; time.sleep(0.4); print('ok')", "{cert}"),
-        patterns=(PatternRule(code=1, match="ok"), CATCH_ALL),
+        (sys.executable, "-c", "import time; time.sleep(0.4); print('ok')", "{cert}"),
+        (PatternRule(code=1, match="ok"), CATCH_ALL),
     )
-    fast = BackendSpec(
+    fast = ExternalBackend(
         "fast",
-        "external",
-        command=(sys.executable, "-c", "print('expired')", "{cert}"),
-        patterns=(PatternRule(code=-2, match="expired"), CATCH_ALL),
+        (sys.executable, "-c", "print('expired')", "{cert}"),
+        (PatternRule(code=-2, match="expired"), CATCH_ALL),
     )
-    backends = [verdicts.ExternalBackend(slow), verdicts.ExternalBackend(fast)]
+    backends = [slow, fast]
     v = verify_all(cert, backends, NOW)
     assert v.backend_ids == ("slow", "fast")
     assert v.codes == (1, -2)
@@ -586,5 +626,22 @@ def test_explicit_false_flag_parsed_once(env, monkeypatch):
     monkeypatch.setattr(verdicts, "parse_der", counting_parse)
     verify_all(mutant, default_backends(store), NOW)
     assert len(calls) == 1
-    assert not verdicts.derive_facts(mutant, store).strict_ok
-    assert verdicts.derive_facts(encode_der(cert), store).strict_ok
+    assert not verdicts.derive_facts(mutant, store, True).strict_ok
+    assert verdicts.derive_facts(encode_der(cert), store, True).strict_ok
+
+
+def test_strict_pair_skips_lenient_only_facts(env, monkeypatch):
+    # no profile of the pair parses leniently, so an input that is not
+    # strict DER is a parse error for both and its trust facts go unread
+    cert, store = env
+    mutant = encode_der(actions.apply(cert, 34))  # basicConstraints with an explicit FALSE flag
+    pair = [b for b in default_backends(store) if b.id in ("mbedtls-like", "openssl-like")]
+    calls = []
+
+    def counting_sign(tbs, tag):
+        calls.append(tag)
+        return mock_sign(tbs, tag)
+
+    monkeypatch.setattr(verdicts, "mock_sign", counting_sign)
+    assert verify_all(mutant, pair, NOW).codes == (-3, -3)
+    assert calls == []
