@@ -1,0 +1,97 @@
+"""Collect alternating parent/change benchmark runs into one BENCH file.
+
+Each argument is the result JSON of one untraced run
+(``python3 perfbench/run.py --workload W --seed N --trace 0`` writes it
+to ``.perfbench-out/W-seedN-trace0.json``), given in the order the runs
+were made.  A run belongs to the parent side when the commit in its
+environment block starts with ``--parent``, otherwise to the change side.
+
+    python3 scripts/bench_pairs.py --parent 92e38af --out BENCH_6.json runs/*.json
+
+The output holds every run (side, seed, order, the gated end-to-end
+metrics, the behaviour-lock digest and the environment block) and, per
+workload and metric, each side's median and quartiles plus how many
+same-seed pairs the change won.  Metric names and directions are read
+from BENCHMARK.json, so the file follows the benchmark's gates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_run(path: Path, order: int, parent: str, metrics: list[str]) -> dict:
+    doc = json.loads(path.read_text())
+    if doc["trace"] != 0:
+        raise SystemExit(f"{path}: a traced run; end-to-end figures come from --trace 0 runs")
+    env = doc["environment"]
+    run = {
+        "order": order,
+        "side": "parent" if env["commit"].startswith(parent) else "change",
+        "workload": doc["workload"],
+        "seed": doc["seed"],
+        "correct": doc["correct"],
+        "attempted": doc["attempted"],
+        "failed": doc["failed"],
+    }
+    run.update({name: doc["metrics"][name]["value"] for name in metrics})
+    run["digest"] = doc["counts"]["digest"]
+    run["environment"] = env
+    return run
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"n": len(values), "median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
+    summary = {}
+    for workload in sorted({run["workload"] for run in runs}):
+        mine = [run for run in runs if run["workload"] == workload]
+        by_seed: dict[int, dict[str, dict]] = {}
+        for run in mine:
+            by_seed.setdefault(run["seed"], {})[run["side"]] = run
+        pairs = [sides for sides in by_seed.values() if len(sides) == 2]
+        entry = {
+            "pairs": len(pairs),
+            "digests_match": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
+        }
+        for name, better in directions.items():
+            sign = 1 if better == "higher" else -1
+            sides = {
+                side: spread([run[name] for run in mine if run["side"] == side])
+                for side in ("parent", "change")
+                if any(run["side"] == side for run in mine)
+            }
+            wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in pairs)
+            entry[name] = {"better": better, **sides, "change_wins": wins}
+        summary[workload] = entry
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="commit (or prefix) of the parent side")
+    parser.add_argument("--out", required=True, help="where to write the BENCH JSON")
+    parser.add_argument("runs", nargs="+", type=Path, help="result JSONs in the order they ran")
+    args = parser.parse_args(argv)
+
+    gates = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    directions = {gate["name"]: gate["better"] for gate in gates}
+    runs = [load_run(path, order, args.parent, list(directions)) for order, path in enumerate(args.runs, 1)]
+    doc = {"parent": args.parent, "runs": runs, "summary": summarize(runs, directions)}
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

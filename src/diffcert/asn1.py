@@ -10,6 +10,7 @@ decode/encode round-trip is always byte-exact.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 
 BOOLEAN = 0x01
 INTEGER = 0x02
@@ -135,6 +136,7 @@ def decode_bool_content(content: bytes, offset: int = 0) -> bool:
     raise MalformedDer(offset, "BOOLEAN content must be 0x00 or 0xff")
 
 
+@functools.lru_cache(maxsize=1024)  # the same few OIDs recur in every certificate
 def encode_oid_content(dotted: str) -> bytes:
     arcs = [int(part) for part in dotted.split(".")]
     if len(arcs) < 2 or arcs[0] > 2 or (arcs[0] < 2 and arcs[1] >= 40):

@@ -211,7 +211,7 @@ def _run_loop(
             stats.seeds_processed += 1
             episode.corpus_size += 1
 
-            verdicts = verify_all(entry.der, config.backends, now)
+            verdicts = verify_all(seed, config.backends, now)
             if is_discrepancy(verdicts):
                 book(entry.seed_id, (), entry.der, verdicts, episode)
                 continue
@@ -223,7 +223,7 @@ def _run_loop(
                 action = choose(state)
                 mutant = apply(current, action, now=now)
                 mutant_der = encode_der(mutant)
-                verdicts = verify_all(mutant_der, config.backends, now)
+                verdicts = verify_all(mutant, config.backends, now)
                 reward, stop = _seed_stop(config, verdicts, previous)
                 exhausted = step == config.max_modification
                 terminal = stop or exhausted

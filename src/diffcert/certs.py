@@ -6,7 +6,9 @@ and featurizes are fully structured, everything else is kept as opaque
 byte ranges and re-emitted verbatim.  An unmodified certificate always
 re-encodes to its original bytes; a mutated one has its TBS re-serialized
 from the structured fields while the (now stale) signature bytes are
-carried over unchanged -- mutants are never re-signed.
+carried over unchanged -- mutants are never re-signed.  Every part is
+immutable and caches its own DER, so re-encoding a mutant serializes only
+the parts an edit replaced.
 """
 
 from __future__ import annotations
@@ -50,6 +52,23 @@ __all__ = [
 REFERENCE_TIME = dt.datetime(2025, 6, 1, 0, 0, 0, tzinfo=UTC)
 
 ONE_YEAR = 365 * 24 * 3600
+
+
+class _cached:
+    """``functools.cached_property`` without the lock it takes on every
+    first read (Python 3.11), which costs more than most encodings it
+    guards: the parts are immutable, so a value two threads compute at
+    once is the same value."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class UnsupportedStructure(ValueError):
@@ -123,7 +142,21 @@ class Name:
         return Name(tuple(rdns))
 
     def der(self) -> bytes:
-        return _encode_name(self)
+        return self._der
+
+    @_cached
+    def _der(self) -> bytes:
+        rdns = []
+        for rdn in self.rdns:
+            atvs = b"".join(
+                asn1.tlv(
+                    asn1.SEQUENCE,
+                    asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(a.oid)) + asn1.tlv(a.tag, a.value),
+                )
+                for a in rdn
+            )
+            rdns.append(asn1.tlv(asn1.SET, atvs))
+        return asn1.tlv(asn1.SEQUENCE, b"".join(rdns))
 
 
 @dataclass(frozen=True)
@@ -133,8 +166,12 @@ class TimeValue:
     at: dt.datetime
     tag: int = asn1.UTC_TIME
 
-    def wire(self) -> tuple[int, bytes]:
-        return asn1.encode_time(self.at, self.tag)
+    def der(self) -> bytes:
+        return self._der
+
+    @_cached
+    def _der(self) -> bytes:
+        return asn1.tlv(*asn1.encode_time(self.at, self.tag))
 
 
 @dataclass(frozen=True)
@@ -143,6 +180,10 @@ class AlgorithmId:
     params_raw: bytes = b"\x05\x00"  # raw TLVs following the OID, NULL by default
 
     def der(self) -> bytes:
+        return self._der
+
+    @_cached
+    def _der(self) -> bytes:
         return asn1.tlv(asn1.SEQUENCE, asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(self.oid)) + self.params_raw)
 
 
@@ -161,6 +202,10 @@ class PublicKeyInfo:
         return max(0, (len(self.key_raw) - 1) * 8 - self.key_raw[0])
 
     def der(self) -> bytes:
+        return self._der
+
+    @_cached
+    def _der(self) -> bytes:
         return asn1.tlv(asn1.SEQUENCE, self.algorithm_raw + asn1.tlv(asn1.BIT_STRING, self.key_raw))
 
 
@@ -184,6 +229,10 @@ class Extension:
             object.__setattr__(self, "critical_encoded", self.critical)
 
     def der(self) -> bytes:
+        return self._der
+
+    @_cached
+    def _der(self) -> bytes:
         body = asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(self.oid))
         if self.critical_encoded:
             body += asn1.tlv(asn1.BOOLEAN, b"\xff" if self.critical else b"\x00")
@@ -197,7 +246,8 @@ class Certificate:
 
     Immutable; mutations return modified copies with ``dirty=True``, which
     switches :func:`encode_der` from replaying the original bytes to
-    re-serializing the TBS from the structured fields.
+    re-serializing the TBS from the structured fields.  Either encoding is
+    made once per instance and kept in ``encoding``.
     """
 
     version: int  # human value: 1..4+ (wire value is version - 1)
@@ -229,6 +279,16 @@ class Certificate:
             if ext.oid == ext_oid:
                 return ext
         return None
+
+    @_cached
+    def encoding(self) -> tuple[bytes, bytes]:
+        """(TBS, whole certificate) DER: the parsed bytes while clean, else
+        a fresh TBS with the original signature carried over.  Unlike
+        ``tbs_raw``, the TBS here is never stale."""
+        if not self.dirty and self.raw:
+            return self.tbs_raw, self.raw
+        tbs = encode_tbs(self)
+        return tbs, asn1.tlv(asn1.SEQUENCE, tbs + self.outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, self.signature_value))
 
     @property
     def strict_der(self) -> bool:
@@ -436,20 +496,6 @@ def _parse_extensions(data: bytes, pos: int, end: int, *, lenient: bool) -> tupl
 # ---------------------------------------------------------------------------
 # Encoding
 
-def _encode_name(name: Name) -> bytes:
-    rdns = []
-    for rdn in name.rdns:
-        atvs = b"".join(
-            asn1.tlv(
-                asn1.SEQUENCE,
-                asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(a.oid)) + asn1.tlv(a.tag, a.value),
-            )
-            for a in rdn
-        )
-        rdns.append(asn1.tlv(asn1.SET, atvs))
-    return asn1.tlv(asn1.SEQUENCE, b"".join(rdns))
-
-
 def encode_tbs(cert: Certificate) -> bytes:
     """Re-serialize the TBS from the structured fields."""
     body = b""
@@ -457,11 +503,9 @@ def encode_tbs(cert: Certificate) -> bytes:
         body += asn1.tlv(asn1.CTX_0_EXPLICIT, asn1.tlv(asn1.INTEGER, asn1.encode_int_content(cert.version - 1)))
     body += asn1.tlv(asn1.INTEGER, cert.serial_raw)
     body += cert.signature_algorithm.der()
-    body += _encode_name(cert.issuer)
-    nb_tag, nb = cert.not_before.wire()
-    na_tag, na = cert.not_after.wire()
-    body += asn1.tlv(asn1.SEQUENCE, asn1.tlv(nb_tag, nb) + asn1.tlv(na_tag, na))
-    body += _encode_name(cert.subject)
+    body += cert.issuer.der()
+    body += asn1.tlv(asn1.SEQUENCE, cert.not_before.der() + cert.not_after.der())
+    body += cert.subject.der()
     body += cert.public_key_info.der()
     body += cert.unique_ids_raw
     if cert.extensions:
@@ -476,10 +520,7 @@ def encode_der(cert: Certificate) -> bytes:
     Clean certificates reproduce their original bytes exactly.  Dirty ones
     get a freshly built TBS with the original signature carried over.
     """
-    if not cert.dirty and cert.raw:
-        return cert.raw
-    body = encode_tbs(cert) + cert.outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, cert.signature_value)
-    return asn1.tlv(asn1.SEQUENCE, body)
+    return cert.encoding[1]
 
 
 # ---------------------------------------------------------------------------

@@ -357,16 +357,21 @@ class InputFacts:
     trust_code: int | None = None
 
 
-def derive_facts(data: bytes, trust: TrustStore, lenient: bool) -> InputFacts:
+def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) -> InputFacts:
     """The one pass over an input that every simulated profile shares.
 
-    Without a ``lenient`` profile to read them, the facts of an input
-    that is not strict DER stop at the parse.
+    A certificate is judged from its fields: they are what a parse of its
+    encoding gives back.  Bytes are parsed.  Without a ``lenient`` profile
+    to read them, the facts of an input that is not strict DER stop at
+    the parse.
     """
-    try:
-        cert = parse_der(data, lenient=True)
-    except (MalformedDer, UnsupportedStructure):
-        return InputFacts(None)
+    if isinstance(data, Certificate):
+        cert = data
+    else:
+        try:
+            cert = parse_der(data, lenient=True)
+        except (MalformedDer, UnsupportedStructure):
+            return InputFacts(None)
     if not (cert.strict_der or lenient):
         return InputFacts(cert)
 
@@ -393,7 +398,8 @@ def derive_facts(data: bytes, trust: TrustStore, lenient: bool) -> InputFacts:
             trust_code = SELF_SIGN if subject_der == issuer_der else UNKNOWN_ISSUER
         else:
             legacy_issuer = anchor.version < 3 and not anchor.is_root
-            if cert.signature_value != b"\x00" + mock_sign(cert.tbs_raw, anchor.tag):
+            tbs, _ = cert.encoding  # a mutant's tbs_raw is stale
+            if cert.signature_value != b"\x00" + mock_sign(tbs, anchor.tag):
                 trust_code = SIGNATURE_ERROR
     return InputFacts(cert, cert.strict_der, name_failures, tuple(ext_codes), malformed_known, legacy_issuer, trust_code)
 
@@ -452,7 +458,7 @@ def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
 
 def simulate_verify(profile: FlawProfile, cert, trust: TrustStore, now: dt.datetime) -> int:
     """Verdict of one simulated backend; total, never raises on cert content."""
-    data = encode_der(cert) if isinstance(cert, Certificate) else bytes(cert)
+    data = cert if isinstance(cert, Certificate) else bytes(cert)
     return judge(profile, derive_facts(data, trust, profile.lenient_parse), now)
 
 
@@ -568,12 +574,13 @@ def default_backends(trust: TrustStore) -> list[SimulatedBackend]:
 def verify_all(cert, backends, now: dt.datetime) -> VerdictVector:
     """One verdict per backend, in configuration order.
 
-    External backends run concurrently; the result order never depends
-    on completion order.
+    Simulated backends judge a `Certificate` from its fields and parse
+    bytes; external backends are given the encoding and run concurrently.
+    The result order never depends on completion order.
     """
     if len(backends) < 2:
         raise InsufficientBackends(f"need at least 2 backends, have {len(backends)}")
-    data = encode_der(cert) if isinstance(cert, Certificate) else bytes(cert)
+    data = cert if isinstance(cert, Certificate) else bytes(cert)
 
     lenient = any(b.profile.lenient_parse for b in backends if not isinstance(b, ExternalBackend))
     codes: list[int | None] = [None] * len(backends)
@@ -589,7 +596,8 @@ def verify_all(cert, backends, now: dt.datetime) -> VerdictVector:
         codes[i] = backend.verify_prepared(facts, now)
     if externals:
         with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(externals))) as pool:
-            for i, code in zip(externals, pool.map(lambda i: external_verify(backends[i], data), externals)):
+            der = encode_der(data) if isinstance(data, Certificate) else data
+            for i, code in zip(externals, pool.map(lambda i: external_verify(backends[i], der), externals)):
                 codes[i] = code
     return VerdictVector(tuple(codes), tuple(b.id for b in backends))
 
@@ -608,7 +616,12 @@ def load_backend_specs(path) -> list:
     for entry in doc["backends"]:
         if entry["kind"] == "simulated":
             profile = entry.get("profile", {})
-            profile = SHIPPED_PROFILES[profile] if isinstance(profile, str) else replace(STRICT_PROFILE, **profile)
+            if isinstance(profile, str):
+                if profile not in SHIPPED_PROFILES:
+                    raise ValueError(f"\"profile\": unknown shipped profile {profile!r} (known: {', '.join(SHIPPED_PROFILES)})")
+                profile = SHIPPED_PROFILES[profile]
+            else:
+                profile = replace(STRICT_PROFILE, **profile)
             backends.append(SimulatedBackend(entry["id"], profile))
         elif entry["kind"] == "external":
             patterns = tuple(

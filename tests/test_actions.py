@@ -4,11 +4,13 @@ replay."""
 
 import dataclasses
 import hashlib
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffcert import actions, features
+from diffcert import actions, features, verdicts
 from diffcert.actions import (
     CATALOG_SIZE,
     FEATURE_INVARIANT_ON_DEFAULT_FIXTURE,
@@ -20,7 +22,9 @@ from diffcert.actions import (
     catalog,
     replay,
 )
-from diffcert.certs import build_synthetic, default_params, encode_der, parse_der
+from diffcert.certs import Certificate, build_synthetic, default_params, encode_der, parse_der
+from diffcert.corpus import generate_corpus
+from diffcert.verdicts import TrustAnchor, TrustStore
 
 
 def test_catalog_size_and_ids():
@@ -263,3 +267,81 @@ def test_awkward_fixture_outputs_locked():
             digest.update(len(der).to_bytes(4, "big"))
             digest.update(der)
     assert digest.hexdigest() == AWKWARD_APPLY_DIGEST
+
+
+# The codec round trip is what lets the verifier judge a mutant from its
+# fields instead of re-parsing its encoding: parsing the bytes of any
+# reachable mutant must give back the mutant, and so the same facts.
+
+# A certificate's fields but its encoding state, and facts but the certificate.
+_cert_fields = operator.attrgetter(*(f.name for f in dataclasses.fields(Certificate) if f.name not in ("raw", "tbs_raw", "dirty")))
+_fact_fields = operator.attrgetter(*(f.name for f in dataclasses.fields(verdicts.InputFacts) if f.name != "cert"))
+
+
+class _RoundTrip:
+    """Checks each distinct mutant once: equal fields give equal bytes and
+    facts, so a repeat (a no-op, or two edits that commute) adds nothing."""
+
+    def __init__(self, trust, monkeypatch):
+        self.trust = trust
+        self.seen = set()
+        self.parsed = {}
+        # derive_facts parses the bytes it is given; sharing one parse per
+        # encoding between the checks below keeps that path and its cost low
+        monkeypatch.setattr(verdicts, "parse_der", self.parse)
+
+    def parse(self, der, *, lenient=False):
+        assert lenient
+        if der not in self.parsed:
+            self.parsed = {der: parse_der(der, lenient=True)}
+        return self.parsed[der]
+
+    def check(self, mutant):
+        fields = _cert_fields(mutant)
+        if fields in self.seen:
+            return
+        self.seen.add(fields)
+        der = encode_der(mutant)
+        assert _cert_fields(self.parse(der, lenient=True)) == fields
+        for lenient in (True, False):
+            from_fields = verdicts.derive_facts(mutant, self.trust, lenient)
+            from_bytes = verdicts.derive_facts(der, self.trust, lenient)
+            assert _fact_fields(from_fields) == _fact_fields(from_bytes)
+
+
+def _awkward_trust(fixtures):
+    # every fixture's issuer is anchored, so a stale TBS would pass the
+    # mock-signature check that a mutant must fail
+    return TrustStore([TrustAnchor(cert.issuer_der(), "acme-root") for cert in fixtures])
+
+
+@pytest.mark.parametrize("fixture", range(6))
+def test_codec_round_trip_every_action_and_pair(fixture, monkeypatch):
+    fixtures = awkward_fixtures()
+    round_trip = _RoundTrip(_awkward_trust(fixtures), monkeypatch)
+    for first in range(CATALOG_SIZE):
+        once = apply(fixtures[fixture], first)
+        round_trip.check(once)
+        for second in range(CATALOG_SIZE):
+            round_trip.check(apply(once, second))
+    assert len(round_trip.seen) > 1_000
+
+
+def test_codec_round_trip_stress(monkeypatch):
+    # 3,000 seeded sequences of 1-10 actions from the awkward fixtures and
+    # a generated corpus (legacy chains, v4, negative serials, private
+    # extensions), each checked at its end
+    corpus = generate_corpus(40, rng_seed=9)
+    fixtures = awkward_fixtures()
+    trust = _awkward_trust(fixtures)
+    for anchor in corpus.trust.anchors():
+        trust.add(anchor)
+    round_trip = _RoundTrip(trust, monkeypatch)
+    seeds = fixtures + [parse_der(entry.der) for entry in corpus.entries]
+    rng = random.Random(2)
+    for _ in range(3000):
+        mutant = seeds[rng.randrange(len(seeds))]
+        for _ in range(1 + rng.randrange(10)):
+            mutant = apply(mutant, rng.randrange(CATALOG_SIZE))
+        round_trip.check(mutant)
+    assert len(round_trip.seen) > 2900

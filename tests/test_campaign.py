@@ -9,9 +9,9 @@ import struct
 import numpy as np
 import pytest
 
-from diffcert import campaign as campaign_mod
+from diffcert import campaign as campaign_mod, certs as certs_mod, verdicts as verdicts_mod
 from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_training
-from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der
+from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der, encode_tbs
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
 from diffcert.qnet import TrainConfig
 from diffcert.verdicts import (
@@ -333,6 +333,54 @@ def test_training_featurizes_each_certificate_once(monkeypatch):
     run_training(corpus, config)
     assert counts["apply"] > 0
     assert counts["extract"] == counts["apply"]
+
+
+def test_seed_visit_judges_without_parsing(monkeypatch):
+    # the loop hands the verifier the parsed seed and each mutant, so a
+    # seed visit parses only the seed itself
+    calls = {"campaign": 0, "verdicts": 0, "verify_all": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(campaign_mod, "parse_der", counting("campaign", campaign_mod.parse_der))
+    monkeypatch.setattr(verdicts_mod, "parse_der", counting("verdicts", verdicts_mod.parse_der))
+    monkeypatch.setattr(campaign_mod, "verify_all", counting("verify_all", campaign_mod.verify_all))
+    corpus = generate_corpus(1, rng_seed=3)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=1, rng_seed=5)
+    stats = run_baseline(corpus, config)
+    assert stats.seeds_processed == 1
+    assert calls["verify_all"] > 1  # the seed and at least one mutant
+    assert (calls["campaign"], calls["verdicts"]) == (1, 0)
+
+
+def test_each_mutant_encoded_once(monkeypatch):
+    # the TBS of a mutant is serialized once, however many times the loop,
+    # the verifier and the database ask for its bytes
+    corpus = generate_corpus(12, rng_seed=3)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=1, rng_seed=5)
+    apply, encoded, applied = campaign_mod.apply, [], []
+
+    def counting_apply(*args, **kwargs):
+        applied.append(apply(*args, **kwargs))
+        return applied[-1]
+
+    def counting_encode_tbs(cert):
+        encoded.append(cert)
+        return encode_tbs(cert)
+
+    monkeypatch.setattr(campaign_mod, "apply", counting_apply)
+    monkeypatch.setattr(certs_mod, "encode_tbs", counting_encode_tbs)
+    run_training(corpus, config)
+    assert applied
+    assert len({id(cert) for cert in encoded}) == len(encoded) <= len(applied)
+    before = len(encoded)
+    assert all(encode_der(mutant) for mutant in applied)
+    assert len(encoded) == before
 
 
 # SHA-256 over the records read back from the database -- (seed id,

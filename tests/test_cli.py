@@ -8,6 +8,7 @@ import pytest
 
 from diffcert import cli
 from diffcert.corpus import DiscrepancyDb
+from diffcert.verdicts import SHIPPED_PROFILES
 
 
 def run_cli(*argv):
@@ -222,8 +223,13 @@ _SIMULATED = {"id": "strict-a", "kind": "simulated"}
         "{not json",
         {"format": "diffcert-backends", "version": 1, "backends": [{"kind": "simulated"}, _SIMULATED]},
         {"format": "diffcert-backends", "version": 1, "backends": [{"id": "b", "kind": "simulatd"}, _SIMULATED]},
+        {
+            "format": "diffcert-backends",
+            "version": 1,
+            "backends": [{"id": "b", "kind": "simulated", "profile": "gnutls-lik"}, _SIMULATED],
+        },
     ],
-    ids=["missing-file", "bad-json", "missing-key", "unknown-kind"],
+    ids=["missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile"],
 )
 def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, content):
     path = tmp_path / "backends.json"
@@ -235,3 +241,6 @@ def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, conten
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: backends: ")
+    if isinstance(content, dict) and "profile" in content["backends"][0]:
+        assert err[0].startswith("error: backends: ValueError: \"profile\": unknown shipped profile 'gnutls-lik'")
+        assert all(name in err[0] for name in SHIPPED_PROFILES)

@@ -645,3 +645,24 @@ def test_strict_pair_skips_lenient_only_facts(env, monkeypatch):
     monkeypatch.setattr(verdicts, "mock_sign", counting_sign)
     assert verify_all(mutant, pair, NOW).codes == (-3, -3)
     assert calls == []
+
+
+def test_verify_all_parses_bytes_only(env, monkeypatch):
+    # a certificate in hand is judged from its fields, with its mock
+    # signature checked over the fresh TBS; bytes are parsed once
+    cert, store = env
+    mutant = actions.apply(cert, 13)  # shift notAfter one year later: the TBS changes
+    calls = []
+
+    def counting_parse(data, **kwargs):
+        calls.append(kwargs)
+        return parse_der(data, **kwargs)
+
+    monkeypatch.setattr(verdicts, "parse_der", counting_parse)
+    from_fields = verify_all(mutant, default_backends(store), NOW)
+    assert calls == []
+    assert verdicts.derive_facts(mutant, store, True).trust_code == verdicts.SIGNATURE_ERROR
+    assert calls == []
+    from_bytes = verify_all(encode_der(mutant), default_backends(store), NOW)
+    assert len(calls) == 1
+    assert from_fields == from_bytes
