@@ -24,7 +24,7 @@ from .certs import (
 )
 from .corpus import DiscrepancyDb, DiscrepancyRecord, SeedCorpus, generate_corpus, ingest_dir, report
 from .features import FEATURE_LENGTH, LabelRegistry, compare_time, default_registry, extract
-from .qnet import Batch, QParams, TrainConfig, Transition, as_batch, forward, init, select_action, train_step
+from .qnet import Batch, QParams, TrainConfig, forward, init, select_action, td_targets, train_step
 from .verdicts import (
     FlawProfile,
     TrustAnchor,

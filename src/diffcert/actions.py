@@ -99,11 +99,13 @@ def _shift_year(t: TimeValue, years: int) -> TimeValue:
         moved = t.at.replace(year=year)
     except ValueError:  # Feb 29 in a non-leap target year
         moved = t.at.replace(year=year, day=28)
-    return TimeValue(moved, t.tag)
+    # tagged as encoded: a UTCTime bound moved out of 1950-2049 is GeneralizedTime
+    return TimeValue(moved, asn1.time_tag(moved, t.tag))
 
 
 def _at_now(t: TimeValue, now: dt.datetime) -> TimeValue:
-    return TimeValue(now.replace(microsecond=0), t.tag)
+    at = now.replace(microsecond=0)
+    return TimeValue(at, asn1.time_tag(at, t.tag))
 
 
 def _set_sig_alg(cert: Certificate, alg_oid: str) -> Certificate:

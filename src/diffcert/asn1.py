@@ -181,14 +181,19 @@ def decode_oid_content(content: bytes, offset: int = 0) -> str:
     return ".".join(str(a) for a in head + arcs[1:])
 
 
-def encode_time(t: dt.datetime, preferred_tag: int) -> tuple[int, bytes]:
-    """Encode a UTC timestamp, honoring the preferred tag when legal.
+def time_tag(t: dt.datetime, preferred_tag: int) -> int:
+    """The tag `encode_time` writes: the preferred one when legal.
 
     UTCTime can only express 1950-2049; outside that window the value is
     encoded as GeneralizedTime regardless of preference.
     """
+    return UTC_TIME if preferred_tag == UTC_TIME and 1950 <= t.astimezone(UTC).year <= 2049 else GENERALIZED_TIME
+
+
+def encode_time(t: dt.datetime, preferred_tag: int) -> tuple[int, bytes]:
+    """Encode a UTC timestamp under `time_tag`."""
     t = t.astimezone(UTC)
-    if preferred_tag == UTC_TIME and 1950 <= t.year <= 2049:
+    if time_tag(t, preferred_tag) == UTC_TIME:
         return UTC_TIME, t.strftime("%y%m%d%H%M%S").encode("ascii") + b"Z"
     return GENERALIZED_TIME, f"{t.year:04d}".encode("ascii") + t.strftime("%m%d%H%M%S").encode("ascii") + b"Z"
 

@@ -51,10 +51,6 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
     @classmethod
-    def constant(cls, epsilon: float) -> "EpsilonSchedule":
-        return cls(epsilon, epsilon, 0)
-
-    @classmethod
     def annealed(cls, start: float = 1.0, end: float = 0.1, decay_updates: int = 3000) -> "EpsilonSchedule":
         return cls(start, end, decay_updates)
 
@@ -122,7 +118,8 @@ class _Learner:
     One gradient step per transition, on a batch made of the fresh
     transition plus a uniform replay sample once the buffer can supply
     one; raw batch-of-one updates destabilize the value scale badly.
-    The batch is read from the replay ring by logical index.
+    The batch is read from the replay ring by logical index, and its TD
+    targets from the ring's per-version cache of max next-Q.
     """
 
     def __init__(self, config: CampaignConfig, rng: random.Random):
@@ -141,13 +138,19 @@ class _Learner:
     def observe(self, state, action: int, reward: int, next_state) -> None:
         """Learn from one transition; ``next_state`` is None when terminal."""
         cfg = self.config.train
-        target = self.target if cfg.use_target_network else None
+        # the version names the parameters the TD targets come from: the
+        # target network changes only at a sync, the online one every update
+        if cfg.use_target_network:
+            target, version = self.target, self.updates // cfg.target_sync_interval
+        else:
+            target, version = self.params, self.updates
         self.buffer.add(state, action, reward, next_state)
         indices = [len(self.buffer) - 1]
         if len(self.buffer) >= cfg.batch_size:
             indices += self.buffer.sample(cfg.batch_size - 1, self.rng)
+        targets = self.buffer.targets(indices, target, version, cfg.gamma)
         batch = self.buffer.batch(indices)
-        self.params, self.last_loss = qnet.train_step(self.params, batch, cfg, params_target=target)
+        self.params, self.last_loss = qnet.train_step(self.params, batch, targets, cfg)
         self.updates += 1
         if cfg.use_target_network and self.updates % cfg.target_sync_interval == 0:
             self.target = self.params

@@ -4,6 +4,8 @@ training on array batches, an array-backed replay ring and checkpointing.
 
 Everything is plain numpy with hand-written backpropagation; parameters
 are treated as immutable and every training step returns a fresh set.
+They are checked for shape and finiteness where they enter (`init`,
+`load`, any outside `QParams(...)`), not on every training step.
 Initialization uses a self-contained splitmix64 stream so identical seeds
 give identical parameters on any platform.
 """
@@ -71,24 +73,15 @@ class QParams:
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w0, self.b0, self.w1, self.b1, self.w2, self.b2)
 
-
-@dataclass(frozen=True)
-class Transition:
-    """One interaction step; terminal transitions carry no next state."""
-
-    state: tuple[int, ...]
-    action: int
-    reward: int
-    next_state: tuple[int, ...] | None
-    terminal: bool
-
-    def __post_init__(self):
-        if self.terminal != (self.next_state is None):
-            raise ValueError("terminal transitions and only they omit next_state")
-        if len(self.state) != FEATURE_LENGTH:
-            raise DimensionMismatch(f"state length {len(self.state)} != {FEATURE_LENGTH}")
-        if self.next_state is not None and len(self.next_state) != FEATURE_LENGTH:
-            raise DimensionMismatch(f"next_state length {len(self.next_state)} != {FEATURE_LENGTH}")
+    @classmethod
+    def _unchecked(cls, arrays) -> QParams:
+        """Skip `__post_init__`: `train_step` updates checked arrays by a
+        finite step, and a non-finite parameter would make the next
+        step's loss non-finite."""
+        params = object.__new__(cls)
+        for name, arr in zip(("w0", "b0", "w1", "b1", "w2", "b2"), arrays):
+            object.__setattr__(params, name, arr)
+        return params
 
 
 class Batch(NamedTuple):
@@ -171,11 +164,14 @@ def init(seed: int) -> QParams:
 # Forward / selection / targets
 
 def _forward_batch(params: QParams, x: np.ndarray):
-    z0 = x @ params.w0 + params.b0
+    z0 = x @ params.w0
+    z0 += params.b0
     h0 = np.maximum(z0, 0.0)
-    z1 = h0 @ params.w1 + params.b1
+    z1 = h0 @ params.w1
+    z1 += params.b1
     h1 = np.maximum(z1, 0.0)
-    q = h1 @ params.w2 + params.b2
+    q = h1 @ params.w2
+    q += params.b2
     return z0, h0, z1, h1, q
 
 
@@ -197,44 +193,43 @@ def select_action(qvalues, epsilon: float, rng: random.Random) -> int:
     return int(np.argmax(q))
 
 
-def td_targets(batch: Batch, params_target: QParams, gamma: float) -> np.ndarray:
-    """Bellman targets: reward, plus discounted max next-Q when non-terminal.
+def max_next_q(params: QParams, next_states: np.ndarray) -> np.ndarray:
+    """The largest Q-value of each row of ``next_states``.
 
-    The non-terminal next states go through one forward stacked as
-    ``(n, 1, 101)``, so each row takes the same one-row product as
-    `forward` and rounds exactly as it does; a plain ``(n, 101)`` product
-    sums in another order and rounds differently.
+    The rows go through one forward stacked as ``(k, 1, 101)``, so each
+    takes the same one-row product as `forward` and rounds exactly as it
+    does, whatever ``k`` is; a plain ``(k, 101)`` product sums in another
+    order and rounds differently.
     """
+    return _forward_batch(params, next_states[:, None, :])[-1].max(axis=-1)[:, 0]
+
+
+def td_targets(batch: Batch, params_target: QParams, gamma: float) -> np.ndarray:
+    """Bellman targets: reward, plus discounted max next-Q when non-terminal."""
     targets = batch.rewards.copy()
     live = ~batch.terminal
     if live.any():
-        q_next = _forward_batch(params_target, batch.next_states[live][:, None, :])[-1]
-        targets[live] += gamma * q_next.max(axis=-1)[:, 0]
+        targets[live] += gamma * max_next_q(params_target, batch.next_states[live])
     return targets
 
 
 # ---------------------------------------------------------------------------
 # Training
 
-def train_step(
-    params: QParams,
-    batch: Batch,
-    config: TrainConfig,
-    params_target: QParams | None = None,
-) -> tuple[QParams, float]:
-    """One SGD step on the mean squared TD error of a batch.
+def train_step(params: QParams, batch: Batch, targets: np.ndarray, config: TrainConfig) -> tuple[QParams, float]:
+    """One SGD step on the mean squared error against ``targets``, the
+    batch's Bellman targets (`td_targets`, or `ReplayBuffer.targets`).
 
     The predicted value is Q(state, taken action) by default; with
     ``paper_literal_loss`` it is the maximum Q-value of the state.
-    Returns fresh parameters and the scalar loss.
+    Only ``batch.states`` and ``batch.actions`` are read. Returns fresh
+    parameters and the scalar loss.
     """
     n = len(batch.actions)
     if not n:
         raise ValueError("empty batch")
-    target_net = params_target if params_target is not None else params
 
     x = batch.states
-    targets = td_targets(batch, target_net, config.gamma)
     z0, h0, z1, h1, q = _forward_batch(params, x)
 
     rows = np.arange(n)
@@ -251,31 +246,32 @@ def train_step(
     dw2 = h1.T @ dq
     db2 = dq.sum(axis=0)
     dh1 = dq @ params.w2.T
-    dz1 = dh1 * (z1 > 0.0)
-    dw1 = h0.T @ dz1
-    db1 = dz1.sum(axis=0)
-    dh0 = dz1 @ params.w1.T
-    dz0 = dh0 * (z0 > 0.0)
-    dw0 = x.T @ dz0
-    db0 = dz0.sum(axis=0)
+    dh1 *= z1 > 0.0
+    dw1 = h0.T @ dh1
+    db1 = dh1.sum(axis=0)
+    dh0 = dh1 @ params.w1.T
+    dh0 *= z0 > 0.0
+    dw0 = x.T @ dh0
+    db0 = dh0.sum(axis=0)
 
-    grads = [dw0, db0, dw1, db1, dw2, db2]
+    # the gradients are this step's own arrays, so the clip and the
+    # update scale them in place and the new parameters are written over them
+    grads = (dw0, db0, dw1, db1, dw2, db2)
     if config.max_grad_norm > 0.0:
         total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
         if total > config.max_grad_norm:
             scale = config.max_grad_norm / total
-            grads = [g * scale for g in grads]
+            for g in grads:
+                g *= scale
+    for g in grads:
+        g *= config.learning_rate
+    return QParams._unchecked([np.subtract(p, g, out=g) for p, g in zip(params.arrays(), grads)]), loss
 
-    lr = config.learning_rate
-    updated = QParams(
-        w0=params.w0 - lr * grads[0],
-        b0=params.b0 - lr * grads[1],
-        w1=params.w1 - lr * grads[2],
-        b1=params.b1 - lr * grads[3],
-        w2=params.w2 - lr * grads[4],
-        b2=params.b2 - lr * grads[5],
-    )
-    return updated, loss
+
+def _grown(column: np.ndarray, rows: int) -> np.ndarray:
+    new = np.zeros((rows, *column.shape[1:]), dtype=column.dtype)
+    new[: len(column)] = column
+    return new
 
 
 class ReplayBuffer:
@@ -285,6 +281,12 @@ class ReplayBuffer:
     ``deque(maxlen=capacity)``; once full, each add overwrites the oldest.
     The arrays start small and double up to ``capacity`` rows, so a short
     campaign never holds a full-size ring.
+
+    Each row also caches its max next-Q (`max_next_q`) and the target
+    ``version`` it was computed under (-1: not yet). A frozen target
+    network gives a row the same value until the next sync, so `targets`
+    recomputes only the rows whose version is stale. Terminal rows hold
+    0.0 and are never recomputed.
     """
 
     _INITIAL_ROWS = 64
@@ -293,7 +295,10 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError("replay capacity must be >= 1")
         self.capacity = capacity
-        self.store = _empty_batch(min(capacity, self._INITIAL_ROWS))
+        rows = min(capacity, self._INITIAL_ROWS)
+        self.store = _empty_batch(rows)
+        self.value = np.zeros(rows)
+        self.version = np.zeros(rows, dtype=np.int64)
         self._size = 0
         self._next = 0  # row the next add writes
 
@@ -301,15 +306,15 @@ class ReplayBuffer:
         """Store one transition; ``next_state`` is None for a terminal one."""
         allocated = len(self.store.actions)
         if self._next == allocated and allocated < self.capacity:
-            grown = _empty_batch(min(2 * allocated, self.capacity))
-            for new, old in zip(grown, self.store):
-                new[:allocated] = old
-            self.store = grown
+            rows = min(2 * allocated, self.capacity)
+            self.store = Batch(*(_grown(column, rows) for column in self.store))
+            self.value, self.version = _grown(self.value, rows), _grown(self.version, rows)
         i = self._next
         self.store.states[i], self.store.actions[i], self.store.rewards[i] = state, action, reward
         self.store.terminal[i] = next_state is None
         if next_state is not None:
             self.store.next_states[i] = next_state
+        self.value[i], self.version[i] = 0.0, -1
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -317,22 +322,31 @@ class ReplayBuffer:
         """``k`` logical indices drawn uniformly with ``rng.randrange``."""
         return [rng.randrange(self._size) for _ in range(k)]
 
+    def _rows(self, indices) -> np.ndarray:
+        return (np.asarray(indices, dtype=np.intp) + (self._next - self._size)) % self.capacity
+
     def batch(self, indices) -> Batch:
         """The transitions at the given logical indices."""
-        rows = (np.asarray(indices, dtype=np.intp) + (self._next - self._size)) % self.capacity
+        rows = self._rows(indices)
         return Batch(*(column[rows] for column in self.store))
+
+    def targets(self, indices, params_target: QParams, version: int, gamma: float) -> np.ndarray:
+        """`td_targets` of the transitions at ``indices``, bit for bit.
+
+        ``version`` names ``params_target``: equal versions must mean
+        equal parameters. Live rows cached under another version are
+        recomputed in one `max_next_q` call; a terminal row adds
+        ``gamma * 0.0``, which leaves its reward exact.
+        """
+        rows = self._rows(indices)
+        stale = rows[(self.version[rows] != version) & ~self.store.terminal[rows]]
+        if len(stale):
+            self.value[stale] = max_next_q(params_target, self.store.next_states[stale])
+            self.version[stale] = version
+        return self.store.rewards[rows] + gamma * self.value[rows]
 
     def __len__(self):
         return self._size
-
-
-def as_batch(transitions) -> Batch:
-    """Stack `Transition` objects into a `Batch`, in order."""
-    transitions = list(transitions)
-    ring = ReplayBuffer(max(len(transitions), 1))
-    for t in transitions:
-        ring.add(t.state, t.action, t.reward, t.next_state)
-    return ring.batch(range(len(transitions)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,5 +400,8 @@ def load(path) -> tuple[QParams, LabelRegistry]:
     registry = LabelRegistry.from_text(bytes(take(reg_len)).decode("utf-8"))
     if len(view):
         raise CorruptCheckpoint("trailing bytes after checkpoint payload")
-    w0, b0, w1, b1, w2, b2 = arrays
-    return QParams(w0, b0, w1, b1, w2, b2), registry
+    try:
+        params = QParams(*arrays)
+    except ValueError as exc:  # non-finite weights
+        raise CorruptCheckpoint(str(exc)) from None
+    return params, registry

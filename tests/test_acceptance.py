@@ -16,9 +16,10 @@ from diffcert.campaign import CampaignConfig, EpsilonSchedule
 from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der, parse_der
 from diffcert.corpus import generate_corpus, replay_record
 from diffcert.features import FEATURE_LENGTH, default_registry, extract
-from diffcert.qnet import TrainConfig, Transition
+from diffcert.qnet import TrainConfig
 from diffcert.verdicts import default_backends, is_discrepancy, reward_primary, verify_all
 
+from qnet_helpers import Transition, as_batch, train_step
 from test_features import GOLDEN_VECTOR
 from test_qnet import finite_difference_check
 from test_verdicts import taxonomy_fixtures
@@ -137,7 +138,7 @@ def test_criterion_05_q_learning_sanity():
         for update in range(1, 5001):
             action = qnet.select_action(qnet.forward(params, state), EpsilonSchedule().at(0), rng)
             reward = 100 if action == winner else -1
-            params, _ = qnet.train_step(params, qnet.as_batch([Transition(state, action, reward, None, True)]), config)
+            params, _ = train_step(params, as_batch([Transition(state, action, reward, None, True)]), config)
             if update % 25 == 0 and int(np.argmax(qnet.forward(params, state))) == winner:
                 converged_at = update
                 break

@@ -309,6 +309,22 @@ class _RoundTrip:
             assert _fact_fields(from_fields) == _fact_fields(from_bytes)
 
 
+def test_shift_out_of_utctime_window_takes_the_encoded_tag():
+    # notAfter 2049-05-26 as UTCTime; a year later it can only be written
+    # as GeneralizedTime, so the mutant must carry the tag its bytes have
+    from diffcert import asn1
+
+    params = dataclasses.replace(default_params(), not_after_offset=24 * 365 * 86400)
+    cert = build_synthetic(params, 3)
+    assert (cert.not_after.at.date().isoformat(), cert.not_after.tag) == ("2049-05-26", asn1.UTC_TIME)
+    shifted = apply(cert, 13)
+    reparsed = parse_der(encode_der(shifted), lenient=True)
+    assert shifted.not_after.tag == asn1.GENERALIZED_TIME
+    assert _cert_fields(reparsed) == _cert_fields(shifted)
+    # and shifting back a year gives the same bytes from either path
+    assert encode_der(apply(shifted, 12)) == encode_der(apply(reparsed, 12))
+
+
 def _awkward_trust(fixtures):
     # every fixture's issuer is anchored, so a stale TBS would pass the
     # mock-signature check that a mutant must fail

@@ -1,0 +1,94 @@
+"""scripts/bench_pairs.py on synthetic run JSONs: side by commit prefix,
+pair wins (ties are nobody's), quartiles and the digest check."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+PARENT = "fedcba9876543210fedcba9876543210fedcba98"
+CHANGE = "0123456789abcdef0123456789abcdef01234567"
+GATES = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def write_run(directory: Path, commit: str, seed: int, campaign_ref: float, digest: str = "d") -> Path:
+    metrics = {gate["name"]: {"value": 1.0, "unit": gate["unit"]} for gate in GATES}
+    metrics["campaign_ref"]["value"] = campaign_ref
+    doc = {
+        "trace": 0,
+        "workload": "train",
+        "seed": seed,
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": metrics,
+        "counts": {"digest": f"{digest}{seed}"},
+        "environment": {"commit": commit},
+    }
+    path = directory / f"{commit[:7]}-{seed}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def summarize(tmp_path, runs):
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", PARENT[:7], "--out", str(out), *map(str, runs)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_sides_wins_and_ties(tmp_path):
+    # seed 1: change lower (a win); seed 2: equal (nobody's); seed 3: change higher
+    runs = [
+        write_run(tmp_path, PARENT, 1, 400.0),
+        write_run(tmp_path, CHANGE, 1, 300.0),
+        write_run(tmp_path, CHANGE, 2, 350.0),
+        write_run(tmp_path, PARENT, 2, 350.0),
+        write_run(tmp_path, PARENT, 3, 410.0),
+        write_run(tmp_path, CHANGE, 3, 420.0),
+    ]
+    doc = summarize(tmp_path, runs)
+    assert [(run["order"], run["side"], run["seed"]) for run in doc["runs"]] == [
+        (1, "parent", 1),
+        (2, "change", 1),
+        (3, "change", 2),
+        (4, "parent", 2),
+        (5, "parent", 3),
+        (6, "change", 3),
+    ]
+    entry = doc["summary"]["train"]
+    assert entry["pairs"] == 3 and entry["digests_match"]
+    assert entry["campaign_ref"]["change_wins"] == 1
+    assert entry["campaign_ref"]["parent"]["median"] == 400.0
+    # every other metric is equal on both sides: no wins at all
+    assert entry["yield"]["change_wins"] == 0
+
+
+def test_spread_quartiles():
+    assert bench_pairs.spread([5.0, 1.0, 4.0, 2.0, 3.0]) == {"n": 5, "median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench_pairs.spread([1.0, 2.0, 3.0, 4.0]) == {"n": 4, "median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert bench_pairs.spread([7.0]) == {"n": 1, "median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_digest_mismatch_in_one_pair(tmp_path):
+    runs = [
+        write_run(tmp_path, PARENT, 1, 400.0),
+        write_run(tmp_path, CHANGE, 1, 300.0),
+        write_run(tmp_path, PARENT, 2, 400.0),
+        write_run(tmp_path, CHANGE, 2, 300.0, digest="other"),
+    ]
+    assert summarize(tmp_path, runs)["summary"]["train"]["digests_match"] is False
+
+
+def test_traced_run_refused(tmp_path):
+    path = write_run(tmp_path, PARENT, 1, 400.0)
+    doc = json.loads(path.read_text())
+    doc["trace"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit):
+        summarize(tmp_path, [path])

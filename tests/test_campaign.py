@@ -4,6 +4,7 @@ closed-form baseline yield."""
 
 import hashlib
 import math
+import random
 import struct
 
 import numpy as np
@@ -13,6 +14,8 @@ from diffcert import campaign as campaign_mod, certs as certs_mod, verdicts as v
 from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_training
 from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der, encode_tbs
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
+from diffcert.features import FEATURE_LENGTH
+from diffcert import qnet
 from diffcert.qnet import TrainConfig
 from diffcert.verdicts import (
     STRICT_PROFILE,
@@ -177,7 +180,7 @@ def test_baseline_equals_pure_exploration():
         backends=rigged_backends(),
         max_episode=1,
         rng_seed=23,
-        epsilon=campaign_mod.EpsilonSchedule.constant(1.0),
+        epsilon=campaign_mod.EpsilonSchedule(1.0, 1.0),
         train=TrainConfig(learning_rate=0.0),
     )
     _, _, explore_stats = run_training(corpus, explore)
@@ -435,3 +438,55 @@ def test_campaign_behaviour_lock(tmp_path):
     run_baseline(corpus, config)
     parts.append((DiscrepancyDb(config.db_path).load_all(), None))
     assert _lock_digest(parts) == CAMPAIGN_LOCK_DIGEST
+
+
+@pytest.mark.parametrize("use_target_network", [True, False])
+def test_learner_targets_match_per_batch_reference(use_target_network, monkeypatch):
+    # the learner reads its TD targets from the replay ring's per-version
+    # cache; parameters and losses must equal, bit for bit, a learner that
+    # calls td_targets on every batch (syncs every 7 updates, 6 syncs, and
+    # a ring small enough to evict)
+    train = TrainConfig(batch_size=8, replay_capacity=20, use_target_network=use_target_network, target_sync_interval=7)
+    config = CampaignConfig(backends=(), rng_seed=5, train=train)
+    data = random.Random(6)
+    steps = []
+    for _ in range(45):
+        state = [data.randint(-1, 4) for _ in range(FEATURE_LENGTH)]
+        terminal = data.random() < 0.3
+        next_state = None if terminal else [data.randint(-1, 4) for _ in range(FEATURE_LENGTH)]
+        steps.append((state, data.randrange(qnet.ACTION_COUNT), data.choice([100, -1]), next_state))
+
+    recomputed = []
+    real_max_next_q = qnet.max_next_q
+
+    def counting_max_next_q(params, rows):
+        recomputed.append(len(rows))
+        return real_max_next_q(params, rows)
+
+    monkeypatch.setattr(qnet, "max_next_q", counting_max_next_q)
+    learner = campaign_mod._Learner(config, random.Random(7))
+    losses = []
+    for step in steps:
+        learner.observe(*step)
+        losses.append(learner.last_loss)
+    learner_recomputed = sum(recomputed)
+
+    rng = random.Random(7)
+    params = target = qnet.init(config.rng_seed)
+    ring = qnet.ReplayBuffer(train.replay_capacity)
+    expected_losses, live_rows = [], 0
+    for update, step in enumerate(steps, 1):
+        ring.add(*step)
+        indices = [len(ring) - 1] + (ring.sample(train.batch_size - 1, rng) if len(ring) >= train.batch_size else [])
+        batch = ring.batch(indices)
+        live_rows += int((~batch.terminal).sum())
+        targets = qnet.td_targets(batch, target if use_target_network else params, train.gamma)
+        params, loss = qnet.train_step(params, batch, targets, train)
+        expected_losses.append(loss)
+        if use_target_network and update % train.target_sync_interval == 0:
+            target = params
+    assert learner.updates // train.target_sync_interval >= 3
+    assert losses == expected_losses
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(learner.params.arrays(), params.arrays()))
+    # with a target network the cache saves work; without one it saves none
+    assert (learner_recomputed < live_rows) == use_target_network

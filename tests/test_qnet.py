@@ -24,14 +24,12 @@ from diffcert.qnet import (
     QParams,
     ReplayBuffer,
     TrainConfig,
-    Transition,
-    as_batch,
     forward,
     init,
     select_action,
     td_targets,
-    train_step,
 )
+from qnet_helpers import Transition, as_batch, train_step
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "forward_golden.json").read_text())
 
@@ -332,6 +330,92 @@ def test_replay_ring_grows_by_doubling():
         _add(buf, random_transition(rng))
         sizes.add(len(buf.store.states))
     assert sizes == {64, 128, 256, 512}
+
+
+def _oracle(transition, params, gamma=0.9):
+    return td_target(transition, params, gamma)
+
+
+def _live_transition(rng):
+    return Transition(random_state(rng), rng.randrange(ACTION_COUNT), -1, random_state(rng), False)
+
+
+def test_ring_cache_drops_an_evicted_rows_value():
+    # capacity 5 and one target version throughout (a target that never
+    # syncs): the row the sixth add overwrites must not keep the cached
+    # value of the transition it evicted
+    rng = random.Random(11)
+    params = init(11)
+    ring = ReplayBuffer(capacity=5)
+    items = [_live_transition(rng) for _ in range(6)]
+    for item in items[:5]:
+        _add(ring, item)
+    assert list(ring.targets(range(5), params, 0, 0.9)) == [_oracle(t, params) for t in items[:5]]
+    _add(ring, items[5])
+    assert _oracle(items[5], params) != _oracle(items[0], params)
+    assert list(ring.targets(range(5), params, 0, 0.9)) == [_oracle(t, params) for t in items[1:]]
+
+
+def test_ring_cache_survives_doubling():
+    # values cached at 64 rows are still read, not recomputed, after the
+    # arrays grow to 128 and 256 rows: a different network under the same
+    # version gets the first network's targets back
+    rng = random.Random(12)
+    first, other = init(12), init(13)
+    ring = ReplayBuffer(capacity=10_000)
+    items = [_live_transition(rng) for _ in range(64)]
+    for item in items:
+        _add(ring, item)
+    expected = [_oracle(t, first) for t in items]
+    assert list(ring.targets(range(64), first, 0, 0.9)) == expected
+    sizes = {len(ring.value)}
+    for _ in range(150):
+        _add(ring, random_transition(rng))
+        sizes.add(len(ring.value))
+    assert sizes == {64, 128, 256} and len(ring.version) == 256
+    assert list(ring.targets(range(64), other, 0, 0.9)) == expected
+    assert list(ring.targets(range(64), other, 1, 0.9)) == [_oracle(t, other) for t in items]
+
+
+def test_ring_cache_repeated_row_in_one_batch():
+    rng = random.Random(14)
+    params = init(14)
+    ring = ReplayBuffer(capacity=8)
+    items = [_live_transition(rng) for _ in range(4)]
+    for item in items:
+        _add(ring, item)
+    targets = ring.targets([2, 0, 2, 2], params, 0, 0.9)
+    assert targets[0] == targets[2] == targets[3] == _oracle(items[2], params)
+    assert targets[1] == _oracle(items[0], params)
+
+
+def test_parameters_validated_where_they_enter(tmp_path):
+    p = init(11)
+    with pytest.raises(ValueError):
+        QParams(p.w0, p.b0, p.w1, p.b1, p.w2, np.full(ACTION_COUNT, np.inf))
+    path = tmp_path / "net.ckpt"
+    qnet.save(p, default_registry(), path)
+    blob = bytearray(path.read_bytes())
+    w0_offset = len(qnet._CKPT_MAGIC) + 8 + 4 * len(qnet.LAYER_DIMS)
+    blob[w0_offset : w0_offset + 8] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCheckpoint):
+        qnet.load(path)
+
+
+def test_train_step_leaves_its_inputs_alone():
+    # the learner aliases its target to the online parameters, so a step
+    # must write only its own arrays
+    rng = random.Random(15)
+    params = init(15)
+    before = [a.copy() for a in params.arrays()]
+    batch = as_batch([random_transition(rng) for _ in range(8)])
+    targets = td_targets(batch, params, 0.9)
+    saved = [column.copy() for column in batch] + [targets.copy()]
+    updated, _ = qnet.train_step(params, batch, targets, TrainConfig(max_grad_norm=1e-3))
+    assert all((a == b).all() for a, b in zip(params.arrays(), before))
+    assert all((a == b).all() for a, b in zip([*batch, targets], saved))
+    assert not any(u is p for u, p in zip(updated.arrays(), params.arrays()))
 
 
 def test_toy_mdp_one_state(tmp_path):
