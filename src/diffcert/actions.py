@@ -280,21 +280,3 @@ def replay(seed: Certificate, trace, now: dt.datetime = REFERENCE_TIME) -> Certi
         cert = apply(cert, action, now=now)
     return cert
 
-
-# Actions that leave the default reference fixture's DER bytes unchanged:
-# re-writing the version it already has, and marking already-critical
-# extensions critical.  Everything else must change bytes on that fixture.
-VACUOUS_ON_DEFAULT_FIXTURE = frozenset({2, 33, 38})
-
-# Actions that change the default fixture's bytes without moving any
-# feature slot.  Structural, not accidental: existence-mode extension
-# types expose no value slot, so value rewrites there are invisible; the
-# explicit-FALSE criticality probe keeps the flag's value; serial 1 stays
-# in the positive class; year shifts that do not cross the reference
-# clock keep the comparison sign.
-FEATURE_INVARIANT_ON_DEFAULT_FIXTURE = frozenset(
-    {6, 9, 13}
-    | {44, 49, 54, 59, 64, 69, 74, 79, 84}  # clear-critical on non-critical types
-    | {52, 57, 62, 67, 72, 77, 82}  # add-default on existence-mode types
-    | {55, 60, 65, 70, 75, 80, 85}  # corrupt on existence-mode types
-)

@@ -7,8 +7,8 @@ byte ranges and re-emitted verbatim.  An unmodified certificate always
 re-encodes to its original bytes; a mutated one has its TBS re-serialized
 from the structured fields while the (now stale) signature bytes are
 carried over unchanged -- mutants are never re-signed.  Every part is
-immutable and caches its own DER, so re-encoding a mutant serializes only
-the parts an edit replaced.
+immutable and caches its own DER and the facts read from it, so a mutant
+re-encodes and re-derives only the parts an edit replaced.
 """
 
 from __future__ import annotations
@@ -112,8 +112,17 @@ class Name:
         return None
 
     def country(self) -> str | None:
+        return self._country
+
+    @_cached
+    def _country(self) -> str | None:
         attr = self.first(oid.COUNTRY)
         return attr.text() if attr is not None else None
+
+    @_cached
+    def odd_countries(self) -> int:
+        """How many country attributes are not two octets long."""
+        return sum(attr.oid == oid.COUNTRY and len(attr.value) != 2 for attr in self.attributes())
 
     def with_country(self, code: str) -> "Name":
         """Return a copy with the country attribute set (appended if absent)."""
@@ -165,6 +174,14 @@ class TimeValue:
 
     at: dt.datetime
     tag: int = asn1.UTC_TIME
+
+    @_cached
+    def seconds(self) -> int:
+        """Whole seconds since the epoch.  Parsed and mutated bounds carry
+        no fraction, so adding ``k`` seconds here equals the timestamp of
+        ``at`` moved by ``k`` seconds, even where that moved datetime
+        would fall past year 9999."""
+        return int(self.at.timestamp())
 
     def der(self) -> bytes:
         return self._der
@@ -290,7 +307,7 @@ class Certificate:
         tbs = encode_tbs(self)
         return tbs, asn1.tlv(asn1.SEQUENCE, tbs + self.outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, self.signature_value))
 
-    @property
+    @_cached
     def strict_der(self) -> bool:
         """False when an extension encodes a FALSE criticality flag: the one
         leniency ``parse_der(lenient=True)`` tolerates, so a lenient parse

@@ -9,6 +9,7 @@ tracked extension types x (exists, critical, value-class).
 from __future__ import annotations
 
 import datetime as dt
+import functools
 from dataclasses import dataclass, field
 
 from . import asn1, x509oids as oid
@@ -138,10 +139,13 @@ def default_registry() -> LabelRegistry:
     )
 
 
+def _sign(difference: int) -> int:
+    return (difference > 0) - (difference < 0)
+
+
 def compare_time(t: dt.datetime, now: dt.datetime) -> int:
     """-1/0/+1 comparison at one-second granularity."""
-    a, b = int(t.timestamp()), int(now.timestamp())
-    return (a > b) - (a < b)
+    return _sign(int(t.timestamp()) - int(now.timestamp()))
 
 
 def _serial_class(serial: int, serial_raw: bytes) -> int:
@@ -249,15 +253,37 @@ def classify_extension_value(ext_oid: str, critical: bool, value: bytes) -> int:
     return VALUE_WELL_FORMED_DEFAULT
 
 
+def _kept(fn):
+    """Keep ``fn(ext)`` in the frozen extension's ``__dict__``, as
+    `certs._cached` keeps a part's DER: an extension a mutant shares with
+    its parent is read once, however many steps and panels reuse it."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def read(ext: Extension):
+        found = ext.__dict__.get(name)  # never None once computed
+        if found is None:
+            found = ext.__dict__[name] = fn(ext)
+        return found
+
+    return read
+
+
+@_kept
+def extension_value_class(ext: Extension) -> int:
+    """`classify_extension_value` of one extension: its feature slot."""
+    return classify_extension_value(ext.oid, ext.critical, ext.value)
+
+
+@_kept
 def extension_malformed(ext: Extension) -> bool:
     """Whether simulated validators should treat the value as unparseable.
 
     Mode-1 types use their classifier's malformed class; every other
     tracked standard type gets a generic nested-DER well-formedness check.
     """
-    classifier = _VALUE_CLASSIFIERS.get(ext.oid)
-    if classifier is not None:
-        return classifier(ext.value) == MALFORMED
+    if ext.oid in _VALUE_CLASSIFIERS:
+        return extension_value_class(ext) == MALFORMED
     return not asn1.der_well_formed(ext.value)
 
 
@@ -267,8 +293,9 @@ def extract(cert: Certificate, now: dt.datetime, registry: LabelRegistry) -> tup
     vec[0] = cert.version
     vec[1] = registry.country_label(cert.issuer.country())
     vec[2] = registry.country_label(cert.subject.country())
-    vec[3] = compare_time(cert.not_before.at, now)
-    vec[4] = compare_time(cert.not_after.at, now)
+    now_seconds = int(now.timestamp())
+    vec[3] = _sign(cert.not_before.seconds - now_seconds)
+    vec[4] = _sign(cert.not_after.seconds - now_seconds)
     vec[5] = cert.public_key_info.bit_length // 1024
     vec[6] = registry.sig_alg_label(cert.signature_algorithm.oid)
     vec[7] = _serial_class(cert.serial, cert.serial_raw)
@@ -279,5 +306,5 @@ def extract(cert: Certificate, now: dt.datetime, registry: LabelRegistry) -> tup
         base = EXTENSION_BLOCK_START + 3 * idx
         vec[base] = 1
         vec[base + 1] = 1 if ext.critical else 0
-        vec[base + 2] = classify_extension_value(ext.oid, ext.critical, ext.value)
+        vec[base + 2] = extension_value_class(ext)
     return tuple(vec)

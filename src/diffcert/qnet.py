@@ -123,6 +123,8 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if self.max_grad_norm < 0.0:
             raise ValueError("max_grad_norm must be >= 0")
+        if self.target_sync_interval <= 0:
+            raise ValueError("target_sync_interval must be >= 1")
 
 
 # ---------------------------------------------------------------------------

@@ -375,8 +375,7 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
     if not (cert.strict_der or lenient):
         return InputFacts(cert)
 
-    names = (cert.issuer, cert.subject)
-    name_failures = sum(attr.oid == oid.COUNTRY and len(attr.value) != 2 for name in names for attr in name.attributes())
+    name_failures = cert.issuer.odd_countries + cert.subject.odd_countries
     if not cert.subject.rdns and cert.extension(oid.SUBJECT_ALT_NAME) is None:
         name_failures += 1
 
@@ -430,11 +429,12 @@ def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
     if not profile.accept_weak_sig_alg and cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS:
         failures.append(ALGORITHM_ERROR)
 
-    linger = dt.timedelta(seconds=profile.time_linger_seconds)
+    # In whole seconds: a bound plus the linger may lie past year 9999.
+    linger = profile.time_linger_seconds
     local_now = now + dt.timedelta(seconds=profile.local_time_offset_seconds)
-    if int(cert.not_before.at.timestamp()) > int((local_now + linger).timestamp()):
+    if cert.not_before.seconds > int((local_now + dt.timedelta(seconds=linger)).timestamp()):
         failures.append(VALIDITY_PERIOD_ERROR)
-    elif int(local_now.timestamp()) > int((cert.not_after.at + linger).timestamp()):
+    elif int(local_now.timestamp()) > cert.not_after.seconds + linger:
         failures.append(VALIDITY_PERIOD_ERROR)
 
     if cert.serial <= 0 and not profile.accept_nonpositive_serial:

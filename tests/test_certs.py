@@ -2,6 +2,8 @@
 builder's determinism and the mock signature scheme."""
 
 import dataclasses
+import datetime as dt
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from diffcert.certs import (
     MalformedDer,
     MalformedPem,
     SeedParams,
+    TimeValue,
     build_synthetic,
     default_params,
     encode_der,
@@ -155,6 +158,17 @@ def test_time_tag_preserved():
     assert gen_cert.not_before.tag == asn1.GENERALIZED_TIME
     again = parse_der(encode_der(gen_cert))
     assert again.not_before.tag == asn1.GENERALIZED_TIME
+
+
+def test_time_value_seconds_add_like_datetimes():
+    # a validity bound's cached whole seconds plus a whole-second linger
+    # give what moving the datetime would, on both sides of 1970
+    rng = random.Random(8)
+    for year in range(1, 9999):
+        at = dt.datetime(year, rng.randint(1, 12), rng.randint(1, 28), rng.randrange(24), rng.randrange(60), rng.randrange(60), tzinfo=asn1.UTC)
+        bound = TimeValue(at, asn1.time_tag(at, asn1.UTC_TIME))
+        for linger in (0, 1, 59, 3600, 8 * 3600, 24 * 3600):
+            assert bound.seconds + linger == int((at + dt.timedelta(seconds=linger)).timestamp())
 
 
 def test_unknown_tbs_field_rejected(default_cert):

@@ -4,12 +4,13 @@ comparison and the per-type value classifiers."""
 
 import dataclasses
 import datetime as dt
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from diffcert import asn1, features, x509oids as oid
-from diffcert.certs import build_synthetic, default_params
+from diffcert import actions, asn1, features, verdicts, x509oids as oid
+from diffcert.certs import build_synthetic, default_params, encode_der
 from diffcert.features import (
     EXTENSION_BLOCK_START,
     FEATURE_LENGTH,
@@ -176,6 +177,44 @@ def test_eku_classes():
 def test_existence_mode_value_class_is_zero():
     assert classify_extension_value(oid.SUBJECT_KEY_ID, False, b"\x04\x02ab") == 0
     assert classify_extension_value(oid.SUBJECT_KEY_ID, False, b"garbage") == 0
+
+
+def test_extension_facts_derived_once_per_instance(monkeypatch, registry, now):
+    # one seed visit as the campaign makes it: the seed and ten mutants,
+    # each judged by the six-profile panel and featurized; a mutant shares
+    # every extension its action did not replace with its parent
+    calls = Counter()
+
+    def counting(key, fn):
+        def wrapper(value):
+            calls[key] += 1
+            return fn(value)
+
+        return wrapper
+
+    for ext_oid, classifier in list(features._VALUE_CLASSIFIERS.items()):
+        monkeypatch.setitem(features._VALUE_CLASSIFIERS, ext_oid, counting(ext_oid, classifier))
+    monkeypatch.setattr(asn1, "der_well_formed", counting("der_well_formed", asn1.der_well_formed))
+
+    seed = build_synthetic(default_params(), 7)
+    backends = verdicts.default_backends(verdicts.TrustStore([verdicts.TrustAnchor(seed.issuer_der(), "acme-root")]))
+    visit = [seed]
+    verdicts.verify_all(seed, backends, now)
+    extract(seed, now, registry)
+    # version, issuer country, then extension edits of both extraction
+    # modes, a validity shift, the serial and an explicit FALSE flag
+    for action in (3, 22, 32, 40, 9, 47, 53, 60, 4, 64):
+        mutant = actions.apply(visit[-1], action, now=now)
+        encode_der(mutant)
+        verdicts.verify_all(mutant, backends, now)
+        extract(mutant, now, registry)
+        visit.append(mutant)
+
+    instances = {id(ext): ext for cert in visit for ext in cert.extensions}.values()
+    for ext_oid in features._VALUE_CLASSIFIERS:
+        assert 0 < calls[ext_oid] <= sum(ext.oid == ext_oid for ext in instances), ext_oid
+    checked = [ext for ext in instances if ext.oid in verdicts.VALIDATOR_KNOWN_EXTENSIONS and ext.oid not in features._VALUE_CLASSIFIERS]
+    assert 0 < calls["der_well_formed"] <= len(checked)
 
 
 def test_registry_round_trip(registry):

@@ -180,6 +180,15 @@ def test_zero_learning_rate_is_identity():
     assert all((a == b).all() for a, b in zip(p.arrays(), updated.arrays()))
 
 
+def test_config_rejects_nonpositive_sync_interval():
+    # a target network synced every 0 updates would divide by zero on the
+    # learner's first observation
+    for interval in (0, -500):
+        with pytest.raises(ValueError):
+            TrainConfig(use_target_network=True, target_sync_interval=interval)
+    assert TrainConfig(use_target_network=True, target_sync_interval=1).target_sync_interval == 1
+
+
 def test_train_step_rejects_empty_batch():
     with pytest.raises(ValueError):
         train_step(init(1), as_batch([]), TrainConfig())

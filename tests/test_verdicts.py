@@ -14,15 +14,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffcert import actions, verdicts, x509oids as oid
+from diffcert import actions, asn1, features, verdicts, x509oids as oid
 from diffcert.certs import (
     REFERENCE_TIME,
     ExtensionParam,
+    TimeValue,
     build_synthetic,
     default_params,
     encode_der,
+    encode_tbs,
     mock_sign,
     parse_der,
+    signature_bits,
 )
 from diffcert.corpus import generate_corpus
 from diffcert.verdicts import (
@@ -188,6 +191,23 @@ def test_local_time_flaw(env):
     local = dataclasses.replace(STRICT_PROFILE, local_time_offset_seconds=8 * 3600)
     assert simulate_verify(STRICT_PROFILE, cert, store, NOW) == 1
     assert simulate_verify(local, cert, store, NOW) == -2
+
+
+def test_no_expiry_date_is_judged(env):
+    # notAfter 99991231235959Z, RFC 5280's "no well-defined expiration
+    # date", signed afresh: a one-day linger past it is no datetime, so
+    # judgement must not build one
+    _, store = env
+    no_expiry = TimeValue(datetime.datetime(9999, 12, 31, 23, 59, 59, tzinfo=asn1.UTC), asn1.GENERALIZED_TIME)
+    tbs = encode_tbs(dataclasses.replace(issued(), not_after=no_expiry, dirty=True))
+    cert = parse_der(asn1.tlv(asn1.SEQUENCE, tbs + issued().outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, signature_bits(tbs, "acme-root"))))
+    backends = default_backends(store)
+    assert verify_all(encode_der(cert), backends, NOW).codes == (1,) * len(SHIPPED_PROFILES)
+    registry = features.default_registry()
+    for action in range(actions.CATALOG_SIZE):
+        mutant = actions.apply(cert, action)
+        assert len(features.extract(mutant, NOW, registry)) == features.FEATURE_LENGTH
+        assert verify_all(mutant, backends, NOW).codes == verify_all(encode_der(mutant), backends, NOW).codes
 
 
 def test_version_flaw_switches(env):
