@@ -54,17 +54,6 @@ class UnknownSeed(KeyError):
     """A stored seed id is not present in the corpus."""
 
 
-@dataclass(frozen=True)
-class ActionTrace:
-    """The ordered action ids applied to one seed (at most 10)."""
-
-    seed_id: str
-    actions: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        validate_trace(self.actions)
-
-
 def validate_trace(actions) -> tuple[int, ...]:
     actions = tuple(int(a) for a in actions)
     if len(actions) > MAX_TRACE_LENGTH:
@@ -261,22 +250,22 @@ def catalog() -> tuple[ActionSpec, ...]:
 
 
 def apply(cert: Certificate, action: int, now: dt.datetime = REFERENCE_TIME) -> Certificate:
-    """Apply one catalog action, returning a new dirty certificate.
+    """Apply one catalog action, returning a new certificate that encodes
+    from its fields.
 
     ``now`` anchors the "set to the reference clock" validity actions; it
     defaults to the fixed reference time so stored traces replay exactly.
     """
     if not 0 <= action < CATALOG_SIZE:
         raise InvalidTrace(f"action id {action} outside 0..{CATALOG_SIZE - 1}")
-    mutated = _OPS[action](cert, now)
-    return replace(mutated, dirty=True)
+    return _OPS[action](cert, now)
 
 
 def replay(seed: Certificate, trace, now: dt.datetime = REFERENCE_TIME) -> Certificate:
-    """Re-apply a stored trace to its seed, reproducing the mutant exactly."""
-    actions = trace.actions if isinstance(trace, ActionTrace) else validate_trace(trace)
+    """Re-apply a stored trace (at most 10 action ids) to its seed,
+    reproducing the mutant exactly."""
     cert = seed
-    for action in actions:
+    for action in validate_trace(trace):
         cert = apply(cert, action, now=now)
     return cert
 

@@ -255,9 +255,9 @@ def _run_loop(
     return records, stats
 
 
-def _greedy_probe_yield(corpus: SeedCorpus, config: CampaignConfig, params: QParams, sample: int = 100) -> float:
-    """Greedy yield on a deterministic head-of-corpus subsample."""
-    probe = SeedCorpus(corpus.entries[: min(sample, len(corpus.entries))], trust=corpus.trust)
+def _greedy_probe_yield(corpus: SeedCorpus, config: CampaignConfig, params: QParams) -> float:
+    """Greedy yield on the corpus's first 100 seeds."""
+    probe = SeedCorpus(corpus.entries[:100], trust=corpus.trust)
     _, stats = run_inference(probe, params, replace(config, max_episode=1, db_path=None))
     return stats.yield_ratio
 

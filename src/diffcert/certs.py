@@ -21,31 +21,7 @@ import re
 from dataclasses import dataclass
 
 from . import asn1, x509oids as oid
-from .asn1 import UTC, EncodingOverflow, MalformedDer
-
-__all__ = [
-    "AlgorithmId",
-    "Certificate",
-    "EncodingOverflow",
-    "Extension",
-    "ExtensionParam",
-    "InvalidParams",
-    "MalformedDer",
-    "MalformedPem",
-    "Name",
-    "NameAttribute",
-    "REFERENCE_TIME",
-    "SeedParams",
-    "TimeValue",
-    "UnsupportedStructure",
-    "build_synthetic",
-    "default_params",
-    "encode_der",
-    "mock_sign",
-    "parse_der",
-    "pem_decode",
-    "pem_encode",
-]
+from .asn1 import UTC, MalformedDer
 
 # Fixed reference clock; campaigns and "set to now" mutations default to it
 # so that stored action traces replay byte-identically.
@@ -261,10 +237,10 @@ class Extension:
 class Certificate:
     """Structured TBS fields plus the opaque regions needed for re-encoding.
 
-    Immutable; mutations return modified copies with ``dirty=True``, which
-    switches :func:`encode_der` from replaying the original bytes to
-    re-serializing the TBS from the structured fields.  Either encoding is
-    made once per instance and kept in ``encoding``.
+    Immutable.  ``encoding`` is the one holder of a certificate's bytes:
+    :func:`parse_der` seeds it with the parsed bytes, and any other
+    instance -- built directly or copied with ``dataclasses.replace`` --
+    encodes from its fields on first read.
     """
 
     version: int  # human value: 1..4+ (wire value is version - 1)
@@ -281,9 +257,6 @@ class Certificate:
     unique_ids_raw: bytes = b""  # [1]/[2] TLVs between SPKI and extensions, verbatim
     outer_sig_alg_raw: bytes = b""  # the signatureAlgorithm TLV after the TBS
     signature_value: bytes = b"\x00"  # BIT STRING content octets, pad byte included
-    tbs_raw: bytes = b""  # TBS TLV as parsed; stale once dirty
-    raw: bytes = b""  # whole certificate as parsed; stale once dirty
-    dirty: bool = False
 
     def issuer_der(self) -> bytes:
         return self.issuer.der()
@@ -299,11 +272,9 @@ class Certificate:
 
     @_cached
     def encoding(self) -> tuple[bytes, bytes]:
-        """(TBS, whole certificate) DER: the parsed bytes while clean, else
-        a fresh TBS with the original signature carried over.  Unlike
-        ``tbs_raw``, the TBS here is never stale."""
-        if not self.dirty and self.raw:
-            return self.tbs_raw, self.raw
+        """(TBS, whole certificate) DER, built from the fields with the
+        original signature carried over (a parsed certificate holds its
+        parsed bytes here instead)."""
         tbs = encode_tbs(self)
         return tbs, asn1.tlv(asn1.SEQUENCE, tbs + self.outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, self.signature_value))
 
@@ -355,14 +326,9 @@ def parse_der(data: bytes, *, lenient: bool = False) -> Certificate:
     if pos != stop:
         raise MalformedDer(pos, "trailing bytes inside the certificate SEQUENCE")
 
-    return Certificate(
-        **fields,
-        outer_sig_alg_raw=outer_sig_alg_raw,
-        signature_value=signature_value,
-        tbs_raw=tbs_raw,
-        raw=data,
-        dirty=False,
-    )
+    cert = Certificate(**fields, outer_sig_alg_raw=outer_sig_alg_raw, signature_value=signature_value)
+    cert.__dict__["encoding"] = (tbs_raw, data)  # seeds the cached slot: no re-encoding
+    return cert
 
 
 def _parse_tbs(data: bytes, pos: int, end: int, *, lenient: bool) -> dict:
@@ -534,8 +500,8 @@ def encode_tbs(cert: Certificate) -> bytes:
 def encode_der(cert: Certificate) -> bytes:
     """Serialize a certificate.
 
-    Clean certificates reproduce their original bytes exactly.  Dirty ones
-    get a freshly built TBS with the original signature carried over.
+    A parsed certificate reproduces its original bytes exactly; an edited
+    copy gets a freshly built TBS with the original signature carried over.
     """
     return cert.encoding[1]
 
@@ -754,7 +720,6 @@ def build_synthetic(params: SeedParams, rng_seed: int) -> Certificate:
         public_key_info=spki,
         extensions=extensions,
         outer_sig_alg_raw=sig_alg.der(),
-        dirty=True,  # forces encode_tbs below
     )
     tbs = encode_tbs(skeleton)
     cert_bytes = asn1.tlv(

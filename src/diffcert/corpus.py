@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import x509oids as oid
-from .actions import ActionTrace, UnknownSeed, replay, validate_trace
+from .actions import UnknownSeed, replay, validate_trace
 from .certs import (
     Certificate,
     ExtensionParam,
     MalformedDer,
     MalformedPem,
+    SeedParams,
     UnsupportedStructure,
     build_synthetic,
     default_params,
@@ -222,11 +223,10 @@ def _generate_diverse(rng: random.Random, trust: TrustStore) -> Certificate:
     return build_synthetic(params, rng.getrandbits(32))
 
 
-def generate_corpus(n: int, rng_seed: int, profile_mix: dict[str, float] | None = None) -> SeedCorpus:
+def generate_corpus(n: int, rng_seed: int) -> SeedCorpus:
     """Deterministically generate ``n`` synthetic seeds plus their trust store."""
     if n <= 0:
         raise EmptyCorpus("asked for an empty corpus")
-    mix = profile_mix or DEFAULT_MIX
     rng = random.Random(rng_seed)
     trust = TrustStore()
     for cn, country, tag in _ROOTS:
@@ -237,7 +237,7 @@ def generate_corpus(n: int, rng_seed: int, profile_mix: dict[str, float] | None 
         trust.add(TrustAnchor(anchor_name, tag))
 
     buckets = []
-    for name, count in _bucket_counts(n, mix).items():
+    for name, count in _bucket_counts(n, DEFAULT_MIX).items():
         buckets.extend([name] * count)
     rng.shuffle(buckets)
 
@@ -377,7 +377,7 @@ def replay_record(corpus: SeedCorpus, rec: DiscrepancyRecord, now=None) -> Certi
     entry = corpus.by_id(rec.seed_id)
     seed = parse_der(entry.der)
     at = now if now is not None else dt.datetime.fromisoformat(rec.timestamp)
-    return replay(seed, ActionTrace(rec.seed_id, rec.trace), now=at)
+    return replay(seed, rec.trace, now=at)
 
 
 # ---------------------------------------------------------------------------

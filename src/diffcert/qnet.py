@@ -115,7 +115,6 @@ class TrainConfig:
     batch_size: int = 32
     use_target_network: bool = False
     target_sync_interval: int = 500
-    paper_literal_loss: bool = False  # predict max-Q instead of Q(s, taken action)
     max_grad_norm: float = 10.0  # global-norm gradient clip; 0 disables
 
     def __post_init__(self):
@@ -222,10 +221,9 @@ def train_step(params: QParams, batch: Batch, targets: np.ndarray, config: Train
     """One SGD step on the mean squared error against ``targets``, the
     batch's Bellman targets (`td_targets`, or `ReplayBuffer.targets`).
 
-    The predicted value is Q(state, taken action) by default; with
-    ``paper_literal_loss`` it is the maximum Q-value of the state.
-    Only ``batch.states`` and ``batch.actions`` are read. Returns fresh
-    parameters and the scalar loss.
+    The predicted value is Q(state, taken action).  Only ``batch.states``
+    and ``batch.actions`` are read. Returns fresh parameters and the
+    scalar loss.
     """
     n = len(batch.actions)
     if not n:
@@ -235,8 +233,7 @@ def train_step(params: QParams, batch: Batch, targets: np.ndarray, config: Train
     z0, h0, z1, h1, q = _forward_batch(params, x)
 
     rows = np.arange(n)
-    cols = np.argmax(q, axis=1) if config.paper_literal_loss else batch.actions
-    predicted = q[rows, cols]
+    predicted = q[rows, batch.actions]
     errors = predicted - targets
     with np.errstate(over="ignore"):
         loss = float(np.mean(errors**2))
@@ -244,7 +241,7 @@ def train_step(params: QParams, batch: Batch, targets: np.ndarray, config: Train
         raise NonFiniteLoss(loss, batch)
 
     dq = np.zeros_like(q)
-    dq[rows, cols] = 2.0 * errors / n
+    dq[rows, batch.actions] = 2.0 * errors / n
     dw2 = h1.T @ dq
     db2 = dq.sum(axis=0)
     dh1 = dq @ params.w2.T

@@ -397,7 +397,7 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
             trust_code = SELF_SIGN if subject_der == issuer_der else UNKNOWN_ISSUER
         else:
             legacy_issuer = anchor.version < 3 and not anchor.is_root
-            tbs, _ = cert.encoding  # a mutant's tbs_raw is stale
+            tbs, _ = cert.encoding
             if cert.signature_value != b"\x00" + mock_sign(tbs, anchor.tag):
                 trust_code = SIGNATURE_ERROR
     return InputFacts(cert, cert.strict_der, name_failures, tuple(ext_codes), malformed_known, legacy_issuer, trust_code)

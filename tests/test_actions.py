@@ -13,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 from diffcert import actions, features, verdicts
 from diffcert.actions import (
     CATALOG_SIZE,
-    ActionTrace,
     Family,
     InvalidTrace,
     apply,
     catalog,
     replay,
 )
-from diffcert.certs import REFERENCE_TIME, Certificate, build_synthetic, default_params, encode_der, parse_der
+from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der, parse_der
 from diffcert.corpus import generate_corpus
 from diffcert.verdicts import TrustAnchor, TrustStore
 
@@ -58,7 +57,6 @@ def test_catalog_ordering_constants():
 def test_apply_totality_and_reencode(default_cert):
     for spec in catalog():
         mutant = apply(default_cert, spec.id)
-        assert mutant.dirty
         encoded = encode_der(mutant)
         assert isinstance(encoded, bytes) and encoded
 
@@ -68,7 +66,6 @@ def test_apply_never_mutates_input(default_cert):
     for spec in catalog():
         apply(default_cert, spec.id)
     assert encode_der(default_cert) == before
-    assert not default_cert.dirty
 
 
 def test_apply_deterministic(default_cert):
@@ -128,7 +125,7 @@ def test_version_wire_value_after_mutation(default_cert):
 
     reparsed = parse_der(encode_der(apply(default_cert, 3)))
     assert reparsed.version == 4
-    tbs = reparsed.tbs_raw
+    tbs = reparsed.encoding[0]
     _, start, stop, _ = asn1.read_tlv(tbs, 0, len(tbs))
     vstart, vstop, _ = asn1.read_tlv(tbs, start, stop)[1:]
     istart, istop, _ = asn1.read_tlv(tbs, vstart, vstop)[1:]
@@ -235,13 +232,14 @@ def test_replay_empty_trace_is_identity(default_cert):
 
 
 def test_trace_bounds():
+    seed = build_synthetic(default_params(), 7)
     with pytest.raises(InvalidTrace):
-        ActionTrace("s", tuple(range(11)))
+        replay(seed, tuple(range(11)))
     with pytest.raises(InvalidTrace):
-        ActionTrace("s", (86,))
+        replay(seed, (86,))
     with pytest.raises(InvalidTrace):
-        apply(build_synthetic(default_params(), 7), 86)
-    ActionTrace("s", tuple(range(10)))  # exactly 10 is legal
+        apply(seed, 86)
+    replay(seed, tuple(range(10)))  # exactly 10 is legal
 
 
 def awkward_fixtures():
@@ -290,8 +288,7 @@ def test_awkward_fixture_outputs_locked():
 # fields instead of re-parsing its encoding: parsing the bytes of any
 # reachable mutant must give back the mutant, and so the same facts.
 
-# A certificate's fields but its encoding state, and facts but the certificate.
-_cert_fields = operator.attrgetter(*(f.name for f in dataclasses.fields(Certificate) if f.name not in ("raw", "tbs_raw", "dirty")))
+# An input's facts but the certificate.
 _fact_fields = operator.attrgetter(*(f.name for f in dataclasses.fields(verdicts.InputFacts) if f.name != "cert"))
 
 
@@ -317,13 +314,12 @@ class _RoundTrip:
         return self.parsed[der]
 
     def check(self, mutant):
-        fields = _cert_fields(mutant)
-        if fields in self.seen:
+        if mutant in self.seen:
             return
-        self.seen.add(fields)
+        self.seen.add(mutant)
         der = encode_der(mutant)
         reparsed = self.parse(der, lenient=True)
-        assert _cert_fields(reparsed) == fields
+        assert reparsed == mutant
         assert features.extract(mutant, REFERENCE_TIME, self.registry) == features.extract(reparsed, REFERENCE_TIME, self.registry)
         for lenient in (True, False):
             from_fields = verdicts.derive_facts(mutant, self.trust, lenient)
@@ -342,7 +338,7 @@ def test_shift_out_of_utctime_window_takes_the_encoded_tag():
     shifted = apply(cert, 13)
     reparsed = parse_der(encode_der(shifted), lenient=True)
     assert shifted.not_after.tag == asn1.GENERALIZED_TIME
-    assert _cert_fields(reparsed) == _cert_fields(shifted)
+    assert reparsed == shifted
     # and shifting back a year gives the same bytes from either path
     assert encode_der(apply(shifted, 12)) == encode_der(apply(reparsed, 12))
 

@@ -35,7 +35,15 @@ def test_round_trip_default_fixture(default_cert):
     assert encode_der(parsed) == der
     assert parsed == default_cert
     assert parsed.version == 3
-    assert not parsed.dirty
+
+
+def test_edited_copy_encodes_from_its_fields(default_cert):
+    # only the parse holds the parsed bytes: a copy, edited or not,
+    # encodes its own fields
+    parsed = parse_der(encode_der(default_cert))
+    edited = dataclasses.replace(parsed, serial=2, serial_raw=b"\x02")
+    assert parse_der(encode_der(edited)) == edited
+    assert encode_der(dataclasses.replace(parsed)) == encode_der(parsed)
 
 
 def test_parse_rejects_non_sequence():
@@ -128,14 +136,14 @@ def test_v1_omits_version_field():
     cert = build_synthetic(dataclasses.replace(default_params(), version=1, extensions=()), 5)
     assert not cert.version_present
     # wire bytes carry no [0] EXPLICIT element
-    tbs = cert.tbs_raw
+    tbs = cert.encoding[0]
     _, start, _, _ = asn1.read_tlv(tbs, 0, len(tbs))
     first_tag = tbs[start]
     assert first_tag == asn1.INTEGER  # serial comes first
 
 
 def test_version_wire_value_is_human_minus_one(default_cert):
-    tbs = default_cert.tbs_raw
+    tbs = default_cert.encoding[0]
     _, start, stop, _ = asn1.read_tlv(tbs, 0, len(tbs))
     vstart, vstop, _ = asn1.read_tlv(tbs, start, stop)[1:]
     istart, istop, _ = asn1.read_tlv(tbs, vstart, vstop)[1:]
@@ -214,7 +222,7 @@ def test_mock_sign_deterministic():
 def test_mock_sign_sensitive_to_tbs_flips(default_cert):
     # collision check across the fixture corpus: flipping any sampled TBS
     # byte must change the digest
-    tbs = default_cert.tbs_raw
+    tbs = default_cert.encoding[0]
     base = mock_sign(tbs, "acme-root")
     for pos in range(0, len(tbs), 37):
         flipped = bytearray(tbs)
@@ -223,4 +231,4 @@ def test_mock_sign_sensitive_to_tbs_flips(default_cert):
 
 
 def test_builder_signature_matches_mock_scheme(default_cert):
-    assert default_cert.signature_value == b"\x00" + mock_sign(default_cert.tbs_raw, "acme-root")
+    assert default_cert.signature_value == b"\x00" + mock_sign(default_cert.encoding[0], "acme-root")

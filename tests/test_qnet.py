@@ -265,19 +265,6 @@ def test_gradients_match_finite_differences():
     assert finite_difference_check(100, 200) < 1e-4
 
 
-def test_paper_literal_loss_trains_max_column():
-    rng = random.Random(9)
-    p = init(9)
-    state = random_state(rng)
-    tr = Transition(state, 5, 100, None, True)
-    cfg = TrainConfig(paper_literal_loss=True)
-    updated, _ = train_step(p, as_batch([tr]), cfg)
-    before = forward(p, state)
-    after = forward(updated, state)
-    moved = int(np.argmax(np.abs(after - before)))
-    assert moved == int(np.argmax(before))  # the max column moved, not action 5
-
-
 def test_non_finite_loss_reported():
     p = init(1)
     bad = dataclasses.replace(p, b2=p.b2 + 1e200)

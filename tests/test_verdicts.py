@@ -199,7 +199,7 @@ def test_no_expiry_date_is_judged(env):
     # judgement must not build one
     _, store = env
     no_expiry = TimeValue(datetime.datetime(9999, 12, 31, 23, 59, 59, tzinfo=asn1.UTC), asn1.GENERALIZED_TIME)
-    tbs = encode_tbs(dataclasses.replace(issued(), not_after=no_expiry, dirty=True))
+    tbs = encode_tbs(dataclasses.replace(issued(), not_after=no_expiry))
     cert = parse_der(asn1.tlv(asn1.SEQUENCE, tbs + issued().outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, signature_bits(tbs, "acme-root"))))
     backends = default_backends(store)
     assert verify_all(encode_der(cert), backends, NOW).codes == (1,) * len(SHIPPED_PROFILES)
