@@ -1,9 +1,9 @@
 """Collect alternating parent/change benchmark runs into one BENCH file.
 
-Each argument is the result JSON of one untraced run
-(``python3 perfbench/run.py --workload W --seed N --trace 0`` writes it
-to ``.perfbench-out/W-seedN-trace0.json``), given in the order the runs
-were made.  A run belongs to the parent side when the commit in its
+Each argument is the result JSON of one run (``python3 perfbench/run.py
+--workload W --seed N --trace T`` writes it to
+``.perfbench-out/W-seedN-traceT.json``), given in the order the runs were
+made.  A run belongs to the parent side when the commit in its
 environment block starts with ``--parent``, otherwise to the change side.
 
     python3 scripts/bench_pairs.py --parent 92e38af --out BENCH_6.json runs/*.json
@@ -11,8 +11,11 @@ environment block starts with ``--parent``, otherwise to the change side.
 The output holds every run (side, seed, order, the gated end-to-end
 metrics, the behaviour-lock digest and the environment block) and, per
 workload and metric, each side's median and quartiles plus how many
-same-seed pairs the change won.  Metric names and directions are read
-from BENCHMARK.json, so the file follows the benchmark's gates.
+same-seed pairs the change won.  Traced (``--trace 1``) runs time the
+program with wrappers around it, so they stay out of those figures; a
+``traced`` block lists them per workload and side with the per-layer
+metrics.  Metric names and directions are read from BENCHMARK.json, so
+the file follows the benchmark.
 """
 
 from __future__ import annotations
@@ -25,10 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_run(path: Path, order: int, parent: str, metrics: list[str]) -> dict:
-    doc = json.loads(path.read_text())
-    if doc["trace"] != 0:
-        raise SystemExit(f"{path}: a traced run; end-to-end figures come from --trace 0 runs")
+def load_run(doc: dict, order: int, parent: str, metrics: list[str]) -> dict:
     env = doc["environment"]
     run = {
         "order": order,
@@ -78,6 +78,15 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
+def traced_block(runs: list[dict]) -> dict:
+    """The traced runs by workload and side, in run order."""
+    block: dict[str, dict[str, list[dict]]] = {}
+    for run in runs:
+        sides = block.setdefault(run.pop("workload"), {})
+        sides.setdefault(run.pop("side"), []).append(run)
+    return block
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit (or prefix) of the parent side")
@@ -85,10 +94,19 @@ def main(argv=None) -> int:
     parser.add_argument("runs", nargs="+", type=Path, help="result JSONs in the order they ran")
     args = parser.parse_args(argv)
 
-    gates = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    directions = {gate["name"]: gate["better"] for gate in gates}
-    runs = [load_run(path, order, args.parent, list(directions)) for order, path in enumerate(args.runs, 1)]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    directions = {gate["name"]: gate["better"] for gate in benchmark["end_to_end"]}
+    layers = [metric["name"] for metric in benchmark["per_layer"]]
+    runs, traced = [], []
+    for order, path in enumerate(args.runs, 1):
+        doc = json.loads(path.read_text())
+        if doc["trace"]:
+            traced.append(load_run(doc, order, args.parent, layers))
+        else:
+            runs.append(load_run(doc, order, args.parent, list(directions)))
     doc = {"parent": args.parent, "runs": runs, "summary": summarize(runs, directions)}
+    if traced:
+        doc["traced"] = traced_block(traced)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

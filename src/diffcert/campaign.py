@@ -172,9 +172,11 @@ def _run_loop(
     choose,
     learner: _Learner | None,
     on_episode_end=None,
+    memo: dict | None = None,
 ) -> tuple[list[DiscrepancyRecord], CampaignStats]:
     if len(config.backends) < 2:
         raise InsufficientBackends(f"need at least 2 backends, have {len(config.backends)}")
+    memo = {} if memo is None else memo  # DER -> verdicts, see `verify_all`
     rng = random.Random(config.rng_seed ^ 0x5EED)
     now = config.reference_time
     registry = config.registry
@@ -214,7 +216,7 @@ def _run_loop(
             stats.seeds_processed += 1
             episode.corpus_size += 1
 
-            verdicts = verify_all(seed, config.backends, now)
+            verdicts = verify_all(seed, config.backends, now, memo)
             if is_discrepancy(verdicts):
                 book(entry.seed_id, (), entry.der, verdicts, episode)
                 continue
@@ -226,7 +228,7 @@ def _run_loop(
                 action = choose(state)
                 mutant = apply(current, action, now=now)
                 mutant_der = encode_der(mutant)
-                verdicts = verify_all(mutant, config.backends, now)
+                verdicts = verify_all(mutant, config.backends, now, memo)
                 reward, stop = _seed_stop(config, verdicts, previous)
                 exhausted = step == config.max_modification
                 terminal = stop or exhausted
@@ -255,10 +257,10 @@ def _run_loop(
     return records, stats
 
 
-def _greedy_probe_yield(corpus: SeedCorpus, config: CampaignConfig, params: QParams) -> float:
+def _greedy_probe_yield(corpus: SeedCorpus, config: CampaignConfig, params: QParams, memo: dict) -> float:
     """Greedy yield on the corpus's first 100 seeds."""
     probe = SeedCorpus(corpus.entries[:100], trust=corpus.trust)
-    _, stats = run_inference(probe, params, replace(config, max_episode=1, db_path=None))
+    _, stats = run_inference(probe, params, replace(config, max_episode=1, db_path=None), memo=memo)
     return stats.yield_ratio
 
 
@@ -268,29 +270,34 @@ def run_training(corpus: SeedCorpus, config: CampaignConfig) -> tuple[QParams, l
 
     Value iteration with a function approximator does not improve
     monotonically, so each end-of-episode snapshot is scored with a
-    greedy probe and the best-scoring one is returned.
+    greedy probe and the best-scoring one is returned.  The probes revisit
+    the loop's seeds under the same panel and clock, so all share one memo.
     """
     rng = random.Random(config.rng_seed)
     learner = _Learner(config, rng)
     snapshots: list[tuple[float, int, QParams]] = []
+    memo: dict = {}
 
     def on_episode_end(episode_index: int) -> None:
-        probe = _greedy_probe_yield(corpus, config, learner.params)
+        probe = _greedy_probe_yield(corpus, config, learner.params, memo)
         log.info("episode %d greedy probe yield %.1f%%", episode_index + 1, 100.0 * probe)
         snapshots.append((probe, -episode_index, learner.params))
 
-    records, stats = _run_loop(corpus, config, learner.select, learner, on_episode_end=on_episode_end)
+    records, stats = _run_loop(corpus, config, learner.select, learner, on_episode_end=on_episode_end, memo=memo)
     params = max(snapshots)[2] if snapshots else learner.params
     return params, records, stats
 
 
-def run_inference(corpus: SeedCorpus, params: QParams, config: CampaignConfig) -> tuple[list[DiscrepancyRecord], CampaignStats]:
-    """Greedy fuzzing with frozen parameters (epsilon = 0, no updates)."""
+def run_inference(
+    corpus: SeedCorpus, params: QParams, config: CampaignConfig, memo: dict | None = None
+) -> tuple[list[DiscrepancyRecord], CampaignStats]:
+    """Greedy fuzzing with frozen parameters (epsilon = 0, no updates);
+    ``memo`` is a verdict memo for ``config``'s panel and clock."""
 
     def choose(state) -> int:
         return int(qnet.select_action(qnet.forward(params, state), 0.0, _NO_RNG))
 
-    return _run_loop(corpus, config, choose, None)
+    return _run_loop(corpus, config, choose, None, memo=memo)
 
 
 def run_baseline(corpus: SeedCorpus, config: CampaignConfig) -> CampaignStats:

@@ -132,33 +132,24 @@ class TrainConfig:
 _M64 = (1 << 64) - 1
 
 
-def _splitmix64(seed: int):
-    state = seed & _M64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _M64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        yield z ^ (z >> 31)
+def _splitmix64(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` outputs of splitmix64 from ``seed`` at once: state i
+    is ``seed + i * golden`` in wrapping uint64 arithmetic, mixed alone."""
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    z = np.uint64(seed & _M64) + steps * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def init(seed: int) -> QParams:
-    """Symmetry-broken uniform weights scaled by fan-in, zero biases."""
-    stream = _splitmix64(seed)
-
-    def uniform(rows: int, cols: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(rows)
-        values = [((next(stream) / 2.0**64) * 2.0 - 1.0) * bound for _ in range(rows * cols)]
-        return np.array(values, dtype=np.float64).reshape(rows, cols)
-
-    return QParams(
-        w0=uniform(LAYER_DIMS[0], LAYER_DIMS[1]),
-        b0=np.zeros(LAYER_DIMS[1]),
-        w1=uniform(LAYER_DIMS[1], LAYER_DIMS[2]),
-        b1=np.zeros(LAYER_DIMS[2]),
-        w2=uniform(LAYER_DIMS[2], LAYER_DIMS[3]),
-        b2=np.zeros(LAYER_DIMS[3]),
-    )
+    """Symmetry-broken uniform weights scaled by fan-in, zero biases; the
+    weights take one splitmix64 stream in order, ``w0`` row by row first."""
+    sizes = [rows * cols for rows, cols in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])]
+    unit = _splitmix64(seed, sum(sizes)).astype(np.float64) / 2.0**64 * 2.0 - 1.0
+    blocks = np.split(unit, np.cumsum(sizes)[:-1])
+    w0, w1, w2 = (block.reshape(rows, -1) * (1.0 / np.sqrt(rows)) for block, rows in zip(blocks, LAYER_DIMS))
+    return QParams(w0, np.zeros(LAYER_DIMS[1]), w1, np.zeros(LAYER_DIMS[2]), w2, np.zeros(LAYER_DIMS[3]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import concurrent.futures
 import datetime as dt
+import functools
 import json
 import logging
 import os
@@ -403,6 +404,16 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
     return InputFacts(cert, cert.strict_der, name_failures, tuple(ext_codes), malformed_known, legacy_issuer, trust_code)
 
 
+@functools.lru_cache(maxsize=64)
+def _validity_window(offset: int, linger: int, now: dt.datetime) -> tuple[int, int]:
+    """The latest notBefore and the earliest notAfter, in whole seconds,
+    that a clock ``offset`` seconds off ``now`` accepts with ``linger``
+    seconds of slack.  Whole seconds, because a bound plus the linger may
+    lie past year 9999."""
+    local_now = now + dt.timedelta(seconds=offset)
+    return int((local_now + dt.timedelta(seconds=linger)).timestamp()), int(local_now.timestamp()) - linger
+
+
 def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
     """One profile's verdict: waive what its switches accept, then report
     the first failure met or the most severe one."""
@@ -429,12 +440,8 @@ def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
     if not profile.accept_weak_sig_alg and cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS:
         failures.append(ALGORITHM_ERROR)
 
-    # In whole seconds: a bound plus the linger may lie past year 9999.
-    linger = profile.time_linger_seconds
-    local_now = now + dt.timedelta(seconds=profile.local_time_offset_seconds)
-    if cert.not_before.seconds > int((local_now + dt.timedelta(seconds=linger)).timestamp()):
-        failures.append(VALIDITY_PERIOD_ERROR)
-    elif int(local_now.timestamp()) > cert.not_after.seconds + linger:
+    latest_start, earliest_end = _validity_window(profile.local_time_offset_seconds, profile.time_linger_seconds, now)
+    if cert.not_before.seconds > latest_start or cert.not_after.seconds < earliest_end:
         failures.append(VALIDITY_PERIOD_ERROR)
 
     if cert.serial <= 0 and not profile.accept_nonpositive_serial:
@@ -571,16 +578,25 @@ def default_backends(trust: TrustStore) -> list[SimulatedBackend]:
     return bind_backends(default_backend_specs(), trust)
 
 
-def verify_all(cert, backends, now: dt.datetime) -> VerdictVector:
+def verify_all(cert, backends, now: dt.datetime, memo: dict | None = None) -> VerdictVector:
     """One verdict per backend, in configuration order.
 
     Simulated backends judge a `Certificate` from its fields and parse
     bytes; external backends are given the encoding and run concurrently.
     The result order never depends on completion order.
+
+    ``memo`` maps a DER to its verdicts under this panel and clock, all a
+    simulated verdict depends on.  A panel with an external backend skips
+    it: an external verifier may answer otherwise when asked again.
     """
     if len(backends) < 2:
         raise InsufficientBackends(f"need at least 2 backends, have {len(backends)}")
     data = cert if isinstance(cert, Certificate) else bytes(cert)
+    key = None
+    if memo is not None and not any(isinstance(b, ExternalBackend) for b in backends):
+        key = data.encoding[1] if isinstance(data, Certificate) else data
+        if key in memo:
+            return memo[key]
 
     lenient = any(b.profile.lenient_parse for b in backends if not isinstance(b, ExternalBackend))
     codes: list[int | None] = [None] * len(backends)
@@ -599,7 +615,10 @@ def verify_all(cert, backends, now: dt.datetime) -> VerdictVector:
             der = encode_der(data) if isinstance(data, Certificate) else data
             for i, code in zip(externals, pool.map(lambda i: external_verify(backends[i], der), externals)):
                 codes[i] = code
-    return VerdictVector(tuple(codes), tuple(b.id for b in backends))
+    verdicts = VerdictVector(tuple(codes), tuple(b.id for b in backends))
+    if key is not None:
+        memo[key] = verdicts
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

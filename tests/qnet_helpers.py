@@ -1,8 +1,11 @@
 """Q-network test helpers: `Transition` objects, stacking them into a
-`qnet.Batch`, and a `train_step` that takes its targets from
-`qnet.td_targets`, as tests written against single transitions need."""
+`qnet.Batch`, a `train_step` that takes its targets from
+`qnet.td_targets`, as tests written against single transitions need, and
+a per-draw splitmix64 `init` as the oracle of the vectorized one."""
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from diffcert import qnet
 from diffcert.features import FEATURE_LENGTH
@@ -41,3 +44,29 @@ def train_step(params, batch, config, params_target=None):
     ``params`` when there is no target network."""
     target = params if params_target is None else params_target
     return qnet.train_step(params, batch, qnet.td_targets(batch, target, config.gamma), config)
+
+
+_M64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int):
+    """The splitmix64 stream, one Python integer per draw."""
+    state = seed & _M64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _M64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        yield z ^ (z >> 31)
+
+
+def init_per_draw(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``w0``, ``w1`` and ``w2`` of `qnet.init`, drawn one weight at a time."""
+    stream = splitmix64(seed)
+
+    def uniform(rows: int, cols: int) -> np.ndarray:
+        bound = 1.0 / np.sqrt(rows)
+        values = [((next(stream) / 2.0**64) * 2.0 - 1.0) * bound for _ in range(rows * cols)]
+        return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+    return tuple(uniform(rows, cols) for rows, cols in zip(qnet.LAYER_DIMS[:-1], qnet.LAYER_DIMS[1:]))

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py on synthetic run JSONs: side by commit prefix,
-pair wins (ties are nobody's), quartiles and the digest check."""
+pair wins (ties are nobody's), quartiles, the digest check and the
+traced block."""
 
 import importlib.util
 import json
@@ -85,10 +86,34 @@ def test_digest_mismatch_in_one_pair(tmp_path):
     assert summarize(tmp_path, runs)["summary"]["train"]["digests_match"] is False
 
 
-def test_traced_run_refused(tmp_path):
-    path = write_run(tmp_path, PARENT, 1, 400.0)
-    doc = json.loads(path.read_text())
-    doc["trace"] = 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit):
-        summarize(tmp_path, [path])
+def test_traced_runs_collected_apart(tmp_path):
+    # a traced run adds no end-to-end figure; it lands in the traced block
+    # with the per-layer metrics, by workload and side, in run order
+    layers = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["per_layer"]
+    traced = []
+    for commit, calls in ((PARENT, 13802), (CHANGE, 13801)):
+        path = write_run(tmp_path, commit, 1, 0.0)
+        doc = json.loads(path.read_text())
+        doc["trace"] = 1
+        doc["metrics"] = {metric["name"]: {"value": 0.5, "unit": metric["unit"]} for metric in layers}
+        doc["metrics"]["verdicts.verify_all.calls"]["value"] = calls
+        path = path.with_name(f"traced-{path.name}")
+        path.write_text(json.dumps(doc))
+        traced.append(path)
+    runs = [write_run(tmp_path, PARENT, 1, 400.0), write_run(tmp_path, CHANGE, 1, 300.0)]
+    doc = summarize(tmp_path, [runs[0], traced[0], traced[1], runs[1]])
+    assert [run["order"] for run in doc["runs"]] == [1, 4]
+    entry = doc["summary"]["train"]
+    assert entry["pairs"] == 1 and entry["campaign_ref"]["parent"]["n"] == 1
+    block = doc["traced"]["train"]
+    assert [run["order"] for run in block["parent"]] == [2]
+    assert [run["order"] for run in block["change"]] == [3]
+    change = block["change"][0]
+    assert change["verdicts.verify_all.calls"] == 13801 and change["trace.overhead"] == 0.5
+    assert set(change) >= {metric["name"] for metric in layers} | {"seed", "digest", "failed"}
+    assert "campaign_ref" not in change
+
+
+def test_untraced_only_has_no_traced_block(tmp_path):
+    runs = [write_run(tmp_path, PARENT, 1, 400.0), write_run(tmp_path, CHANGE, 1, 300.0)]
+    assert "traced" not in summarize(tmp_path, runs)

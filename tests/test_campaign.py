@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from diffcert import qnet
 from diffcert.qnet import TrainConfig
 from diffcert.verdicts import (
     STRICT_PROFILE,
+    ExternalBackend,
     InsufficientBackends,
+    PatternRule,
     TrustStore,
     bind_backends,
     default_backend_specs,
@@ -384,6 +387,55 @@ def test_each_mutant_encoded_once(monkeypatch):
     before = len(encoded)
     assert all(encode_der(mutant) for mutant in applied)
     assert len(encoded) == before
+
+
+def test_verdict_memo_changes_nothing(monkeypatch):
+    # one memo per training run, shared by the loop and its greedy probes:
+    # records, statistics and parameters equal those of a run that judges
+    # every input afresh, and the memo holds fewer verdicts than were asked
+    corpus = generate_corpus(24, 1)
+    config = CampaignConfig(
+        backends=tuple(default_backends(corpus.trust)),
+        max_episode=2,
+        rng_seed=11,
+        epsilon=campaign_mod.EpsilonSchedule.annealed(),
+        train=TrainConfig(use_target_network=True),
+    )
+    real, calls = campaign_mod.verify_all, []
+
+    def recording(cert, backends, now, memo=None):
+        calls.append(memo)
+        return real(cert, backends, now, memo)
+
+    probes = []
+    run_inference = campaign_mod.run_inference
+    monkeypatch.setattr(campaign_mod, "run_inference", lambda *a, **k: probes.append(k["memo"]) or run_inference(*a, **k))
+    monkeypatch.setattr(campaign_mod, "verify_all", recording)
+    memoized = run_training(corpus, config)
+    memo = calls[0]
+    assert len(probes) == 2 and all(shared is memo for shared in calls + probes)
+    assert 0 < len(memo) < len(calls)
+
+    monkeypatch.setattr(campaign_mod, "verify_all", lambda cert, backends, now, memo=None: real(cert, backends, now))
+    fresh = run_training(corpus, config)
+    assert memoized[1] == fresh[1] and memoized[2] == fresh[2]
+    assert [a.tobytes() for a in memoized[0].arrays()] == [a.tobytes() for a in fresh[0].arrays()]
+
+
+def test_campaign_with_external_backend_leaves_memo_empty(tmp_path, monkeypatch):
+    # a panel holding an external verifier never reads or fills the memo:
+    # the stub is asked once per verify_all call
+    corpus = generate_corpus(1, rng_seed=3)
+    log = tmp_path / "calls"
+    script = "import sys; open(sys.argv[1], 'a').write('x')"
+    patterns = (PatternRule(code=1, exit_status=0), PatternRule(code=-15))
+    stub = ExternalBackend("stub", (sys.executable, "-c", script, str(log)), patterns)
+    config = CampaignConfig(backends=(*default_backends(corpus.trust)[:1], stub), max_modification=1, rng_seed=5)
+    real, calls, memo = campaign_mod.verify_all, [], {}
+    monkeypatch.setattr(campaign_mod, "verify_all", lambda *args: calls.append(args) or real(*args))
+    _, stats = run_inference(corpus, qnet.init(0), config, memo=memo)
+    assert stats.seeds_processed == 1 and len(calls) >= 2
+    assert memo == {} and log.read_text() == "x" * len(calls)
 
 
 # SHA-256 over the records read back from the database -- (seed id,

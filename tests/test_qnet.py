@@ -29,7 +29,7 @@ from diffcert.qnet import (
     select_action,
     td_targets,
 )
-from qnet_helpers import Transition, as_batch, train_step
+from qnet_helpers import Transition, as_batch, init_per_draw, splitmix64, train_step
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "forward_golden.json").read_text())
 
@@ -61,6 +61,19 @@ def test_init_deterministic():
     assert all((x == y).all() for x, y in zip(a.arrays(), b.arrays()))
     c = init(8)
     assert any((x != y).any() for x, y in zip(a.arrays(), c.arrays()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 12345, -1, 2**63, 2**64 - 1])
+def test_init_equals_per_draw_stream(seed):
+    # the vectorized stream gives the per-draw generator's weights, byte
+    # for byte, negative and full-width seeds included
+    params = init(seed)
+    assert [w.tobytes() for w in (params.w0, params.w1, params.w2)] == [w.tobytes() for w in init_per_draw(seed)]
+
+
+def test_splitmix64_known_output():
+    assert next(splitmix64(0)) == 0xE220A8397B1DCDAF
+    assert int(qnet._splitmix64(0, 1)[0]) == 0xE220A8397B1DCDAF
 
 
 def test_init_shapes_and_zero_biases():

@@ -210,6 +210,40 @@ def test_no_expiry_date_is_judged(env):
         assert verify_all(mutant, backends, NOW).codes == verify_all(encode_der(mutant), backends, NOW).codes
 
 
+def _outside_validity_per_datetimes(profile, not_before, not_after, now):
+    """The validity check as datetime sums: is either bound (whole
+    seconds) outside what ``profile``'s clock accepts at ``now``?"""
+    linger = profile.time_linger_seconds
+    local_now = now + datetime.timedelta(seconds=profile.local_time_offset_seconds)
+    return not_before > int((local_now + datetime.timedelta(seconds=linger)).timestamp()) or (
+        int(local_now.timestamp()) > not_after + linger
+    )
+
+
+@pytest.mark.parametrize("now", [NOW, datetime.datetime(2031, 7, 15, 12, 34, 56, tzinfo=asn1.UTC)])
+def test_validity_window_matches_datetime_sums(now):
+    # judge compares the bounds with thresholds computed once per clock
+    # setting; they must reject exactly what the datetime sums reject, at
+    # one second either side of each threshold and at the no-expiry date
+    def at(seconds):
+        return TimeValue(datetime.datetime.fromtimestamp(seconds, asn1.UTC), asn1.GENERALIZED_TIME)
+
+    no_expiry = int(datetime.datetime(9999, 12, 31, 23, 59, 59, tzinfo=asn1.UTC).timestamp())
+    seen = set()
+    for profile in (STRICT_PROFILE, *SHIPPED_PROFILES.values()):
+        local_now = now + datetime.timedelta(seconds=profile.local_time_offset_seconds)
+        latest_start = int(local_now.timestamp()) + profile.time_linger_seconds
+        earliest_end = int(local_now.timestamp()) - profile.time_linger_seconds
+        for not_before in (latest_start - ONE_YEAR, latest_start - 1, latest_start, latest_start + 1):
+            for not_after in (earliest_end - 1, earliest_end, earliest_end + 1, no_expiry):
+                cert = dataclasses.replace(issued(), not_before=at(not_before), not_after=at(not_after))
+                expected = _outside_validity_per_datetimes(profile, not_before, not_after, now)
+                code = verdicts.judge(profile, verdicts.InputFacts(cert, strict_ok=True), now)
+                assert code == (-2 if expected else 1), (profile, not_before, not_after)
+                seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_version_flaw_switches(env):
     _, store = env
     v2 = actions.apply(issued(), 1)  # v2 with v3 extensions, anchored? no: issued -> stale sig
@@ -477,6 +511,24 @@ def test_verify_all_mixed_simulated_external(env, tmp_path):
     v = verify_all(cert, backends, NOW)
     assert len(v.codes) == 7
     assert v.codes[-1] == 1
+
+
+def test_external_panel_skips_the_memo(env, tmp_path):
+    # an external verifier may answer otherwise when asked again, so a
+    # panel holding one is asked every time and the memo stays empty
+    cert, store = env
+    log = tmp_path / "calls"
+    script = "import sys; open(sys.argv[1], 'a').write('x')"
+    stub = ExternalBackend("stub", (sys.executable, "-c", script, str(log)), (PatternRule(code=1, exit_status=0), CATCH_ALL))
+    backends = default_backends(store)[:1] + [stub]
+    memo = {}
+    first = verify_all(cert, backends, NOW, memo)
+    assert verify_all(cert, backends, NOW, memo) == first
+    assert memo == {} and log.read_text() == "xx"
+    simulated = default_backends(store)
+    verdicts = verify_all(cert, simulated, NOW, memo)
+    assert memo == {encode_der(cert): verdicts}
+    assert verify_all(encode_der(cert), simulated, NOW, memo) is verdicts
 
 
 def test_verify_all_multiple_externals_keep_configured_order(env):
