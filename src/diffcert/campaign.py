@@ -23,7 +23,7 @@ from .certs import REFERENCE_TIME, MalformedDer, UnsupportedStructure, encode_de
 from .corpus import DiscrepancyDb, DiscrepancyRecord, SeedCorpus
 from .features import LabelRegistry, default_registry, extract
 from .qnet import QParams, ReplayBuffer, TrainConfig
-from .verdicts import InsufficientBackends, VerdictVector, is_discrepancy, reward_delta, reward_primary, verdict_categories, verify_all
+from .verdicts import Panel, VerdictVector, is_discrepancy, reward_delta, reward_primary, verdict_categories, verify_all
 
 log = logging.getLogger(__name__)
 
@@ -171,12 +171,12 @@ def _run_loop(
     config: CampaignConfig,
     choose,
     learner: _Learner | None,
+    panel: Panel | None = None,
     on_episode_end=None,
-    memo: dict | None = None,
 ) -> tuple[list[DiscrepancyRecord], CampaignStats]:
-    if len(config.backends) < 2:
-        raise InsufficientBackends(f"need at least 2 backends, have {len(config.backends)}")
-    memo = {} if memo is None else memo  # DER -> verdicts, see `verify_all`
+    if panel is None:
+        with Panel(config.backends, config.reference_time) as panel:
+            return _run_loop(corpus, config, choose, learner, panel, on_episode_end)
     rng = random.Random(config.rng_seed ^ 0x5EED)
     now = config.reference_time
     registry = config.registry
@@ -216,7 +216,7 @@ def _run_loop(
             stats.seeds_processed += 1
             episode.corpus_size += 1
 
-            verdicts = verify_all(seed, config.backends, now, memo)
+            verdicts = verify_all(seed, panel)
             if is_discrepancy(verdicts):
                 book(entry.seed_id, (), entry.der, verdicts, episode)
                 continue
@@ -228,7 +228,7 @@ def _run_loop(
                 action = choose(state)
                 mutant = apply(current, action, now=now)
                 mutant_der = encode_der(mutant)
-                verdicts = verify_all(mutant, config.backends, now, memo)
+                verdicts = verify_all(mutant, panel)
                 reward, stop = _seed_stop(config, verdicts, previous)
                 exhausted = step == config.max_modification
                 terminal = stop or exhausted
@@ -257,47 +257,44 @@ def _run_loop(
     return records, stats
 
 
-def _greedy_probe_yield(corpus: SeedCorpus, config: CampaignConfig, params: QParams, memo: dict) -> float:
-    """Greedy yield on the corpus's first 100 seeds."""
-    probe = SeedCorpus(corpus.entries[:100], trust=corpus.trust)
-    _, stats = run_inference(probe, params, replace(config, max_episode=1, db_path=None), memo=memo)
-    return stats.yield_ratio
-
-
 def run_training(corpus: SeedCorpus, config: CampaignConfig) -> tuple[QParams, list[DiscrepancyRecord], CampaignStats]:
     """Train while fuzzing; returns the parameters, collected discrepancy
     records and campaign statistics.
 
     Value iteration with a function approximator does not improve
-    monotonically, so each end-of-episode snapshot is scored with a
-    greedy probe and the best-scoring one is returned.  The probes revisit
-    the loop's seeds under the same panel and clock, so all share one memo.
+    monotonically, so each end-of-episode snapshot is scored by its greedy
+    yield on the corpus's first 100 seeds and the best-scoring one is
+    returned.  The probes revisit the loop's seeds under the same backends
+    and clock, so all share one panel and its memo.
     """
     rng = random.Random(config.rng_seed)
     learner = _Learner(config, rng)
     snapshots: list[tuple[float, int, QParams]] = []
-    memo: dict = {}
+    probe_corpus = SeedCorpus(corpus.entries[:100], trust=corpus.trust)
+    probe_config = replace(config, max_episode=1, db_path=None)
 
     def on_episode_end(episode_index: int) -> None:
-        probe = _greedy_probe_yield(corpus, config, learner.params, memo)
+        probe = run_inference(probe_corpus, learner.params, probe_config, panel=panel)[1].yield_ratio
         log.info("episode %d greedy probe yield %.1f%%", episode_index + 1, 100.0 * probe)
         snapshots.append((probe, -episode_index, learner.params))
 
-    records, stats = _run_loop(corpus, config, learner.select, learner, on_episode_end=on_episode_end, memo=memo)
+    with Panel(config.backends, config.reference_time) as panel:
+        records, stats = _run_loop(corpus, config, learner.select, learner, panel, on_episode_end)
     params = max(snapshots)[2] if snapshots else learner.params
     return params, records, stats
 
 
 def run_inference(
-    corpus: SeedCorpus, params: QParams, config: CampaignConfig, memo: dict | None = None
+    corpus: SeedCorpus, params: QParams, config: CampaignConfig, panel: Panel | None = None
 ) -> tuple[list[DiscrepancyRecord], CampaignStats]:
     """Greedy fuzzing with frozen parameters (epsilon = 0, no updates);
-    ``memo`` is a verdict memo for ``config``'s panel and clock."""
+    ``panel`` is an open panel of ``config``'s backends and clock to
+    share, or None to open one for this run."""
 
     def choose(state) -> int:
         return int(qnet.select_action(qnet.forward(params, state), 0.0, _NO_RNG))
 
-    return _run_loop(corpus, config, choose, None, memo=memo)
+    return _run_loop(corpus, config, choose, None, panel)
 
 
 def run_baseline(corpus: SeedCorpus, config: CampaignConfig) -> CampaignStats:

@@ -143,11 +143,6 @@ def _sign(difference: int) -> int:
     return (difference > 0) - (difference < 0)
 
 
-def compare_time(t: dt.datetime, now: dt.datetime) -> int:
-    """-1/0/+1 comparison at one-second granularity."""
-    return _sign(int(t.timestamp()) - int(now.timestamp()))
-
-
 def _serial_class(serial: int, serial_raw: bytes) -> int:
     if serial == 0:
         return SERIAL_ZERO

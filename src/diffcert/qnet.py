@@ -196,21 +196,12 @@ def max_next_q(params: QParams, next_states: np.ndarray) -> np.ndarray:
     return _forward_batch(params, next_states[:, None, :])[-1].max(axis=-1)[:, 0]
 
 
-def td_targets(batch: Batch, params_target: QParams, gamma: float) -> np.ndarray:
-    """Bellman targets: reward, plus discounted max next-Q when non-terminal."""
-    targets = batch.rewards.copy()
-    live = ~batch.terminal
-    if live.any():
-        targets[live] += gamma * max_next_q(params_target, batch.next_states[live])
-    return targets
-
-
 # ---------------------------------------------------------------------------
 # Training
 
 def train_step(params: QParams, batch: Batch, targets: np.ndarray, config: TrainConfig) -> tuple[QParams, float]:
     """One SGD step on the mean squared error against ``targets``, the
-    batch's Bellman targets (`td_targets`, or `ReplayBuffer.targets`).
+    batch's Bellman targets (`ReplayBuffer.targets`).
 
     The predicted value is Q(state, taken action).  Only ``batch.states``
     and ``batch.actions`` are read. Returns fresh parameters and the
@@ -321,7 +312,7 @@ class ReplayBuffer:
         return Batch(*(column[rows] for column in self.store))
 
     def targets(self, indices, params_target: QParams, version: int, gamma: float) -> np.ndarray:
-        """`td_targets` of the transitions at ``indices``, bit for bit.
+        """Bellman targets (reward, plus discounted max next-Q) of the transitions at ``indices``.
 
         ``version`` names ``params_target``: equal versions must mean
         equal parameters. Live rows cached under another version are

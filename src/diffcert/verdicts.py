@@ -15,7 +15,6 @@ from __future__ import annotations
 import base64
 import concurrent.futures
 import datetime as dt
-import functools
 import json
 import logging
 import os
@@ -404,19 +403,19 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
     return InputFacts(cert, cert.strict_der, name_failures, tuple(ext_codes), malformed_known, legacy_issuer, trust_code)
 
 
-@functools.lru_cache(maxsize=64)
-def _validity_window(offset: int, linger: int, now: dt.datetime) -> tuple[int, int]:
+def validity_window(profile: FlawProfile, now: dt.datetime) -> tuple[int, int]:
     """The latest notBefore and the earliest notAfter, in whole seconds,
-    that a clock ``offset`` seconds off ``now`` accepts with ``linger``
-    seconds of slack.  Whole seconds, because a bound plus the linger may
-    lie past year 9999."""
-    local_now = now + dt.timedelta(seconds=offset)
+    that ``profile``'s clock accepts at ``now``: offset by its local-time
+    setting, with its linger as slack.  Whole seconds, because a bound
+    plus the linger may lie past year 9999."""
+    local_now = now + dt.timedelta(seconds=profile.local_time_offset_seconds)
+    linger = profile.time_linger_seconds
     return int((local_now + dt.timedelta(seconds=linger)).timestamp()), int(local_now.timestamp()) - linger
 
 
-def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
-    """One profile's verdict: waive what its switches accept, then report
-    the first failure met or the most severe one."""
+def judge(profile: FlawProfile, facts: InputFacts, window: tuple[int, int]) -> int:
+    """One profile's verdict within its `validity_window`: waive what its
+    switches accept, then report the first failure met or the most severe one."""
     cert = facts.cert
     if cert is None or not (facts.strict_ok or profile.lenient_parse):
         return profile.parse_error_code
@@ -440,7 +439,7 @@ def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
     if not profile.accept_weak_sig_alg and cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS:
         failures.append(ALGORITHM_ERROR)
 
-    latest_start, earliest_end = _validity_window(profile.local_time_offset_seconds, profile.time_linger_seconds, now)
+    latest_start, earliest_end = window
     if cert.not_before.seconds > latest_start or cert.not_after.seconds < earliest_end:
         failures.append(VALIDITY_PERIOD_ERROR)
 
@@ -461,12 +460,6 @@ def judge(profile: FlawProfile, facts: InputFacts, now: dt.datetime) -> int:
     if profile.first_error_only:
         return failures[0]
     return min(failures, key=_SEVERITY_RANK.__getitem__)
-
-
-def simulate_verify(profile: FlawProfile, cert, trust: TrustStore, now: dt.datetime) -> int:
-    """Verdict of one simulated backend; total, never raises on cert content."""
-    data = cert if isinstance(cert, Certificate) else bytes(cert)
-    return judge(profile, derive_facts(data, trust, profile.lenient_parse), now)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +538,7 @@ def external_verify(backend: ExternalBackend, cert_bytes: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Simulated backends and the panel runner
+# Simulated backends and the panel
 
 @dataclass(frozen=True)
 class SimulatedBackend:
@@ -556,8 +549,8 @@ class SimulatedBackend:
     profile: FlawProfile
     trust: TrustStore | None = None
 
-    def verify_prepared(self, facts: InputFacts, now: dt.datetime) -> int:
-        return judge(self.profile, facts, now)
+    def verify_prepared(self, facts: InputFacts, window: tuple[int, int]) -> int:
+        return judge(self.profile, facts, window)
 
 
 def bind_backends(backends, trust: TrustStore) -> list:
@@ -574,49 +567,72 @@ def bind_backends(backends, trust: TrustStore) -> list:
     return bound
 
 
-def default_backends(trust: TrustStore) -> list[SimulatedBackend]:
-    return bind_backends(default_backend_specs(), trust)
+class Panel:
+    """The bound backends of one campaign under one clock, with what every
+    verdict shares fixed once: ids, trust store, lenient flag, validity
+    windows.  ``memo`` maps a DER to its verdicts; a panel with an external
+    backend, which may answer otherwise when asked again, has none.
+    Externals share one executor, shut down by `close` or leaving ``with``."""
+
+    def __init__(self, backends, now: dt.datetime):
+        self.backends = tuple(backends)
+        if len(self.backends) < 2:
+            raise InsufficientBackends(f"need at least 2 backends, have {len(self.backends)}")
+        self.now = now
+        self.ids = tuple(backend.id for backend in self.backends)
+        self.externals = tuple((i, b) for i, b in enumerate(self.backends) if isinstance(b, ExternalBackend))
+        self.simulated = tuple(
+            (i, b, validity_window(b.profile, now)) for i, b in enumerate(self.backends) if not isinstance(b, ExternalBackend)
+        )
+        self.trust = self.simulated[0][1].trust if self.simulated else None
+        for _, backend, _ in self.simulated:
+            if backend.trust is None:
+                raise ValueError(f"backend {backend.id!r} is not bound to a trust store; see bind_backends")
+            if backend.trust is not self.trust:
+                raise ValueError(f"backend {backend.id!r} is bound to another trust store than {self.ids[self.simulated[0][0]]!r}")
+        self.lenient = any(backend.profile.lenient_parse for _, backend, _ in self.simulated)
+        self.memo: dict | None = None if self.externals else {}
+        self.pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(self.externals))) if self.externals else None
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def __enter__(self) -> "Panel":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def verify_all(cert, backends, now: dt.datetime, memo: dict | None = None) -> VerdictVector:
-    """One verdict per backend, in configuration order.
+def verify_all(cert, panel, now: dt.datetime | None = None) -> VerdictVector:
+    """One verdict per backend of ``panel``, in configuration order.
 
     Simulated backends judge a `Certificate` from its fields and parse
     bytes; external backends are given the encoding and run concurrently.
-    The result order never depends on completion order.
-
-    ``memo`` maps a DER to its verdicts under this panel and clock, all a
-    simulated verdict depends on.  A panel with an external backend skips
-    it: an external verifier may answer otherwise when asked again.
+    Given bound backends and the clock ``now``, a one-shot panel judges.
     """
-    if len(backends) < 2:
-        raise InsufficientBackends(f"need at least 2 backends, have {len(backends)}")
+    if not isinstance(panel, Panel):
+        with Panel(panel, now) as one_shot:
+            return verify_all(cert, one_shot)
     data = cert if isinstance(cert, Certificate) else bytes(cert)
-    key = None
-    if memo is not None and not any(isinstance(b, ExternalBackend) for b in backends):
+    memo = panel.memo
+    if memo is not None:
         key = data.encoding[1] if isinstance(data, Certificate) else data
         if key in memo:
             return memo[key]
 
-    lenient = any(b.profile.lenient_parse for b in backends if not isinstance(b, ExternalBackend))
-    codes: list[int | None] = [None] * len(backends)
-    facts_by_store: dict[TrustStore, InputFacts] = {}
-    externals = []
-    for i, backend in enumerate(backends):
-        if isinstance(backend, ExternalBackend):
-            externals.append(i)
-            continue
-        facts = facts_by_store.get(backend.trust)
-        if facts is None:
-            facts = facts_by_store[backend.trust] = derive_facts(data, backend.trust, lenient)
-        codes[i] = backend.verify_prepared(facts, now)
-    if externals:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(externals))) as pool:
-            der = encode_der(data) if isinstance(data, Certificate) else data
-            for i, code in zip(externals, pool.map(lambda i: external_verify(backends[i], der), externals)):
-                codes[i] = code
-    verdicts = VerdictVector(tuple(codes), tuple(b.id for b in backends))
-    if key is not None:
+    codes: list[int | None] = [None] * len(panel.backends)
+    if panel.simulated:
+        facts = derive_facts(data, panel.trust, panel.lenient)
+        for i, backend, window in panel.simulated:
+            codes[i] = backend.verify_prepared(facts, window)
+    if panel.externals:
+        der = encode_der(data) if isinstance(data, Certificate) else data
+        for (i, _), code in zip(panel.externals, panel.pool.map(lambda external: external_verify(external[1], der), panel.externals)):
+            codes[i] = code
+    verdicts = VerdictVector(tuple(codes), panel.ids)
+    if memo is not None:
         memo[key] = verdicts
     return verdicts
 

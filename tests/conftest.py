@@ -4,7 +4,9 @@ import pytest
 
 from diffcert import certs, features, verdicts
 from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params
-from diffcert.verdicts import TrustAnchor, TrustStore, default_backends
+from diffcert.verdicts import TrustAnchor, TrustStore
+
+from verdict_helpers import default_backends
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Q-network test helpers: `Transition` objects, stacking them into a
-`qnet.Batch`, a `train_step` that takes its targets from
-`qnet.td_targets`, as tests written against single transitions need, and
-a per-draw splitmix64 `init` as the oracle of the vectorized one."""
+`qnet.Batch`, `td_targets` recomputed for every batch as the oracle of
+the replay ring's cached targets, a `train_step` that takes its targets
+from it, as tests written against single transitions need, and a
+per-draw splitmix64 `init` as the oracle of the vectorized one."""
 
 from dataclasses import dataclass
 
@@ -39,11 +40,20 @@ def as_batch(transitions) -> qnet.Batch:
     return ring.batch(range(len(transitions)))
 
 
+def td_targets(batch: qnet.Batch, params_target: qnet.QParams, gamma: float) -> np.ndarray:
+    """Bellman targets: reward, plus discounted max next-Q when non-terminal."""
+    targets = batch.rewards.copy()
+    live = ~batch.terminal
+    if live.any():
+        targets[live] += gamma * qnet.max_next_q(params_target, batch.next_states[live])
+    return targets
+
+
 def train_step(params, batch, config, params_target=None):
     """`qnet.train_step` on the `td_targets` of ``params_target``, or of
     ``params`` when there is no target network."""
     target = params if params_target is None else params_target
-    return qnet.train_step(params, batch, qnet.td_targets(batch, target, config.gamma), config)
+    return qnet.train_step(params, batch, td_targets(batch, target, config.gamma), config)
 
 
 _M64 = (1 << 64) - 1

@@ -17,9 +17,10 @@ from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, enco
 from diffcert.corpus import generate_corpus, replay_record
 from diffcert.features import FEATURE_LENGTH, default_registry, extract
 from diffcert.qnet import TrainConfig
-from diffcert.verdicts import default_backends, is_discrepancy, reward_primary, verify_all
+from diffcert.verdicts import is_discrepancy, reward_primary, verify_all
 
 from qnet_helpers import Transition, as_batch, train_step
+from verdict_helpers import default_backends, simulate_verify
 from test_features import GOLDEN_VECTOR
 from test_qnet import finite_difference_check
 from test_verdicts import taxonomy_fixtures
@@ -152,7 +153,7 @@ def test_criterion_06_taxonomy_conformance():
     cases = taxonomy_fixtures()
     mismatches = []
     for expected, cert, store in cases:
-        got = verdicts.simulate_verify(verdicts.STRICT_PROFILE, cert, store, REFERENCE_TIME)
+        got = simulate_verify(verdicts.STRICT_PROFILE, cert, store, REFERENCE_TIME)
         if got != expected:
             mismatches.append((expected, got))
     reachable = sorted({expected for expected, _, _ in cases})

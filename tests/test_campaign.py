@@ -2,6 +2,7 @@
 one action triggers a discrepancy, plus budget, determinism and the
 closed-form baseline yield."""
 
+import concurrent.futures
 import hashlib
 import math
 import random
@@ -26,10 +27,12 @@ from diffcert.verdicts import (
     TrustStore,
     bind_backends,
     default_backend_specs,
-    default_backends,
     is_discrepancy,
     verify_all,
 )
+
+from qnet_helpers import td_targets
+from verdict_helpers import default_backends
 
 WINNING_ACTION = 3  # set version to 4
 
@@ -44,7 +47,7 @@ class RiggedBackend:
         self.id = backend_id
         self.accepts_v4 = accepts_v4
 
-    def verify_prepared(self, facts, now):
+    def verify_prepared(self, facts, window):
         cert = facts.cert
         if cert is None:
             return -3
@@ -126,7 +129,7 @@ def test_discrepant_seed_short_circuits():
     # a corpus whose every seed is already discrepancy-triggering: no
     # mutation happens, yield is 1.0
     class AlwaysSplit(RiggedBackend):
-        def verify_prepared(self, facts, now):
+        def verify_prepared(self, facts, window):
             return 1 if self.accepts_v4 else -2
 
     backends = (AlwaysSplit("yes", True), AlwaysSplit("no", False))
@@ -239,7 +242,7 @@ def test_delta_scheme_saturation_stop():
     # two backends that always disagree on rejection reason: every mutant
     # saturates the category count, so each seed stops after one action
     class AlwaysTwoCodes(RiggedBackend):
-        def verify_prepared(self, facts, now):
+        def verify_prepared(self, facts, window):
             cert = facts.cert
             if cert is None:
                 return -3
@@ -260,7 +263,7 @@ def test_delta_scheme_ignores_connection_errors():
     # neither earns a delta reward nor saturates the pair, so every seed
     # runs its full mutation budget
     class TimesOut(RiggedBackend):
-        def verify_prepared(self, facts, now):
+        def verify_prepared(self, facts, window):
             return 1 if self.accepts_v4 else -13
 
     backends = (TimesOut("a", True), TimesOut("b", False))
@@ -303,7 +306,7 @@ def test_delta_reward_scheme_stops_on_category_growth():
     # under the delta scheme a category-count increase ends the seed's
     # loop even without an acceptance present
     class TwoCodes(RiggedBackend):
-        def verify_prepared(self, facts, now):
+        def verify_prepared(self, facts, window):
             cert = facts.cert
             if cert is None:
                 return -3
@@ -390,9 +393,10 @@ def test_each_mutant_encoded_once(monkeypatch):
 
 
 def test_verdict_memo_changes_nothing(monkeypatch):
-    # one memo per training run, shared by the loop and its greedy probes:
+    # one panel per training run, shared by the loop and its greedy probes:
     # records, statistics and parameters equal those of a run that judges
-    # every input afresh, and the memo holds fewer verdicts than were asked
+    # every input through a fresh one-shot panel, and the panel's memo
+    # holds fewer verdicts than were asked
     corpus = generate_corpus(24, 1)
     config = CampaignConfig(
         backends=tuple(default_backends(corpus.trust)),
@@ -403,39 +407,65 @@ def test_verdict_memo_changes_nothing(monkeypatch):
     )
     real, calls = campaign_mod.verify_all, []
 
-    def recording(cert, backends, now, memo=None):
-        calls.append(memo)
-        return real(cert, backends, now, memo)
+    def recording(cert, panel):
+        calls.append(panel)
+        return real(cert, panel)
 
     probes = []
     run_inference = campaign_mod.run_inference
-    monkeypatch.setattr(campaign_mod, "run_inference", lambda *a, **k: probes.append(k["memo"]) or run_inference(*a, **k))
+    monkeypatch.setattr(campaign_mod, "run_inference", lambda *a, **k: probes.append(k["panel"]) or run_inference(*a, **k))
     monkeypatch.setattr(campaign_mod, "verify_all", recording)
     memoized = run_training(corpus, config)
-    memo = calls[0]
-    assert len(probes) == 2 and all(shared is memo for shared in calls + probes)
-    assert 0 < len(memo) < len(calls)
+    panel = calls[0]
+    assert len(probes) == 2 and all(shared is panel for shared in calls + probes)
+    assert 0 < len(panel.memo) < len(calls)
 
-    monkeypatch.setattr(campaign_mod, "verify_all", lambda cert, backends, now, memo=None: real(cert, backends, now))
+    monkeypatch.setattr(campaign_mod, "verify_all", lambda cert, panel: real(cert, panel.backends, panel.now))
     fresh = run_training(corpus, config)
     assert memoized[1] == fresh[1] and memoized[2] == fresh[2]
     assert [a.tobytes() for a in memoized[0].arrays()] == [a.tobytes() for a in fresh[0].arrays()]
 
 
 def test_campaign_with_external_backend_leaves_memo_empty(tmp_path, monkeypatch):
-    # a panel holding an external verifier never reads or fills the memo:
-    # the stub is asked once per verify_all call
+    # a panel holding an external verifier has no memo: the stub is asked
+    # once per verify_all call
     corpus = generate_corpus(1, rng_seed=3)
     log = tmp_path / "calls"
     script = "import sys; open(sys.argv[1], 'a').write('x')"
     patterns = (PatternRule(code=1, exit_status=0), PatternRule(code=-15))
     stub = ExternalBackend("stub", (sys.executable, "-c", script, str(log)), patterns)
     config = CampaignConfig(backends=(*default_backends(corpus.trust)[:1], stub), max_modification=1, rng_seed=5)
-    real, calls, memo = campaign_mod.verify_all, [], {}
+    real, calls = campaign_mod.verify_all, []
     monkeypatch.setattr(campaign_mod, "verify_all", lambda *args: calls.append(args) or real(*args))
-    _, stats = run_inference(corpus, qnet.init(0), config, memo=memo)
+    _, stats = run_inference(corpus, qnet.init(0), config)
     assert stats.seeds_processed == 1 and len(calls) >= 2
-    assert memo == {} and log.read_text() == "x" * len(calls)
+    assert all(panel.memo is None for _, panel in calls)
+    assert log.read_text() == "x" * len(calls)
+
+
+def test_external_panel_makes_one_executor(monkeypatch):
+    # two external verifiers share one thread pool for the whole campaign,
+    # made on first use and shut down when the campaign returns
+    made = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shut = False
+            made.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.shut = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    patterns = (PatternRule(code=1, exit_status=0), PatternRule(code=-15))
+    stubs = tuple(ExternalBackend(name, (sys.executable, "-c", "pass", "{cert}"), patterns) for name in ("one", "two"))
+    real, calls = campaign_mod.verify_all, []
+    monkeypatch.setattr(campaign_mod, "verify_all", lambda *args: calls.append(args) or real(*args))
+    stats = run_baseline(small_corpus(1), CampaignConfig(backends=stubs, max_modification=2, rng_seed=5))
+    assert stats.seeds_processed == 1 and len(calls) == 4  # the seed and three mutants
+    assert len(made) == 1 and made[0].shut
 
 
 # SHA-256 over the records read back from the database -- (seed id,
@@ -532,7 +562,7 @@ def test_learner_targets_match_per_batch_reference(use_target_network, monkeypat
         indices = [len(ring) - 1] + (ring.sample(train.batch_size - 1, rng) if len(ring) >= train.batch_size else [])
         batch = ring.batch(indices)
         live_rows += int((~batch.terminal).sum())
-        targets = qnet.td_targets(batch, target if use_target_network else params, train.gamma)
+        targets = td_targets(batch, target if use_target_network else params, train.gamma)
         params, loss = qnet.train_step(params, batch, targets, train)
         expected_losses.append(loss)
         if use_target_network and update % train.target_sync_interval == 0:

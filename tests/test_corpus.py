@@ -73,7 +73,8 @@ def test_generate_corpus_covers_buckets():
 
 
 def test_generate_corpus_mixes_accepts_and_rejects():
-    from diffcert.verdicts import STRICT_PROFILE, simulate_verify
+    from diffcert.verdicts import STRICT_PROFILE
+    from verdict_helpers import simulate_verify
     from diffcert.certs import REFERENCE_TIME
 
     corpus = generate_corpus(60, rng_seed=1)

@@ -10,17 +10,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffcert import actions, asn1, features, verdicts, x509oids as oid
-from diffcert.certs import build_synthetic, default_params, encode_der
+from diffcert.certs import TimeValue, build_synthetic, default_params, encode_der
 from diffcert.features import (
     EXTENSION_BLOCK_START,
     FEATURE_LENGTH,
     TRACKED_EXTENSIONS,
     LabelRegistry,
     classify_extension_value,
-    compare_time,
     default_registry,
     extract,
 )
+
+from verdict_helpers import default_backends
 
 # Frozen once from the reference implementation below; the layout is a
 # repo constant and must never drift.
@@ -127,6 +128,13 @@ def test_untracked_extension_ignored(registry, now):
     assert extract(base, now, registry) == extract(with_private, now, registry)
 
 
+def compare_time(t: dt.datetime, now: dt.datetime) -> int:
+    """-1/0/+1 comparison at one-second granularity: the oracle of the
+    validity slots 3 and 4."""
+    difference = int(t.timestamp()) - int(now.timestamp())
+    return (difference > 0) - (difference < 0)
+
+
 def test_compare_time():
     t = dt.datetime(2024, 1, 1, tzinfo=dt.timezone.utc)
     later = dt.datetime(2099, 1, 1, tzinfo=dt.timezone.utc)
@@ -143,6 +151,12 @@ def test_compare_time_sign_property(a, b):
     tb = dt.datetime.fromtimestamp(b, tz=dt.timezone.utc)
     expected = 0 if a == b else (-1 if a < b else 1)
     assert compare_time(ta, tb) == expected
+    bounds = dataclasses.replace(_TIMED, not_before=TimeValue(ta, asn1.GENERALIZED_TIME), not_after=TimeValue(ta, asn1.GENERALIZED_TIME))
+    assert extract(bounds, tb, _TIMED_REGISTRY)[3:5] == (expected, expected)
+
+
+_TIMED = build_synthetic(default_params(), 7)
+_TIMED_REGISTRY = default_registry()
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +211,7 @@ def test_extension_facts_derived_once_per_instance(monkeypatch, registry, now):
     monkeypatch.setattr(asn1, "der_well_formed", counting("der_well_formed", asn1.der_well_formed))
 
     seed = build_synthetic(default_params(), 7)
-    backends = verdicts.default_backends(verdicts.TrustStore([verdicts.TrustAnchor(seed.issuer_der(), "acme-root")]))
+    backends = default_backends(verdicts.TrustStore([verdicts.TrustAnchor(seed.issuer_der(), "acme-root")]))
     visit = [seed]
     verdicts.verify_all(seed, backends, now)
     extract(seed, now, registry)

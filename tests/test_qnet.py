@@ -27,9 +27,8 @@ from diffcert.qnet import (
     forward,
     init,
     select_action,
-    td_targets,
 )
-from qnet_helpers import Transition, as_batch, init_per_draw, splitmix64, train_step
+from qnet_helpers import Transition, as_batch, init_per_draw, splitmix64, td_targets, train_step
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "forward_golden.json").read_text())
 

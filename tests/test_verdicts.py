@@ -40,16 +40,18 @@ from diffcert.verdicts import (
     SimulatedBackend,
     TrustAnchor,
     TrustStore,
+    Panel,
     VerdictVector,
-    default_backends,
+    default_backend_specs,
     external_verify,
     is_discrepancy,
     load_backend_specs,
     reward_delta,
     reward_primary,
-    simulate_verify,
     verify_all,
 )
+
+from verdict_helpers import default_backends, simulate_verify
 
 NOW = REFERENCE_TIME
 ONE_YEAR = 365 * 24 * 3600
@@ -238,7 +240,7 @@ def test_validity_window_matches_datetime_sums(now):
             for not_after in (earliest_end - 1, earliest_end, earliest_end + 1, no_expiry):
                 cert = dataclasses.replace(issued(), not_before=at(not_before), not_after=at(not_after))
                 expected = _outside_validity_per_datetimes(profile, not_before, not_after, now)
-                code = verdicts.judge(profile, verdicts.InputFacts(cert, strict_ok=True), now)
+                code = verdicts.judge(profile, verdicts.InputFacts(cert, strict_ok=True), verdicts.validity_window(profile, now))
                 assert code == (-2 if expected else 1), (profile, not_before, not_after)
                 seen.add(expected)
     assert seen == {True, False}
@@ -520,15 +522,33 @@ def test_external_panel_skips_the_memo(env, tmp_path):
     log = tmp_path / "calls"
     script = "import sys; open(sys.argv[1], 'a').write('x')"
     stub = ExternalBackend("stub", (sys.executable, "-c", script, str(log)), (PatternRule(code=1, exit_status=0), CATCH_ALL))
-    backends = default_backends(store)[:1] + [stub]
-    memo = {}
-    first = verify_all(cert, backends, NOW, memo)
-    assert verify_all(cert, backends, NOW, memo) == first
-    assert memo == {} and log.read_text() == "xx"
-    simulated = default_backends(store)
-    verdicts = verify_all(cert, simulated, NOW, memo)
-    assert memo == {encode_der(cert): verdicts}
-    assert verify_all(encode_der(cert), simulated, NOW, memo) is verdicts
+    with Panel(default_backends(store)[:1] + [stub], NOW) as panel:
+        first = verify_all(cert, panel)
+        assert verify_all(cert, panel) == first
+    assert panel.memo is None and log.read_text() == "xx"
+    with Panel(default_backends(store), NOW) as simulated:
+        verdicts = verify_all(cert, simulated)
+        assert simulated.memo == {encode_der(cert): verdicts}
+        assert verify_all(encode_der(cert), simulated) is verdicts
+
+
+def test_panel_rejects_unbound_backends(env):
+    # an unbound simulated backend has no store to judge trust against:
+    # the panel names it instead of failing inside the facts pass
+    cert, _ = env
+    with pytest.raises(ValueError, match="'gnutls-like' is not bound"):
+        verify_all(encode_der(cert), default_backend_specs(), NOW)
+    with pytest.raises(ValueError, match="'gnutls-like' is not bound"):
+        Panel(default_backend_specs(), NOW)
+
+
+def test_panel_rejects_mixed_trust_stores(env):
+    # one panel judges every input against one store
+    cert, store = env
+    first, second = default_backend_specs()[:2]
+    backends = verdicts.bind_backends([first], store) + verdicts.bind_backends([second], TrustStore())
+    with pytest.raises(ValueError, match="'matrixssl-like' is bound to another trust store than 'gnutls-like'"):
+        verify_all(cert, backends, NOW)
 
 
 def test_verify_all_multiple_externals_keep_configured_order(env):
