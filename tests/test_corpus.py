@@ -74,8 +74,8 @@ def test_generate_corpus_covers_buckets():
 
 def test_generate_corpus_mixes_accepts_and_rejects():
     from diffcert.verdicts import STRICT_PROFILE
-    from verdict_helpers import simulate_verify
     from diffcert.certs import REFERENCE_TIME
+    from verdict_helpers import simulate_verify
 
     corpus = generate_corpus(60, rng_seed=1)
     codes = {simulate_verify(STRICT_PROFILE, e.der, corpus.trust, REFERENCE_TIME) for e in corpus.entries}

@@ -145,18 +145,18 @@ def test_compare_time():
     assert compare_time(t, t + dt.timedelta(microseconds=400)) == 0
 
 
+_VALIDITY_PROBE = build_synthetic(default_params(), 7)
+
+
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=2**31))
 def test_compare_time_sign_property(a, b):
     ta = dt.datetime.fromtimestamp(a, tz=dt.timezone.utc)
     tb = dt.datetime.fromtimestamp(b, tz=dt.timezone.utc)
     expected = 0 if a == b else (-1 if a < b else 1)
     assert compare_time(ta, tb) == expected
-    bounds = dataclasses.replace(_TIMED, not_before=TimeValue(ta, asn1.GENERALIZED_TIME), not_after=TimeValue(ta, asn1.GENERALIZED_TIME))
-    assert extract(bounds, tb, _TIMED_REGISTRY)[3:5] == (expected, expected)
-
-
-_TIMED = build_synthetic(default_params(), 7)
-_TIMED_REGISTRY = default_registry()
+    bound = TimeValue(ta, asn1.GENERALIZED_TIME)
+    cert = dataclasses.replace(_VALIDITY_PROBE, not_before=bound, not_after=bound)
+    assert extract(cert, tb, default_registry())[3:5] == (expected, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,11 @@ from diffcert.verdicts import (
     ExternalBackend,
     FlawProfile,
     InsufficientBackends,
+    Panel,
     PatternRule,
     SimulatedBackend,
     TrustAnchor,
     TrustStore,
-    Panel,
     VerdictVector,
     default_backend_specs,
     external_verify,
