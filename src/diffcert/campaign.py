@@ -18,10 +18,10 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import qnet
-from .actions import CATALOG_SIZE, apply
+from .actions import CATALOG_SIZE, MAX_TRACE_LENGTH, apply
 from .certs import REFERENCE_TIME, MalformedDer, UnsupportedStructure, encode_der, parse_der
 from .corpus import DiscrepancyDb, DiscrepancyRecord, SeedCorpus
-from .features import LabelRegistry, default_registry, extract
+from .features import extract
 from .qnet import QParams, ReplayBuffer, TrainConfig
 from .verdicts import Panel, VerdictVector, is_discrepancy, reward_delta, reward_primary, verdict_categories, verify_all
 
@@ -65,12 +65,11 @@ class CampaignConfig:
     reference_time: dt.datetime = REFERENCE_TIME
     train: TrainConfig = field(default_factory=TrainConfig)
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
-    registry: LabelRegistry = field(default_factory=default_registry)
     db_path: str | None = None
 
     def __post_init__(self):
-        if self.max_modification < 0:
-            raise ValueError("max_modification must be >= 0")
+        if not 0 <= self.max_modification < MAX_TRACE_LENGTH:
+            raise ValueError(f"max_modification must lie in [0, {MAX_TRACE_LENGTH - 1}]")
         if self.reward_scheme not in (REWARD_PRIMARY, REWARD_DELTA):
             raise ValueError(f"unknown reward scheme {self.reward_scheme!r}")
 
@@ -179,7 +178,6 @@ def _run_loop(
             return _run_loop(corpus, config, choose, learner, panel, on_episode_end)
     rng = random.Random(config.rng_seed ^ 0x5EED)
     now = config.reference_time
-    registry = config.registry
     stats = CampaignStats()
     records: list[DiscrepancyRecord] = []
     db = DiscrepancyDb(config.db_path) if config.db_path else None
@@ -222,7 +220,7 @@ def _run_loop(
                 continue
 
             current, previous = seed, verdicts
-            state = extract(seed, now, registry)
+            state = extract(seed, now)
             trace: list[int] = []
             for step in range(config.max_modification + 1):
                 action = choose(state)
@@ -233,7 +231,7 @@ def _run_loop(
                 exhausted = step == config.max_modification
                 terminal = stop or exhausted
                 trace.append(action)
-                next_state = None if terminal else extract(mutant, now, registry)
+                next_state = None if terminal else extract(mutant, now)
                 if learner is not None:
                     learner.observe(state, action, reward, next_state)
                 if is_discrepancy(verdicts):

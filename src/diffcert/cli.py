@@ -121,10 +121,7 @@ def _load_backends(settings: dict, trust: TrustStore):
         specs = load_backend_specs(settings["backends"]) if settings["backends"] else default_backend_specs()
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"backends: {type(exc).__name__}: {exc}") from exc
-    bound = bind_backends(specs, trust)
-    if len(bound) < 2:
-        raise CliError(f"backends: only {len(bound)} available, need at least 2")
-    return tuple(bound)
+    return tuple(bind_backends(specs, trust))
 
 
 def _load_corpus(path: str, trust_flag: str | None) -> SeedCorpus:
@@ -200,7 +197,7 @@ def cmd_train(args, settings) -> int:
     config = _campaign_config(settings, corpus, out, reward=args.reward, training=True)
     params, records, stats = campaign_mod.run_training(corpus, config)
     checkpoint = out / "qnet.ckpt"
-    qnet.save(params, config.registry, checkpoint)
+    qnet.save(params, checkpoint)
     (out / "stats.json").write_text(_stats_json(stats))
     _print_stats(stats)
     print(f"checkpoint -> {checkpoint}")
@@ -211,14 +208,12 @@ def cmd_train(args, settings) -> int:
 def cmd_fuzz(args, settings) -> int:
     corpus = _load_corpus(args.corpus, args.trust)
     try:
-        params, registry = qnet.load(args.checkpoint)
+        params = qnet.load(args.checkpoint)
     except (OSError, qnet.CorruptCheckpoint) as exc:
         raise CliError(f"checkpoint: {exc}") from exc
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
-    config = dataclasses.replace(
-        _campaign_config(settings, corpus, out, db_name="fuzz.db"), registry=registry
-    )
+    config = _campaign_config(settings, corpus, out, db_name="fuzz.db")
     records, stats = campaign_mod.run_inference(corpus, params, config)
     (out / "fuzz-stats.json").write_text(_stats_json(stats))
     _print_stats(stats)

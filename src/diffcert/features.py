@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
-from dataclasses import dataclass, field
 
 from . import asn1, x509oids as oid
 from .certs import Certificate, Extension
@@ -24,51 +23,47 @@ SERIAL_ZERO = 1
 SERIAL_NEGATIVE = 2
 SERIAL_OVERLONG = 3
 
-# Extraction modes: mode 1 classifies the value, mode 2 only tracks
-# existence and criticality, untracked types are ignored outright.
-MODE_VALUE = 1
-MODE_EXISTS = 2
-
 # Order is load-bearing: it fixes each type's three slots.  The first
-# eleven entries are the mutation targets.
-TRACKED_EXTENSIONS: tuple[tuple[str, int], ...] = (
-    (oid.BASIC_CONSTRAINTS, MODE_VALUE),
-    (oid.KEY_USAGE, MODE_VALUE),
-    (oid.EXT_KEY_USAGE, MODE_VALUE),
-    (oid.SUBJECT_ALT_NAME, MODE_VALUE),
-    (oid.AUTHORITY_KEY_ID, MODE_EXISTS),
-    (oid.SUBJECT_KEY_ID, MODE_EXISTS),
-    (oid.CRL_DISTRIBUTION_POINTS, MODE_EXISTS),
-    (oid.CERTIFICATE_POLICIES, MODE_EXISTS),
-    (oid.AUTHORITY_INFO_ACCESS, MODE_EXISTS),
-    (oid.NAME_CONSTRAINTS, MODE_EXISTS),
-    (oid.SCT_LIST, MODE_EXISTS),
-    (oid.ISSUER_ALT_NAME, MODE_EXISTS),
-    (oid.POLICY_CONSTRAINTS, MODE_EXISTS),
-    (oid.POLICY_MAPPINGS, MODE_EXISTS),
-    (oid.SUBJECT_DIRECTORY_ATTRS, MODE_EXISTS),
-    (oid.INHIBIT_ANY_POLICY, MODE_EXISTS),
-    (oid.FRESHEST_CRL, MODE_EXISTS),
-    (oid.SUBJECT_INFO_ACCESS, MODE_EXISTS),
-    (oid.PRIVATE_KEY_USAGE_PERIOD, MODE_EXISTS),
-    (oid.NETSCAPE_CERT_TYPE, MODE_EXISTS),
-    (oid.NETSCAPE_COMMENT, MODE_EXISTS),
-    (oid.MS_APPLICATION_POLICIES, MODE_EXISTS),
-    (oid.MS_CERTIFICATE_TEMPLATE, MODE_EXISTS),
-    (oid.ENTRUST_VERSION_INFO, MODE_EXISTS),
-    (oid.OCSP_NO_CHECK, MODE_EXISTS),
-    (oid.TLS_FEATURE, MODE_EXISTS),
-    (oid.CT_PRECERT_POISON, MODE_EXISTS),
-    (oid.LOGOTYPE, MODE_EXISTS),
-    (oid.QC_STATEMENTS, MODE_EXISTS),
-    (oid.BIOMETRIC_INFO, MODE_EXISTS),
-    (oid.SMIME_CAPABILITIES, MODE_EXISTS),
+# eleven entries are the mutation targets.  Types with a classifier in
+# `_VALUE_CLASSIFIERS` get a value class; the rest only existence and
+# criticality.  Untracked types are ignored outright.
+TRACKED_EXTENSIONS: tuple[str, ...] = (
+    oid.BASIC_CONSTRAINTS,
+    oid.KEY_USAGE,
+    oid.EXT_KEY_USAGE,
+    oid.SUBJECT_ALT_NAME,
+    oid.AUTHORITY_KEY_ID,
+    oid.SUBJECT_KEY_ID,
+    oid.CRL_DISTRIBUTION_POINTS,
+    oid.CERTIFICATE_POLICIES,
+    oid.AUTHORITY_INFO_ACCESS,
+    oid.NAME_CONSTRAINTS,
+    oid.SCT_LIST,
+    oid.ISSUER_ALT_NAME,
+    oid.POLICY_CONSTRAINTS,
+    oid.POLICY_MAPPINGS,
+    oid.SUBJECT_DIRECTORY_ATTRS,
+    oid.INHIBIT_ANY_POLICY,
+    oid.FRESHEST_CRL,
+    oid.SUBJECT_INFO_ACCESS,
+    oid.PRIVATE_KEY_USAGE_PERIOD,
+    oid.NETSCAPE_CERT_TYPE,
+    oid.NETSCAPE_COMMENT,
+    oid.MS_APPLICATION_POLICIES,
+    oid.MS_CERTIFICATE_TEMPLATE,
+    oid.ENTRUST_VERSION_INFO,
+    oid.OCSP_NO_CHECK,
+    oid.TLS_FEATURE,
+    oid.CT_PRECERT_POISON,
+    oid.LOGOTYPE,
+    oid.QC_STATEMENTS,
+    oid.BIOMETRIC_INFO,
+    oid.SMIME_CAPABILITIES,
 )
 
 assert EXTENSION_BLOCK_START + 3 * len(TRACKED_EXTENSIONS) == FEATURE_LENGTH
 
-_TRACKED_INDEX = {ext_oid: i for i, (ext_oid, _) in enumerate(TRACKED_EXTENSIONS)}
-_TRACKED_MODE = dict(TRACKED_EXTENSIONS)
+_TRACKED_INDEX = {ext_oid: i for i, ext_oid in enumerate(TRACKED_EXTENSIONS)}
 
 DEFAULT_COUNTRIES = (
     "US", "CN", "DE", "FR", "GB", "AU", "JP", "BR", "IN", "RU",
@@ -87,56 +82,21 @@ DEFAULT_SIG_ALGS = (
 )
 
 
-@dataclass(frozen=True)
-class LabelRegistry:
-    """Stable value-to-label maps, frozen before training and persisted with
-    the model.  Label 0 is reserved for absent/unknown values."""
+# Label maps for slots 1, 2 and 6: fixed like the slot layout, so a
+# checkpoint's featurization is the code's.  Label 0 is absent/unknown.
+COUNTRY_LABELS = {code: i + 1 for i, code in enumerate(DEFAULT_COUNTRIES)}
+SIG_ALG_LABELS = {alg: i + 1 for i, alg in enumerate(DEFAULT_SIG_ALGS)}
 
-    countries: dict[str, int] = field(default_factory=dict)
-    sig_algs: dict[str, int] = field(default_factory=dict)
-
-    def country_label(self, code: str | None) -> int:
-        if code is None:
-            return 0
-        return self.countries.get(code.upper(), 0)
-
-    def sig_alg_label(self, alg_oid: str) -> int:
-        return self.sig_algs.get(alg_oid, 0)
-
-    def to_text(self) -> str:
-        lines = ["# diffcert label registry v1"]
-        for code, label in sorted(self.countries.items(), key=lambda kv: kv[1]):
-            lines.append(f"country {code} {label}")
-        for alg, label in sorted(self.sig_algs.items(), key=lambda kv: kv[1]):
-            lines.append(f"sigalg {alg} {label}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LabelRegistry":
-        countries: dict[str, int] = {}
-        sig_algs: dict[str, int] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"registry line {lineno}: expected 'kind key label'")
-            kind, key, label = parts
-            if kind == "country":
-                countries[key] = int(label)
-            elif kind == "sigalg":
-                sig_algs[key] = int(label)
-            else:
-                raise ValueError(f"registry line {lineno}: unknown kind {kind!r}")
-        return cls(countries, sig_algs)
+# The maps as checkpoints record them (`qnet.save`, `qnet.load`).
+LABELS_TEXT = "".join(
+    ["# diffcert label registry v1\n"]
+    + [f"country {code} {label}\n" for code, label in COUNTRY_LABELS.items()]
+    + [f"sigalg {alg} {label}\n" for alg, label in SIG_ALG_LABELS.items()]
+)
 
 
-def default_registry() -> LabelRegistry:
-    return LabelRegistry(
-        countries={code: i + 1 for i, code in enumerate(DEFAULT_COUNTRIES)},
-        sig_algs={alg: i + 1 for i, alg in enumerate(DEFAULT_SIG_ALGS)},
-    )
+def _country_label(code: str | None) -> int:
+    return 0 if code is None else COUNTRY_LABELS.get(code.upper(), 0)
 
 
 def _sign(difference: int) -> int:
@@ -154,7 +114,7 @@ def _serial_class(serial: int, serial_raw: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-type value classifiers (mode 1).  Class 3 always means "malformed".
+# Per-type value classifiers.  Class 3 always means "malformed".
 
 VALUE_WELL_FORMED_DEFAULT = 0
 MALFORMED = 3
@@ -240,12 +200,10 @@ _VALUE_CLASSIFIERS = {
 }
 
 
-def classify_extension_value(ext_oid: str, critical: bool, value: bytes) -> int:
-    """Value-class for a tracked extension; mode-2 types always map to 0."""
-    mode = _TRACKED_MODE.get(ext_oid)
-    if mode == MODE_VALUE:
-        return _VALUE_CLASSIFIERS[ext_oid](value)
-    return VALUE_WELL_FORMED_DEFAULT
+def classify_extension_value(ext_oid: str, value: bytes) -> int:
+    """Value-class for an extension; types without a classifier map to 0."""
+    classify = _VALUE_CLASSIFIERS.get(ext_oid)
+    return VALUE_WELL_FORMED_DEFAULT if classify is None else classify(value)
 
 
 def _kept(fn):
@@ -267,14 +225,14 @@ def _kept(fn):
 @_kept
 def extension_value_class(ext: Extension) -> int:
     """`classify_extension_value` of one extension: its feature slot."""
-    return classify_extension_value(ext.oid, ext.critical, ext.value)
+    return classify_extension_value(ext.oid, ext.value)
 
 
 @_kept
 def extension_malformed(ext: Extension) -> bool:
     """Whether simulated validators should treat the value as unparseable.
 
-    Mode-1 types use their classifier's malformed class; every other
+    Classified types use their classifier's malformed class; every other
     tracked standard type gets a generic nested-DER well-formedness check.
     """
     if ext.oid in _VALUE_CLASSIFIERS:
@@ -282,22 +240,22 @@ def extension_malformed(ext: Extension) -> bool:
     return not asn1.der_well_formed(ext.value)
 
 
-def extract(cert: Certificate, now: dt.datetime, registry: LabelRegistry) -> tuple[int, ...]:
+def extract(cert: Certificate, now: dt.datetime) -> tuple[int, ...]:
     """Pure featurization; every certificate yields exactly 101 integers."""
     vec = [0] * FEATURE_LENGTH
     vec[0] = cert.version
-    vec[1] = registry.country_label(cert.issuer.country())
-    vec[2] = registry.country_label(cert.subject.country())
+    vec[1] = _country_label(cert.issuer.country())
+    vec[2] = _country_label(cert.subject.country())
     now_seconds = int(now.timestamp())
     vec[3] = _sign(cert.not_before.seconds - now_seconds)
     vec[4] = _sign(cert.not_after.seconds - now_seconds)
     vec[5] = cert.public_key_info.bit_length // 1024
-    vec[6] = registry.sig_alg_label(cert.signature_algorithm.oid)
+    vec[6] = SIG_ALG_LABELS.get(cert.signature_algorithm.oid, 0)
     vec[7] = _serial_class(cert.serial, cert.serial_raw)
     for ext in cert.extensions:
         idx = _TRACKED_INDEX.get(ext.oid)
         if idx is None:
-            continue  # mode 3: ignored outright
+            continue  # untracked: ignored outright
         base = EXTENSION_BLOCK_START + 3 * idx
         vec[base] = 1
         vec[base + 1] = 1 if ext.critical else 0

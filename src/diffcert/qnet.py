@@ -19,9 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .features import FEATURE_LENGTH, LabelRegistry
+from .actions import CATALOG_SIZE
+from .features import FEATURE_LENGTH, LABELS_TEXT
 
-LAYER_DIMS: tuple[int, ...] = (FEATURE_LENGTH, 100, 100, 86)
+LAYER_DIMS: tuple[int, ...] = (FEATURE_LENGTH, 100, 100, CATALOG_SIZE)
 ACTION_COUNT = LAYER_DIMS[-1]
 
 _CKPT_MAGIC = b"DQCERT\x00\x01"
@@ -333,24 +334,23 @@ class ReplayBuffer:
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def save(params: QParams, registry: LabelRegistry, path) -> None:
-    """Write a versioned binary checkpoint plus a human-readable label
-    registry sidecar (``<path>.labels``)."""
-    registry_blob = registry.to_text().encode("utf-8")
+def save(params: QParams, path) -> None:
+    """Write a versioned binary checkpoint that records the feature labels
+    (`features.LABELS_TEXT`) the parameters were trained under."""
+    labels_blob = LABELS_TEXT.encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(_CKPT_MAGIC)
         handle.write(struct.pack("<II", 1, len(LAYER_DIMS)))
         handle.write(struct.pack(f"<{len(LAYER_DIMS)}I", *LAYER_DIMS))
         for arr in params.arrays():
             handle.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-        handle.write(struct.pack("<I", len(registry_blob)))
-        handle.write(registry_blob)
-    with open(f"{path}.labels", "w", encoding="utf-8") as handle:
-        handle.write(registry.to_text())
+        handle.write(struct.pack("<I", len(labels_blob)))
+        handle.write(labels_blob)
 
 
-def load(path) -> tuple[QParams, LabelRegistry]:
-    """Read a checkpoint; any structural mismatch raises CorruptCheckpoint."""
+def load(path) -> QParams:
+    """Read a checkpoint; any structural mismatch, or labels other than
+    `features.LABELS_TEXT`, raises CorruptCheckpoint."""
     with open(path, "rb") as handle:
         blob = handle.read()
     view = memoryview(blob)
@@ -377,12 +377,13 @@ def load(path) -> tuple[QParams, LabelRegistry]:
     for rows, cols in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]):
         arrays.append(np.frombuffer(bytes(take(8 * rows * cols)), dtype=np.float64).reshape(rows, cols))
         arrays.append(np.frombuffer(bytes(take(8 * cols)), dtype=np.float64))
-    (reg_len,) = struct.unpack("<I", take(4))
-    registry = LabelRegistry.from_text(bytes(take(reg_len)).decode("utf-8"))
+    (labels_len,) = struct.unpack("<I", take(4))
+    if bytes(take(labels_len)) != LABELS_TEXT.encode("utf-8"):
+        raise CorruptCheckpoint("feature labels differ from this version's")
     if len(view):
         raise CorruptCheckpoint("trailing bytes after checkpoint payload")
     try:
         params = QParams(*arrays)
     except ValueError as exc:  # non-finite weights
         raise CorruptCheckpoint(str(exc)) from None
-    return params, registry
+    return params

@@ -2,7 +2,6 @@ import dataclasses
 
 import pytest
 
-from diffcert import certs, features, verdicts
 from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params
 from diffcert.verdicts import TrustAnchor, TrustStore
 
@@ -12,11 +11,6 @@ from verdict_helpers import default_backends
 @pytest.fixture(scope="session")
 def default_cert():
     return build_synthetic(default_params(), 7)
-
-
-@pytest.fixture(scope="session")
-def registry():
-    return features.default_registry()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from diffcert import actions, campaign, qnet, verdicts
 from diffcert.campaign import CampaignConfig, EpsilonSchedule
 from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der, parse_der
 from diffcert.corpus import generate_corpus, replay_record
-from diffcert.features import FEATURE_LENGTH, default_registry, extract
+from diffcert.features import FEATURE_LENGTH, extract
 from diffcert.qnet import TrainConfig
 from diffcert.verdicts import is_discrepancy, reward_primary, verify_all
 
@@ -83,15 +83,14 @@ def test_criterion_01_codec_round_trip():
 
 
 def test_criterion_02_feature_contract():
-    registry = default_registry()
     corpus = generate_corpus(300, rng_seed=78)
     lengths_ok = True
     slots_ok = True
     for entry in corpus.entries:
-        vector = extract(parse_der(entry.der), REFERENCE_TIME, registry)
+        vector = extract(parse_der(entry.der), REFERENCE_TIME)
         lengths_ok &= len(vector) == 101
         slots_ok &= vector[3] in (-1, 0, 1) and vector[4] in (-1, 0, 1)
-    golden = extract(build_synthetic(default_params(), 7), REFERENCE_TIME, registry)
+    golden = extract(build_synthetic(default_params(), 7), REFERENCE_TIME)
     golden_ok = list(golden) == GOLDEN_VECTOR
     ok = lengths_ok and slots_ok and golden_ok
     report_line(2, ok, f"all vectors length 101 over {len(corpus.entries)} certs, golden fixture matches frozen value")

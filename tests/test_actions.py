@@ -101,12 +101,12 @@ def test_byte_change_coverage(default_cert):
     assert 86 - len(vacuous) >= 80
 
 
-def test_feature_change_coverage(default_cert, registry, now):
-    base_vec = features.extract(default_cert, now, registry)
+def test_feature_change_coverage(default_cert, now):
+    base_vec = features.extract(default_cert, now)
     invariant = set()
     for spec in catalog():
         mutant = apply(default_cert, spec.id, now=now)
-        if features.extract(mutant, now, registry) == base_vec and encode_der(mutant) != encode_der(default_cert):
+        if features.extract(mutant, now) == base_vec and encode_der(mutant) != encode_der(default_cert):
             invariant.add(spec.id)
     assert invariant == set(FEATURE_INVARIANT_ON_DEFAULT_FIXTURE)
 
@@ -213,7 +213,7 @@ def test_corrupt_value(default_cert):
 
     corrupted = apply(default_cert, 35)
     assert corrupted.extension(oid.BASIC_CONSTRAINTS).value == actions.CORRUPT_VALUES[oid.BASIC_CONSTRAINTS]
-    assert features.classify_extension_value(oid.BASIC_CONSTRAINTS, True, corrupted.extension(oid.BASIC_CONSTRAINTS).value) == 3
+    assert features.classify_extension_value(oid.BASIC_CONSTRAINTS, corrupted.extension(oid.BASIC_CONSTRAINTS).value) == 3
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,7 +300,6 @@ class _RoundTrip:
 
     def __init__(self, trust, monkeypatch):
         self.trust = trust
-        self.registry = features.default_registry()
         self.seen = set()
         self.parsed = {}
         # derive_facts parses the bytes it is given; sharing one parse per
@@ -320,7 +319,7 @@ class _RoundTrip:
         der = encode_der(mutant)
         reparsed = self.parse(der, lenient=True)
         assert reparsed == mutant
-        assert features.extract(mutant, REFERENCE_TIME, self.registry) == features.extract(reparsed, REFERENCE_TIME, self.registry)
+        assert features.extract(mutant, REFERENCE_TIME) == features.extract(reparsed, REFERENCE_TIME)
         for lenient in (True, False):
             from_fields = verdicts.derive_facts(mutant, self.trust, lenient)
             from_bytes = verdicts.derive_facts(der, self.trust, lenient)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from diffcert import campaign as campaign_mod, certs as certs_mod, verdicts as verdicts_mod
+from diffcert.actions import MAX_TRACE_LENGTH
 from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_training
 from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der, encode_tbs
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
@@ -123,6 +124,16 @@ def test_budget_respected():
     _, stats2 = run_inference(corpus, params, config)
     for rec in records:
         assert len(rec.trace) <= 5  # max_modification + 1
+
+
+def test_budget_fits_the_trace_limit():
+    # a seed's trace holds max_modification + 1 actions, and a record
+    # refuses a trace longer than MAX_TRACE_LENGTH: refuse such a budget
+    # up front instead of mid-campaign
+    CampaignConfig(backends=rigged_backends(), max_modification=MAX_TRACE_LENGTH - 1)
+    for budget in (-1, MAX_TRACE_LENGTH, 14):
+        with pytest.raises(ValueError, match="max_modification"):
+            CampaignConfig(backends=rigged_backends(), max_modification=budget)
 
 
 def test_discrepant_seed_short_circuits():

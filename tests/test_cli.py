@@ -244,3 +244,16 @@ def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, conten
     if isinstance(content, dict) and "profile" in content["backends"][0]:
         assert err[0].startswith("error: backends: ValueError: \"profile\": unknown shipped profile 'gnutls-lik'")
         assert all(name in err[0] for name in SHIPPED_PROFILES)
+
+
+def test_one_backend_is_a_clean_error(tmp_path, corpus_dir, capsys):
+    # the two-backend rule lives in verdicts.Panel; every command that
+    # opens a panel reports it as one error line
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED]}))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    for argv in (["verify", str(issued)], ["baseline", str(corpus_dir), "--out", str(tmp_path / "out")]):
+        capsys.readouterr()
+        assert run_cli(*argv, "--backends", str(path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: InsufficientBackends: need at least 2 backends, have 1"]

@@ -6,7 +6,6 @@ import dataclasses
 import datetime as dt
 from collections import Counter
 
-import pytest
 from hypothesis import given, strategies as st
 
 from diffcert import actions, asn1, features, verdicts, x509oids as oid
@@ -15,9 +14,7 @@ from diffcert.features import (
     EXTENSION_BLOCK_START,
     FEATURE_LENGTH,
     TRACKED_EXTENSIONS,
-    LabelRegistry,
     classify_extension_value,
-    default_registry,
     extract,
 )
 
@@ -36,38 +33,41 @@ GOLDEN_VECTOR = (
 )
 
 
-def reference_extract(cert, now, registry):
+def reference_extract(cert, now):
     """Independent slot-by-slot construction used to justify the frozen value."""
+    countries = list(features.DEFAULT_COUNTRIES)
+    sig_algs = list(features.DEFAULT_SIG_ALGS)
     vec = [0] * 101
     vec[0] = cert.version
-    vec[1] = registry.countries.get(cert.issuer.country() or "", 0)
-    vec[2] = registry.countries.get(cert.subject.country() or "", 0)
+    for slot, code in ((1, cert.issuer.country()), (2, cert.subject.country())):
+        vec[slot] = countries.index(code.upper()) + 1 if code and code.upper() in countries else 0
     for slot, stamp in ((3, cert.not_before.at), (4, cert.not_after.at)):
         a, b = int(stamp.timestamp()), int(now.timestamp())
         vec[slot] = -1 if a < b else (1 if a > b else 0)
     vec[5] = cert.public_key_info.bit_length // 1024
-    vec[6] = registry.sig_algs.get(cert.signature_algorithm.oid, 0)
+    alg = cert.signature_algorithm.oid
+    vec[6] = sig_algs.index(alg) + 1 if alg in sig_algs else 0
     if cert.serial == 0:
         vec[7] = 1
     elif len(cert.serial_raw) > 20:
         vec[7] = 3
     elif cert.serial < 0:
         vec[7] = 2
-    order = [entry[0] for entry in TRACKED_EXTENSIONS]
+    order = list(TRACKED_EXTENSIONS)
     for ext in cert.extensions:
         if ext.oid not in order:
             continue
         base = 8 + 3 * order.index(ext.oid)
         vec[base] = 1
         vec[base + 1] = int(ext.critical)
-        vec[base + 2] = classify_extension_value(ext.oid, ext.critical, ext.value)
+        vec[base + 2] = classify_extension_value(ext.oid, ext.value)
     return vec
 
 
-def test_golden_vector(default_cert, registry, now):
-    got = extract(default_cert, now, registry)
+def test_golden_vector(default_cert, now):
+    got = extract(default_cert, now)
     assert list(got) == GOLDEN_VECTOR
-    assert reference_extract(default_cert, now, registry) == GOLDEN_VECTOR
+    assert reference_extract(default_cert, now) == GOLDEN_VECTOR
 
 
 def test_layout_constants():
@@ -77,46 +77,55 @@ def test_layout_constants():
     assert 8 + 3 * 31 == 101
 
 
-def test_vector_always_101(default_cert, registry, now):
+def test_vector_always_101(default_cert, now):
     for rng_seed in range(5):
         cert = build_synthetic(default_params(), rng_seed)
-        assert len(extract(cert, now, registry)) == 101
+        assert len(extract(cert, now)) == 101
     bare = build_synthetic(dataclasses.replace(default_params(), version=1, extensions=()), 1)
-    assert len(extract(bare, now, registry)) == 101
+    assert len(extract(bare, now)) == 101
 
 
-def test_extract_pure(default_cert, registry, now):
-    assert extract(default_cert, now, registry) == extract(default_cert, now, registry)
+def test_extract_pure(default_cert, now):
+    assert extract(default_cert, now) == extract(default_cert, now)
 
 
-def test_version_slot_is_raw_value(registry, now):
+def test_version_slot_is_raw_value(now):
     v4 = build_synthetic(dataclasses.replace(default_params(), version=4), 3)
-    assert extract(v4, now, registry)[0] == 4
+    assert extract(v4, now)[0] == 4
 
 
-def test_time_slots(registry, now, default_cert):
-    vec = extract(default_cert, now, registry)
+def test_time_slots(now, default_cert):
+    vec = extract(default_cert, now)
     assert vec[3] == -1  # not_before one year in the past
     assert vec[4] == 1
     past = dataclasses.replace(default_params(), not_before_offset=-2 * 365 * 86400, not_after_offset=-365 * 86400)
-    vec = extract(build_synthetic(past, 3), now, registry)
+    vec = extract(build_synthetic(past, 3), now)
     assert vec[3] == -1 and vec[4] == -1
 
 
 def test_unknown_labels_map_to_zero(now):
-    empty = LabelRegistry()
-    cert = build_synthetic(default_params(), 7)
-    vec = extract(cert, now, empty)
+    params = dataclasses.replace(
+        default_params(), issuer_country="XX", subject_country="QQ", sig_alg_oid="1.2.840.113549.1.1.14"
+    )
+    vec = extract(build_synthetic(params, 7), now)
     assert vec[1] == 0 and vec[2] == 0 and vec[6] == 0
+    assert {"XX", "QQ"}.isdisjoint(features.COUNTRY_LABELS)
+    assert "1.2.840.113549.1.1.14" not in features.SIG_ALG_LABELS
 
 
-def test_absent_country_is_zero(registry, now):
+def test_country_labels_ignore_case(now):
+    params = dataclasses.replace(default_params(), issuer_country="de", subject_country="Us")
+    vec = extract(build_synthetic(params, 7), now)
+    assert (vec[1], vec[2]) == (features.COUNTRY_LABELS["DE"], features.COUNTRY_LABELS["US"]) == (3, 1)
+
+
+def test_absent_country_is_zero(now):
     params = dataclasses.replace(default_params(), issuer_country=None, subject_country=None)
-    vec = extract(build_synthetic(params, 3), now, registry)
+    vec = extract(build_synthetic(params, 3), now)
     assert vec[1] == 0 and vec[2] == 0
 
 
-def test_untracked_extension_ignored(registry, now):
+def test_untracked_extension_ignored(now):
     from diffcert.certs import ExtensionParam
 
     base = build_synthetic(default_params(), 7)
@@ -125,7 +134,7 @@ def test_untracked_extension_ignored(registry, now):
         extensions=default_params().extensions + (ExtensionParam("1.3.6.1.4.1.31337.9", False, b"\x04\x01x"),),
     )
     with_private = build_synthetic(extra, 7)
-    assert extract(base, now, registry) == extract(with_private, now, registry)
+    assert extract(base, now) == extract(with_private, now)
 
 
 def compare_time(t: dt.datetime, now: dt.datetime) -> int:
@@ -156,7 +165,7 @@ def test_compare_time_sign_property(a, b):
     assert compare_time(ta, tb) == expected
     bound = TimeValue(ta, asn1.GENERALIZED_TIME)
     cert = dataclasses.replace(_VALIDITY_PROBE, not_before=bound, not_after=bound)
-    assert extract(cert, tb, default_registry())[3:5] == (expected, expected)
+    assert extract(cert, tb)[3:5] == (expected, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +174,35 @@ def test_compare_time_sign_property(a, b):
 def test_basic_constraints_classes():
     ca_true = bytes.fromhex("30030101ff")
     ca_false_empty = bytes.fromhex("3000")
-    assert classify_extension_value(oid.BASIC_CONSTRAINTS, True, ca_true) == 1
-    assert classify_extension_value(oid.BASIC_CONSTRAINTS, True, ca_false_empty) == 2
-    assert classify_extension_value(oid.BASIC_CONSTRAINTS, True, b"\x30\x05\x01") == 3
+    assert classify_extension_value(oid.BASIC_CONSTRAINTS, ca_true) == 1
+    assert classify_extension_value(oid.BASIC_CONSTRAINTS, ca_false_empty) == 2
+    assert classify_extension_value(oid.BASIC_CONSTRAINTS, b"\x30\x05\x01") == 3
 
 
 def test_key_usage_classes():
     digsig = bytes.fromhex("030205a0")
     certsign = bytes.fromhex("03020106")
     empty_bits = bytes.fromhex("030100")
-    assert classify_extension_value(oid.KEY_USAGE, True, digsig) == 2
-    assert classify_extension_value(oid.KEY_USAGE, True, certsign) == 1
-    assert classify_extension_value(oid.KEY_USAGE, True, empty_bits) == 3  # empty bit string
-    assert classify_extension_value(oid.KEY_USAGE, True, b"\xff") == 3
+    assert classify_extension_value(oid.KEY_USAGE, digsig) == 2
+    assert classify_extension_value(oid.KEY_USAGE, certsign) == 1
+    assert classify_extension_value(oid.KEY_USAGE, empty_bits) == 3  # empty bit string
+    assert classify_extension_value(oid.KEY_USAGE, b"\xff") == 3
 
 
 def test_eku_classes():
     server = asn1.tlv(asn1.SEQUENCE, asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(oid.EKU_SERVER_AUTH)))
     client = asn1.tlv(asn1.SEQUENCE, asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(oid.EKU_CLIENT_AUTH)))
-    assert classify_extension_value(oid.EXT_KEY_USAGE, False, server) == 1
-    assert classify_extension_value(oid.EXT_KEY_USAGE, False, client) == 2
-    assert classify_extension_value(oid.EXT_KEY_USAGE, False, b"\x30\x00") == 3
+    assert classify_extension_value(oid.EXT_KEY_USAGE, server) == 1
+    assert classify_extension_value(oid.EXT_KEY_USAGE, client) == 2
+    assert classify_extension_value(oid.EXT_KEY_USAGE, b"\x30\x00") == 3
 
 
 def test_existence_mode_value_class_is_zero():
-    assert classify_extension_value(oid.SUBJECT_KEY_ID, False, b"\x04\x02ab") == 0
-    assert classify_extension_value(oid.SUBJECT_KEY_ID, False, b"garbage") == 0
+    assert classify_extension_value(oid.SUBJECT_KEY_ID, b"\x04\x02ab") == 0
+    assert classify_extension_value(oid.SUBJECT_KEY_ID, b"garbage") == 0
 
 
-def test_extension_facts_derived_once_per_instance(monkeypatch, registry, now):
+def test_extension_facts_derived_once_per_instance(monkeypatch, now):
     # one seed visit as the campaign makes it: the seed and ten mutants,
     # each judged by the six-profile panel and featurized; a mutant shares
     # every extension its action did not replace with its parent
@@ -214,14 +223,14 @@ def test_extension_facts_derived_once_per_instance(monkeypatch, registry, now):
     backends = default_backends(verdicts.TrustStore([verdicts.TrustAnchor(seed.issuer_der(), "acme-root")]))
     visit = [seed]
     verdicts.verify_all(seed, backends, now)
-    extract(seed, now, registry)
+    extract(seed, now)
     # version, issuer country, then extension edits of both extraction
     # modes, a validity shift, the serial and an explicit FALSE flag
     for action in (3, 22, 32, 40, 9, 47, 53, 60, 4, 64):
         mutant = actions.apply(visit[-1], action, now=now)
         encode_der(mutant)
         verdicts.verify_all(mutant, backends, now)
-        extract(mutant, now, registry)
+        extract(mutant, now)
         visit.append(mutant)
 
     instances = {id(ext): ext for cert in visit for ext in cert.extensions}.values()
@@ -229,17 +238,3 @@ def test_extension_facts_derived_once_per_instance(monkeypatch, registry, now):
         assert 0 < calls[ext_oid] <= sum(ext.oid == ext_oid for ext in instances), ext_oid
     checked = [ext for ext in instances if ext.oid in verdicts.VALIDATOR_KNOWN_EXTENSIONS and ext.oid not in features._VALUE_CLASSIFIERS]
     assert 0 < calls["der_well_formed"] <= len(checked)
-
-
-def test_registry_round_trip(registry):
-    text = registry.to_text()
-    again = LabelRegistry.from_text(text)
-    assert again == registry
-    assert text.startswith("#")
-
-
-def test_registry_rejects_bad_lines():
-    with pytest.raises(ValueError):
-        LabelRegistry.from_text("country US")
-    with pytest.raises(ValueError):
-        LabelRegistry.from_text("planet US 1")

@@ -4,9 +4,11 @@ correctness against central finite differences, convergence, the replay
 ring against a deque reference, and checkpoint round-trips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
+import struct
 from collections import deque
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from diffcert import qnet
 from diffcert.campaign import EpsilonSchedule
-from diffcert.features import FEATURE_LENGTH, default_registry
+from diffcert.features import FEATURE_LENGTH, LABELS_TEXT
 from diffcert.qnet import (
     ACTION_COUNT,
     CorruptCheckpoint,
@@ -402,7 +404,7 @@ def test_parameters_validated_where_they_enter(tmp_path):
     with pytest.raises(ValueError):
         QParams(p.w0, p.b0, p.w1, p.b1, p.w2, np.full(ACTION_COUNT, np.inf))
     path = tmp_path / "net.ckpt"
-    qnet.save(p, default_registry(), path)
+    qnet.save(p, path)
     blob = bytearray(path.read_bytes())
     w0_offset = len(qnet._CKPT_MAGIC) + 8 + 4 * len(qnet.LAYER_DIMS)
     blob[w0_offset : w0_offset + 8] = np.float64(np.nan).tobytes()
@@ -448,21 +450,52 @@ def test_toy_mdp_one_state(tmp_path):
 # ---------------------------------------------------------------------------
 # Checkpoints
 
+# SHA-256 of the version-1 checkpoint `save` wrote for `init(11)` when the
+# labels were a separate registry object; the format must not drift.
+INIT_11_CHECKPOINT_SHA256 = "48d24b8eae0e299bc991483eb4790c0ebc9cbf7c9d559d74d404f3ff2b764aa0"
+
+
 def test_checkpoint_round_trip(tmp_path):
     p = init(11)
-    reg = default_registry()
     path = tmp_path / "net.ckpt"
-    qnet.save(p, reg, path)
-    loaded, loaded_reg = qnet.load(path)
+    qnet.save(p, path)
+    loaded = qnet.load(path)
     assert all((a == b).all() for a, b in zip(p.arrays(), loaded.arrays()))
-    assert loaded_reg == reg
-    assert (tmp_path / "net.ckpt.labels").exists()
+    assert list(tmp_path.iterdir()) == [path]  # no sidecar
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "net.ckpt"
+    qnet.save(init(11), path)
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == INIT_11_CHECKPOINT_SHA256
+    assert blob.endswith(LABELS_TEXT.encode("utf-8"))
+    assert all((a == b).all() for a, b in zip(init(11).arrays(), qnet.load(path).arrays()))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        LABELS_TEXT.replace("country US 1", "country US 2"),  # same length, other label
+        LABELS_TEXT + "country NZ 21\n",  # one label more
+        "country US",  # not a label table at all
+    ],
+)
+def test_checkpoint_with_other_labels_is_refused(tmp_path, labels):
+    path = tmp_path / "net.ckpt"
+    qnet.save(init(11), path)
+    blob = path.read_bytes()
+    head = blob[: -len(LABELS_TEXT) - 4]
+    edited = labels.encode("utf-8")
+    path.write_bytes(head + struct.pack("<I", len(edited)) + edited)
+    with pytest.raises(CorruptCheckpoint, match="labels"):
+        qnet.load(path)
 
 
 def test_checkpoint_truncation_detected(tmp_path):
     p = init(11)
     path = tmp_path / "net.ckpt"
-    qnet.save(p, default_registry(), path)
+    qnet.save(p, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptCheckpoint):
@@ -478,11 +511,9 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_dimension_guard(tmp_path):
     # doctor the stored output dimension: 86 -> 87
-    import struct
-
     p = init(11)
     path = tmp_path / "net.ckpt"
-    qnet.save(p, default_registry(), path)
+    qnet.save(p, path)
     blob = bytearray(path.read_bytes())
     dims_off = len(qnet._CKPT_MAGIC) + 8
     dims = list(struct.unpack_from("<4I", blob, dims_off))

@@ -205,10 +205,9 @@ def test_no_expiry_date_is_judged(env):
     cert = parse_der(asn1.tlv(asn1.SEQUENCE, tbs + issued().outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, signature_bits(tbs, "acme-root"))))
     backends = default_backends(store)
     assert verify_all(encode_der(cert), backends, NOW).codes == (1,) * len(SHIPPED_PROFILES)
-    registry = features.default_registry()
     for action in range(actions.CATALOG_SIZE):
         mutant = actions.apply(cert, action)
-        assert len(features.extract(mutant, NOW, registry)) == features.FEATURE_LENGTH
+        assert len(features.extract(mutant, NOW)) == features.FEATURE_LENGTH
         assert verify_all(mutant, backends, NOW).codes == verify_all(encode_der(mutant), backends, NOW).codes
 
 
