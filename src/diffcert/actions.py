@@ -43,7 +43,6 @@ class ActionSpec:
     id: int
     family: Family
     description: str
-    target: str | None = None  # extension OID for extension-family actions
 
 
 class InvalidTrace(ValueError):
@@ -198,8 +197,8 @@ def _build_catalog():
     specs: list[ActionSpec] = []
     ops: list = []
 
-    def add(family, description, fn, target=None):
-        specs.append(ActionSpec(len(specs), family, description, target))
+    def add(family, description, fn):
+        specs.append(ActionSpec(len(specs), family, description))
         ops.append(fn)
 
     for v in (1, 2, 3, 4):
@@ -228,13 +227,13 @@ def _build_catalog():
     add(Family.KEY, "halve the declared public-key length", lambda c, now: _resize_key(c, 0.5))
     add(Family.KEY, "double the declared public-key length", lambda c, now: _resize_key(c, 2.0))
     for ext_oid, name in EXTENSION_TARGET_NAMES.items():
-        add(Family.EXTENSION, f"delete {name}", lambda c, now, o=ext_oid: _delete_extension(c, o), ext_oid)
-        add(Family.EXTENSION, f"add {name} with its default value", lambda c, now, o=ext_oid: _upsert(c, o, value=ADD_DEFAULT_VALUES[o]), ext_oid)
-        add(Family.EXTENSION, f"mark {name} critical", lambda c, now, o=ext_oid: _upsert(c, o, critical=True, critical_encoded=True), ext_oid)
+        add(Family.EXTENSION, f"delete {name}", lambda c, now, o=ext_oid: _delete_extension(c, o))
+        add(Family.EXTENSION, f"add {name} with its default value", lambda c, now, o=ext_oid: _upsert(c, o, value=ADD_DEFAULT_VALUES[o]))
+        add(Family.EXTENSION, f"mark {name} critical", lambda c, now, o=ext_oid: _upsert(c, o, critical=True, critical_encoded=True))
         # Writes the flag explicitly even when FALSE: an encoded default is a
         # deliberate DER violation that probes parser strictness downstream.
-        add(Family.EXTENSION, f"mark {name} non-critical (flag encoded explicitly)", lambda c, now, o=ext_oid: _upsert(c, o, critical=False, critical_encoded=True), ext_oid)
-        add(Family.EXTENSION, f"corrupt the value of {name}", lambda c, now, o=ext_oid: _upsert(c, o, value=CORRUPT_VALUES[o]), ext_oid)
+        add(Family.EXTENSION, f"mark {name} non-critical (flag encoded explicitly)", lambda c, now, o=ext_oid: _upsert(c, o, critical=False, critical_encoded=True))
+        add(Family.EXTENSION, f"corrupt the value of {name}", lambda c, now, o=ext_oid: _upsert(c, o, value=CORRUPT_VALUES[o]))
 
     assert len(specs) == CATALOG_SIZE
     return tuple(specs), tuple(ops)

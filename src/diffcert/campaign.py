@@ -68,6 +68,8 @@ class CampaignConfig:
     db_path: str | None = None
 
     def __post_init__(self):
+        if self.max_episode < 1:
+            raise ValueError(f"max_episode must be at least 1, got {self.max_episode}")
         if not 0 <= self.max_modification < MAX_TRACE_LENGTH:
             raise ValueError(f"max_modification must lie in [0, {MAX_TRACE_LENGTH - 1}]")
         if self.reward_scheme not in (REWARD_PRIMARY, REWARD_DELTA):

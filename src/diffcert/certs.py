@@ -87,11 +87,8 @@ class Name:
                 return attr
         return None
 
-    def country(self) -> str | None:
-        return self._country
-
     @_cached
-    def _country(self) -> str | None:
+    def country(self) -> str | None:
         attr = self.first(oid.COUNTRY)
         return attr.text() if attr is not None else None
 
@@ -126,11 +123,8 @@ class Name:
                 rdns.append(attrs)
         return Name(tuple(rdns))
 
-    def der(self) -> bytes:
-        return self._der
-
     @_cached
-    def _der(self) -> bytes:
+    def der(self) -> bytes:
         rdns = []
         for rdn in self.rdns:
             atvs = b"".join(
@@ -159,11 +153,8 @@ class TimeValue:
         would fall past year 9999."""
         return int(self.at.timestamp())
 
-    def der(self) -> bytes:
-        return self._der
-
     @_cached
-    def _der(self) -> bytes:
+    def der(self) -> bytes:
         return asn1.tlv(*asn1.encode_time(self.at, self.tag))
 
 
@@ -172,11 +163,8 @@ class AlgorithmId:
     oid: str
     params_raw: bytes = b"\x05\x00"  # raw TLVs following the OID, NULL by default
 
-    def der(self) -> bytes:
-        return self._der
-
     @_cached
-    def _der(self) -> bytes:
+    def der(self) -> bytes:
         return asn1.tlv(asn1.SEQUENCE, asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(self.oid)) + self.params_raw)
 
 
@@ -194,12 +182,102 @@ class PublicKeyInfo:
             return 0
         return max(0, (len(self.key_raw) - 1) * 8 - self.key_raw[0])
 
-    def der(self) -> bytes:
-        return self._der
-
     @_cached
-    def _der(self) -> bytes:
+    def der(self) -> bytes:
         return asn1.tlv(asn1.SEQUENCE, self.algorithm_raw + asn1.tlv(asn1.BIT_STRING, self.key_raw))
+
+
+# ---------------------------------------------------------------------------
+# Per-type value classifiers.  Class 3 always means "malformed".
+
+VALUE_WELL_FORMED_DEFAULT = 0
+MALFORMED = 3
+
+
+def _classify_basic_constraints(value: bytes) -> int:
+    # 1 = CA TRUE, 2 = CA false (explicit or defaulted), 3 = malformed
+    try:
+        start, stop, nxt = asn1.expect_tlv(value, 0, len(value), asn1.SEQUENCE, "BasicConstraints")
+        if nxt != len(value):
+            return MALFORMED
+        if start == stop:
+            return 2
+        tag, bstart, bstop, pos = asn1.read_tlv(value, start, stop)
+        if tag != asn1.BOOLEAN:
+            return 2  # pathLen without cA; cA defaults to FALSE
+        return 1 if value[bstart:bstop] not in (b"\x00",) else 2
+    except asn1.MalformedDer:
+        return MALFORMED
+
+
+def _classify_key_usage(value: bytes) -> int:
+    # 1 = keyCertSign present, 2 = other usable bits, 3 = malformed/empty
+    try:
+        start, stop, nxt = asn1.expect_tlv(value, 0, len(value), asn1.BIT_STRING, "KeyUsage")
+        if nxt != len(value):
+            return MALFORMED
+        content = value[start:stop]
+        if len(content) < 2 or content[0] > 7:
+            return MALFORMED
+        bits = content[1:]
+        if not any(bits):
+            return MALFORMED
+        key_cert_sign = bool(bits[0] & 0x04)  # bit 5 of the first octet
+        return 1 if key_cert_sign else 2
+    except asn1.MalformedDer:
+        return MALFORMED
+
+
+def _classify_ext_key_usage(value: bytes) -> int:
+    # 1 = serverAuth present, 2 = other purposes, 3 = malformed/empty
+    try:
+        start, stop, nxt = asn1.expect_tlv(value, 0, len(value), asn1.SEQUENCE, "ExtKeyUsage")
+        if nxt != len(value):
+            return MALFORMED
+        purposes = []
+        pos = start
+        while pos < stop:
+            ostart, ostop, pos = asn1.expect_tlv(value, pos, stop, asn1.OBJECT_IDENTIFIER, "purpose")
+            purposes.append(asn1.decode_oid_content(value[ostart:ostop], ostart))
+        if not purposes:
+            return MALFORMED
+        return 1 if oid.EKU_SERVER_AUTH in purposes else 2
+    except asn1.MalformedDer:
+        return MALFORMED
+
+
+def _classify_subject_alt_name(value: bytes) -> int:
+    # 1 = contains a dNSName, 2 = other general names, 3 = malformed/empty
+    try:
+        start, stop, nxt = asn1.expect_tlv(value, 0, len(value), asn1.SEQUENCE, "SubjectAltName")
+        if nxt != len(value):
+            return MALFORMED
+        tags = []
+        pos = start
+        while pos < stop:
+            tag, _, _, pos = asn1.read_tlv(value, pos, stop)
+            if tag & 0xC0 != 0x80:
+                return MALFORMED
+            tags.append(tag & 0x1F)
+        if not tags:
+            return MALFORMED
+        return 1 if 2 in tags else 2
+    except asn1.MalformedDer:
+        return MALFORMED
+
+
+_VALUE_CLASSIFIERS = {
+    oid.BASIC_CONSTRAINTS: _classify_basic_constraints,
+    oid.KEY_USAGE: _classify_key_usage,
+    oid.EXT_KEY_USAGE: _classify_ext_key_usage,
+    oid.SUBJECT_ALT_NAME: _classify_subject_alt_name,
+}
+
+
+def classify_extension_value(ext_oid: str, value: bytes) -> int:
+    """Value-class for an extension; types without a classifier map to 0."""
+    classify = _VALUE_CLASSIFIERS.get(ext_oid)
+    return VALUE_WELL_FORMED_DEFAULT if classify is None else classify(value)
 
 
 @dataclass(frozen=True)
@@ -221,16 +299,29 @@ class Extension:
         if self.critical_encoded is None:
             object.__setattr__(self, "critical_encoded", self.critical)
 
-    def der(self) -> bytes:
-        return self._der
-
     @_cached
-    def _der(self) -> bytes:
+    def der(self) -> bytes:
         body = asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(self.oid))
         if self.critical_encoded:
             body += asn1.tlv(asn1.BOOLEAN, b"\xff" if self.critical else b"\x00")
         body += asn1.tlv(asn1.OCTET_STRING, self.value)
         return asn1.tlv(asn1.SEQUENCE, body)
+
+    @_cached
+    def value_class(self) -> int:
+        """`classify_extension_value` of this extension: its feature slot."""
+        return classify_extension_value(self.oid, self.value)
+
+    @_cached
+    def malformed(self) -> bool:
+        """Whether simulated validators should treat the value as unparseable.
+
+        Classified types use their classifier's malformed class; every other
+        type gets a generic nested-DER well-formedness check.
+        """
+        if self.oid in _VALUE_CLASSIFIERS:
+            return self.value_class == MALFORMED
+        return not asn1.der_well_formed(self.value)
 
 
 @dataclass(frozen=True)
@@ -257,12 +348,6 @@ class Certificate:
     unique_ids_raw: bytes = b""  # [1]/[2] TLVs between SPKI and extensions, verbatim
     outer_sig_alg_raw: bytes = b""  # the signatureAlgorithm TLV after the TBS
     signature_value: bytes = b"\x00"  # BIT STRING content octets, pad byte included
-
-    def issuer_der(self) -> bytes:
-        return self.issuer.der()
-
-    def subject_der(self) -> bytes:
-        return self.subject.der()
 
     def extension(self, ext_oid: str) -> Extension | None:
         for ext in self.extensions:
@@ -485,14 +570,14 @@ def encode_tbs(cert: Certificate) -> bytes:
     if cert.version_present or cert.version != 1:
         body += asn1.tlv(asn1.CTX_0_EXPLICIT, asn1.tlv(asn1.INTEGER, asn1.encode_int_content(cert.version - 1)))
     body += asn1.tlv(asn1.INTEGER, cert.serial_raw)
-    body += cert.signature_algorithm.der()
-    body += cert.issuer.der()
-    body += asn1.tlv(asn1.SEQUENCE, cert.not_before.der() + cert.not_after.der())
-    body += cert.subject.der()
-    body += cert.public_key_info.der()
+    body += cert.signature_algorithm.der
+    body += cert.issuer.der
+    body += asn1.tlv(asn1.SEQUENCE, cert.not_before.der + cert.not_after.der)
+    body += cert.subject.der
+    body += cert.public_key_info.der
     body += cert.unique_ids_raw
     if cert.extensions:
-        exts = b"".join(ext.der() for ext in cert.extensions)
+        exts = b"".join(ext.der for ext in cert.extensions)
         body += asn1.tlv(asn1.CTX_3_EXPLICIT, asn1.tlv(asn1.SEQUENCE, exts))
     return asn1.tlv(asn1.SEQUENCE, body)
 
@@ -648,10 +733,6 @@ class SeedParams:
     reference_time: dt.datetime = REFERENCE_TIME
 
 
-def default_params() -> SeedParams:
-    return SeedParams()
-
-
 def _validate_params(params: SeedParams) -> None:
     if not 1 <= params.version <= 4:
         raise InvalidParams(f"version {params.version} is out of range 1..4")
@@ -696,7 +777,7 @@ def build_synthetic(params: SeedParams, rng_seed: int) -> Certificate:
 
     key_body = rng.randbytes(params.key_bits // 8)
     spki = PublicKeyInfo(
-        algorithm_raw=AlgorithmId(oid.RSA_ENCRYPTION).der(),
+        algorithm_raw=AlgorithmId(oid.RSA_ENCRYPTION).der,
         algorithm_oid=oid.RSA_ENCRYPTION,
         key_raw=b"\x00" + key_body,
     )
@@ -719,7 +800,7 @@ def build_synthetic(params: SeedParams, rng_seed: int) -> Certificate:
         not_after=not_after,
         public_key_info=spki,
         extensions=extensions,
-        outer_sig_alg_raw=sig_alg.der(),
+        outer_sig_alg_raw=sig_alg.der,
     )
     tbs = encode_tbs(skeleton)
     cert_bytes = asn1.tlv(

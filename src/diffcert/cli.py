@@ -105,9 +105,15 @@ def _effective_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"config: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise CliError("config: top level must be a JSON object")
         unknown = set(loaded) - set(settings)
         if unknown:
             raise CliError(f"config: unknown keys {sorted(unknown)}")
+        for key, value in loaded.items():
+            want = int if key in ("seed", "episodes") else str
+            if type(value) is not want and not (key == "backends" and value is None):
+                raise CliError(f"config: {key} must be {want.__name__}, got {value!r}")
         settings.update(loaded)
     for key in ("seed", "episodes", "out", "backends"):
         value = getattr(args, key, None)
@@ -155,15 +161,18 @@ def _campaign_config(
     else:
         epsilon = campaign_mod.EpsilonSchedule()
         train = TrainConfig()
-    return campaign_mod.CampaignConfig(
-        backends=backends,
-        max_episode=settings["episodes"],
-        reward_scheme=reward,
-        rng_seed=settings["seed"],
-        epsilon=epsilon,
-        train=train,
-        db_path=str(out / db_name),
-    )
+    try:
+        return campaign_mod.CampaignConfig(
+            backends=backends,
+            max_episode=settings["episodes"],
+            reward_scheme=reward,
+            rng_seed=settings["seed"],
+            epsilon=epsilon,
+            train=train,
+            db_path=str(out / db_name),
+        )
+    except ValueError as exc:
+        raise CliError(f"config: {exc}") from exc
 
 
 def _print_stats(stats) -> None:
@@ -249,7 +258,10 @@ def cmd_verify(args, settings) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(f"trust: {exc}") from exc
     backends = _load_backends(settings, trust)
-    now = dt.datetime.fromisoformat(args.now) if args.now else REFERENCE_TIME
+    try:
+        now = dt.datetime.fromisoformat(args.now) if args.now else REFERENCE_TIME
+    except ValueError as exc:
+        raise CliError(f"now: {exc}") from exc
     if now.tzinfo is None:
         now = now.replace(tzinfo=dt.timezone.utc)
     verdicts = verify_all(der, backends, now)

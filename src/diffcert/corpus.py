@@ -34,7 +34,6 @@ from .certs import (
     SeedParams,
     UnsupportedStructure,
     build_synthetic,
-    default_params,
     encode_der,
     parse_der,
     pem_decode,
@@ -130,8 +129,7 @@ def _bucket_counts(n: int, mix: dict[str, float]) -> dict[str, int]:
 
 def _issued_params(rng: random.Random, root) -> SeedParams:
     cn, country, _ = root
-    return dataclasses.replace(
-        default_params(),
+    return SeedParams(
         issuer_common_name=cn,
         issuer_country=country,
         subject_common_name=f"host-{rng.randrange(10**6):06d}.example.test",
@@ -147,8 +145,7 @@ def _generate_one(bucket: str, rng: random.Random, trust: TrustStore) -> Certifi
     if bucket == "anchored":
         cn = f"self-{rng.randrange(10**6):06d}.example.test"
         tag = f"self-{cn}"
-        params = dataclasses.replace(
-            default_params(),
+        params = SeedParams(
             issuer_common_name=cn,
             issuer_country="US",
             subject_common_name=cn,
@@ -156,7 +153,7 @@ def _generate_one(bucket: str, rng: random.Random, trust: TrustStore) -> Certifi
             signer_tag=tag,
         )
         cert = build_synthetic(params, rng.getrandbits(32))
-        trust.add(TrustAnchor(cert.subject_der(), tag))
+        trust.add(TrustAnchor(cert.subject.der, tag))
         return cert
     if bucket == "expired_recent":
         root = _ROOTS[rng.randrange(len(_ROOTS))]
@@ -191,7 +188,7 @@ def _generate_diverse(rng: random.Random, trust: TrustStore) -> Certificate:
         cn, country, tag = _LEGACY
         params = dataclasses.replace(base, issuer_common_name=cn, issuer_country=country, signer_tag=tag)
         cert = build_synthetic(params, rng.getrandbits(32))
-        trust.add(TrustAnchor(cert.issuer_der(), tag, version=1, is_root=False))
+        trust.add(TrustAnchor(cert.issuer.der, tag, version=1, is_root=False))
         return cert
     elif variant == 3:  # different key size and GeneralizedTime encoding
         params = dataclasses.replace(
@@ -231,9 +228,9 @@ def generate_corpus(n: int, rng_seed: int) -> SeedCorpus:
     trust = TrustStore()
     for cn, country, tag in _ROOTS:
         anchor_name = build_synthetic(
-            dataclasses.replace(default_params(), issuer_common_name=cn, issuer_country=country, signer_tag=tag),
+            SeedParams(issuer_common_name=cn, issuer_country=country, signer_tag=tag),
             0,
-        ).issuer_der()
+        ).issuer.der
         trust.add(TrustAnchor(anchor_name, tag))
 
     buckets = []
@@ -368,7 +365,10 @@ class DiscrepancyDb:
                         raise ValueError
                 except ValueError:
                     raise CorruptDatabase(f"record {lineno}: bad length prefix") from None
-                records.append(DiscrepancyRecord.from_json(payload))
+                try:
+                    records.append(DiscrepancyRecord.from_json(payload))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise CorruptDatabase(f"record {lineno}: {type(exc).__name__}: {exc}") from exc
         return records
 
 

@@ -25,7 +25,6 @@ import tempfile
 from dataclasses import dataclass, replace
 
 from .certs import Certificate, MalformedDer, UnsupportedStructure, encode_der, mock_sign, parse_der
-from .features import extension_malformed
 from . import x509oids as oid
 
 log = logging.getLogger(__name__)
@@ -113,17 +112,13 @@ class VerdictVector:
         return len(self.codes)
 
 
-def _codes(v) -> tuple[int, ...]:
-    return tuple(v.codes) if isinstance(v, VerdictVector) else tuple(v)
-
-
 def is_discrepancy(v) -> bool:
     """True when the panel both accepted and rejected the same certificate.
 
     A connection error (an external verifier that timed out or could not
     run) is neither an acceptance nor a rejection.
     """
-    codes = _codes(v)
+    codes = tuple(v)
     return VALID in codes and any(c not in (VALID, CONNECTION_ERROR) for c in codes)
 
 
@@ -134,7 +129,7 @@ def reward_primary(v) -> int:
 
 def verdict_categories(v) -> set[int]:
     """The distinct verdicts of a vector; a connection error is none."""
-    return set(_codes(v)) - {CONNECTION_ERROR}
+    return set(v) - {CONNECTION_ERROR}
 
 
 def reward_delta(v_before, v_after) -> int:
@@ -196,19 +191,24 @@ class TrustStore:
     @classmethod
     def from_json(cls, text: str) -> "TrustStore":
         doc = json.loads(text)
-        if doc.get("format") != "diffcert-trust" or doc.get("version") != 1:
+        if not isinstance(doc, dict) or doc.get("format") != "diffcert-trust" or doc.get("version") != 1:
             raise ValueError("not a diffcert trust store file")
-        return cls(
-            [
-                TrustAnchor(
-                    base64.b64decode(e["name_b64"]),
-                    e["tag"],
-                    int(e.get("version", 3)),
-                    bool(e.get("is_root", True)),
-                )
-                for e in doc["anchors"]
-            ]
-        )
+        if not isinstance(doc.get("anchors"), list):
+            raise ValueError("trust store has no 'anchors' list")
+        try:
+            return cls(
+                [
+                    TrustAnchor(
+                        base64.b64decode(e["name_b64"]),
+                        e["tag"],
+                        int(e.get("version", 3)),
+                        bool(e.get("is_root", True)),
+                    )
+                    for e in doc["anchors"]
+                ]
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"trust store anchor: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +383,18 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
     malformed_known = 0
     for ext in cert.extensions:
         if ext.oid in VALIDATOR_KNOWN_EXTENSIONS:
-            if extension_malformed(ext):
+            if ext.malformed:
                 ext_codes.append(_EXT_ERROR_CODES.get(ext.oid, OTHER_EXTENSION_ERROR))
                 malformed_known += 1
         elif ext.critical:
             ext_codes.append(UNKNOWN_CRITICAL_EXTENSION)
 
     legacy_issuer, trust_code = False, None
-    subject_der, issuer_der = cert.subject_der(), cert.issuer_der()
-    if trust.lookup(subject_der) is None:  # an anchor itself is trusted by fiat
-        anchor = trust.lookup(issuer_der)
+    subject, issuer = cert.subject.der, cert.issuer.der
+    if trust.lookup(subject) is None:  # an anchor itself is trusted by fiat
+        anchor = trust.lookup(issuer)
         if anchor is None:
-            trust_code = SELF_SIGN if subject_der == issuer_der else UNKNOWN_ISSUER
+            trust_code = SELF_SIGN if subject == issuer else UNKNOWN_ISSUER
         else:
             legacy_issuer = anchor.version < 3 and not anchor.is_root
             tbs, _ = cert.encoding

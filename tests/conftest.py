@@ -1,8 +1,7 @@
-import dataclasses
 
 import pytest
 
-from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params
+from diffcert.certs import REFERENCE_TIME, SeedParams, build_synthetic
 from diffcert.verdicts import TrustAnchor, TrustStore
 
 from verdict_helpers import default_backends
@@ -10,7 +9,7 @@ from verdict_helpers import default_backends
 
 @pytest.fixture(scope="session")
 def default_cert():
-    return build_synthetic(default_params(), 7)
+    return build_synthetic(SeedParams(), 7)
 
 
 @pytest.fixture(scope="session")
@@ -22,15 +21,14 @@ def now():
 def trust_for(default_cert):
     """Trust store that knows the default fixture's issuer as a v3 root."""
     store = TrustStore()
-    store.add(TrustAnchor(default_cert.issuer_der(), "acme-root"))
+    store.add(TrustAnchor(default_cert.issuer.der, "acme-root"))
     return store
 
 
 @pytest.fixture()
 def anchored_cert():
     """A self-issued certificate whose subject is registered as an anchor."""
-    params = dataclasses.replace(
-        default_params(),
+    params = SeedParams(
         issuer_common_name="anchor.example.test",
         issuer_country="US",
         subject_common_name="anchor.example.test",
@@ -43,5 +41,5 @@ def anchored_cert():
 @pytest.fixture()
 def anchored_env(anchored_cert):
     store = TrustStore()
-    store.add(TrustAnchor(anchored_cert.subject_der(), "anchor-self"))
+    store.add(TrustAnchor(anchored_cert.subject.der, "anchor-self"))
     return anchored_cert, store, default_backends(store)

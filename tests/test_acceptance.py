@@ -13,7 +13,7 @@ import pytest
 
 from diffcert import actions, campaign, qnet, verdicts
 from diffcert.campaign import CampaignConfig, EpsilonSchedule
-from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der, parse_der
+from diffcert.certs import REFERENCE_TIME, SeedParams, build_synthetic, encode_der, parse_der
 from diffcert.corpus import generate_corpus, replay_record
 from diffcert.features import FEATURE_LENGTH, extract
 from diffcert.qnet import TrainConfig
@@ -71,7 +71,7 @@ def test_criterion_01_codec_round_trip():
     started = time.monotonic()
     corpus = generate_corpus(1000, rng_seed=77)
     blobs = [entry.der for entry in corpus.entries]
-    blobs.append(encode_der(build_synthetic(default_params(), 7)))
+    blobs.append(encode_der(build_synthetic(SeedParams(), 7)))
     blobs.extend(encode_der(cert) for _, cert, _ in taxonomy_fixtures() if not isinstance(cert, bytes))
     failures = sum(1 for blob in blobs if encode_der(parse_der(blob)) != blob)
     elapsed = time.monotonic() - started
@@ -90,7 +90,7 @@ def test_criterion_02_feature_contract():
         vector = extract(parse_der(entry.der), REFERENCE_TIME)
         lengths_ok &= len(vector) == 101
         slots_ok &= vector[3] in (-1, 0, 1) and vector[4] in (-1, 0, 1)
-    golden = extract(build_synthetic(default_params(), 7), REFERENCE_TIME)
+    golden = extract(build_synthetic(SeedParams(), 7), REFERENCE_TIME)
     golden_ok = list(golden) == GOLDEN_VECTOR
     ok = lengths_ok and slots_ok and golden_ok
     report_line(2, ok, f"all vectors length 101 over {len(corpus.entries)} certs, golden fixture matches frozen value")
@@ -98,7 +98,7 @@ def test_criterion_02_feature_contract():
 
 
 def test_criterion_03_action_space():
-    fixture = build_synthetic(default_params(), 7)
+    fixture = build_synthetic(SeedParams(), 7)
     base = encode_der(fixture)
     catalog = actions.catalog()
     encodable = 0

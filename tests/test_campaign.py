@@ -15,7 +15,7 @@ import pytest
 from diffcert import campaign as campaign_mod, certs as certs_mod, verdicts as verdicts_mod
 from diffcert.actions import MAX_TRACE_LENGTH
 from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_training
-from diffcert.certs import REFERENCE_TIME, build_synthetic, default_params, encode_der, encode_tbs
+from diffcert.certs import REFERENCE_TIME, SeedParams, build_synthetic, encode_der, encode_tbs
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
 from diffcert.features import FEATURE_LENGTH
 from diffcert import qnet
@@ -63,14 +63,14 @@ def rigged_backends():
 
 def small_corpus(n=6):
     entries = tuple(
-        SeedEntry(f"s{i}", encode_der(build_synthetic(default_params(), 100 + i)), "test") for i in range(n)
+        SeedEntry(f"s{i}", encode_der(build_synthetic(SeedParams(), 100 + i)), "test") for i in range(n)
     )
     return SeedCorpus(entries)
 
 
 def test_rigged_environment_single_winner():
     backends = rigged_backends()
-    cert = build_synthetic(default_params(), 1)
+    cert = build_synthetic(SeedParams(), 1)
     from diffcert.actions import apply, catalog
 
     winners = [
@@ -136,6 +136,12 @@ def test_budget_fits_the_trace_limit():
             CampaignConfig(backends=rigged_backends(), max_modification=budget)
 
 
+def test_campaign_runs_at_least_one_episode():
+    for episodes in (0, -3):
+        with pytest.raises(ValueError, match="max_episode"):
+            CampaignConfig(backends=rigged_backends(), max_episode=episodes)
+
+
 def test_discrepant_seed_short_circuits():
     # a corpus whose every seed is already discrepancy-triggering: no
     # mutation happens, yield is 1.0
@@ -160,7 +166,7 @@ def test_empty_corpus_empty_outputs():
 def test_unparseable_seed_skipped():
     entries = (
         SeedEntry("bad", b"\x00\x01", "test"),
-        SeedEntry("good", encode_der(build_synthetic(default_params(), 5)), "test"),
+        SeedEntry("good", encode_der(build_synthetic(SeedParams(), 5)), "test"),
     )
     config = CampaignConfig(backends=rigged_backends(), max_episode=1, rng_seed=1)
     _, _, stats = run_training(SeedCorpus(entries), config)

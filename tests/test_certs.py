@@ -18,7 +18,6 @@ from diffcert.certs import (
     SeedParams,
     TimeValue,
     build_synthetic,
-    default_params,
     encode_der,
     mock_sign,
     parse_der,
@@ -74,7 +73,7 @@ seed_params = st.builds(
     subject_country=st.one_of(st.none(), st.sampled_from(["FR", "CN", "GB"])),
     key_bits=st.sampled_from([512, 1024, 2048, 4096]),
     use_generalized_time=st.booleans(),
-    extensions=st.one_of(st.just(()), st.just(default_params().extensions)),
+    extensions=st.one_of(st.just(()), st.just(SeedParams().extensions)),
 )
 
 
@@ -89,10 +88,10 @@ def test_round_trip_generated(params, rng_seed):
 
 
 def test_builder_determinism():
-    a = build_synthetic(default_params(), 99)
-    b = build_synthetic(default_params(), 99)
+    a = build_synthetic(SeedParams(), 99)
+    b = build_synthetic(SeedParams(), 99)
     assert encode_der(a) == encode_der(b)
-    c = build_synthetic(default_params(), 100)
+    c = build_synthetic(SeedParams(), 100)
     assert encode_der(c) != encode_der(a)
 
 
@@ -109,9 +108,9 @@ def test_builder_default_contents(default_cert):
 
 def test_builder_rejects_v1_with_extensions():
     with pytest.raises(InvalidParams):
-        build_synthetic(dataclasses.replace(default_params(), version=1), 1)
+        build_synthetic(SeedParams(version=1), 1)
     # bare v1 is fine
-    cert = build_synthetic(dataclasses.replace(default_params(), version=1, extensions=()), 1)
+    cert = build_synthetic(SeedParams(version=1, extensions=()), 1)
     assert cert.version == 1
     assert not cert.version_present
 
@@ -129,11 +128,11 @@ def test_builder_rejects_v1_with_extensions():
 )
 def test_builder_param_validation(kwargs):
     with pytest.raises(InvalidParams):
-        build_synthetic(dataclasses.replace(default_params(), **kwargs), 1)
+        build_synthetic(SeedParams(**kwargs), 1)
 
 
 def test_v1_omits_version_field():
-    cert = build_synthetic(dataclasses.replace(default_params(), version=1, extensions=()), 5)
+    cert = build_synthetic(SeedParams(version=1, extensions=()), 5)
     assert not cert.version_present
     # wire bytes carry no [0] EXPLICIT element
     tbs = cert.encoding[0]
@@ -151,7 +150,7 @@ def test_version_wire_value_is_human_minus_one(default_cert):
 
 
 def test_negative_serial_encodes_twos_complement():
-    cert = build_synthetic(dataclasses.replace(default_params(), serial=-1), 3)
+    cert = build_synthetic(SeedParams(serial=-1), 3)
     assert cert.serial_raw == b"\xff"
     # independent check: the raw octets decode back to -1 as a signed integer
     assert int.from_bytes(cert.serial_raw, "big", signed=True) == -1
@@ -160,9 +159,9 @@ def test_negative_serial_encodes_twos_complement():
 
 
 def test_time_tag_preserved():
-    utc_cert = build_synthetic(default_params(), 4)
+    utc_cert = build_synthetic(SeedParams(), 4)
     assert utc_cert.not_before.tag == asn1.UTC_TIME
-    gen_cert = build_synthetic(dataclasses.replace(default_params(), use_generalized_time=True), 4)
+    gen_cert = build_synthetic(SeedParams(use_generalized_time=True), 4)
     assert gen_cert.not_before.tag == asn1.GENERALIZED_TIME
     again = parse_der(encode_der(gen_cert))
     assert again.not_before.tag == asn1.GENERALIZED_TIME

@@ -195,6 +195,56 @@ def test_config_file_unknown_key(tmp_path):
     assert cli.main(["catalog", "--config", str(config), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize(
+    "settings, problem",
+    [
+        ({"seed": "abc"}, "seed must be int"),
+        ({"episodes": "2"}, "episodes must be int"),
+        ({"episodes": True}, "episodes must be int"),
+        ({"out": 3}, "out must be str"),
+        ({"backends": ["a", "b"]}, "backends must be str"),
+        ([], "top level must be a JSON object"),
+    ],
+)
+def test_config_file_bad_value_is_a_clean_error(tmp_path, corpus_dir, capsys, settings, problem):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(settings))
+    assert run_cli("baseline", str(corpus_dir), "--config", str(config), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {problem}")
+
+
+def test_episodes_below_one_is_a_clean_error(tmp_path, corpus_dir, capsys):
+    for episodes in ("0", "-3"):
+        capsys.readouterr()
+        assert run_cli("baseline", str(corpus_dir), "--episodes", episodes, "--out", str(tmp_path / "o")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: config: max_episode must be at least 1, got {episodes}"]
+        assert "total:" not in captured.out
+
+
+def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys):
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    for text in ("[]", '{"format": "diffcert-trust", "version": 1}'):
+        (tmp_path / "trust.json").write_text(text)
+        for argv in (["verify", str(issued)], ["baseline", str(corpus_dir), "--out", str(tmp_path / "o")]):
+            capsys.readouterr()
+            assert run_cli(*argv, "--trust", str(tmp_path / "trust.json")) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: trust: ")
+    assert run_cli("verify", str(issued), "--now", "garbage") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: now: ")
+
+
+def test_report_bad_record_is_a_clean_error(tmp_path, capsys):
+    db = tmp_path / "bad.db"
+    db.write_text("2\t{}\n")
+    assert run_cli("report", str(db)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: report: record 1: ")
+
+
 def test_backends_config_file(tmp_path, corpus_dir, capsys):
     backends = {
         "format": "diffcert-backends",

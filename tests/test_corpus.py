@@ -1,11 +1,13 @@
 """Corpus store tests: ingestion, deterministic generation, the
 append-only discrepancy database and report tallies."""
 
+import json
+
 import pytest
 
 from diffcert import corpus as corpus_mod
 from diffcert.actions import UnknownSeed
-from diffcert.certs import build_synthetic, default_params, encode_der, pem_encode
+from diffcert.certs import SeedParams, build_synthetic, encode_der, pem_encode
 from diffcert.corpus import (
     DiscrepancyDb,
     DiscrepancyRecord,
@@ -34,7 +36,7 @@ def make_record(seed_id="seed-0", trace=(3,), verdicts=(1, -4, -4, 1, 1, 1), pay
 
 def test_ingest_dir(tmp_path):
     for i in range(3):
-        cert = build_synthetic(default_params(), i)
+        cert = build_synthetic(SeedParams(), i)
         (tmp_path / f"cert{i}.pem").write_text(pem_encode(encode_der(cert)))
     (tmp_path / "certbad.der").write_bytes(b"not a certificate")
     (tmp_path / "notes.txt").write_text("ignored")
@@ -118,6 +120,18 @@ def test_db_detects_corruption(tmp_path):
         db.load_all()
     with pytest.raises(corpus_mod.CorruptDatabase):
         DiscrepancyDb(db.path).load_all()  # opening drops only an unterminated tail
+
+
+@pytest.mark.parametrize("mangle", ["not-json", "empty-object", "bad-trace"])
+def test_db_bad_payload_is_corruption(tmp_path, mangle):
+    # a correctly framed record whose payload is not a record
+    db = DiscrepancyDb(tmp_path / "found.db")
+    db.append(make_record())
+    doc = json.loads(db.path.read_text().split("\t", 1)[1])
+    payload = {"not-json": "abcde", "empty-object": "{}", "bad-trace": json.dumps({**doc, "trace": [99]})}[mangle]
+    db.path.write_text(db.path.read_text() + f"{len(payload)}\t{payload}\n")
+    with pytest.raises(corpus_mod.CorruptDatabase, match="^record 2: "):
+        db.load_all()
 
 
 def test_db_missing_file_is_empty(tmp_path):

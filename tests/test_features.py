@@ -8,13 +8,12 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from diffcert import actions, asn1, features, verdicts, x509oids as oid
-from diffcert.certs import TimeValue, build_synthetic, default_params, encode_der
+from diffcert import actions, asn1, certs, features, verdicts, x509oids as oid
+from diffcert.certs import SeedParams, TimeValue, build_synthetic, classify_extension_value, encode_der
 from diffcert.features import (
     EXTENSION_BLOCK_START,
     FEATURE_LENGTH,
     TRACKED_EXTENSIONS,
-    classify_extension_value,
     extract,
 )
 
@@ -39,7 +38,7 @@ def reference_extract(cert, now):
     sig_algs = list(features.DEFAULT_SIG_ALGS)
     vec = [0] * 101
     vec[0] = cert.version
-    for slot, code in ((1, cert.issuer.country()), (2, cert.subject.country())):
+    for slot, code in ((1, cert.issuer.country), (2, cert.subject.country)):
         vec[slot] = countries.index(code.upper()) + 1 if code and code.upper() in countries else 0
     for slot, stamp in ((3, cert.not_before.at), (4, cert.not_after.at)):
         a, b = int(stamp.timestamp()), int(now.timestamp())
@@ -79,9 +78,9 @@ def test_layout_constants():
 
 def test_vector_always_101(default_cert, now):
     for rng_seed in range(5):
-        cert = build_synthetic(default_params(), rng_seed)
+        cert = build_synthetic(SeedParams(), rng_seed)
         assert len(extract(cert, now)) == 101
-    bare = build_synthetic(dataclasses.replace(default_params(), version=1, extensions=()), 1)
+    bare = build_synthetic(SeedParams(version=1, extensions=()), 1)
     assert len(extract(bare, now)) == 101
 
 
@@ -90,7 +89,7 @@ def test_extract_pure(default_cert, now):
 
 
 def test_version_slot_is_raw_value(now):
-    v4 = build_synthetic(dataclasses.replace(default_params(), version=4), 3)
+    v4 = build_synthetic(SeedParams(version=4), 3)
     assert extract(v4, now)[0] == 4
 
 
@@ -98,14 +97,14 @@ def test_time_slots(now, default_cert):
     vec = extract(default_cert, now)
     assert vec[3] == -1  # not_before one year in the past
     assert vec[4] == 1
-    past = dataclasses.replace(default_params(), not_before_offset=-2 * 365 * 86400, not_after_offset=-365 * 86400)
+    past = SeedParams(not_before_offset=-2 * 365 * 86400, not_after_offset=-365 * 86400)
     vec = extract(build_synthetic(past, 3), now)
     assert vec[3] == -1 and vec[4] == -1
 
 
 def test_unknown_labels_map_to_zero(now):
-    params = dataclasses.replace(
-        default_params(), issuer_country="XX", subject_country="QQ", sig_alg_oid="1.2.840.113549.1.1.14"
+    params = SeedParams(
+        issuer_country="XX", subject_country="QQ", sig_alg_oid="1.2.840.113549.1.1.14"
     )
     vec = extract(build_synthetic(params, 7), now)
     assert vec[1] == 0 and vec[2] == 0 and vec[6] == 0
@@ -114,13 +113,13 @@ def test_unknown_labels_map_to_zero(now):
 
 
 def test_country_labels_ignore_case(now):
-    params = dataclasses.replace(default_params(), issuer_country="de", subject_country="Us")
+    params = SeedParams(issuer_country="de", subject_country="Us")
     vec = extract(build_synthetic(params, 7), now)
     assert (vec[1], vec[2]) == (features.COUNTRY_LABELS["DE"], features.COUNTRY_LABELS["US"]) == (3, 1)
 
 
 def test_absent_country_is_zero(now):
-    params = dataclasses.replace(default_params(), issuer_country=None, subject_country=None)
+    params = SeedParams(issuer_country=None, subject_country=None)
     vec = extract(build_synthetic(params, 3), now)
     assert vec[1] == 0 and vec[2] == 0
 
@@ -128,10 +127,9 @@ def test_absent_country_is_zero(now):
 def test_untracked_extension_ignored(now):
     from diffcert.certs import ExtensionParam
 
-    base = build_synthetic(default_params(), 7)
-    extra = dataclasses.replace(
-        default_params(),
-        extensions=default_params().extensions + (ExtensionParam("1.3.6.1.4.1.31337.9", False, b"\x04\x01x"),),
+    base = build_synthetic(SeedParams(), 7)
+    extra = SeedParams(
+        extensions=SeedParams().extensions + (ExtensionParam("1.3.6.1.4.1.31337.9", False, b"\x04\x01x"),),
     )
     with_private = build_synthetic(extra, 7)
     assert extract(base, now) == extract(with_private, now)
@@ -154,7 +152,7 @@ def test_compare_time():
     assert compare_time(t, t + dt.timedelta(microseconds=400)) == 0
 
 
-_VALIDITY_PROBE = build_synthetic(default_params(), 7)
+_VALIDITY_PROBE = build_synthetic(SeedParams(), 7)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=2**31))
@@ -215,12 +213,12 @@ def test_extension_facts_derived_once_per_instance(monkeypatch, now):
 
         return wrapper
 
-    for ext_oid, classifier in list(features._VALUE_CLASSIFIERS.items()):
-        monkeypatch.setitem(features._VALUE_CLASSIFIERS, ext_oid, counting(ext_oid, classifier))
+    for ext_oid, classifier in list(certs._VALUE_CLASSIFIERS.items()):
+        monkeypatch.setitem(certs._VALUE_CLASSIFIERS, ext_oid, counting(ext_oid, classifier))
     monkeypatch.setattr(asn1, "der_well_formed", counting("der_well_formed", asn1.der_well_formed))
 
-    seed = build_synthetic(default_params(), 7)
-    backends = default_backends(verdicts.TrustStore([verdicts.TrustAnchor(seed.issuer_der(), "acme-root")]))
+    seed = build_synthetic(SeedParams(), 7)
+    backends = default_backends(verdicts.TrustStore([verdicts.TrustAnchor(seed.issuer.der, "acme-root")]))
     visit = [seed]
     verdicts.verify_all(seed, backends, now)
     extract(seed, now)
@@ -234,7 +232,7 @@ def test_extension_facts_derived_once_per_instance(monkeypatch, now):
         visit.append(mutant)
 
     instances = {id(ext): ext for cert in visit for ext in cert.extensions}.values()
-    for ext_oid in features._VALUE_CLASSIFIERS:
+    for ext_oid in certs._VALUE_CLASSIFIERS:
         assert 0 < calls[ext_oid] <= sum(ext.oid == ext_oid for ext in instances), ext_oid
-    checked = [ext for ext in instances if ext.oid in verdicts.VALIDATOR_KNOWN_EXTENSIONS and ext.oid not in features._VALUE_CLASSIFIERS]
+    checked = [ext for ext in instances if ext.oid in verdicts.VALIDATOR_KNOWN_EXTENSIONS and ext.oid not in certs._VALUE_CLASSIFIERS]
     assert 0 < calls["der_well_formed"] <= len(checked)

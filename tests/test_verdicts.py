@@ -18,9 +18,9 @@ from diffcert import actions, asn1, features, verdicts, x509oids as oid
 from diffcert.certs import (
     REFERENCE_TIME,
     ExtensionParam,
+    SeedParams,
     TimeValue,
     build_synthetic,
-    default_params,
     encode_der,
     encode_tbs,
     mock_sign,
@@ -58,7 +58,7 @@ ONE_YEAR = 365 * 24 * 3600
 
 
 def issued(signer_tag="acme-root", **kwargs):
-    return build_synthetic(dataclasses.replace(default_params(), signer_tag=signer_tag, **kwargs), 7)
+    return build_synthetic(SeedParams(signer_tag=signer_tag, **kwargs), 7)
 
 
 @pytest.fixture()
@@ -66,7 +66,7 @@ def env():
     """An issued fixture plus the trust store that knows its issuer."""
     cert = issued()
     store = TrustStore()
-    store.add(TrustAnchor(cert.issuer_der(), "acme-root"))
+    store.add(TrustAnchor(cert.issuer.der, "acme-root"))
     return cert, store
 
 
@@ -75,9 +75,9 @@ def env():
 # strict validator can reach (-13 is external-only and unreachable here).
 
 def taxonomy_fixtures():
-    base = default_params()
+    base = SeedParams()
     store = TrustStore()
-    store.add(TrustAnchor(issued().issuer_der(), "acme-root"))
+    store.add(TrustAnchor(issued().issuer.der, "acme-root"))
     cases = []
 
     cases.append((1, issued(), store))
@@ -119,7 +119,7 @@ def taxonomy_fixtures():
         dataclasses.replace(base, issuer_common_name="Legacy CA", signer_tag="legacy"), 7
     )
     legacy_store = TrustStore()
-    legacy_store.add(TrustAnchor(legacy.issuer_der(), "legacy", version=1, is_root=False))
+    legacy_store.add(TrustAnchor(legacy.issuer.der, "legacy", version=1, is_root=False))
     cases.append((-11, legacy, legacy_store))
     # -12: self-signed leaf nobody trusts
     self_signed = build_synthetic(
@@ -250,8 +250,7 @@ def test_version_flaw_switches(env):
     v2 = actions.apply(issued(), 1)  # v2 with v3 extensions, anchored? no: issued -> stale sig
     # use an anchored cert so the version check is the deciding one
     anchored = build_synthetic(
-        dataclasses.replace(
-            default_params(),
+        SeedParams(
             issuer_common_name="a.test",
             issuer_country="US",
             subject_common_name="a.test",
@@ -261,7 +260,7 @@ def test_version_flaw_switches(env):
         3,
     )
     astore = TrustStore()
-    astore.add(TrustAnchor(anchored.subject_der(), "a"))
+    astore.add(TrustAnchor(anchored.subject.der, "a"))
     v2 = actions.apply(anchored, 1)
     assert simulate_verify(STRICT_PROFILE, v2, astore, NOW) == -4
     accept2 = dataclasses.replace(STRICT_PROFILE, accept_v2_with_v3_ext=True)
@@ -275,7 +274,7 @@ def test_first_error_only_vs_most_severe(env):
     # two defects: expired (validity) and unknown-critical (extension stage)
     cert = issued(
         not_after_offset=-ONE_YEAR,
-        extensions=default_params().extensions + (ExtensionParam(oid.SCT_LIST, True, b"\x04\x02ab"),),
+        extensions=SeedParams().extensions + (ExtensionParam(oid.SCT_LIST, True, b"\x04\x02ab"),),
     )
     first = dataclasses.replace(STRICT_PROFILE, first_error_only=True)
     assert simulate_verify(first, cert, store, NOW) == -2  # validity met first
@@ -608,6 +607,19 @@ def test_trust_store_round_trip(env):
     }
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[]", "not a diffcert trust store"),
+        ('{"format": "diffcert-trust", "version": 1}', "no 'anchors' list"),
+        ('{"format": "diffcert-trust", "version": 1, "anchors": [{"tag": "t"}]}', "name_b64"),
+    ],
+)
+def test_malformed_trust_store_is_a_value_error(text, problem):
+    with pytest.raises(ValueError, match=problem):
+        TrustStore.from_json(text)
+
+
 # ---------------------------------------------------------------------------
 # Per-profile judgement of the shared facts: stage order, masking and
 # the pinned verdicts of a seeded mutant sweep.
@@ -616,7 +628,7 @@ def test_legacy_intermediate_chain_error_masks_signature():
     # issued by a v1 intermediate anchor and signed by someone else: a
     # profile that rejects the legacy chain never reaches the signature
     cert = issued(signer_tag="rogue")
-    store = TrustStore([TrustAnchor(cert.issuer_der(), "acme-root", version=1, is_root=False)])
+    store = TrustStore([TrustAnchor(cert.issuer.der, "acme-root", version=1, is_root=False)])
     assert simulate_verify(STRICT_PROFILE, cert, store, NOW) == -11
     assert simulate_verify(SHIPPED_PROFILES["mbedtls-like"], cert, store, NOW) == -11
     waived = dataclasses.replace(STRICT_PROFILE, accept_v1v2_intermediate=True)
