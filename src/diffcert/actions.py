@@ -25,7 +25,7 @@ from .certs import (
 )
 
 CATALOG_SIZE = 86
-MAX_TRACE_LENGTH = 10  # max_modification (9) + 1
+MAX_TRACE_LENGTH = 10  # mutants per seed: the campaign's modification budget
 
 
 class Family(enum.Enum):

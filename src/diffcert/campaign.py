@@ -51,15 +51,15 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
     @classmethod
-    def annealed(cls, start: float = 1.0, end: float = 0.1, decay_updates: int = 3000) -> "EpsilonSchedule":
-        return cls(start, end, decay_updates)
+    def annealed(cls) -> "EpsilonSchedule":
+        """1.0 falling linearly to 0.1 over 3,000 updates: the training recipe."""
+        return cls(1.0, 0.1, 3000)
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
     backends: tuple  # bound backends, configuration order
     max_episode: int = 1
-    max_modification: int = 9  # up to max_modification + 1 = 10 mutants per seed
     reward_scheme: str = REWARD_PRIMARY
     rng_seed: int = 0
     reference_time: dt.datetime = REFERENCE_TIME
@@ -70,8 +70,6 @@ class CampaignConfig:
     def __post_init__(self):
         if self.max_episode < 1:
             raise ValueError(f"max_episode must be at least 1, got {self.max_episode}")
-        if not 0 <= self.max_modification < MAX_TRACE_LENGTH:
-            raise ValueError(f"max_modification must lie in [0, {MAX_TRACE_LENGTH - 1}]")
         if self.reward_scheme not in (REWARD_PRIMARY, REWARD_DELTA):
             raise ValueError(f"unknown reward scheme {self.reward_scheme!r}")
 
@@ -128,7 +126,7 @@ class _Learner:
         self.rng = rng
         self.params = qnet.init(config.rng_seed)
         self.target = self.params
-        self.buffer = ReplayBuffer(config.train.replay_capacity)
+        self.buffer = ReplayBuffer(qnet.REPLAY_CAPACITY)
         self.updates = 0
         self.last_loss: float | None = None
 
@@ -138,22 +136,22 @@ class _Learner:
 
     def observe(self, state, action: int, reward: int, next_state) -> None:
         """Learn from one transition; ``next_state`` is None when terminal."""
-        cfg = self.config.train
+        use_target_network = self.config.train.use_target_network
         # the version names the parameters the TD targets come from: the
         # target network changes only at a sync, the online one every update
-        if cfg.use_target_network:
-            target, version = self.target, self.updates // cfg.target_sync_interval
+        if use_target_network:
+            target, version = self.target, self.updates // qnet.TARGET_SYNC_INTERVAL
         else:
             target, version = self.params, self.updates
         self.buffer.add(state, action, reward, next_state)
         indices = [len(self.buffer) - 1]
-        if len(self.buffer) >= cfg.batch_size:
-            indices += self.buffer.sample(cfg.batch_size - 1, self.rng)
-        targets = self.buffer.targets(indices, target, version, cfg.gamma)
+        if len(self.buffer) >= qnet.BATCH_SIZE:
+            indices += self.buffer.sample(qnet.BATCH_SIZE - 1, self.rng)
+        targets = self.buffer.targets(indices, target, version)
         batch = self.buffer.batch(indices)
-        self.params, self.last_loss = qnet.train_step(self.params, batch, targets, cfg)
+        self.params, self.last_loss = qnet.train_step(self.params, batch, targets)
         self.updates += 1
-        if cfg.use_target_network and self.updates % cfg.target_sync_interval == 0:
+        if use_target_network and self.updates % qnet.TARGET_SYNC_INTERVAL == 0:
             self.target = self.params
 
 
@@ -224,13 +222,13 @@ def _run_loop(
             current, previous = seed, verdicts
             state = extract(seed, now)
             trace: list[int] = []
-            for step in range(config.max_modification + 1):
+            for step in range(MAX_TRACE_LENGTH):
                 action = choose(state)
                 mutant = apply(current, action, now=now)
                 mutant_der = encode_der(mutant)
                 verdicts = verify_all(mutant, panel)
                 reward, stop = _seed_stop(config, verdicts, previous)
-                exhausted = step == config.max_modification
+                exhausted = step == MAX_TRACE_LENGTH - 1
                 terminal = stop or exhausted
                 trace.append(action)
                 next_state = None if terminal else extract(mutant, now)

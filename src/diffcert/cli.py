@@ -23,7 +23,7 @@ from . import campaign as campaign_mod
 from . import corpus as corpus_mod
 from . import qnet
 from .actions import catalog
-from .certs import REFERENCE_TIME, MalformedDer, MalformedPem, UnsupportedStructure, pem_decode
+from .certs import REFERENCE_TIME, MalformedDer, MalformedPem, UnsupportedStructure
 from .corpus import DiscrepancyDb, EmptyCorpus, SeedCorpus
 from .qnet import TrainConfig
 from .verdicts import (
@@ -136,11 +136,15 @@ def _load_corpus(path: str, trust_flag: str | None) -> SeedCorpus:
     except (EmptyCorpus, OSError, ValueError) as exc:
         raise CliError(f"corpus: {exc}") from exc
     if trust_flag:
-        try:
-            corpus = dataclasses.replace(corpus, trust=TrustStore.from_json(Path(trust_flag).read_text()))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"trust: {exc}") from exc
+        corpus = dataclasses.replace(corpus, trust=_load_trust(trust_flag))
     return corpus
+
+
+def _load_trust(path: str) -> TrustStore:
+    try:
+        return TrustStore.from_json(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise CliError(f"trust: {exc}") from exc
 
 
 def _campaign_config(
@@ -155,21 +159,15 @@ def _campaign_config(
     backends = _load_backends(settings, trust)
     # Training runs get the stabilized recipe (annealed exploration plus a
     # target network); inference and baseline runs have nothing to learn.
-    if training:
-        epsilon = campaign_mod.EpsilonSchedule.annealed()
-        train = TrainConfig(use_target_network=True)
-    else:
-        epsilon = campaign_mod.EpsilonSchedule()
-        train = TrainConfig()
+    recipe = {"epsilon": campaign_mod.EpsilonSchedule.annealed(), "train": TrainConfig(use_target_network=True)} if training else {}
     try:
         return campaign_mod.CampaignConfig(
             backends=backends,
             max_episode=settings["episodes"],
             reward_scheme=reward,
             rng_seed=settings["seed"],
-            epsilon=epsilon,
-            train=train,
             db_path=str(out / db_name),
+            **recipe,
         )
     except ValueError as exc:
         raise CliError(f"config: {exc}") from exc
@@ -242,21 +240,11 @@ def cmd_baseline(args, settings) -> int:
 
 
 def cmd_verify(args, settings) -> int:
-    path = Path(args.certificate)
     try:
-        blob = path.read_bytes()
-    except OSError as exc:
+        der = corpus_mod.read_certificate(args.certificate)
+    except (OSError, MalformedPem) as exc:
         raise CliError(f"verify: {exc}") from exc
-    try:
-        der = pem_decode(blob.decode("ascii", errors="replace")) if path.suffix.lower() == ".pem" else blob
-    except MalformedPem as exc:
-        raise CliError(f"verify: {exc}") from exc
-    trust = TrustStore()
-    if args.trust:
-        try:
-            trust = TrustStore.from_json(Path(args.trust).read_text())
-        except (OSError, ValueError) as exc:
-            raise CliError(f"trust: {exc}") from exc
+    trust = _load_trust(args.trust) if args.trust else TrustStore()
     backends = _load_backends(settings, trust)
     try:
         now = dt.datetime.fromisoformat(args.now) if args.now else REFERENCE_TIME

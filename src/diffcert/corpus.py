@@ -39,7 +39,7 @@ from .certs import (
     pem_decode,
     pem_encode,
 )
-from .verdicts import TrustAnchor, TrustStore, is_discrepancy
+from .verdicts import ALL_CODES, TrustAnchor, TrustStore, is_discrepancy
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +56,6 @@ class CorruptDatabase(ValueError):
 class SeedEntry:
     seed_id: str
     der: bytes
-    source: str
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,13 @@ class SeedCorpus:
         raise UnknownSeed(seed_id)
 
 
+def read_certificate(path) -> bytes:
+    """A certificate file's DER: PEM-armored when the suffix is ``.pem``, else raw DER."""
+    path = Path(path)
+    blob = path.read_bytes()
+    return pem_decode(blob.decode("ascii", errors="replace")) if path.suffix.lower() == ".pem" else blob
+
+
 def ingest_dir(path) -> SeedCorpus:
     """Load every .pem/.der file under ``path`` in filename order."""
     root = Path(path)
@@ -86,13 +92,12 @@ def ingest_dir(path) -> SeedCorpus:
         if file.suffix.lower() not in (".pem", ".der"):
             continue
         try:
-            blob = file.read_bytes()
-            der = pem_decode(blob.decode("ascii", errors="replace")) if file.suffix.lower() == ".pem" else blob
+            der = read_certificate(file)
             parse_der(der)
         except (MalformedDer, MalformedPem, UnsupportedStructure, OSError):
             rejected += 1
             continue
-        entries.append(SeedEntry(file.stem, der, str(file)))
+        entries.append(SeedEntry(file.stem, der))
     if not entries:
         raise EmptyCorpus(f"no parseable certificates under {root}")
     return SeedCorpus(tuple(entries), rejected=rejected)
@@ -241,7 +246,7 @@ def generate_corpus(n: int, rng_seed: int) -> SeedCorpus:
     entries = []
     for i, bucket in enumerate(buckets):
         cert = _generate_one(bucket, rng, trust)
-        entries.append(SeedEntry(f"seed-{i:05d}-{bucket}", encode_der(cert), f"generated:{bucket}"))
+        entries.append(SeedEntry(f"seed-{i:05d}-{bucket}", encode_der(cert)))
     return SeedCorpus(tuple(entries), trust=trust)
 
 
@@ -290,6 +295,12 @@ class DiscrepancyRecord:
 
     def __post_init__(self):
         validate_trace(self.trace)
+        if not all(type(code) is int and code in ALL_CODES for code in self.verdicts):
+            raise ValueError(f"verdicts {list(self.verdicts)!r} are not all verdict codes")
+        if len(self.backend_ids) != len(self.verdicts) or not all(type(b) is str for b in self.backend_ids):
+            raise ValueError(f"backend ids {list(self.backend_ids)!r} are not one string per verdict")
+        if not is_discrepancy(self.verdicts):
+            raise ValueError("record verdicts contain no discrepancy")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -345,8 +356,6 @@ class DiscrepancyDb:
         log.warning("%s: dropped %d bytes of a torn final record", self.path, size - keep)
 
     def append(self, record: DiscrepancyRecord) -> None:
-        if not is_discrepancy(record.verdicts):
-            raise ValueError("record verdicts contain no discrepancy")
         payload = record.to_json()
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(f"{len(payload)}\t{payload}\n")

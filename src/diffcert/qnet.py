@@ -108,23 +108,19 @@ def _empty_batch(rows: int) -> Batch:
     )
 
 
+GAMMA = 0.9  # TD discount
+LEARNING_RATE = 1e-3  # SGD step size
+REPLAY_CAPACITY = 10_000  # transitions the replay ring keeps
+BATCH_SIZE = 32  # transitions per update
+TARGET_SYNC_INTERVAL = 500  # updates between target-network syncs
+MAX_GRAD_NORM = 10.0  # global-norm gradient clip
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    gamma: float = 0.9
-    learning_rate: float = 1e-3
-    replay_capacity: int = 10_000
-    batch_size: int = 32
-    use_target_network: bool = False
-    target_sync_interval: int = 500
-    max_grad_norm: float = 10.0  # global-norm gradient clip; 0 disables
+    """TD targets from a target network synced every `TARGET_SYNC_INTERVAL` updates, or the online one."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.max_grad_norm < 0.0:
-            raise ValueError("max_grad_norm must be >= 0")
-        if self.target_sync_interval <= 0:
-            raise ValueError("target_sync_interval must be >= 1")
+    use_target_network: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +196,9 @@ def max_next_q(params: QParams, next_states: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Training
 
-def train_step(params: QParams, batch: Batch, targets: np.ndarray, config: TrainConfig) -> tuple[QParams, float]:
-    """One SGD step on the mean squared error against ``targets``, the
-    batch's Bellman targets (`ReplayBuffer.targets`).
-
-    The predicted value is Q(state, taken action).  Only ``batch.states``
-    and ``batch.actions`` are read. Returns fresh parameters and the
-    scalar loss.
-    """
+def _gradients(params: QParams, batch: Batch, targets: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
+    """Gradients (`QParams.arrays` order) of the mean squared error of Q(state,
+    taken action) against ``targets``, and the loss; reads only states and actions."""
     n = len(batch.actions)
     if not n:
         raise ValueError("empty batch")
@@ -235,18 +226,23 @@ def train_step(params: QParams, batch: Batch, targets: np.ndarray, config: Train
     dh0 *= z0 > 0.0
     dw0 = x.T @ dh0
     db0 = dh0.sum(axis=0)
+    return (dw0, db0, dw1, db1, dw2, db2), loss
 
+
+def train_step(params: QParams, batch: Batch, targets: np.ndarray) -> tuple[QParams, float]:
+    """One SGD step against ``targets``, the batch's Bellman targets
+    (`ReplayBuffer.targets`), with the gradients clipped to a global norm of
+    `MAX_GRAD_NORM`.  Returns fresh parameters and the scalar loss."""
+    grads, loss = _gradients(params, batch, targets)
     # the gradients are this step's own arrays, so the clip and the
     # update scale them in place and the new parameters are written over them
-    grads = (dw0, db0, dw1, db1, dw2, db2)
-    if config.max_grad_norm > 0.0:
-        total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-        if total > config.max_grad_norm:
-            scale = config.max_grad_norm / total
-            for g in grads:
-                g *= scale
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if total > MAX_GRAD_NORM:
+        scale = MAX_GRAD_NORM / total
+        for g in grads:
+            g *= scale
     for g in grads:
-        g *= config.learning_rate
+        g *= LEARNING_RATE
     return QParams._unchecked([np.subtract(p, g, out=g) for p, g in zip(params.arrays(), grads)]), loss
 
 
@@ -312,20 +308,20 @@ class ReplayBuffer:
         rows = self._rows(indices)
         return Batch(*(column[rows] for column in self.store))
 
-    def targets(self, indices, params_target: QParams, version: int, gamma: float) -> np.ndarray:
+    def targets(self, indices, params_target: QParams, version: int) -> np.ndarray:
         """Bellman targets (reward, plus discounted max next-Q) of the transitions at ``indices``.
 
         ``version`` names ``params_target``: equal versions must mean
         equal parameters. Live rows cached under another version are
         recomputed in one `max_next_q` call; a terminal row adds
-        ``gamma * 0.0``, which leaves its reward exact.
+        ``GAMMA * 0.0``, which leaves its reward exact.
         """
         rows = self._rows(indices)
         stale = rows[(self.version[rows] != version) & ~self.store.terminal[rows]]
         if len(stale):
             self.value[stale] = max_next_q(params_target, self.store.next_states[stale])
             self.version[stale] = version
-        return self.store.rewards[rows] + gamma * self.value[rows]
+        return self.store.rewards[rows] + GAMMA * self.value[rows]
 
     def __len__(self):
         return self._size

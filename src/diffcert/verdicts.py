@@ -506,6 +506,8 @@ class ExternalBackend:
             raise ValueError("pattern table must end with a catch-all rule")
         if self.patterns[-1].code != OTHER_ERROR:
             raise ValueError("the catch-all rule must map to Other error (-15)")
+        if not all(type(rule.code) is int and rule.code in ALL_CODES for rule in self.patterns):
+            raise ValueError("every pattern must map to a verdict code")
 
 
 def external_verify(backend: ExternalBackend, cert_bytes: bytes) -> int:

@@ -40,7 +40,7 @@ def as_batch(transitions) -> qnet.Batch:
     return ring.batch(range(len(transitions)))
 
 
-def td_targets(batch: qnet.Batch, params_target: qnet.QParams, gamma: float) -> np.ndarray:
+def td_targets(batch: qnet.Batch, params_target: qnet.QParams, gamma: float = qnet.GAMMA) -> np.ndarray:
     """Bellman targets: reward, plus discounted max next-Q when non-terminal."""
     targets = batch.rewards.copy()
     live = ~batch.terminal
@@ -49,11 +49,11 @@ def td_targets(batch: qnet.Batch, params_target: qnet.QParams, gamma: float) -> 
     return targets
 
 
-def train_step(params, batch, config, params_target=None):
+def train_step(params, batch, params_target=None):
     """`qnet.train_step` on the `td_targets` of ``params_target``, or of
     ``params`` when there is no target network."""
     target = params if params_target is None else params_target
-    return qnet.train_step(params, batch, td_targets(batch, target, config.gamma), config)
+    return qnet.train_step(params, batch, td_targets(batch, target))
 
 
 _M64 = (1 << 64) - 1

@@ -133,12 +133,11 @@ def test_criterion_05_q_learning_sanity():
         rng = random.Random(seed)
         winner = rng.randrange(qnet.ACTION_COUNT)
         params = qnet.init(seed)
-        config = TrainConfig()
         converged_at = None
         for update in range(1, 5001):
             action = qnet.select_action(qnet.forward(params, state), EpsilonSchedule().at(0), rng)
             reward = 100 if action == winner else -1
-            params, _ = train_step(params, as_batch([Transition(state, action, reward, None, True)]), config)
+            params, _ = train_step(params, as_batch([Transition(state, action, reward, None, True)]))
             if update % 25 == 0 and int(np.argmax(qnet.forward(params, state))) == winner:
                 converged_at = update
                 break

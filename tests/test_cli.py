@@ -238,11 +238,18 @@ def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys)
 
 
 def test_report_bad_record_is_a_clean_error(tmp_path, capsys):
-    db = tmp_path / "bad.db"
-    db.write_text("2\t{}\n")
-    assert run_cli("report", str(db)) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: report: record 1: ")
+    record = {"seed_id": "s", "trace": [3], "mutant_b64": "MAA=", "timestamp": "2025-06-01T00:00:00+00:00", "rng_seed": 0}
+    payloads = [
+        "{}",
+        json.dumps({**record, "verdicts": ["x", 1], "backend_ids": ["a", "b"]}),  # a verdict that is no code
+        json.dumps({**record, "verdicts": [1, -4], "backend_ids": ["a"]}),  # one backend id for two verdicts
+    ]
+    for payload in payloads:
+        db = tmp_path / "bad.db"
+        db.write_text(f"{len(payload)}\t{payload}\n")
+        assert run_cli("report", str(db)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: report: record 1: ")
 
 
 def test_backends_config_file(tmp_path, corpus_dir, capsys):

@@ -1,6 +1,7 @@
 """Corpus store tests: ingestion, deterministic generation, the
 append-only discrepancy database and report tallies."""
 
+import dataclasses
 import json
 
 import pytest
@@ -103,12 +104,32 @@ def test_db_round_trip(tmp_path):
     assert loaded == recs  # byte-identical fields, insertion order
 
 
-def test_db_rejects_non_discrepancy(tmp_path):
-    db = DiscrepancyDb(tmp_path / "found.db")
-    with pytest.raises(ValueError):
-        db.append(make_record(verdicts=(1, 1, 1, 1, 1, 1)))
-    with pytest.raises(ValueError):
-        db.append(make_record(verdicts=(-1, -2, -3, -4, -5, -6)))
+def test_db_rejects_non_discrepancy():
+    # the rule lives in the record: a non-discrepancy cannot be built, so
+    # it cannot be appended
+    for verdicts in [(1, 1, 1, 1, 1, 1), (-1, -2, -3, -4, -5, -6)]:
+        with pytest.raises(ValueError, match="no discrepancy"):
+            make_record(verdicts=verdicts)
+
+
+@pytest.mark.parametrize(
+    "verdicts",
+    [
+        ("x", 1, 1, 1, 1, 1),  # not a number
+        (1, -4.0, -4, 1, 1, 1),  # a float equal to a code
+        (True, -4, -4, 1, 1, 1),  # a bool equal to VALID
+        (1, -99, -4, 1, 1, 1),  # an int that is no verdict code
+    ],
+)
+def test_record_rejects_verdicts_that_are_not_codes(verdicts):
+    with pytest.raises(ValueError, match="verdict codes"):
+        make_record(verdicts=verdicts)
+
+
+@pytest.mark.parametrize("backend_ids", [BACKENDS[:5], BACKENDS + ("g",), ("a", "b", "c", "d", "e", 6)])
+def test_record_needs_one_backend_id_string_per_verdict(backend_ids):
+    with pytest.raises(ValueError, match="backend ids"):
+        dataclasses.replace(make_record(), backend_ids=backend_ids)
 
 
 def test_db_detects_corruption(tmp_path):

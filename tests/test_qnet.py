@@ -25,7 +25,6 @@ from diffcert.qnet import (
     DimensionMismatch,
     QParams,
     ReplayBuffer,
-    TrainConfig,
     forward,
     init,
     select_action,
@@ -50,7 +49,7 @@ def random_transition(rng):
     )
 
 
-def td_target(transition: Transition, params_target: QParams, gamma: float = 0.9) -> float:
+def td_target(transition: Transition, params_target: QParams, gamma: float = qnet.GAMMA) -> float:
     """Oracle: one transition's Bellman target through the one-row `forward`."""
     if transition.terminal:
         return float(transition.reward)
@@ -186,35 +185,18 @@ def test_transition_invariant():
         Transition(state, 0, -1, state, True)
 
 
-def test_zero_learning_rate_is_identity():
-    rng = random.Random(5)
-    p = init(5)
-    batch = [random_transition(rng) for _ in range(4)]
-    updated, _ = train_step(p, as_batch(batch), TrainConfig(learning_rate=0.0))
-    assert all((a == b).all() for a, b in zip(p.arrays(), updated.arrays()))
-
-
-def test_config_rejects_nonpositive_sync_interval():
-    # a target network synced every 0 updates would divide by zero on the
-    # learner's first observation
-    for interval in (0, -500):
-        with pytest.raises(ValueError):
-            TrainConfig(use_target_network=True, target_sync_interval=interval)
-    assert TrainConfig(use_target_network=True, target_sync_interval=1).target_sync_interval == 1
-
-
 def test_train_step_rejects_empty_batch():
     with pytest.raises(ValueError):
-        train_step(init(1), as_batch([]), TrainConfig())
+        train_step(init(1), as_batch([]))
 
 
 def test_single_transition_convergence():
-    # Q(s, a) must reach 100 +/- 1.0 within 5000 default-config steps
+    # Q(s, a) must reach 100 +/- 1.0 within 5000 steps
     state = tuple([3, 3, 4, -1, 1, 2, 1, 0] + [0] * 93)
     tr = Transition(state, 17, 100, None, True)
-    params, cfg = init(7), TrainConfig()
+    params = init(7)
     for step in range(5000):
-        params, _ = train_step(params, as_batch([tr]), cfg)
+        params, _ = train_step(params, as_batch([tr]))
         if abs(float(forward(params, state)[17]) - 100.0) < 1.0:
             break
     assert abs(float(forward(params, state)[17]) - 100.0) < 1.0
@@ -244,12 +226,10 @@ def finite_difference_check(batch_seed: int, param_seed: int, coords_per_tensor:
     batch = [random_transition(rng) for _ in range(8)]
     params = init(param_seed)
     frozen_target = init(param_seed + 1000)
-    cfg = TrainConfig(gamma=0.9)
-    targets = np.asarray([td_target(t, frozen_target, cfg.gamma) for t in batch])
+    targets = np.asarray([td_target(t, frozen_target) for t in batch])
 
-    probe = TrainConfig(learning_rate=1.0, max_grad_norm=0.0)
-    updated, _ = train_step(params, as_batch(batch), probe, params_target=frozen_target)
-    analytic = {name: getattr(params, name) - getattr(updated, name) for name in ("w0", "b0", "w1", "b1", "w2", "b2")}
+    grads, _ = qnet._gradients(params, as_batch(batch), targets)
+    analytic = dict(zip(("w0", "b0", "w1", "b1", "w2", "b2"), grads))
 
     h = 1e-4
     eps = float(np.finfo(np.float64).eps)
@@ -286,7 +266,7 @@ def test_non_finite_loss_reported():
     tr = Transition(state, 0, 100, None, True)
     with pytest.raises(qnet.NonFiniteLoss):
         # squaring 1e200 errors overflows to inf
-        train_step(bad, as_batch([tr]), TrainConfig())
+        train_step(bad, as_batch([tr]))
 
 
 def _add(buf, transition):
@@ -342,10 +322,6 @@ def test_replay_ring_grows_by_doubling():
     assert sizes == {64, 128, 256, 512}
 
 
-def _oracle(transition, params, gamma=0.9):
-    return td_target(transition, params, gamma)
-
-
 def _live_transition(rng):
     return Transition(random_state(rng), rng.randrange(ACTION_COUNT), -1, random_state(rng), False)
 
@@ -360,10 +336,10 @@ def test_ring_cache_drops_an_evicted_rows_value():
     items = [_live_transition(rng) for _ in range(6)]
     for item in items[:5]:
         _add(ring, item)
-    assert list(ring.targets(range(5), params, 0, 0.9)) == [_oracle(t, params) for t in items[:5]]
+    assert list(ring.targets(range(5), params, 0)) == [td_target(t, params) for t in items[:5]]
     _add(ring, items[5])
-    assert _oracle(items[5], params) != _oracle(items[0], params)
-    assert list(ring.targets(range(5), params, 0, 0.9)) == [_oracle(t, params) for t in items[1:]]
+    assert td_target(items[5], params) != td_target(items[0], params)
+    assert list(ring.targets(range(5), params, 0)) == [td_target(t, params) for t in items[1:]]
 
 
 def test_ring_cache_survives_doubling():
@@ -376,15 +352,15 @@ def test_ring_cache_survives_doubling():
     items = [_live_transition(rng) for _ in range(64)]
     for item in items:
         _add(ring, item)
-    expected = [_oracle(t, first) for t in items]
-    assert list(ring.targets(range(64), first, 0, 0.9)) == expected
+    expected = [td_target(t, first) for t in items]
+    assert list(ring.targets(range(64), first, 0)) == expected
     sizes = {len(ring.value)}
     for _ in range(150):
         _add(ring, random_transition(rng))
         sizes.add(len(ring.value))
     assert sizes == {64, 128, 256} and len(ring.version) == 256
-    assert list(ring.targets(range(64), other, 0, 0.9)) == expected
-    assert list(ring.targets(range(64), other, 1, 0.9)) == [_oracle(t, other) for t in items]
+    assert list(ring.targets(range(64), other, 0)) == expected
+    assert list(ring.targets(range(64), other, 1)) == [td_target(t, other) for t in items]
 
 
 def test_ring_cache_repeated_row_in_one_batch():
@@ -394,9 +370,9 @@ def test_ring_cache_repeated_row_in_one_batch():
     items = [_live_transition(rng) for _ in range(4)]
     for item in items:
         _add(ring, item)
-    targets = ring.targets([2, 0, 2, 2], params, 0, 0.9)
-    assert targets[0] == targets[2] == targets[3] == _oracle(items[2], params)
-    assert targets[1] == _oracle(items[0], params)
+    targets = ring.targets([2, 0, 2, 2], params, 0)
+    assert targets[0] == targets[2] == targets[3] == td_target(items[2], params)
+    assert targets[1] == td_target(items[0], params)
 
 
 def test_parameters_validated_where_they_enter(tmp_path):
@@ -415,14 +391,16 @@ def test_parameters_validated_where_they_enter(tmp_path):
 
 def test_train_step_leaves_its_inputs_alone():
     # the learner aliases its target to the online parameters, so a step
-    # must write only its own arrays
+    # must write only its own arrays, also when it clips the gradients
     rng = random.Random(15)
     params = init(15)
     before = [a.copy() for a in params.arrays()]
     batch = as_batch([random_transition(rng) for _ in range(8)])
-    targets = td_targets(batch, params, 0.9)
+    targets = td_targets(batch, params) + 1e4
+    grads, _ = qnet._gradients(params, batch, targets)
+    assert np.sqrt(sum(float(np.sum(g * g)) for g in grads)) > qnet.MAX_GRAD_NORM
     saved = [column.copy() for column in batch] + [targets.copy()]
-    updated, _ = qnet.train_step(params, batch, targets, TrainConfig(max_grad_norm=1e-3))
+    updated, _ = qnet.train_step(params, batch, targets)
     assert all((a == b).all() for a, b in zip(params.arrays(), before))
     assert all((a == b).all() for a, b in zip([*batch, targets], saved))
     assert not any(u is p for u, p in zip(updated.arrays(), params.arrays()))
@@ -436,12 +414,11 @@ def test_toy_mdp_one_state(tmp_path):
         rng = random.Random(seed)
         k = rng.randrange(ACTION_COUNT)
         params = init(seed)
-        cfg = TrainConfig()
         for step in range(3000):
             action = select_action(forward(params, state), EpsilonSchedule().at(0), rng)
             reward = 100 if action == k else -1
             tr = Transition(state, action, reward, None, True)
-            params, _ = train_step(params, as_batch([tr]), cfg)
+            params, _ = train_step(params, as_batch([tr]))
             if step % 50 == 0 and int(np.argmax(forward(params, state))) == k and step > 200:
                 break
         assert int(np.argmax(forward(params, state))) == k

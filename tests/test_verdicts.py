@@ -472,6 +472,13 @@ def test_backend_spec_requires_catch_all():
         ExternalBackend("x", ("v",), (PatternRule(code=-2),))
 
 
+@pytest.mark.parametrize("code", [7, "1", True, 1.0])
+def test_backend_spec_patterns_map_to_verdict_codes(code):
+    # a backend's verdict lands in discrepancy records, which hold only codes
+    with pytest.raises(ValueError, match="verdict code"):
+        ExternalBackend("x", ("v",), (PatternRule(code=code, exit_status=0), CATCH_ALL))
+
+
 def test_bind_backends_drops_missing_external(env):
     cert, store = env
     specs = [
