@@ -14,8 +14,10 @@ workload and metric, each side's median and quartiles plus how many
 same-seed pairs the change won.  Traced (``--trace 1``) runs time the
 program with wrappers around it, so they stay out of those figures; a
 ``traced`` block lists them per workload and side with the per-layer
-metrics.  Metric names and directions are read from BENCHMARK.json, so
-the file follows the benchmark.
+metrics, the run's reference job (``reference_ms``) and, for each metric
+in seconds, ``<name>_ref``: the value in reference jobs, which runs made
+at different hours can compare.  Metric names, units and directions are
+read from BENCHMARK.json, so the file follows the benchmark.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_run(doc: dict, order: int, parent: str, metrics: list[str]) -> dict:
+def load_run(doc: dict, order: int, parent: str, metrics: list[str], seconds: tuple[str, ...] = ()) -> dict:
     env = doc["environment"]
     run = {
         "order": order,
@@ -40,6 +42,10 @@ def load_run(doc: dict, order: int, parent: str, metrics: list[str]) -> dict:
         "failed": doc["failed"],
     }
     run.update({name: doc["metrics"][name]["value"] for name in metrics})
+    if seconds:
+        reference_s = doc["extra"]["reference_ms"] / 1000
+        run["reference_ms"] = doc["extra"]["reference_ms"]
+        run.update({f"{name}_ref": run[name] / reference_s for name in seconds})
     run["digest"] = doc["counts"]["digest"]
     run["environment"] = env
     return run
@@ -97,11 +103,12 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {gate["name"]: gate["better"] for gate in benchmark["end_to_end"]}
     layers = [metric["name"] for metric in benchmark["per_layer"]]
+    seconds = tuple(metric["name"] for metric in benchmark["per_layer"] if metric["unit"] == "s")
     runs, traced = [], []
     for order, path in enumerate(args.runs, 1):
         doc = json.loads(path.read_text())
         if doc["trace"]:
-            traced.append(load_run(doc, order, args.parent, layers))
+            traced.append(load_run(doc, order, args.parent, layers, seconds))
         else:
             runs.append(load_run(doc, order, args.parent, list(directions)))
     doc = {"parent": args.parent, "runs": runs, "summary": summarize(runs, directions)}

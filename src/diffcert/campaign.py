@@ -12,7 +12,6 @@ on simulated backends is bit-reproducible from its rng seed.
 
 from __future__ import annotations
 
-import datetime as dt
 import logging
 import random
 from dataclasses import dataclass, field, replace
@@ -62,7 +61,6 @@ class CampaignConfig:
     max_episode: int = 1
     reward_scheme: str = REWARD_PRIMARY
     rng_seed: int = 0
-    reference_time: dt.datetime = REFERENCE_TIME
     train: TrainConfig = field(default_factory=TrainConfig)
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
     db_path: str | None = None
@@ -136,22 +134,18 @@ class _Learner:
 
     def observe(self, state, action: int, reward: int, next_state) -> None:
         """Learn from one transition; ``next_state`` is None when terminal."""
-        use_target_network = self.config.train.use_target_network
-        # the version names the parameters the TD targets come from: the
-        # target network changes only at a sync, the online one every update
-        if use_target_network:
-            target, version = self.target, self.updates // qnet.TARGET_SYNC_INTERVAL
-        else:
-            target, version = self.params, self.updates
+        # without a target network the target is synced after every update;
+        # the version names the parameters the TD targets come from
+        interval = qnet.TARGET_SYNC_INTERVAL if self.config.train.use_target_network else 1
         self.buffer.add(state, action, reward, next_state)
         indices = [len(self.buffer) - 1]
         if len(self.buffer) >= qnet.BATCH_SIZE:
             indices += self.buffer.sample(qnet.BATCH_SIZE - 1, self.rng)
-        targets = self.buffer.targets(indices, target, version)
+        targets = self.buffer.targets(indices, self.target, self.updates // interval)
         batch = self.buffer.batch(indices)
         self.params, self.last_loss = qnet.train_step(self.params, batch, targets)
         self.updates += 1
-        if use_target_network and self.updates % qnet.TARGET_SYNC_INTERVAL == 0:
+        if self.updates % interval == 0:
             self.target = self.params
 
 
@@ -174,10 +168,10 @@ def _run_loop(
     on_episode_end=None,
 ) -> tuple[list[DiscrepancyRecord], CampaignStats]:
     if panel is None:
-        with Panel(config.backends, config.reference_time) as panel:
+        with Panel(config.backends, REFERENCE_TIME) as panel:
             return _run_loop(corpus, config, choose, learner, panel, on_episode_end)
     rng = random.Random(config.rng_seed ^ 0x5EED)
-    now = config.reference_time
+    now = REFERENCE_TIME
     stats = CampaignStats()
     records: list[DiscrepancyRecord] = []
     db = DiscrepancyDb(config.db_path) if config.db_path else None
@@ -276,7 +270,7 @@ def run_training(corpus: SeedCorpus, config: CampaignConfig) -> tuple[QParams, l
         log.info("episode %d greedy probe yield %.1f%%", episode_index + 1, 100.0 * probe)
         snapshots.append((probe, -episode_index, learner.params))
 
-    with Panel(config.backends, config.reference_time) as panel:
+    with Panel(config.backends, REFERENCE_TIME) as panel:
         records, stats = _run_loop(corpus, config, learner.select, learner, panel, on_episode_end)
     params = max(snapshots)[2] if snapshots else learner.params
     return params, records, stats
@@ -286,8 +280,8 @@ def run_inference(
     corpus: SeedCorpus, params: QParams, config: CampaignConfig, panel: Panel | None = None
 ) -> tuple[list[DiscrepancyRecord], CampaignStats]:
     """Greedy fuzzing with frozen parameters (epsilon = 0, no updates);
-    ``panel`` is an open panel of ``config``'s backends and clock to
-    share, or None to open one for this run."""
+    ``panel`` is an open panel of ``config``'s backends to share, or
+    None to open one for this run."""
 
     def choose(state) -> int:
         return int(qnet.select_action(qnet.forward(params, state), 0.0, _NO_RNG))

@@ -711,7 +711,7 @@ DEFAULT_EXTENSION_PARAMS: tuple[ExtensionParam, ...] = (
 class SeedParams:
     """Inputs to the synthetic certificate builder.
 
-    Validity bounds are offsets in seconds from ``reference_time``.
+    Validity bounds are offsets in seconds from ``REFERENCE_TIME``.
     ``subject_common_name=None`` with ``subject_country=None`` builds an
     empty subject name (a fixture knob, not something the default corpus
     produces).
@@ -730,7 +730,6 @@ class SeedParams:
     extensions: tuple[ExtensionParam, ...] = DEFAULT_EXTENSION_PARAMS
     signer_tag: str = "acme-root"
     use_generalized_time: bool = False
-    reference_time: dt.datetime = REFERENCE_TIME
 
 
 def _validate_params(params: SeedParams) -> None:
@@ -772,8 +771,8 @@ def build_synthetic(params: SeedParams, rng_seed: int) -> Certificate:
     serial = params.serial if params.serial is not None else rng.getrandbits(63) | 1
     serial_raw = asn1.encode_int_content(serial)
     time_tag = asn1.GENERALIZED_TIME if params.use_generalized_time else asn1.UTC_TIME
-    not_before = TimeValue(params.reference_time + dt.timedelta(seconds=params.not_before_offset), time_tag)
-    not_after = TimeValue(params.reference_time + dt.timedelta(seconds=params.not_after_offset), time_tag)
+    not_before = TimeValue(REFERENCE_TIME + dt.timedelta(seconds=params.not_before_offset), time_tag)
+    not_after = TimeValue(REFERENCE_TIME + dt.timedelta(seconds=params.not_after_offset), time_tag)
 
     key_body = rng.randbytes(params.key_bits // 8)
     spki = PublicKeyInfo(

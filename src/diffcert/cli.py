@@ -265,6 +265,8 @@ def cmd_catalog(_args, _settings) -> int:
 
 
 def cmd_report(args, _settings) -> int:
+    if not Path(args.database).is_file():
+        raise CliError(f"report: no database at {args.database}")
     db = DiscrepancyDb(args.database)
     try:
         records = db.load_all()

@@ -121,10 +121,10 @@ _COUNTRIES = ("FR", "GB", "NL", "JP", "BR", "AU")
 _KEY_BITS = (1024, 2048, 4096)
 
 
-def _bucket_counts(n: int, mix: dict[str, float]) -> dict[str, int]:
-    total = sum(mix.values())
-    counts = {name: int(n * weight / total) for name, weight in mix.items()}
-    names = list(mix)
+def _bucket_counts(n: int) -> dict[str, int]:
+    total = sum(DEFAULT_MIX.values())
+    counts = {name: int(n * weight / total) for name, weight in DEFAULT_MIX.items()}
+    names = list(DEFAULT_MIX)
     i = 0
     while sum(counts.values()) < n:
         counts[names[i % len(names)]] += 1
@@ -239,7 +239,7 @@ def generate_corpus(n: int, rng_seed: int) -> SeedCorpus:
         trust.add(TrustAnchor(anchor_name, tag))
 
     buckets = []
-    for name, count in _bucket_counts(n, DEFAULT_MIX).items():
+    for name, count in _bucket_counts(n).items():
         buckets.extend([name] * count)
     rng.shuffle(buckets)
 
@@ -251,21 +251,13 @@ def generate_corpus(n: int, rng_seed: int) -> SeedCorpus:
 
 
 def write_corpus(corpus: SeedCorpus, out_dir) -> None:
-    """Write seeds as PEM files plus the trust store and a manifest."""
+    """Write seeds as PEM files plus the trust store."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for entry in corpus.entries:
         (out / f"{entry.seed_id}.pem").write_text(pem_encode(entry.der))
     if corpus.trust is not None:
         (out / "trust.json").write_text(corpus.trust.to_json())
-    manifest = {
-        "format": "diffcert-corpus",
-        "version": 1,
-        "count": len(corpus.entries),
-        "rejected": corpus.rejected,
-        "seed_ids": [e.seed_id for e in corpus.entries],
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
 def load_corpus_dir(path) -> SeedCorpus:
@@ -294,11 +286,23 @@ class DiscrepancyRecord:
     rng_seed: int
 
     def __post_init__(self):
+        if type(self.seed_id) is not str:
+            raise ValueError(f"seed id {self.seed_id!r} is not a string")
+        if not all(type(action) is int for action in self.trace):
+            raise ValueError(f"trace {list(self.trace)!r} holds an action that is not an int")
         validate_trace(self.trace)
+        if type(self.mutant_der) is not bytes:
+            raise ValueError(f"mutant DER is {type(self.mutant_der).__name__}, not bytes")
         if not all(type(code) is int and code in ALL_CODES for code in self.verdicts):
             raise ValueError(f"verdicts {list(self.verdicts)!r} are not all verdict codes")
         if len(self.backend_ids) != len(self.verdicts) or not all(type(b) is str for b in self.backend_ids):
             raise ValueError(f"backend ids {list(self.backend_ids)!r} are not one string per verdict")
+        try:
+            dt.datetime.fromisoformat(self.timestamp)
+        except (TypeError, ValueError):
+            raise ValueError(f"timestamp {self.timestamp!r} is not an ISO 8601 string") from None
+        if type(self.rng_seed) is not int:
+            raise ValueError(f"rng seed {self.rng_seed!r} is not an int")
         if not is_discrepancy(self.verdicts):
             raise ValueError("record verdicts contain no discrepancy")
 
@@ -436,11 +440,10 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def report(records, backend_ids=None, corpus_size: int | None = None) -> Report:
-    """Group records by exact verdict vector and tally modification counts."""
+def report(records, *, corpus_size: int | None = None) -> Report:
+    """Group records by exact verdict vector and tally modification counts;
+    the header names the first record's backends."""
     records = list(records)
-    if backend_ids is None:
-        backend_ids = records[0].backend_ids if records else ()
     by_vector: dict[tuple[int, ...], int] = {}
     histogram: dict[int, int] = {}
     for rec in records:
@@ -448,7 +451,7 @@ def report(records, backend_ids=None, corpus_size: int | None = None) -> Report:
         histogram[len(rec.trace)] = histogram.get(len(rec.trace), 0) + 1
     ordered = tuple(sorted(by_vector.items(), key=lambda kv: (-kv[1], kv[0])))
     return Report(
-        backend_ids=tuple(backend_ids),
+        backend_ids=records[0].backend_ids if records else (),
         total_records=len(records),
         corpus_size=corpus_size,
         vector_counts=ordered,

@@ -488,9 +488,9 @@ class PatternRule:
 class ExternalBackend:
     """A verification utility run on a certificate file.
 
-    ``command`` entries may contain ``{cert}`` and ``{trust}``
-    placeholders; ``{trust}`` becomes ``trust_path``.  The pattern table
-    must end with a catch-all rule mapping to "Other error".
+    ``command`` entries may hold the placeholders ``{cert}`` and
+    ``{trust}`` and no others; ``{trust}`` becomes ``trust_path``.  The
+    pattern table must end with a catch-all rule mapping to "Other error".
     """
 
     id: str
@@ -508,6 +508,11 @@ class ExternalBackend:
             raise ValueError("the catch-all rule must map to Other error (-15)")
         if not all(type(rule.code) is int and rule.code in ALL_CODES for rule in self.patterns):
             raise ValueError("every pattern must map to a verdict code")
+        for arg in self.command:
+            try:
+                arg.format(cert="cert.der", trust=self.trust_path)
+            except (AttributeError, IndexError, KeyError, ValueError):
+                raise ValueError(f"command argument {arg!r} has a placeholder other than {{cert}} and {{trust}}") from None
 
 
 def external_verify(backend: ExternalBackend, cert_bytes: bytes) -> int:
@@ -580,7 +585,6 @@ class Panel:
         self.backends = tuple(backends)
         if len(self.backends) < 2:
             raise InsufficientBackends(f"need at least 2 backends, have {len(self.backends)}")
-        self.now = now
         self.ids = tuple(backend.id for backend in self.backends)
         self.externals = tuple((i, b) for i, b in enumerate(self.backends) if isinstance(b, ExternalBackend))
         self.simulated = tuple(

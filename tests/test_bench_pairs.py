@@ -1,6 +1,6 @@
 """scripts/bench_pairs.py on synthetic run JSONs: side by commit prefix,
 pair wins (ties are nobody's), quartiles, the digest check and the
-traced block."""
+traced block with its figures in reference jobs."""
 
 import importlib.util
 import json
@@ -18,7 +18,7 @@ CHANGE = "0123456789abcdef0123456789abcdef01234567"
 GATES = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def write_run(directory: Path, commit: str, seed: int, campaign_ref: float, digest: str = "d") -> Path:
+def write_run(directory: Path, commit: str, seed: int, campaign_ref: float, digest: str = "d", reference_ms: float = 250.0) -> Path:
     metrics = {gate["name"]: {"value": 1.0, "unit": gate["unit"]} for gate in GATES}
     metrics["campaign_ref"]["value"] = campaign_ref
     doc = {
@@ -30,6 +30,7 @@ def write_run(directory: Path, commit: str, seed: int, campaign_ref: float, dige
         "failed": 0,
         "metrics": metrics,
         "counts": {"digest": f"{digest}{seed}"},
+        "extra": {"reference_ms": reference_ms},
         "environment": {"commit": commit},
     }
     path = directory / f"{commit[:7]}-{seed}.json"
@@ -117,3 +118,26 @@ def test_traced_runs_collected_apart(tmp_path):
 def test_untraced_only_has_no_traced_block(tmp_path):
     runs = [write_run(tmp_path, PARENT, 1, 400.0), write_run(tmp_path, CHANGE, 1, 300.0)]
     assert "traced" not in summarize(tmp_path, runs)
+
+
+def test_traced_seconds_are_also_given_in_reference_jobs(tmp_path):
+    # each traced run carries its reference job; every per-layer figure in
+    # seconds gains a <name>_ref twin divided by that job, no other does
+    layers = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["per_layer"]
+    seconds = {metric["name"] for metric in layers if metric["unit"] == "s"}
+    assert {"qnet.train_step.self_s", "campaign.probe_s", "trace.campaign_s"} <= seconds
+    traced = []
+    for commit, reference_ms in ((PARENT, 250.0), (CHANGE, 500.0)):
+        path = write_run(tmp_path, commit, 1, 0.0, reference_ms=reference_ms)
+        doc = json.loads(path.read_text())
+        doc["trace"] = 1
+        doc["metrics"] = {metric["name"]: {"value": 2.0, "unit": metric["unit"]} for metric in layers}
+        path.write_text(json.dumps(doc))
+        traced.append(path)
+    block = summarize(tmp_path, traced)["traced"]["train"]
+    parent, change = block["parent"][0], block["change"][0]
+    assert parent["reference_ms"] == 250.0 and change["reference_ms"] == 500.0
+    assert {key for key in change if key.endswith("_ref")} == {f"{name}_ref" for name in seconds}
+    for name in seconds:
+        assert parent[f"{name}_ref"] == 8.0 and change[f"{name}_ref"] == 4.0
+        assert parent[name] == change[name] == 2.0

@@ -284,31 +284,31 @@ def test_delta_scheme_ignores_connection_errors():
 
 
 def test_custom_reference_clock_replays_exactly(tmp_path):
-    # records verified under a non-default clock must still replay and
-    # re-verify from what the record itself stores
+    # a record stamped with another clock than the reference one must
+    # replay and re-verify from what the record itself stores
     import datetime as dt
 
-    from diffcert.corpus import DiscrepancyDb, replay_record
+    from diffcert.actions import replay
+    from diffcert.certs import parse_der
+    from diffcert.corpus import DiscrepancyRecord, replay_record
 
-    # a clock still inside the generated validity windows, but not the
-    # default reference time
     corpus = generate_corpus(40, rng_seed=6)
     backends = tuple(default_backends(corpus.trust))
     clock = dt.datetime(2025, 9, 1, 12, 0, 0, tzinfo=dt.timezone.utc)
-    config = CampaignConfig(
-        backends=backends,
-        max_episode=1,
-        rng_seed=8,
-        reference_time=clock,
-        db_path=str(tmp_path / "run.db"),
-    )
-    _, records, stats = run_training(corpus, config)
-    assert records
-    for rec in DiscrepancyDb(tmp_path / "run.db").load_all():
-        assert rec.timestamp == clock.isoformat()
-        rebuilt = replay_record(corpus, rec)
-        assert encode_der(rebuilt) == rec.mutant_der
-        assert verify_all(rec.mutant_der, backends, clock).codes == rec.verdicts
+    entry = corpus.by_id("seed-00001-anchored")
+    trace = (11, 14)  # set notBefore, then notAfter, to the clock
+    mutant_der = encode_der(replay(parse_der(entry.der), trace, now=clock))
+    verdicts = verify_all(mutant_der, backends, clock)
+    db = DiscrepancyDb(tmp_path / "run.db")
+    db.append(DiscrepancyRecord(entry.seed_id, trace, mutant_der, verdicts.codes, verdicts.backend_ids, clock.isoformat(), 8))
+    (rec,) = db.load_all()
+    assert rec.timestamp == clock.isoformat()
+    rebuilt = replay_record(corpus, rec)
+    assert encode_der(rebuilt) == rec.mutant_der
+    assert verify_all(rec.mutant_der, backends, clock).codes == rec.verdicts
+    # the reference clock would rebuild and judge another certificate
+    assert encode_der(replay_record(corpus, rec, now=REFERENCE_TIME)) != rec.mutant_der
+    assert verify_all(rec.mutant_der, backends, REFERENCE_TIME).codes != rec.verdicts
 
 
 def test_delta_reward_scheme_stops_on_category_growth():
@@ -429,7 +429,7 @@ def test_verdict_memo_changes_nothing(monkeypatch):
     assert len(probes) == 2 and all(shared is panel for shared in calls + probes)
     assert 0 < len(panel.memo) < len(calls)
 
-    monkeypatch.setattr(campaign_mod, "verify_all", lambda cert, panel: real(cert, panel.backends, panel.now))
+    monkeypatch.setattr(campaign_mod, "verify_all", lambda cert, panel: real(cert, panel.backends, REFERENCE_TIME))
     fresh = run_training(corpus, config)
     assert memoized[1] == fresh[1] and memoized[2] == fresh[2]
     assert [a.tobytes() for a in memoized[0].arrays()] == [a.tobytes() for a in fresh[0].arrays()]

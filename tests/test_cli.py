@@ -39,9 +39,9 @@ def test_gen_zero_fails(tmp_path):
 def test_ingest(tmp_path, corpus_dir):
     out = tmp_path / "ingested"
     assert run_cli("ingest", str(corpus_dir), "--out", str(out)) == 0
-    assert (out / "manifest.json").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["count"] == 30
+    names = sorted(path.name for path in out.iterdir())
+    assert len(names) == 31 and names[-1] == "trust.json"
+    assert all(name.endswith(".pem") for name in names[:-1])
 
 
 def test_ingest_empty_dir(tmp_path):
@@ -144,6 +144,7 @@ def test_catalog_prints_86_rows(capsys):
 
 def test_report_empty_db(tmp_path, capsys):
     empty = tmp_path / "empty.db"
+    empty.touch()
     assert run_cli("report", str(empty)) == 0
     assert "no discrepancies" in capsys.readouterr().out
 
@@ -252,6 +253,15 @@ def test_report_bad_record_is_a_clean_error(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: report: record 1: ")
 
 
+def test_report_missing_database_is_a_clean_error(tmp_path, capsys):
+    # a mistyped path must not read as a clean run
+    for path in (tmp_path / "typo.db", tmp_path):
+        assert run_cli("report", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: report: no database at {path}"]
+        assert "no discrepancies" not in captured.out
+
+
 def test_backends_config_file(tmp_path, corpus_dir, capsys):
     backends = {
         "format": "diffcert-backends",
@@ -301,6 +311,19 @@ def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, conten
     if isinstance(content, dict) and "profile" in content["backends"][0]:
         assert err[0].startswith("error: backends: ValueError: \"profile\": unknown shipped profile 'gnutls-lik'")
         assert all(name in err[0] for name in SHIPPED_PROFILES)
+
+
+def test_unknown_command_placeholder_is_a_clean_error(tmp_path, corpus_dir, capsys):
+    # caught when the file loads, not as a KeyError in the first verification
+    external = {"id": "ext", "kind": "external", "command": ["true", "{cert}", "{certfile}"], "patterns": [{"code": -15}]}
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, external]}))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    for argv in (["verify", str(issued)], ["baseline", str(corpus_dir), "--out", str(tmp_path / "out")]):
+        capsys.readouterr()
+        assert run_cli(*argv, "--backends", str(path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: backends: ValueError: command argument '{certfile}'")
 
 
 def test_one_backend_is_a_clean_error(tmp_path, corpus_dir, capsys):

@@ -132,6 +132,35 @@ def test_record_needs_one_backend_id_string_per_verdict(backend_ids):
         dataclasses.replace(make_record(), backend_ids=backend_ids)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed_id", 5),
+        ("trace", ["3"]),
+        ("trace", [True]),
+        ("trace", [3.0]),
+        ("mutant_der", "MAA="),
+        ("timestamp", 5),
+        ("timestamp", "yesterday"),
+        ("rng_seed", "x"),
+        ("rng_seed", False),
+    ],
+)
+def test_record_fields_of_the_wrong_type_are_refused(tmp_path, field, value):
+    # a string seed id, int actions, bytes DER, an ISO 8601 timestamp and an
+    # int rng seed; a database record of another type is corruption
+    with pytest.raises(ValueError):
+        dataclasses.replace(make_record(), **{field: tuple(value) if field == "trace" else value})
+    if field == "mutant_der":
+        return  # the file holds the DER as base64 text, decoded to bytes
+    doc = json.loads(make_record().to_json())
+    payload = json.dumps({**doc, field: value})
+    path = tmp_path / "found.db"
+    path.write_text(f"{len(payload)}\t{payload}\n")
+    with pytest.raises(corpus_mod.CorruptDatabase, match="^record 1: ValueError: "):
+        DiscrepancyDb(path).load_all()
+
+
 def test_db_detects_corruption(tmp_path):
     db = DiscrepancyDb(tmp_path / "found.db")
     db.append(make_record())
@@ -186,7 +215,8 @@ def test_report_grouping():
         make_record(seed_id="b", verdicts=(1, -4, -4, 1, 1, 1)),
         make_record(seed_id="c", trace=(), verdicts=(1, -2, -2, -2, -2, -2)),
     ]
-    rep = report(recs, BACKENDS, corpus_size=10)
+    rep = report(recs, corpus_size=10)
+    assert rep.backend_ids == BACKENDS  # the header is the records' own
     assert rep.total_records == 3
     assert rep.vector_counts[0] == ((1, -4, -4, 1, 1, 1), 2)
     assert rep.proportion == pytest.approx(0.3)
@@ -198,14 +228,16 @@ def test_report_grouping():
 
 def test_report_counts_sum():
     recs = [make_record(seed_id=f"s{i}", verdicts=(1, -4 - (i % 3), -4, 1, 1, 1)) for i in range(9)]
-    rep = report(recs, BACKENDS)
+    rep = report(recs)
     assert sum(count for _, count in rep.vector_counts) == rep.total_records == 9
     assert sum(count for _, count in rep.modification_histogram) == 9
+    with pytest.raises(TypeError):  # corpus_size is keyword-only, so a stale header argument fails
+        report(recs, BACKENDS)
 
 
 def test_report_empty():
-    rep = report([], BACKENDS, corpus_size=5)
-    assert rep.total_records == 0
+    rep = report([], corpus_size=5)
+    assert rep.backend_ids == () and rep.total_records == 0
     assert rep.proportion == 0.0
     assert "no discrepancies" in rep.to_text()
     assert rep.to_json_lines().startswith("{")

@@ -479,6 +479,13 @@ def test_backend_spec_patterns_map_to_verdict_codes(code):
         ExternalBackend("x", ("v",), (PatternRule(code=code, exit_status=0), CATCH_ALL))
 
 
+@pytest.mark.parametrize("arg", ["{certfile}", "{}", "{0}", "{cert", "{cert.name}"])
+def test_backend_command_formats_with_cert_and_trust_alone(arg):
+    with pytest.raises(ValueError, match="command argument"):
+        ExternalBackend("x", ("v", arg), (CATCH_ALL,))
+    ExternalBackend("x", ("v", "{cert}", "--CAfile={trust}", "{{literal}}"), (CATCH_ALL,))
+
+
 def test_bind_backends_drops_missing_external(env):
     cert, store = env
     specs = [
