@@ -154,15 +154,31 @@ def encode_oid_content(dotted: str) -> bytes:
     return bytes(out)
 
 
+OID_CACHE_LIMIT = 1024  # distinct OIDs kept decoded; a hostile corpus cannot grow it further
+
+
 def decode_oid_content(content: bytes, offset: int = 0) -> str:
+    """Dotted form of an OID's content bytes.  A certificate corpus names
+    few distinct OIDs, so successful decodes are cached by content; a
+    failure is not, and its `MalformedDer` carries ``offset`` plus the
+    position within ``content``."""
+    try:
+        return _decode_oid(bytes(content))
+    except MalformedDer as exc:
+        raise MalformedDer(offset + exc.offset, exc.reason) from None
+
+
+@functools.lru_cache(maxsize=OID_CACHE_LIMIT)
+def _decode_oid(content: bytes) -> str:
+    """`decode_oid_content` at offset 0; ``__wrapped__`` is the uncached decode."""
     if not content:
-        raise MalformedDer(offset, "empty OBJECT IDENTIFIER")
+        raise MalformedDer(0, "empty OBJECT IDENTIFIER")
     arcs: list[int] = []
     value = 0
     started = False
     for i, byte in enumerate(content):
         if not started and byte == 0x80:
-            raise MalformedDer(offset + i, "non-minimal OID subidentifier")
+            raise MalformedDer(i, "non-minimal OID subidentifier")
         started = True
         value = (value << 7) | (byte & 0x7F)
         if byte & 0x80 == 0:
@@ -170,7 +186,7 @@ def decode_oid_content(content: bytes, offset: int = 0) -> str:
             value = 0
             started = False
     if started:
-        raise MalformedDer(offset + len(content), "truncated OID subidentifier")
+        raise MalformedDer(len(content), "truncated OID subidentifier")
     first = arcs[0]
     if first < 40:
         head = [0, first]

@@ -129,8 +129,7 @@ class _Learner:
         self.last_loss: float | None = None
 
     def select(self, state) -> int:
-        q = qnet.forward(self.params, state)
-        return qnet.select_action(q, self.config.epsilon.at(self.updates), self.rng)
+        return qnet.select_action(self.params, state, self.config.epsilon.at(self.updates), self.rng)
 
     def observe(self, state, action: int, reward: int, next_state) -> None:
         """Learn from one transition; ``next_state`` is None when terminal."""
@@ -163,13 +162,17 @@ def _run_loop(
     corpus: SeedCorpus,
     config: CampaignConfig,
     choose,
+    featurize,
     learner: _Learner | None,
     panel: Panel | None = None,
     on_episode_end=None,
 ) -> tuple[list[DiscrepancyRecord], CampaignStats]:
+    """``choose`` picks each action from the current state, the vector
+    ``featurize(cert, now)``; a loop whose chooser and learner read no
+    state passes None and its state stays None."""
     if panel is None:
         with Panel(config.backends, REFERENCE_TIME) as panel:
-            return _run_loop(corpus, config, choose, learner, panel, on_episode_end)
+            return _run_loop(corpus, config, choose, featurize, learner, panel, on_episode_end)
     rng = random.Random(config.rng_seed ^ 0x5EED)
     now = REFERENCE_TIME
     stats = CampaignStats()
@@ -213,8 +216,8 @@ def _run_loop(
                 book(entry.seed_id, (), entry.der, verdicts, episode)
                 continue
 
-            current, previous = seed, verdicts
-            state = extract(seed, now)
+            current, current_der, previous = seed, entry.der, verdicts
+            state = featurize(seed, now) if featurize is not None else None
             trace: list[int] = []
             for step in range(MAX_TRACE_LENGTH):
                 action = choose(state)
@@ -225,14 +228,17 @@ def _run_loop(
                 exhausted = step == MAX_TRACE_LENGTH - 1
                 terminal = stop or exhausted
                 trace.append(action)
-                next_state = None if terminal else extract(mutant, now)
+                next_state = None
+                if featurize is not None and not terminal:
+                    # a no-op mutant re-encodes its parent, so it has its parent's state
+                    next_state = state if mutant_der == current_der else featurize(mutant, now)
                 if learner is not None:
                     learner.observe(state, action, reward, next_state)
                 if is_discrepancy(verdicts):
                     book(entry.seed_id, tuple(trace), mutant_der, verdicts, episode)
                 if terminal:
                     break
-                current, previous, state = mutant, verdicts, next_state
+                current, current_der, previous, state = mutant, mutant_der, verdicts, next_state
         stats.episodes.append(episode)
         log.info(
             "episode %d: corpus %d discrepancies %d proportion %.1f%%",
@@ -271,7 +277,7 @@ def run_training(corpus: SeedCorpus, config: CampaignConfig) -> tuple[QParams, l
         snapshots.append((probe, -episode_index, learner.params))
 
     with Panel(config.backends, REFERENCE_TIME) as panel:
-        records, stats = _run_loop(corpus, config, learner.select, learner, panel, on_episode_end)
+        records, stats = _run_loop(corpus, config, learner.select, extract, learner, panel, on_episode_end)
     params = max(snapshots)[2] if snapshots else learner.params
     return params, records, stats
 
@@ -284,19 +290,20 @@ def run_inference(
     None to open one for this run."""
 
     def choose(state) -> int:
-        return int(qnet.select_action(qnet.forward(params, state), 0.0, _NO_RNG))
+        return qnet.select_action(params, state, 0.0, _NO_RNG)
 
-    return _run_loop(corpus, config, choose, None, panel)
+    return _run_loop(corpus, config, choose, extract, None, panel)
 
 
 def run_baseline(corpus: SeedCorpus, config: CampaignConfig) -> CampaignStats:
-    """The same loop with uniformly random actions and no learning."""
+    """The same loop with uniformly random actions and no learning; it
+    featurizes nothing, since nothing reads a state."""
     rng = random.Random(config.rng_seed)
 
     def choose(_state) -> int:
         return rng.randrange(CATALOG_SIZE)
 
-    _, stats = _run_loop(corpus, config, choose, None)
+    _, stats = _run_loop(corpus, config, choose, None, None)
     return stats
 
 

@@ -265,6 +265,8 @@ def cmd_catalog(_args, _settings) -> int:
 
 
 def cmd_report(args, _settings) -> int:
+    if args.corpus_size is not None and args.corpus_size < 1:
+        raise CliError(f"report: --corpus-size must be at least 1, got {args.corpus_size}")
     if not Path(args.database).is_file():
         raise CliError(f"report: no database at {args.database}")
     db = DiscrepancyDb(args.database)

@@ -172,14 +172,14 @@ def forward(params: QParams, state) -> np.ndarray:
     return _forward_batch(params, x[None, :])[-1][0]
 
 
-def select_action(qvalues, epsilon: float, rng: random.Random) -> int:
-    """Epsilon-greedy pick; greedy ties break toward the lowest action id."""
-    q = np.asarray(qvalues, dtype=np.float64)
-    if q.shape != (ACTION_COUNT,):
-        raise DimensionMismatch(f"qvalues shape {q.shape} != ({ACTION_COUNT},)")
+def select_action(params: QParams, state, epsilon: float, rng: random.Random) -> int:
+    """Epsilon-greedy pick for one state; greedy ties break toward the
+    lowest action id.  The draw comes first, so an exploratory pick runs
+    no `forward`; `forward` consumes no randomness, so the rng stream is
+    the same either way."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return rng.randrange(ACTION_COUNT)
-    return int(np.argmax(q))
+    return int(np.argmax(forward(params, state)))
 
 
 def max_next_q(params: QParams, next_states: np.ndarray) -> np.ndarray:

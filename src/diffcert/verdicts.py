@@ -24,7 +24,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, replace
 
-from .certs import Certificate, MalformedDer, UnsupportedStructure, encode_der, mock_sign, parse_der
+from .certs import REFERENCE_TIME, Certificate, MalformedDer, UnsupportedStructure, encode_der, mock_sign, parse_der
 from . import x509oids as oid
 
 log = logging.getLogger(__name__)
@@ -611,12 +611,13 @@ class Panel:
         self.close()
 
 
-def verify_all(cert, panel, now: dt.datetime | None = None) -> VerdictVector:
+def verify_all(cert, panel, now: dt.datetime = REFERENCE_TIME) -> VerdictVector:
     """One verdict per backend of ``panel``, in configuration order.
 
     Simulated backends judge a `Certificate` from its fields and parse
     bytes; external backends are given the encoding and run concurrently.
-    Given bound backends and the clock ``now``, a one-shot panel judges.
+    Given bound backends, a one-shot panel judges at the clock ``now``,
+    by default the campaigns' `REFERENCE_TIME`.
     """
     if not isinstance(panel, Panel):
         with Panel(panel, now) as one_shot:

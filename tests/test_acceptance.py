@@ -135,7 +135,7 @@ def test_criterion_05_q_learning_sanity():
         params = qnet.init(seed)
         converged_at = None
         for update in range(1, 5001):
-            action = qnet.select_action(qnet.forward(params, state), EpsilonSchedule().at(0), rng)
+            action = qnet.select_action(params, state, EpsilonSchedule().at(0), rng)
             reward = 100 if action == winner else -1
             params, _ = train_step(params, as_batch([Transition(state, action, reward, None, True)]))
             if update % 25 == 0 and int(np.argmax(qnet.forward(params, state))) == winner:

@@ -1,11 +1,12 @@
 """Low-level DER primitive tests, checked against independent encoders."""
 
 import datetime as dt
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from diffcert import asn1
+from diffcert import asn1, x509oids as oid
 
 
 def reference_int_content(value: int) -> bytes:
@@ -95,6 +96,52 @@ def test_oid_known_encodings(dotted, expected):
 )
 def test_oid_round_trip(dotted):
     assert asn1.decode_oid_content(asn1.encode_oid_content(dotted)) == dotted
+
+
+X509_OIDS = sorted(
+    value for value in vars(oid).values() if isinstance(value, str) and re.fullmatch(r"[0-2](\.[0-9]+)+", value)
+)
+
+
+def test_cached_oid_decode_equals_uncached_on_every_known_oid():
+    assert len(X509_OIDS) > 30
+    for dotted in X509_OIDS:
+        content = asn1.encode_oid_content(dotted)
+        for _ in range(2):  # a miss, then a hit
+            assert asn1.decode_oid_content(content) == asn1._decode_oid.__wrapped__(content) == dotted
+
+
+@given(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=39),
+    st.lists(st.integers(min_value=0, max_value=2**70), max_size=8),
+)
+def test_cached_oid_decode_equals_uncached_on_arc_lists(first, second, tail):
+    dotted = ".".join(str(arc) for arc in [first, second, *tail])
+    content = asn1.encode_oid_content(dotted)
+    assert asn1.decode_oid_content(content) == asn1._decode_oid.__wrapped__(content) == dotted
+    assert asn1.decode_oid_content(bytearray(content), 9) == dotted
+
+
+@pytest.mark.parametrize(
+    "content,position",
+    [(b"", 0), (b"\x2a\x80\x01", 1), (b"\x2a\x86", 2), (b"\x80\x01", 0)],
+)
+def test_malformed_oid_keeps_its_offset_when_repeated(content, position):
+    # failures are never cached: each call reports the caller's offset
+    for offset in (0, 17, 17, 400):
+        with pytest.raises(asn1.MalformedDer) as caught:
+            asn1.decode_oid_content(content, offset)
+        assert caught.value.offset == offset + position
+        with pytest.raises(asn1.MalformedDer) as again:
+            asn1.decode_oid_content(bytearray(content), offset)
+        assert (again.value.offset, again.value.reason) == (caught.value.offset, caught.value.reason)
+
+
+def test_oid_cache_stays_within_its_limit():
+    for arc in range(asn1.OID_CACHE_LIMIT + 300):
+        assert asn1.decode_oid_content(asn1.encode_oid_content(f"1.3.6.1.4.1.{arc}")) == f"1.3.6.1.4.1.{arc}"
+        assert asn1._decode_oid.cache_info().currsize <= asn1.OID_CACHE_LIMIT
 
 
 def test_time_utc_round_trip():

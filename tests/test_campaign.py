@@ -8,6 +8,7 @@ import math
 import random
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from diffcert.actions import MAX_TRACE_LENGTH
 from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_training
 from diffcert.certs import REFERENCE_TIME, SeedParams, build_synthetic, encode_der, encode_tbs
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
-from diffcert.features import FEATURE_LENGTH
+from diffcert.features import FEATURE_LENGTH, extract
 from diffcert import qnet
 from diffcert.qnet import TrainConfig
 from diffcert.verdicts import (
@@ -331,26 +332,160 @@ def test_delta_reward_scheme_stops_on_category_growth():
     assert stats.discrepancies == 0
 
 
-def test_training_featurizes_each_certificate_once(monkeypatch):
-    # the seed and every non-terminal mutant are featurized once: the
-    # mutant's vector is both the transition's next state and the next
-    # step's state
-    counts = {"apply": 0, "extract": 0}
+def _count_calls(monkeypatch, owner, name: str, counts: dict) -> None:
+    fn = getattr(owner, name)
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
 
-        return wrapped
+    monkeypatch.setattr(owner, name, counted)
 
-    monkeypatch.setattr(campaign_mod, "apply", counting("apply", campaign_mod.apply))
-    monkeypatch.setattr(campaign_mod, "extract", counting("extract", campaign_mod.extract))
+
+def test_training_featurizes_each_distinct_certificate_once(monkeypatch):
+    # the seed and every non-terminal mutant have a state, featurized once:
+    # the mutant's vector is both the transition's next state and the next
+    # step's state, and a no-op mutant (its parent's DER again) reuses its
+    # parent's state
+    counts = {}
+    _count_calls(monkeypatch, campaign_mod, "apply", counts)
+    _count_calls(monkeypatch, campaign_mod, "extract", counts)
+    visits, lineage = [], [b""]  # per seed visit, one no-op flag per mutant
+    parse, encode = campaign_mod.parse_der, campaign_mod.encode_der
+
+    def parse_seed(der):
+        visits.append([])
+        lineage[0] = der
+        return parse(der)
+
+    def encode_mutant(cert):
+        der = encode(cert)
+        visits[-1].append(der == lineage[0])
+        lineage[0] = der
+        return der
+
+    monkeypatch.setattr(campaign_mod, "parse_der", parse_seed)
+    monkeypatch.setattr(campaign_mod, "encode_der", encode_mutant)
     corpus = generate_corpus(12, rng_seed=3)
     config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=1, rng_seed=5)
     run_training(corpus, config)
-    assert counts["apply"] > 0
-    assert counts["extract"] == counts["apply"]
+    reused = sum(sum(flags[:-1]) for flags in visits)  # the last mutant of a visit is terminal
+    assert counts["apply"] == sum(len(flags) for flags in visits) > 0
+    assert reused > 0
+    assert counts["extract"] == counts["apply"] - reused
+
+
+def test_no_op_mutant_has_its_parents_features(monkeypatch):
+    # the premise of reusing a state: a mutant that encodes to its parent's
+    # DER featurizes exactly as its parent does, whichever action made it
+    pairs = []
+    apply = campaign_mod.apply
+    monkeypatch.setattr(campaign_mod, "apply", lambda cert, *a, **k: pairs.append((cert, a[0], apply(cert, *a, **k))) or pairs[-1][2])
+    corpus = generate_corpus(64, 1)
+    run_baseline(corpus, CampaignConfig(backends=tuple(default_backends(corpus.trust)), rng_seed=11))
+    no_ops = [(parent, action, mutant) for parent, action, mutant in pairs if encode_der(mutant) == encode_der(parent)]
+    assert len({action for _, action, _ in no_ops}) > 10
+    assert all(extract(mutant, REFERENCE_TIME) == extract(parent, REFERENCE_TIME) for parent, _, mutant in no_ops)
+
+
+def test_baseline_featurizes_nothing(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, campaign_mod, "apply", counts)
+    _count_calls(monkeypatch, campaign_mod, "extract", counts)
+    corpus = generate_corpus(12, rng_seed=3)
+    stats = run_baseline(corpus, CampaignConfig(backends=tuple(default_backends(corpus.trust)), rng_seed=5))
+    assert stats.seeds_processed == 12 and counts["apply"] > 0
+    assert counts.get("extract", 0) == 0
+
+
+def test_training_runs_forward_only_on_greedy_picks(monkeypatch):
+    # with the annealed recipe most picks explore; the learner's `select`
+    # runs `forward` once per greedy pick and never for an exploratory one
+    corpus = generate_corpus(24, 1)
+    config = CampaignConfig(
+        backends=tuple(default_backends(corpus.trust)),
+        max_episode=2,
+        rng_seed=11,
+        epsilon=campaign_mod.EpsilonSchedule.annealed(),
+        train=TrainConfig(use_target_network=True),
+    )
+    select, select_action, forward = campaign_mod._Learner.select, qnet.select_action, qnet.forward
+    inside, counts = [False], {"picks": 0, "greedy": 0, "forward": 0}
+
+    def counting_select(self, state):
+        inside[0] = True
+        try:
+            return select(self, state)
+        finally:
+            inside[0] = False
+
+    def counting_select_action(params, state, epsilon, rng):
+        if inside[0]:
+            draw = random.Random()
+            draw.setstate(rng.getstate())
+            counts["picks"] += 1
+            counts["greedy"] += not (epsilon > 0.0 and draw.random() < epsilon)
+        return select_action(params, state, epsilon, rng)
+
+    def counting_forward(*args):
+        counts["forward"] += inside[0]
+        return forward(*args)
+
+    monkeypatch.setattr(campaign_mod._Learner, "select", counting_select)
+    monkeypatch.setattr(qnet, "select_action", counting_select_action)
+    monkeypatch.setattr(qnet, "forward", counting_forward)
+    _, _, stats = run_training(corpus, config)
+    assert counts["picks"] == stats.updates
+    assert 0 < counts["forward"] == counts["greedy"] < counts["picks"] // 2
+
+
+# SHA-256 over the statistics and records of a seeded random-action
+# baseline, a seeded training run and an inference run with its
+# parameters, then those parameters.  Pinned from the loop that
+# featurized every seed and non-terminal mutant (the baseline's too) and
+# ran `forward` before every epsilon draw; skipping that work must not
+# move a byte.
+EAGER_LOOP_DIGEST = "00dd3ee78e534ed4a53079455328ec373a05cb1a77357efe0710ab3f14787598"
+
+
+def _stats_blob(stats) -> bytes:
+    return repr(
+        (
+            stats.seeds_processed,
+            stats.skipped_seeds,
+            stats.discrepancies,
+            sorted(stats.modification_histogram.items()),
+            sorted(stats.type_counts.items()),
+            [(ep.corpus_size, ep.discrepancies) for ep in stats.episodes],
+            stats.updates,
+            stats.final_loss,
+        )
+    ).encode()
+
+
+def _records_blob(records) -> bytes:
+    return repr([(r.seed_id, r.trace, r.mutant_der, r.verdicts, r.backend_ids, r.timestamp) for r in records]).encode()
+
+
+def test_skipped_work_changes_no_output():
+    digest = hashlib.sha256()
+    corpus = generate_corpus(40, 2)
+    backends = tuple(default_backends(corpus.trust))
+    digest.update(_stats_blob(run_baseline(corpus, CampaignConfig(backends=backends, rng_seed=7))))
+    config = CampaignConfig(
+        backends=backends,
+        max_episode=2,
+        rng_seed=7,
+        epsilon=campaign_mod.EpsilonSchedule.annealed(),
+        train=TrainConfig(use_target_network=True),
+    )
+    params, records, stats = run_training(corpus, config)
+    digest.update(_records_blob(records) + _stats_blob(stats))
+    records, stats = run_inference(corpus, params, replace(config, max_episode=1))
+    digest.update(_records_blob(records) + _stats_blob(stats))
+    for array in params.arrays():
+        digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    assert digest.hexdigest() == EAGER_LOOP_DIGEST
 
 
 def test_seed_visit_judges_without_parsing(monkeypatch):

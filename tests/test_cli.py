@@ -253,6 +253,17 @@ def test_report_bad_record_is_a_clean_error(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: report: record 1: ")
 
 
+def test_report_corpus_size_below_one_is_a_clean_error(tmp_path, capsys):
+    empty = tmp_path / "empty.db"
+    empty.touch()
+    for size in ("-5", "0"):
+        assert run_cli("report", str(empty), "--corpus-size", size) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: report: --corpus-size must be at least 1, got {size}"]
+        assert "proportion" not in captured.out
+    assert run_cli("report", str(empty), "--corpus-size", "1") == 0
+
+
 def test_report_missing_database_is_a_clean_error(tmp_path, capsys):
     # a mistyped path must not read as a clean run
     for path in (tmp_path / "typo.db", tmp_path):

@@ -108,14 +108,21 @@ def test_forward_dead_relu_reduces_to_bias_path():
     assert np.allclose(forward(dead, state), expected)
 
 
+def params_giving(q) -> QParams:
+    """Parameters whose `forward` is ``q`` for every state: zero weights, ``b2 = q``."""
+    zero = init(0)
+    return QParams(*(np.zeros_like(a) for a in zero.arrays()[:-1]), np.asarray(q, dtype=np.float64))
+
+
 def test_select_action_greedy_and_ties():
     rng = random.Random(0)
+    state = [1] * FEATURE_LENGTH
     q = np.zeros(ACTION_COUNT)
     q[17] = 5.0
-    assert select_action(q, 0.0, rng) == 17
+    assert select_action(params_giving(q), state, 0.0, rng) == 17
     q = np.zeros(ACTION_COUNT)
     q[3] = q[9] = 2.0
-    assert select_action(q, 0.0, rng) == 3  # lowest id wins ties
+    assert select_action(params_giving(q), state, 0.0, rng) == 3  # lowest id wins ties
 
 
 @given(st.floats(min_value=0.01, max_value=1000.0), st.integers(min_value=0, max_value=85))
@@ -123,7 +130,7 @@ def test_select_action_scale_invariant(scale, winner):
     rng = random.Random(1)
     q = np.full(ACTION_COUNT, -1.0)
     q[winner] = 1.0
-    assert select_action(q * scale, 0.0, rng) == winner
+    assert select_action(params_giving(q * scale), [0] * FEATURE_LENGTH, 0.0, rng) == winner
 
 
 def test_select_action_uniform_exploration_chi_square():
@@ -132,13 +139,36 @@ def test_select_action_uniform_exploration_chi_square():
     rng = random.Random(42)
     draws = 100_000
     counts = [0] * ACTION_COUNT
-    q = np.zeros(ACTION_COUNT)
+    params, state = init(0), [0] * FEATURE_LENGTH
     for _ in range(draws):
-        counts[select_action(q, 1.0, rng)] += 1
+        counts[select_action(params, state, 1.0, rng)] += 1
     expected = draws / ACTION_COUNT
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     dof = ACTION_COUNT - 1
     assert chi2 < dof + 5 * math.sqrt(2 * dof)
+
+
+def test_select_action_draws_before_forward(monkeypatch):
+    # picks and the rng stream equal those of the forward-first order,
+    # and only greedy picks run `forward`
+    data = random.Random(3)
+    params = init(4)
+    steps = [(random_state(data), data.choice([0.0, 0.3, 0.9, 1.0])) for _ in range(300)]
+    reference_rng = random.Random(8)
+    expected, greedy = [], 0
+    for state, epsilon in steps:
+        q = forward(params, state)
+        if epsilon > 0.0 and reference_rng.random() < epsilon:
+            expected.append(reference_rng.randrange(ACTION_COUNT))
+        else:
+            expected.append(int(np.argmax(q)))
+            greedy += 1
+    calls = []
+    monkeypatch.setattr(qnet, "forward", lambda *args: calls.append(args) or forward(*args))
+    rng = random.Random(8)
+    assert [select_action(params, state, epsilon, rng) for state, epsilon in steps] == expected
+    assert rng.getstate() == reference_rng.getstate()
+    assert 0 < len(calls) == greedy < len(steps)
 
 
 def test_td_target_branches():
@@ -415,7 +445,7 @@ def test_toy_mdp_one_state(tmp_path):
         k = rng.randrange(ACTION_COUNT)
         params = init(seed)
         for step in range(3000):
-            action = select_action(forward(params, state), EpsilonSchedule().at(0), rng)
+            action = select_action(params, state, EpsilonSchedule().at(0), rng)
             reward = 100 if action == k else -1
             tr = Transition(state, action, reward, None, True)
             params, _ = train_step(params, as_batch([tr]))

@@ -311,6 +311,19 @@ def test_verify_all_requires_two_backends(env):
         verify_all(cert, default_backends(store)[:1], NOW)
 
 
+def test_verify_all_without_a_clock_judges_at_the_reference_time():
+    # the one-shot form defaults to the clock every campaign uses
+    corpus = generate_corpus(30, 1)
+    backends = default_backends(corpus.trust)
+    later = REFERENCE_TIME + datetime.timedelta(days=365 * 30)
+    moved = 0
+    for entry in corpus.entries:
+        vector = verify_all(entry.der, backends)
+        assert vector == verify_all(entry.der, backends, REFERENCE_TIME)
+        moved += vector != verify_all(entry.der, backends, later)
+    assert moved > 0  # the clock is read, not ignored
+
+
 def test_verify_all_order_is_configuration_order(env):
     cert, store = env
     backends = default_backends(store)
