@@ -107,7 +107,7 @@ def test_cached_oid_decode_equals_uncached_on_every_known_oid():
     assert len(X509_OIDS) > 30
     for dotted in X509_OIDS:
         content = asn1.encode_oid_content(dotted)
-        for _ in range(2):  # a miss, then a hit
+        for _ in range(2):  # the second call is a cache hit
             assert asn1.decode_oid_content(content) == asn1._decode_oid.__wrapped__(content) == dotted
 
 
