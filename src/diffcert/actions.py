@@ -22,6 +22,7 @@ from .certs import (
     Extension,
     TimeValue,
     AlgorithmId,
+    copy_certificate,
 )
 
 CATALOG_SIZE = 86
@@ -67,18 +68,18 @@ def validate_trace(actions) -> tuple[int, ...]:
 # Primitive edits
 
 def _set_version(cert: Certificate, value: int) -> Certificate:
-    return replace(cert, version=value, version_present=value != 1)
+    return copy_certificate(cert, version=value, version_present=value != 1)
 
 
 def _set_serial(cert: Certificate, value: int) -> Certificate:
-    return replace(cert, serial=value, serial_raw=asn1.encode_int_content(value))
+    return copy_certificate(cert, serial=value, serial_raw=asn1.encode_int_content(value))
 
 
 def _pad_serial(cert: Certificate, octets: int) -> Certificate:
     """Grow the serial to a fixed octet count, keeping it minimal-positive."""
     body = cert.serial_raw or b"\x00"
     raw = (b"\x01" + body * (octets // len(body) + 1))[:octets]
-    return replace(cert, serial=int.from_bytes(raw, "big", signed=True), serial_raw=raw)
+    return copy_certificate(cert, serial=int.from_bytes(raw, "big", signed=True), serial_raw=raw)
 
 
 def _shift_year(t: TimeValue, years: int) -> TimeValue:
@@ -97,10 +98,7 @@ def _at_now(t: TimeValue, now: dt.datetime) -> TimeValue:
 
 
 def _set_sig_alg(cert: Certificate, alg_oid: str) -> Certificate:
-    return replace(
-        cert,
-        signature_algorithm=AlgorithmId(alg_oid, cert.signature_algorithm.params_raw),
-    )
+    return copy_certificate(cert, signature_algorithm=AlgorithmId(alg_oid, cert.signature_algorithm.params_raw))
 
 
 def _resize_key(cert: Certificate, factor: float) -> Certificate:
@@ -110,7 +108,7 @@ def _resize_key(cert: Certificate, factor: float) -> Certificate:
         body = body + body if body else b"\x00"
     else:
         body = body[: max(1, len(body) // 2)]
-    return replace(cert, public_key_info=replace(spki, key_raw=b"\x00" + body))
+    return copy_certificate(cert, public_key_info=replace(spki, key_raw=b"\x00" + body))
 
 
 # Per-type inner DER written by the add-with-default-value action; values
@@ -165,7 +163,7 @@ CORRUPT_VALUES: dict[str, bytes] = {
 
 def _delete_extension(cert: Certificate, ext_oid: str) -> Certificate:
     exts = tuple(e for e in cert.extensions if e.oid != ext_oid)
-    return replace(cert, extensions=exts)
+    return copy_certificate(cert, extensions=exts)
 
 
 def _upsert(cert: Certificate, ext_oid: str, **fields) -> Certificate:
@@ -175,9 +173,9 @@ def _upsert(cert: Certificate, ext_oid: str, **fields) -> Certificate:
     for i, ext in enumerate(exts):
         if ext.oid == ext_oid:
             exts[i] = replace(ext, **fields)
-            return replace(cert, extensions=tuple(exts))
+            return copy_certificate(cert, extensions=tuple(exts))
     fields.setdefault("value", ADD_DEFAULT_VALUES[ext_oid])
-    return replace(cert, extensions=cert.extensions + (Extension(ext_oid, **fields),))
+    return copy_certificate(cert, extensions=cert.extensions + (Extension(ext_oid, **fields),))
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +206,22 @@ def _build_catalog():
     add(Family.SERIAL, "set the serial number to 1", lambda c, now: _set_serial(c, 1))
     add(Family.SERIAL, "pad the serial number to 21 octets", lambda c, now: _pad_serial(c, 21))
     add(Family.SERIAL, "pad the serial number to 37 octets", lambda c, now: _pad_serial(c, 37))
-    add(Family.VALIDITY, "shift notBefore one year earlier", lambda c, now: replace(c, not_before=_shift_year(c.not_before, -1)))
-    add(Family.VALIDITY, "shift notBefore one year later", lambda c, now: replace(c, not_before=_shift_year(c.not_before, 1)))
-    add(Family.VALIDITY, "set notBefore to the reference clock", lambda c, now: replace(c, not_before=_at_now(c.not_before, now)))
-    add(Family.VALIDITY, "shift notAfter one year earlier", lambda c, now: replace(c, not_after=_shift_year(c.not_after, -1)))
-    add(Family.VALIDITY, "shift notAfter one year later", lambda c, now: replace(c, not_after=_shift_year(c.not_after, 1)))
-    add(Family.VALIDITY, "set notAfter to the reference clock", lambda c, now: replace(c, not_after=_at_now(c.not_after, now)))
-    add(Family.VALIDITY, "swap notBefore and notAfter", lambda c, now: replace(c, not_before=c.not_after, not_after=c.not_before))
+    add(Family.VALIDITY, "shift notBefore one year earlier", lambda c, now: copy_certificate(c, not_before=_shift_year(c.not_before, -1)))
+    add(Family.VALIDITY, "shift notBefore one year later", lambda c, now: copy_certificate(c, not_before=_shift_year(c.not_before, 1)))
+    add(Family.VALIDITY, "set notBefore to the reference clock", lambda c, now: copy_certificate(c, not_before=_at_now(c.not_before, now)))
+    add(Family.VALIDITY, "shift notAfter one year earlier", lambda c, now: copy_certificate(c, not_after=_shift_year(c.not_after, -1)))
+    add(Family.VALIDITY, "shift notAfter one year later", lambda c, now: copy_certificate(c, not_after=_shift_year(c.not_after, 1)))
+    add(Family.VALIDITY, "set notAfter to the reference clock", lambda c, now: copy_certificate(c, not_after=_at_now(c.not_after, now)))
+    add(Family.VALIDITY, "swap notBefore and notAfter", lambda c, now: copy_certificate(c, not_before=c.not_after, not_after=c.not_before))
     for alg_oid, alg_name in SIG_ALG_MENU:
         add(Family.SIG_ALG, f"set signature algorithm to {alg_name}", lambda c, now, a=alg_oid: _set_sig_alg(c, a))
-    add(Family.NAME, "set issuer country to US", lambda c, now: replace(c, issuer=c.issuer.with_country("US")))
-    add(Family.NAME, "set issuer country to CN", lambda c, now: replace(c, issuer=c.issuer.with_country("CN")))
-    add(Family.NAME, "remove the issuer country", lambda c, now: replace(c, issuer=c.issuer.without_country()))
-    add(Family.NAME, "set subject country to US", lambda c, now: replace(c, subject=c.subject.with_country("US")))
-    add(Family.NAME, "set subject country to CN", lambda c, now: replace(c, subject=c.subject.with_country("CN")))
-    add(Family.NAME, "remove the subject country", lambda c, now: replace(c, subject=c.subject.without_country()))
-    add(Family.NAME, "copy the issuer name into the subject", lambda c, now: replace(c, subject=c.issuer))
+    add(Family.NAME, "set issuer country to US", lambda c, now: copy_certificate(c, issuer=c.issuer.with_country("US")))
+    add(Family.NAME, "set issuer country to CN", lambda c, now: copy_certificate(c, issuer=c.issuer.with_country("CN")))
+    add(Family.NAME, "remove the issuer country", lambda c, now: copy_certificate(c, issuer=c.issuer.without_country()))
+    add(Family.NAME, "set subject country to US", lambda c, now: copy_certificate(c, subject=c.subject.with_country("US")))
+    add(Family.NAME, "set subject country to CN", lambda c, now: copy_certificate(c, subject=c.subject.with_country("CN")))
+    add(Family.NAME, "remove the subject country", lambda c, now: copy_certificate(c, subject=c.subject.without_country()))
+    add(Family.NAME, "copy the issuer name into the subject", lambda c, now: copy_certificate(c, subject=c.issuer))
     add(Family.KEY, "halve the declared public-key length", lambda c, now: _resize_key(c, 0.5))
     add(Family.KEY, "double the declared public-key length", lambda c, now: _resize_key(c, 2.0))
     for ext_oid, name in EXTENSION_TARGET_NAMES.items():

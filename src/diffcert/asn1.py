@@ -104,7 +104,16 @@ def encode_length(length: int) -> bytes:
 
 
 def tlv(tag: int, content: bytes) -> bytes:
-    return bytes([tag]) + encode_length(len(content)) + content
+    # the header is built inline for the lengths certificates use;
+    # `encode_length` handles (and refuses) the rest
+    n = len(content)
+    if n < 0x80:
+        return bytes((tag, n)) + content
+    if n < 0x100:
+        return bytes((tag, 0x81, n)) + content
+    if n < 0x10000:
+        return bytes((tag, 0x82, n >> 8, n & 0xFF)) + content
+    return bytes([tag]) + encode_length(n) + content
 
 
 def encode_int_content(value: int) -> bytes:

@@ -611,17 +611,20 @@ class Panel:
         self.close()
 
 
-def verify_all(cert, panel, now: dt.datetime = REFERENCE_TIME) -> VerdictVector:
+def verify_all(cert, panel, now: dt.datetime | None = None) -> VerdictVector:
     """One verdict per backend of ``panel``, in configuration order.
 
     Simulated backends judge a `Certificate` from its fields and parse
     bytes; external backends are given the encoding and run concurrently.
     Given bound backends, a one-shot panel judges at the clock ``now``,
-    by default the campaigns' `REFERENCE_TIME`.
+    by default the campaigns' `REFERENCE_TIME`.  An open `Panel` judges
+    at its own clock, so it refuses another one with ValueError.
     """
     if not isinstance(panel, Panel):
-        with Panel(panel, now) as one_shot:
+        with Panel(panel, REFERENCE_TIME if now is None else now) as one_shot:
             return verify_all(cert, one_shot)
+    if now is not None:
+        raise ValueError("verify_all: a Panel judges at its own clock; pass no `now` with it")
     data = cert if isinstance(cert, Certificate) else bytes(cert)
     memo = panel.memo
     if memo is not None:

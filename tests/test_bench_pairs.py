@@ -120,12 +120,15 @@ def test_untraced_only_has_no_traced_block(tmp_path):
     assert "traced" not in summarize(tmp_path, runs)
 
 
-def test_traced_seconds_are_also_given_in_reference_jobs(tmp_path):
+def test_traced_times_are_also_given_in_reference_jobs(tmp_path):
     # each traced run carries its reference job; every per-layer figure in
-    # seconds gains a <name>_ref twin divided by that job, no other does
+    # seconds or microseconds gains a <name>_ref twin divided by that job
+    # (in the figure's unit), no other does
     layers = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["per_layer"]
     seconds = {metric["name"] for metric in layers if metric["unit"] == "s"}
+    micros = {metric["name"] for metric in layers if metric["unit"] == "us"}
     assert {"qnet.train_step.self_s", "campaign.probe_s", "trace.campaign_s"} <= seconds
+    assert {"certs.encode_der.us_p50", "certs.encode_der.us_p99", "actions.apply.us_p50"} <= micros
     traced = []
     for commit, reference_ms in ((PARENT, 250.0), (CHANGE, 500.0)):
         path = write_run(tmp_path, commit, 1, 0.0, reference_ms=reference_ms)
@@ -137,7 +140,11 @@ def test_traced_seconds_are_also_given_in_reference_jobs(tmp_path):
     block = summarize(tmp_path, traced)["traced"]["train"]
     parent, change = block["parent"][0], block["change"][0]
     assert parent["reference_ms"] == 250.0 and change["reference_ms"] == 500.0
-    assert {key for key in change if key.endswith("_ref")} == {f"{name}_ref" for name in seconds}
+    assert {key for key in change if key.endswith("_ref")} == {f"{name}_ref" for name in seconds | micros}
     for name in seconds:
         assert parent[f"{name}_ref"] == 8.0 and change[f"{name}_ref"] == 4.0
+        assert parent[name] == change[name] == 2.0
+    # 2 us of a 250 ms job is 8e-6 jobs; of a 500 ms job, 4e-6
+    for name in micros:
+        assert parent[f"{name}_ref"] == pytest.approx(8e-6) and change[f"{name}_ref"] == pytest.approx(4e-6)
         assert parent[name] == change[name] == 2.0
