@@ -55,6 +55,13 @@ def test_tlv_round_trip(content):
     assert nxt == len(blob)
 
 
+@pytest.mark.parametrize("length", [0, 127, 128, 255, 256, 65_535, 65_536])
+def test_tlv_inline_header_equals_encode_length(length):
+    # each side of every inline header form, and the fallback past them
+    content = bytes(i & 0xFF for i in range(length))
+    assert asn1.tlv(asn1.OCTET_STRING, content) == bytes([asn1.OCTET_STRING]) + asn1.encode_length(length) + content
+
+
 def test_length_forms():
     assert asn1.encode_length(0) == b"\x00"
     assert asn1.encode_length(127) == b"\x7f"

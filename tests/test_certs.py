@@ -1,16 +1,19 @@
-"""Certificate codec tests: lossless round-trips, PEM armor, the synthetic
-builder's determinism and the mock signature scheme."""
+"""Certificate codec tests: lossless round-trips, the part DER the parse
+seeds, certificate copies, PEM armor, the synthetic builder's determinism
+and the mock signature scheme."""
 
 import dataclasses
 import datetime as dt
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from diffcert import asn1, certs
+from diffcert import actions, asn1, certs, x509oids as oid
 from diffcert.certs import (
     REFERENCE_TIME,
+    Certificate,
     ExtensionParam,
     InvalidParams,
     MalformedDer,
@@ -24,6 +27,7 @@ from diffcert.certs import (
     pem_decode,
     pem_encode,
 )
+from diffcert.corpus import generate_corpus
 
 ONE_YEAR = 365 * 24 * 3600
 
@@ -43,6 +47,132 @@ def test_edited_copy_encodes_from_its_fields(default_cert):
     edited = dataclasses.replace(parsed, serial=2, serial_raw=b"\x02")
     assert parse_der(encode_der(edited)) == edited
     assert encode_der(dataclasses.replace(parsed)) == encode_der(parsed)
+
+
+def _parts(cert: Certificate) -> list:
+    return [
+        cert.signature_algorithm,
+        cert.issuer,
+        cert.not_before,
+        cert.not_after,
+        cert.subject,
+        cert.public_key_info,
+        *cert.extensions,
+    ]
+
+
+def _unseeded(cert: Certificate) -> Certificate:
+    """A copy whose every part is fresh, so it encodes all from fields."""
+    fresh = dataclasses.replace
+    return fresh(
+        cert,
+        signature_algorithm=fresh(cert.signature_algorithm),
+        issuer=fresh(cert.issuer),
+        subject=fresh(cert.subject),
+        not_before=fresh(cert.not_before),
+        not_after=fresh(cert.not_after),
+        public_key_info=fresh(cert.public_key_info),
+        extensions=tuple(fresh(ext) for ext in cert.extensions),
+    )
+
+
+def _explicit_false_actions() -> list[int]:
+    return [spec.id for spec in actions.catalog() if "flag encoded explicitly" in spec.description]
+
+
+@functools.cache
+def _codec_inputs() -> tuple[tuple[bytes, bool], ...]:
+    """(DER, lenient) pairs: two generated corpora parsed strictly, and
+    their seeds with an explicit FALSE criticality flag, which only a
+    lenient parse accepts."""
+    inputs = []
+    for n, rng_seed in ((40, 1), (40, 2)):
+        for entry in generate_corpus(n, rng_seed).entries:
+            inputs.append((entry.der, False))
+            seed = parse_der(entry.der)
+            for action in _explicit_false_actions()[:3]:
+                inputs.append((encode_der(actions.apply(seed, action)), True))
+    return tuple(inputs)
+
+
+def _assert_seeded_parts_exact(cert: Certificate) -> None:
+    for part in _parts(cert):
+        assert "der" in vars(part)  # seeded by the parse, not computed
+        assert part.der == dataclasses.replace(part).der
+    assert certs.encode_tbs(cert) == cert.encoding[0]
+    assert encode_der(_unseeded(cert)) == cert.encoding[1]
+
+
+def test_parse_seeds_exact_part_der_on_generated_corpora():
+    inputs = _codec_inputs()
+    assert any(lenient for _, lenient in inputs) and not all(lenient for _, lenient in inputs)
+    for der, lenient in inputs:
+        _assert_seeded_parts_exact(parse_der(der, lenient=lenient))
+        if not lenient:
+            _assert_seeded_parts_exact(parse_der(der, lenient=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_seeds_exact_part_der_on_byte_flips(data):
+    # a flipped input that still parses, strictly or leniently, re-encodes
+    # every part to the slice the parse seeded it with
+    der, _ = data.draw(st.sampled_from(_codec_inputs()))
+    pos = data.draw(st.integers(min_value=0, max_value=len(der) - 1))
+    flipped = bytearray(der)
+    flipped[pos] ^= data.draw(st.integers(min_value=1, max_value=255))
+    parsed = 0
+    for lenient in (False, True):
+        try:
+            cert = parse_der(bytes(flipped), lenient=lenient)
+        except ValueError:
+            continue
+        parsed += 1
+        _assert_seeded_parts_exact(cert)
+    assume(parsed)
+
+
+def test_single_field_edit_shares_parts_and_encodes_no_extension(default_cert, monkeypatch):
+    # the first mutant of a seed re-encodes only what its action replaced:
+    # a serial edit shares its parent's names and extensions and computes
+    # no extension's DER, yet encodes as if every part were fresh
+    seed = parse_der(encode_der(default_cert))
+    computed = []
+    cached = vars(certs.Extension)["der"]
+    encode_extension = cached.fn
+    monkeypatch.setattr(cached, "fn", lambda ext: computed.append(ext) or encode_extension(ext))
+    (serial_one,) = (spec.id for spec in actions.catalog() if spec.description == "set the serial number to 1")
+    mutant = actions.apply(seed, serial_one)
+    der = encode_der(mutant)
+    assert mutant.serial == 1 and der != encode_der(seed)
+    assert mutant.issuer is seed.issuer and mutant.subject is seed.subject
+    assert mutant.extensions is seed.extensions
+    assert computed == []
+    # an edit of one extension computes that extension's DER only
+    (corrupt_san,) = (spec.id for spec in actions.catalog() if spec.description == "corrupt the value of subjectAltName")
+    edited = actions.apply(mutant, corrupt_san)
+    edited_der = encode_der(edited)
+    assert [ext.oid for ext in computed] == [oid.SUBJECT_ALT_NAME]
+    assert der == encode_der(_unseeded(mutant))
+    assert edited_der == encode_der(_unseeded(edited))
+
+
+def test_copy_certificate_equals_replace_without_caches(default_cert):
+    parsed = parse_der(encode_der(default_cert))
+    assert parsed.strict_der and "encoding" in vars(parsed)  # both caches filled
+    for changes in ({}, {"serial": 2, "serial_raw": b"\x02"}, {"subject": parsed.issuer, "extensions": ()}):
+        copy = certs.copy_certificate(parsed, **changes)
+        expected = dataclasses.replace(parsed, **changes)
+        assert type(copy) is Certificate and copy == expected
+        assert vars(copy) == vars(expected)  # field for field, no cached attribute
+        assert "encoding" not in vars(copy) and "strict_der" not in vars(copy)
+        assert encode_der(copy) == encode_der(expected)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copy.serial = 3
+    with pytest.raises(TypeError, match="serial_number"):
+        certs.copy_certificate(parsed, serial_number=3)
+    with pytest.raises(TypeError):
+        dataclasses.replace(parsed, serial_number=3)
 
 
 def test_parse_rejects_non_sequence():

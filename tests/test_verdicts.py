@@ -324,6 +324,24 @@ def test_verify_all_without_a_clock_judges_at_the_reference_time():
     assert moved > 0  # the clock is read, not ignored
 
 
+def test_verify_all_refuses_a_clock_with_an_open_panel():
+    # an open panel judges at the clock it was opened with; a second
+    # clock would be ignored, so it is refused, even the same one
+    corpus = generate_corpus(30, 1)
+    backends = default_backends(corpus.trust)
+    later = REFERENCE_TIME + datetime.timedelta(days=365 * 30)
+    with Panel(backends, REFERENCE_TIME) as panel:
+        for clock in (later, REFERENCE_TIME):
+            with pytest.raises(ValueError, match="its own clock"):
+                verify_all(corpus.entries[0].der, panel, clock)
+        # the one-shot form judges as a panel opened at its clock
+        for entry in corpus.entries:
+            assert verify_all(entry.der, backends) == verify_all(entry.der, panel)
+    with Panel(backends, later) as panel:
+        for entry in corpus.entries:
+            assert verify_all(entry.der, backends, later) == verify_all(entry.der, panel)
+
+
 def test_verify_all_order_is_configuration_order(env):
     cert, store = env
     backends = default_backends(store)
