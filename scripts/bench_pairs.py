@@ -31,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# a reference job in each time unit a per-layer metric uses, per reference_ms
+# reference_ms times this is the reference job in a per-layer metric's unit
 REFERENCE_UNITS = {"s": 1e-3, "us": 1e3}
 
 

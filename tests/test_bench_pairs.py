@@ -120,7 +120,7 @@ def test_untraced_only_has_no_traced_block(tmp_path):
     assert "traced" not in summarize(tmp_path, runs)
 
 
-def test_traced_times_are_also_given_in_reference_jobs(tmp_path):
+def test_traced_seconds_are_also_given_in_reference_jobs(tmp_path):
     # each traced run carries its reference job; every per-layer figure in
     # seconds or microseconds gains a <name>_ref twin divided by that job
     # (in the figure's unit), no other does
