@@ -103,17 +103,24 @@ def encode_length(length: int) -> bytes:
     return bytes([0x80 | len(raw)]) + raw
 
 
+def header(tag: int, length: int) -> bytes:
+    """The tag and length octets of a TLV with ``length`` content bytes."""
+    # built inline for the lengths certificates use; `encode_length`
+    # handles (and refuses) the rest
+    if length < 0x80:
+        return bytes((tag, length))
+    if length < 0x100:
+        return bytes((tag, 0x81, length))
+    if length < 0x10000:
+        return bytes((tag, 0x82, length >> 8, length & 0xFF))
+    return bytes([tag]) + encode_length(length)
+
+
 def tlv(tag: int, content: bytes) -> bytes:
-    # the header is built inline for the lengths certificates use;
-    # `encode_length` handles (and refuses) the rest
     n = len(content)
-    if n < 0x80:
+    if n < 0x80:  # most TLVs: no call for the header
         return bytes((tag, n)) + content
-    if n < 0x100:
-        return bytes((tag, 0x81, n)) + content
-    if n < 0x10000:
-        return bytes((tag, 0x82, n >> 8, n & 0xFF)) + content
-    return bytes([tag]) + encode_length(n) + content
+    return header(tag, n) + content
 
 
 def encode_int_content(value: int) -> bytes:

@@ -11,13 +11,18 @@ immutable and caches its own DER and the facts read from it.  The parse
 seeds each part's DER (and the certificate's encoding) with its slice of
 the input, and `copy_certificate` copies the fields without any cached
 attribute, so every mutant, the first of a seed included, re-encodes and
-re-derives only the parts its edit replaced.
+re-derives only the parts its edit replaced.  Each distinct algorithm,
+name, validity time and extension is parsed once per process: the parse
+interns parts by their DER, so certificates that repeat a part (one CA's
+issuer name, its policies, its key usages) share one instance of it and
+the facts cached on it.
 """
 
 from __future__ import annotations
 
 import base64
 import datetime as dt
+import functools
 import hashlib
 import random
 import re
@@ -364,7 +369,9 @@ class Certificate:
         original signature carried over (a parsed certificate holds its
         parsed bytes here instead)."""
         tbs = encode_tbs(self)
-        return tbs, asn1.tlv(asn1.SEQUENCE, tbs + self.outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, self.signature_value))
+        sig = asn1.tlv(asn1.BIT_STRING, self.signature_value)
+        head = asn1.header(asn1.SEQUENCE, len(tbs) + len(self.outer_sig_alg_raw) + len(sig))
+        return tbs, b"".join((head, tbs, self.outer_sig_alg_raw, sig))
 
     @_cached
     def strict_der(self) -> bool:
@@ -500,43 +507,20 @@ def _parse_tbs(data: bytes, pos: int, end: int, *, lenient: bool) -> dict:
 
 
 def _parse_algorithm(data: bytes, pos: int, end: int) -> tuple[AlgorithmId, int]:
-    astart, astop, nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "AlgorithmIdentifier")
-    ostart, ostop, opos = asn1.expect_tlv(data, astart, astop, asn1.OBJECT_IDENTIFIER, "algorithm OID")
-    alg = AlgorithmId(asn1.decode_oid_content(data[ostart:ostop], ostart), data[opos:astop])
-    alg.__dict__["der"] = data[pos:nxt]
-    return alg, nxt
+    nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "AlgorithmIdentifier")[2]
+    return _interned(_algorithm, data, pos, nxt), nxt
 
 
 def _parse_name(data: bytes, pos: int, end: int) -> tuple[Name, int]:
-    nstart, nstop, nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "Name")
-    rdns = []
-    p = nstart
-    while p < nstop:
-        rstart, rstop, p = asn1.expect_tlv(data, p, nstop, asn1.SET, "RelativeDistinguishedName")
-        attrs = []
-        q = rstart
-        while q < rstop:
-            astart, astop, q = asn1.expect_tlv(data, q, rstop, asn1.SEQUENCE, "AttributeTypeAndValue")
-            ostart, ostop, opos = asn1.expect_tlv(data, astart, astop, asn1.OBJECT_IDENTIFIER, "attribute type")
-            vtag, vstart, vstop, vnxt = asn1.read_tlv(data, opos, astop)
-            if vnxt != astop:
-                raise MalformedDer(vnxt, "trailing bytes in AttributeTypeAndValue")
-            attrs.append(NameAttribute(asn1.decode_oid_content(data[ostart:ostop], ostart), vtag, data[vstart:vstop]))
-        if not attrs:
-            raise MalformedDer(rstart, "empty RelativeDistinguishedName")
-        rdns.append(tuple(attrs))
-    name = Name(tuple(rdns))
-    name.__dict__["der"] = data[pos:nxt]
-    return name, nxt
+    nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "Name")[2]
+    return _interned(_name, data, pos, nxt), nxt
 
 
 def _parse_time(data: bytes, pos: int, end: int) -> tuple[TimeValue, int]:
-    tag, start, stop, nxt = asn1.read_tlv(data, pos, end)
+    tag, _, _, nxt = asn1.read_tlv(data, pos, end)
     if tag not in (asn1.UTC_TIME, asn1.GENERALIZED_TIME):
         raise UnsupportedStructure(f"validity time has tag 0x{tag:02x}")
-    value = TimeValue(asn1.decode_time(tag, data[start:stop], start), tag)
-    value.__dict__["der"] = data[pos:nxt]
-    return value, nxt
+    return _interned(_time, data, pos, nxt), nxt
 
 
 def _parse_spki(data: bytes, pos: int, end: int) -> tuple[PublicKeyInfo, int]:
@@ -568,28 +552,96 @@ def _parse_extensions(data: bytes, pos: int, end: int, *, lenient: bool) -> tupl
     lstart, lstop, nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "extensions list")
     if nxt != end:
         raise MalformedDer(nxt, "trailing bytes after the extensions list")
+    if lstart == lstop:
+        raise MalformedDer(pos, "empty extensions list (RFC 5280 requires at least one)")
     exts = []
     p = lstart
     while p < lstop:
         ext_pos = p
-        estart, estop, p = asn1.expect_tlv(data, p, lstop, asn1.SEQUENCE, "Extension")
-        ostart, ostop, q = asn1.expect_tlv(data, estart, estop, asn1.OBJECT_IDENTIFIER, "extnID")
-        ext_oid = asn1.decode_oid_content(data[ostart:ostop], ostart)
-        critical, critical_encoded = False, False
-        tag, _, _, _ = asn1.read_tlv(data, q, estop)
-        if tag == asn1.BOOLEAN:
-            bstart, bstop, q = asn1.read_tlv(data, q, estop)[1:]
-            critical = asn1.decode_bool_content(data[bstart:bstop], bstart)
-            critical_encoded = True
-            if not critical and not lenient:
-                raise MalformedDer(bstart, "criticality FALSE must be omitted in DER")
-        vstart, vstop, q = asn1.expect_tlv(data, q, estop, asn1.OCTET_STRING, "extnValue")
-        if q != estop:
-            raise MalformedDer(q, "trailing bytes in Extension")
-        ext = Extension(ext_oid, critical, data[vstart:vstop], critical_encoded)
-        ext.__dict__["der"] = data[ext_pos:p]
-        exts.append(ext)
+        p = asn1.expect_tlv(data, p, lstop, asn1.SEQUENCE, "Extension")[2]
+        exts.append(_interned(_extension, data, ext_pos, p, lenient))
     return tuple(exts)
+
+
+# Each distinct algorithm, name, validity time and extension is parsed once
+# per process: the functions below take a part's whole TLV, parse it from
+# offset 0 and seed the part's `der` with it.  Parts are immutable and
+# their cached attributes are functions of their fields, so certificates
+# may share them.  An extension is keyed with the parse mode as well: a
+# lenient parse accepts an explicit FALSE flag that a strict one refuses.
+
+PART_CACHE_LIMIT = 1024  # distinct parts of each kind kept parsed; a hostile corpus cannot grow them further
+
+
+def _interned(parse, data: bytes, pos: int, nxt: int, *args):
+    """``parse(data[pos:nxt], *args)``; a `MalformedDer` is moved from the
+    slice to its offset in ``data``.  Failures are not cached."""
+    try:
+        return parse(data[pos:nxt], *args)
+    except MalformedDer as exc:
+        raise MalformedDer(pos + exc.offset, exc.reason) from None
+
+
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _algorithm(der: bytes) -> AlgorithmId:
+    _, astart, astop, _ = asn1.read_tlv(der, 0, len(der))
+    ostart, ostop, opos = asn1.expect_tlv(der, astart, astop, asn1.OBJECT_IDENTIFIER, "algorithm OID")
+    alg = AlgorithmId(asn1.decode_oid_content(der[ostart:ostop], ostart), der[opos:astop])
+    alg.__dict__["der"] = der
+    return alg
+
+
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _name(der: bytes) -> Name:
+    _, nstart, nstop, _ = asn1.read_tlv(der, 0, len(der))
+    rdns = []
+    p = nstart
+    while p < nstop:
+        rstart, rstop, p = asn1.expect_tlv(der, p, nstop, asn1.SET, "RelativeDistinguishedName")
+        attrs = []
+        q = rstart
+        while q < rstop:
+            astart, astop, q = asn1.expect_tlv(der, q, rstop, asn1.SEQUENCE, "AttributeTypeAndValue")
+            ostart, ostop, opos = asn1.expect_tlv(der, astart, astop, asn1.OBJECT_IDENTIFIER, "attribute type")
+            vtag, vstart, vstop, vnxt = asn1.read_tlv(der, opos, astop)
+            if vnxt != astop:
+                raise MalformedDer(vnxt, "trailing bytes in AttributeTypeAndValue")
+            attrs.append(NameAttribute(asn1.decode_oid_content(der[ostart:ostop], ostart), vtag, der[vstart:vstop]))
+        if not attrs:
+            raise MalformedDer(rstart, "empty RelativeDistinguishedName")
+        rdns.append(tuple(attrs))
+    name = Name(tuple(rdns))
+    name.__dict__["der"] = der
+    return name
+
+
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _time(der: bytes) -> TimeValue:
+    tag, start, stop, _ = asn1.read_tlv(der, 0, len(der))
+    value = TimeValue(asn1.decode_time(tag, der[start:stop], start), tag)
+    value.__dict__["der"] = der
+    return value
+
+
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _extension(der: bytes, lenient: bool) -> Extension:
+    _, estart, estop, _ = asn1.read_tlv(der, 0, len(der))
+    ostart, ostop, q = asn1.expect_tlv(der, estart, estop, asn1.OBJECT_IDENTIFIER, "extnID")
+    ext_oid = asn1.decode_oid_content(der[ostart:ostop], ostart)
+    critical, critical_encoded = False, False
+    tag, _, _, _ = asn1.read_tlv(der, q, estop)
+    if tag == asn1.BOOLEAN:
+        bstart, bstop, q = asn1.read_tlv(der, q, estop)[1:]
+        critical = asn1.decode_bool_content(der[bstart:bstop], bstart)
+        critical_encoded = True
+        if not critical and not lenient:
+            raise MalformedDer(bstart, "criticality FALSE must be omitted in DER")
+    vstart, vstop, q = asn1.expect_tlv(der, q, estop, asn1.OCTET_STRING, "extnValue")
+    if q != estop:
+        raise MalformedDer(q, "trailing bytes in Extension")
+    ext = Extension(ext_oid, critical, der[vstart:vstop], critical_encoded)
+    ext.__dict__["der"] = der
+    return ext
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,9 @@ def test_tlv_round_trip(content):
 def test_tlv_inline_header_equals_encode_length(length):
     # each side of every inline header form, and the fallback past them
     content = bytes(i & 0xFF for i in range(length))
-    assert asn1.tlv(asn1.OCTET_STRING, content) == bytes([asn1.OCTET_STRING]) + asn1.encode_length(length) + content
+    head = bytes([asn1.OCTET_STRING]) + asn1.encode_length(length)
+    assert asn1.header(asn1.OCTET_STRING, length) == head
+    assert asn1.tlv(asn1.OCTET_STRING, content) == head + content
 
 
 def test_length_forms():

@@ -1,6 +1,6 @@
 """Certificate codec tests: lossless round-trips, the part DER the parse
-seeds, certificate copies, PEM armor, the synthetic builder's determinism
-and the mock signature scheme."""
+seeds, the parts it interns, certificate copies, PEM armor, the synthetic
+builder's determinism and the mock signature scheme."""
 
 import dataclasses
 import datetime as dt
@@ -170,6 +170,132 @@ def test_copy_certificate_equals_replace_without_caches(default_cert):
         certs.copy_certificate(parsed, serial_number=3)
     with pytest.raises(TypeError):
         dataclasses.replace(parsed, serial_number=3)
+
+
+_PART_CACHES = ("_algorithm", "_name", "_time", "_extension")
+
+
+def _clear_part_caches() -> None:
+    for name in _PART_CACHES:
+        getattr(certs, name).cache_clear()
+
+
+def _parse_outcome(der: bytes, lenient: bool) -> tuple:
+    """What a parse gives: the fields, every part's DER and the TBS it
+    encodes, or the exception's type, offset and message."""
+    try:
+        cert = parse_der(der, lenient=lenient)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "offset", None), str(exc)
+    return cert, [part.der for part in _parts(cert)], certs.encode_tbs(cert) == cert.encoding[0]
+
+
+def _uncached_outcome(der: bytes, lenient: bool) -> tuple:
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _PART_CACHES:
+            mp.setattr(certs, name, getattr(certs, name).__wrapped__)
+        return _parse_outcome(der, lenient)
+
+
+def _assert_interned_parse_exact(der: bytes) -> None:
+    for lenient in (False, True):
+        expected = _uncached_outcome(der, lenient)
+        assert _parse_outcome(der, lenient) == expected  # cold or warm
+        assert _parse_outcome(der, lenient) == expected  # warm
+
+
+def test_interned_parse_equals_uncached_on_generated_corpora():
+    _clear_part_caches()
+    for der, _ in _codec_inputs():
+        _assert_interned_parse_exact(der)
+    assert certs._extension.cache_info().hits > certs._extension.cache_info().misses
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_interned_parse_equals_uncached_on_byte_flips(data):
+    # a flip that lands inside a part fails there: the interned parse
+    # reports it at the same offset with the same reason
+    der, _ = data.draw(st.sampled_from(_codec_inputs()))
+    pos = data.draw(st.integers(min_value=0, max_value=len(der) - 1))
+    flipped = bytearray(der)
+    flipped[pos] ^= data.draw(st.integers(min_value=1, max_value=255))
+    _assert_interned_parse_exact(bytes(flipped))
+
+
+def test_part_failures_keep_their_offset_in_the_input(default_cert):
+    # each part is parsed from its own slice; a fault inside it is still
+    # reported at its offset in the certificate
+    der = encode_der(default_cert)
+    ext = default_cert.extension(oid.BASIC_CONSTRAINTS)
+    assert ext.der[7:10] == b"\x01\x01\xff"  # the criticality BOOLEAN
+    cases = (  # part, where to write, what, reported offset in the part, reason
+        (default_cert.signature_algorithm.der, 4, b"\x80", 4, "non-minimal OID subidentifier"),
+        (default_cert.subject.der, 8, b"\x80", 8, "non-minimal OID subidentifier"),
+        (default_cert.not_after.der, 4, b"13", 2, "invalid time value"),
+        (ext.der, 9, b"\x01", 9, "BOOLEAN content must be"),
+    )
+    for part_der, at, new, reported, reason in cases:
+        pos = der.index(part_der)
+        broken = der[: pos + at] + new + der[pos + at + len(new) :]
+        with pytest.raises(MalformedDer, match=reason) as info:
+            parse_der(broken, lenient=True)
+        assert info.value.offset == pos + reported
+
+
+def test_interned_parts_are_shared_between_corpora():
+    first = [parse_der(entry.der) for entry in generate_corpus(20, 3).entries]
+    seen = {}
+    for cert in first:
+        for part in _parts(cert):
+            seen.setdefault((type(part), part.der), part)
+    second = [parse_der(entry.der) for entry in generate_corpus(20, 4).entries]
+    repeated = [part for cert in second for part in _parts(cert) if (type(part), part.der) in seen]
+    assert {type(part) for part in repeated} >= {certs.AlgorithmId, certs.Name, TimeValue, certs.Extension}
+    for part in repeated:
+        if type(part) is certs.PublicKeyInfo:  # unique to a seed: not interned
+            assert part is not seen[(type(part), part.der)]
+        else:
+            assert part is seen[(type(part), part.der)]
+
+
+def test_lenient_extension_is_not_served_to_a_strict_parse():
+    (der, _), *_ = (pair for pair in _codec_inputs() if pair[1])
+    _clear_part_caches()
+    with pytest.raises(MalformedDer, match="criticality FALSE") as cold:
+        parse_der(der)
+    _clear_part_caches()
+    assert not parse_der(der, lenient=True).strict_der
+    with pytest.raises(MalformedDer) as warm:
+        parse_der(der)
+    assert (warm.value.offset, warm.value.reason) == (cold.value.offset, cold.value.reason)
+
+
+def test_part_caches_stay_within_their_limit():
+    _clear_part_caches()
+    limit = certs.PART_CACHE_LIMIT
+    for i in range(limit + 40):
+        params = SeedParams(subject_common_name=f"host{i}.test", not_before_offset=-i, sig_alg_oid=f"1.2.3.{i}")
+        build_synthetic(params, i)  # a distinct name, time, algorithm and AKI each
+    for name in _PART_CACHES:
+        info = getattr(certs, name).cache_info()
+        assert info.misses > limit and info.currsize <= limit, name
+    _clear_part_caches()
+
+
+def test_empty_extensions_list_is_refused():
+    # RFC 5280: Extensions ::= SEQUENCE SIZE (1..MAX).  Read as "no
+    # extensions", [3] { SEQUENCE {} } would vanish from every re-encoding
+    base = build_synthetic(SeedParams(extensions=()), 3)
+    tbs = base.encoding[0]
+    _, start, _, _ = asn1.read_tlv(tbs, 0, len(tbs))
+    tbs = asn1.tlv(asn1.SEQUENCE, tbs[start:] + b"\xa3\x02\x30\x00")
+    der = asn1.tlv(asn1.SEQUENCE, tbs + base.outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, base.signature_value))
+    list_offset = der.index(tbs) + len(tbs) - 2
+    for lenient in (False, True):
+        with pytest.raises(MalformedDer, match="empty extensions list") as info:
+            parse_der(der, lenient=lenient)
+        assert info.value.offset == list_offset
 
 
 def test_parse_rejects_non_sequence():
