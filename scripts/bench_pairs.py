@@ -8,10 +8,11 @@ environment block starts with ``--parent``, otherwise to the change side.
 
     python3 scripts/bench_pairs.py --parent 92e38af --out BENCH_6.json runs/*.json
 
-The output holds every run (side, seed, order, the gated end-to-end
-metrics, the behaviour-lock digest and the environment block) and, per
-workload and metric, each side's median and quartiles plus how many
-same-seed pairs the change won.  Traced (``--trace 1``) runs time the
+The output holds each side's ``src_lines`` (the ``src/`` line count its
+runs' environment blocks report), every run (side, seed, order, the
+gated end-to-end metrics, the behaviour-lock digest and the environment
+block) and, per workload and metric, each side's median and quartiles
+plus how many same-seed pairs the change won.  Traced (``--trace 1``) runs time the
 program with wrappers around it, so they stay out of those figures; a
 ``traced`` block lists them per workload and side with the per-layer
 metrics, the run's reference job (``reference_ms``) and, for each metric
@@ -88,6 +89,17 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
+def src_lines(runs: list[dict]) -> dict[str, int]:
+    """Each side's `src/` line count; the runs of one side must agree."""
+    counts: dict[str, set[int]] = {}
+    for run in runs:
+        counts.setdefault(run["side"], set()).add(run["environment"]["src_lines"])
+    for side, values in counts.items():
+        if len(values) != 1:
+            raise ValueError(f"{side} runs report different src_lines: {sorted(values)}")
+    return {side: values.pop() for side, values in counts.items()}
+
+
 def traced_block(runs: list[dict]) -> dict:
     """The traced runs by workload and side, in run order."""
     block: dict[str, dict[str, list[dict]]] = {}
@@ -115,7 +127,7 @@ def main(argv=None) -> int:
             traced.append(load_run(doc, order, args.parent, layers, timed))
         else:
             runs.append(load_run(doc, order, args.parent, list(directions)))
-    doc = {"parent": args.parent, "runs": runs, "summary": summarize(runs, directions)}
+    doc = {"parent": args.parent, "src_lines": src_lines(runs + traced), "runs": runs, "summary": summarize(runs, directions)}
     if traced:
         doc["traced"] = traced_block(traced)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

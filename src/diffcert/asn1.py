@@ -231,6 +231,8 @@ def encode_time(t: dt.datetime, preferred_tag: int) -> tuple[int, bytes]:
 
 
 def decode_time(tag: int, content: bytes, offset: int = 0) -> dt.datetime:
+    if tag not in (UTC_TIME, GENERALIZED_TIME):
+        raise MalformedDer(offset, f"tag 0x{tag:02x} is not a time type")
     text = content.decode("ascii", errors="replace")
     try:
         if tag == UTC_TIME:
@@ -239,13 +241,11 @@ def decode_time(tag: int, content: bytes, offset: int = 0) -> dt.datetime:
             yy = int(text[0:2])
             year = 1900 + yy if yy >= 50 else 2000 + yy
             rest = text[2:-1]
-        elif tag == GENERALIZED_TIME:
+        else:
             if len(text) != 15 or not text.endswith("Z") or not text[:-1].isdigit():
                 raise ValueError("bad GeneralizedTime shape")
             year = int(text[0:4])
             rest = text[4:-1]
-        else:
-            raise MalformedDer(offset, f"tag 0x{tag:02x} is not a time type")
         month, day = int(rest[0:2]), int(rest[2:4])
         hour, minute, second = int(rest[4:6]), int(rest[6:8]), int(rest[8:10])
         return dt.datetime(year, month, day, hour, minute, second, tzinfo=UTC)

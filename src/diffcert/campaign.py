@@ -168,13 +168,12 @@ def _run_loop(
     on_episode_end=None,
 ) -> tuple[list[DiscrepancyRecord], CampaignStats]:
     """``choose`` picks each action from the current state, the vector
-    ``featurize(cert, now)``; a loop whose chooser and learner read no
-    state passes None and its state stays None."""
+    ``featurize(cert)``; a loop whose chooser and learner read no state
+    passes None and its state stays None."""
     if panel is None:
         with Panel(config.backends, REFERENCE_TIME) as panel:
             return _run_loop(corpus, config, choose, featurize, learner, panel, on_episode_end)
     rng = random.Random(config.rng_seed ^ 0x5EED)
-    now = REFERENCE_TIME
     stats = CampaignStats()
     records: list[DiscrepancyRecord] = []
     db = DiscrepancyDb(config.db_path) if config.db_path else None
@@ -186,7 +185,7 @@ def _run_loop(
             mutant_der=mutant_der,
             verdicts=verdicts.codes,
             backend_ids=verdicts.backend_ids,
-            timestamp=now.isoformat(),
+            timestamp=REFERENCE_TIME.isoformat(),
             rng_seed=config.rng_seed,
         )
         records.append(rec)
@@ -217,11 +216,11 @@ def _run_loop(
                 continue
 
             current, current_der, previous = seed, entry.der, verdicts
-            state = featurize(seed, now) if featurize is not None else None
+            state = featurize(seed) if featurize is not None else None
             trace: list[int] = []
             for step in range(MAX_TRACE_LENGTH):
                 action = choose(state)
-                mutant = apply(current, action, now=now)
+                mutant = apply(current, action)
                 mutant_der = encode_der(mutant)
                 verdicts = verify_all(mutant, panel)
                 reward, stop = _seed_stop(config, verdicts, previous)
@@ -231,7 +230,7 @@ def _run_loop(
                 next_state = None
                 if featurize is not None and not terminal:
                     # a no-op mutant re-encodes its parent, so it has its parent's state
-                    next_state = state if mutant_der == current_der else featurize(mutant, now)
+                    next_state = state if mutant_der == current_der else featurize(mutant)
                 if learner is not None:
                     learner.observe(state, action, reward, next_state)
                 if is_discrepancy(verdicts):
@@ -290,7 +289,7 @@ def run_inference(
     None to open one for this run."""
 
     def choose(state) -> int:
-        return qnet.select_action(params, state, 0.0, _NO_RNG)
+        return qnet.select_action(params, state, 0.0, None)
 
     return _run_loop(corpus, config, choose, extract, None, panel)
 
@@ -306,10 +305,3 @@ def run_baseline(corpus: SeedCorpus, config: CampaignConfig) -> CampaignStats:
     _, stats = _run_loop(corpus, config, choose, None, None)
     return stats
 
-
-class _NeverRandom(random.Random):
-    def random(self):  # pragma: no cover - epsilon 0 never draws entropy
-        raise AssertionError("greedy selection must not consume randomness")
-
-
-_NO_RNG = _NeverRandom()

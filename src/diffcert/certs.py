@@ -178,10 +178,9 @@ class AlgorithmId:
 
 @dataclass(frozen=True)
 class PublicKeyInfo:
-    """subjectPublicKeyInfo: opaque algorithm, BIT STRING content kept raw."""
+    """subjectPublicKeyInfo: the key's algorithm, BIT STRING content kept raw."""
 
-    algorithm_raw: bytes  # full AlgorithmIdentifier TLV
-    algorithm_oid: str
+    algorithm: AlgorithmId
     key_raw: bytes  # BIT STRING content octets, pad-count byte included
 
     @property
@@ -192,7 +191,7 @@ class PublicKeyInfo:
 
     @_cached
     def der(self) -> bytes:
-        return asn1.tlv(asn1.SEQUENCE, self.algorithm_raw + asn1.tlv(asn1.BIT_STRING, self.key_raw))
+        return asn1.tlv(asn1.SEQUENCE, self.algorithm.der + asn1.tlv(asn1.BIT_STRING, self.key_raw))
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +524,16 @@ def _parse_time(data: bytes, pos: int, end: int) -> tuple[TimeValue, int]:
 
 def _parse_spki(data: bytes, pos: int, end: int) -> tuple[PublicKeyInfo, int]:
     pstart, pstop, nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "subjectPublicKeyInfo")
-    atag, astart, astop, apos = asn1.read_tlv(data, pstart, pstop)
+    atag, _, _, apos = asn1.read_tlv(data, pstart, pstop)
     if atag != asn1.SEQUENCE:
         raise UnsupportedStructure("SPKI algorithm is not a SEQUENCE")
-    algorithm_raw = data[pstart:apos]
-    ostart, ostop, _ = asn1.expect_tlv(data, astart, astop, asn1.OBJECT_IDENTIFIER, "SPKI algorithm OID")
-    algorithm_oid = asn1.decode_oid_content(data[ostart:ostop], ostart)
+    algorithm = _interned(_algorithm, data, pstart, apos)
     kstart, kstop, kpos = asn1.expect_tlv(data, apos, pstop, asn1.BIT_STRING, "subjectPublicKey")
     if kpos != pstop:
         raise MalformedDer(kpos, "trailing bytes in subjectPublicKeyInfo")
     key_raw = data[kstart:kstop]
     _check_bit_string(key_raw, kstart)
-    spki = PublicKeyInfo(algorithm_raw, algorithm_oid, key_raw)
+    spki = PublicKeyInfo(algorithm, key_raw)
     spki.__dict__["der"] = data[pos:nxt]
     return spki, nxt
 
@@ -860,11 +857,7 @@ def build_synthetic(params: SeedParams, rng_seed: int) -> Certificate:
     not_after = TimeValue(REFERENCE_TIME + dt.timedelta(seconds=params.not_after_offset), time_tag)
 
     key_body = rng.randbytes(params.key_bits // 8)
-    spki = PublicKeyInfo(
-        algorithm_raw=AlgorithmId(oid.RSA_ENCRYPTION).der,
-        algorithm_oid=oid.RSA_ENCRYPTION,
-        key_raw=b"\x00" + key_body,
-    )
+    spki = PublicKeyInfo(AlgorithmId(oid.RSA_ENCRYPTION), b"\x00" + key_body)
 
     extensions = tuple(
         Extension(p.oid, p.critical, p.value if p.value is not None else default_extension_value(p.oid, params, rng))

@@ -1,18 +1,18 @@
 """Map a certificate to the 101-integer state vector the Q-network consumes.
 
 Layout: slot 0 version; 1 issuer-country label; 2 subject-country label;
-3 cmp(not_before, now); 4 cmp(not_after, now); 5 key length in kilobits;
-6 signature-algorithm label; 7 serial-number class; 8..100 a block of 31
-tracked extension types x (exists, critical, value-class).
+3 cmp(not_before, REFERENCE_TIME); 4 cmp(not_after, REFERENCE_TIME);
+5 key length in kilobits; 6 signature-algorithm label; 7 serial-number
+class; 8..100 a block of 31 tracked extension types x (exists, critical,
+value-class).  Every campaign runs at `certs.REFERENCE_TIME`, so the
+vector is a function of the certificate alone.
 """
 
 from __future__ import annotations
 
-import datetime as dt
-
 from . import x509oids as oid
 from .actions import EXTENSION_TARGETS
-from .certs import Certificate
+from .certs import REFERENCE_TIME, Certificate
 
 FEATURE_LENGTH = 101
 EXTENSION_BLOCK_START = 8
@@ -51,6 +51,8 @@ TRACKED_EXTENSIONS: tuple[str, ...] = EXTENSION_TARGETS + (
 )
 
 assert EXTENSION_BLOCK_START + 3 * len(TRACKED_EXTENSIONS) == FEATURE_LENGTH
+
+_REFERENCE_SECONDS = int(REFERENCE_TIME.timestamp())
 
 _TRACKED_INDEX = {ext_oid: i for i, ext_oid in enumerate(TRACKED_EXTENSIONS)}
 
@@ -102,15 +104,14 @@ def _serial_class(serial: int, serial_raw: bytes) -> int:
     return SERIAL_POSITIVE
 
 
-def extract(cert: Certificate, now: dt.datetime) -> tuple[int, ...]:
+def extract(cert: Certificate) -> tuple[int, ...]:
     """Pure featurization; every certificate yields exactly 101 integers."""
     vec = [0] * FEATURE_LENGTH
     vec[0] = cert.version
     vec[1] = _country_label(cert.issuer.country)
     vec[2] = _country_label(cert.subject.country)
-    now_seconds = int(now.timestamp())
-    vec[3] = _sign(cert.not_before.seconds - now_seconds)
-    vec[4] = _sign(cert.not_after.seconds - now_seconds)
+    vec[3] = _sign(cert.not_before.seconds - _REFERENCE_SECONDS)
+    vec[4] = _sign(cert.not_after.seconds - _REFERENCE_SECONDS)
     vec[5] = cert.public_key_info.bit_length // 1024
     vec[6] = SIG_ALG_LABELS.get(cert.signature_algorithm.oid, 0)
     vec[7] = _serial_class(cert.serial, cert.serial_raw)

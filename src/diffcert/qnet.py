@@ -172,11 +172,11 @@ def forward(params: QParams, state) -> np.ndarray:
     return _forward_batch(params, x[None, :])[-1][0]
 
 
-def select_action(params: QParams, state, epsilon: float, rng: random.Random) -> int:
+def select_action(params: QParams, state, epsilon: float, rng: random.Random | None) -> int:
     """Epsilon-greedy pick for one state; greedy ties break toward the
     lowest action id.  The draw comes first, so an exploratory pick runs
     no `forward`; `forward` consumes no randomness, so the rng stream is
-    the same either way."""
+    the same either way.  At epsilon 0 nothing is drawn: ``rng`` may be None."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return rng.randrange(ACTION_COUNT)
     return int(np.argmax(forward(params, state)))

@@ -87,10 +87,10 @@ def test_criterion_02_feature_contract():
     lengths_ok = True
     slots_ok = True
     for entry in corpus.entries:
-        vector = extract(parse_der(entry.der), REFERENCE_TIME)
+        vector = extract(parse_der(entry.der))
         lengths_ok &= len(vector) == 101
         slots_ok &= vector[3] in (-1, 0, 1) and vector[4] in (-1, 0, 1)
-    golden = extract(build_synthetic(SeedParams(), 7), REFERENCE_TIME)
+    golden = extract(build_synthetic(SeedParams(), 7))
     golden_ok = list(golden) == GOLDEN_VECTOR
     ok = lengths_ok and slots_ok and golden_ok
     report_line(2, ok, f"all vectors length 101 over {len(corpus.entries)} certs, golden fixture matches frozen value")

@@ -19,7 +19,7 @@ from diffcert.actions import (
     catalog,
     replay,
 )
-from diffcert.certs import REFERENCE_TIME, SeedParams, build_synthetic, encode_der, parse_der
+from diffcert.certs import SeedParams, build_synthetic, encode_der, parse_der
 from diffcert.corpus import generate_corpus
 from diffcert.verdicts import TrustAnchor, TrustStore
 
@@ -101,11 +101,11 @@ def test_byte_change_coverage(default_cert):
 
 
 def test_feature_change_coverage(default_cert, now):
-    base_vec = features.extract(default_cert, now)
+    base_vec = features.extract(default_cert)
     invariant = set()
     for spec in catalog():
         mutant = apply(default_cert, spec.id, now=now)
-        if features.extract(mutant, now) == base_vec and encode_der(mutant) != encode_der(default_cert):
+        if features.extract(mutant) == base_vec and encode_der(mutant) != encode_der(default_cert):
             invariant.add(spec.id)
     assert invariant == set(FEATURE_INVARIANT_ON_DEFAULT_FIXTURE)
 
@@ -318,7 +318,7 @@ class _RoundTrip:
         der = encode_der(mutant)
         reparsed = self.parse(der, lenient=True)
         assert reparsed == mutant
-        assert features.extract(mutant, REFERENCE_TIME) == features.extract(reparsed, REFERENCE_TIME)
+        assert features.extract(mutant) == features.extract(reparsed)
         for lenient in (True, False):
             from_fields = verdicts.derive_facts(mutant, self.trust, lenient)
             from_bytes = verdicts.derive_facts(der, self.trust, lenient)

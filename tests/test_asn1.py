@@ -182,6 +182,13 @@ def test_time_rejects_bad_shapes(content):
         asn1.decode_time(asn1.UTC_TIME, content)
 
 
+def test_time_rejects_a_tag_that_is_not_a_time_type():
+    # the tag's own reason, not the "invalid time value" of a bad shape
+    with pytest.raises(asn1.MalformedDer) as info:
+        asn1.decode_time(0x04, b"250601000000Z", 7)
+    assert (info.value.offset, info.value.reason) == (7, "tag 0x04 is not a time type")
+
+
 def test_der_well_formed():
     good = asn1.tlv(asn1.SEQUENCE, asn1.tlv(asn1.INTEGER, b"\x05") + asn1.tlv(asn1.OCTET_STRING, b"xy"))
     assert asn1.der_well_formed(good)

@@ -18,7 +18,9 @@ CHANGE = "0123456789abcdef0123456789abcdef01234567"
 GATES = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def write_run(directory: Path, commit: str, seed: int, campaign_ref: float, digest: str = "d", reference_ms: float = 250.0) -> Path:
+def write_run(
+    directory: Path, commit: str, seed: int, campaign_ref: float, digest: str = "d", reference_ms: float = 250.0, src_lines: int = 3000
+) -> Path:
     metrics = {gate["name"]: {"value": 1.0, "unit": gate["unit"]} for gate in GATES}
     metrics["campaign_ref"]["value"] = campaign_ref
     doc = {
@@ -31,7 +33,7 @@ def write_run(directory: Path, commit: str, seed: int, campaign_ref: float, dige
         "metrics": metrics,
         "counts": {"digest": f"{digest}{seed}"},
         "extra": {"reference_ms": reference_ms},
-        "environment": {"commit": commit},
+        "environment": {"commit": commit, "src_lines": src_lines},
     }
     path = directory / f"{commit[:7]}-{seed}.json"
     path.write_text(json.dumps(doc))
@@ -69,6 +71,23 @@ def test_sides_wins_and_ties(tmp_path):
     assert entry["campaign_ref"]["parent"]["median"] == 400.0
     # every other metric is equal on both sides: no wins at all
     assert entry["yield"]["change_wins"] == 0
+
+
+def test_src_lines_of_each_side_at_the_top_level(tmp_path):
+    # read from the environment blocks, traced runs included
+    traced = write_run(tmp_path, CHANGE, 2, 0.0, src_lines=3789)
+    doc = json.loads(traced.read_text())
+    doc["trace"] = 1
+    layers = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["per_layer"]
+    doc["metrics"] = {metric["name"]: {"value": 0.5, "unit": metric["unit"]} for metric in layers}
+    traced = traced.with_name(f"traced-{traced.name}")
+    traced.write_text(json.dumps(doc))
+    runs = [write_run(tmp_path, PARENT, 1, 400.0, src_lines=3805), write_run(tmp_path, CHANGE, 1, 300.0, src_lines=3789)]
+    assert summarize(tmp_path, [*runs, traced])["src_lines"] == {"parent": 3805, "change": 3789}
+    # one side's runs from two trees: no single count to report
+    runs.append(write_run(tmp_path, PARENT, 2, 400.0, src_lines=3804))
+    with pytest.raises(ValueError, match="3804, 3805"):
+        summarize(tmp_path, runs)
 
 
 def test_spread_quartiles():

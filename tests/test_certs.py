@@ -257,6 +257,10 @@ def test_interned_parts_are_shared_between_corpora():
             assert part is not seen[(type(part), part.der)]
         else:
             assert part is seen[(type(part), part.der)]
+    # the SPKI is the seed's own, its AlgorithmIdentifier is interned
+    for one, other in zip(first, second):
+        assert one.public_key_info.algorithm is other.public_key_info.algorithm
+        assert one.public_key_info is not other.public_key_info
 
 
 def test_lenient_extension_is_not_served_to_a_strict_parse():

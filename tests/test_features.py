@@ -9,7 +9,7 @@ from collections import Counter
 from hypothesis import given, strategies as st
 
 from diffcert import actions, asn1, certs, features, verdicts, x509oids as oid
-from diffcert.certs import SeedParams, TimeValue, build_synthetic, classify_extension_value, encode_der
+from diffcert.certs import REFERENCE_TIME, SeedParams, TimeValue, build_synthetic, classify_extension_value, encode_der
 from diffcert.features import (
     EXTENSION_BLOCK_START,
     FEATURE_LENGTH,
@@ -64,7 +64,7 @@ def reference_extract(cert, now):
 
 
 def test_golden_vector(default_cert, now):
-    got = extract(default_cert, now)
+    got = extract(default_cert)
     assert list(got) == GOLDEN_VECTOR
     assert reference_extract(default_cert, now) == GOLDEN_VECTOR
 
@@ -76,55 +76,55 @@ def test_layout_constants():
     assert 8 + 3 * 31 == 101
 
 
-def test_vector_always_101(default_cert, now):
+def test_vector_always_101(default_cert):
     for rng_seed in range(5):
         cert = build_synthetic(SeedParams(), rng_seed)
-        assert len(extract(cert, now)) == 101
+        assert len(extract(cert)) == 101
     bare = build_synthetic(SeedParams(version=1, extensions=()), 1)
-    assert len(extract(bare, now)) == 101
+    assert len(extract(bare)) == 101
 
 
-def test_extract_pure(default_cert, now):
-    assert extract(default_cert, now) == extract(default_cert, now)
+def test_extract_pure(default_cert):
+    assert extract(default_cert) == extract(default_cert)
 
 
-def test_version_slot_is_raw_value(now):
+def test_version_slot_is_raw_value():
     v4 = build_synthetic(SeedParams(version=4), 3)
-    assert extract(v4, now)[0] == 4
+    assert extract(v4)[0] == 4
 
 
-def test_time_slots(now, default_cert):
-    vec = extract(default_cert, now)
+def test_time_slots(default_cert):
+    vec = extract(default_cert)
     assert vec[3] == -1  # not_before one year in the past
     assert vec[4] == 1
     past = SeedParams(not_before_offset=-2 * 365 * 86400, not_after_offset=-365 * 86400)
-    vec = extract(build_synthetic(past, 3), now)
+    vec = extract(build_synthetic(past, 3))
     assert vec[3] == -1 and vec[4] == -1
 
 
-def test_unknown_labels_map_to_zero(now):
+def test_unknown_labels_map_to_zero():
     params = SeedParams(
         issuer_country="XX", subject_country="QQ", sig_alg_oid="1.2.840.113549.1.1.14"
     )
-    vec = extract(build_synthetic(params, 7), now)
+    vec = extract(build_synthetic(params, 7))
     assert vec[1] == 0 and vec[2] == 0 and vec[6] == 0
     assert {"XX", "QQ"}.isdisjoint(features.COUNTRY_LABELS)
     assert "1.2.840.113549.1.1.14" not in features.SIG_ALG_LABELS
 
 
-def test_country_labels_ignore_case(now):
+def test_country_labels_ignore_case():
     params = SeedParams(issuer_country="de", subject_country="Us")
-    vec = extract(build_synthetic(params, 7), now)
+    vec = extract(build_synthetic(params, 7))
     assert (vec[1], vec[2]) == (features.COUNTRY_LABELS["DE"], features.COUNTRY_LABELS["US"]) == (3, 1)
 
 
-def test_absent_country_is_zero(now):
+def test_absent_country_is_zero():
     params = SeedParams(issuer_country=None, subject_country=None)
-    vec = extract(build_synthetic(params, 3), now)
+    vec = extract(build_synthetic(params, 3))
     assert vec[1] == 0 and vec[2] == 0
 
 
-def test_untracked_extension_ignored(now):
+def test_untracked_extension_ignored():
     from diffcert.certs import ExtensionParam
 
     base = build_synthetic(SeedParams(), 7)
@@ -132,7 +132,7 @@ def test_untracked_extension_ignored(now):
         extensions=SeedParams().extensions + (ExtensionParam("1.3.6.1.4.1.31337.9", False, b"\x04\x01x"),),
     )
     with_private = build_synthetic(extra, 7)
-    assert extract(base, now) == extract(with_private, now)
+    assert extract(base) == extract(with_private)
 
 
 def compare_time(t: dt.datetime, now: dt.datetime) -> int:
@@ -161,9 +161,11 @@ def test_compare_time_sign_property(a, b):
     tb = dt.datetime.fromtimestamp(b, tz=dt.timezone.utc)
     expected = 0 if a == b else (-1 if a < b else 1)
     assert compare_time(ta, tb) == expected
-    bound = TimeValue(ta, asn1.GENERALIZED_TIME)
+    # the slots compare with REFERENCE_TIME: put both bounds a - b seconds from it
+    bound = TimeValue(REFERENCE_TIME + dt.timedelta(seconds=a - b), asn1.GENERALIZED_TIME)
+    assert compare_time(bound.at, REFERENCE_TIME) == expected
     cert = dataclasses.replace(_VALIDITY_PROBE, not_before=bound, not_after=bound)
-    assert extract(cert, tb)[3:5] == (expected, expected)
+    assert extract(cert)[3:5] == (expected, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +227,14 @@ def test_extension_facts_derived_once_per_instance(monkeypatch, now):
     backends = default_backends(verdicts.TrustStore([verdicts.TrustAnchor(seed.issuer.der, "acme-root")]))
     visit = [seed]
     verdicts.verify_all(seed, backends, now)
-    extract(seed, now)
+    extract(seed)
     # version, issuer country, then extension edits of both extraction
     # modes, a validity shift, the serial and an explicit FALSE flag
     for action in (3, 22, 32, 40, 9, 47, 53, 60, 4, 64):
         mutant = actions.apply(visit[-1], action, now=now)
         encode_der(mutant)
         verdicts.verify_all(mutant, backends, now)
-        extract(mutant, now)
+        extract(mutant)
         visit.append(mutant)
 
     instances = {id(ext): ext for cert in visit for ext in cert.extensions}.values()

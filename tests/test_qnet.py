@@ -169,6 +169,9 @@ def test_select_action_draws_before_forward(monkeypatch):
     assert [select_action(params, state, epsilon, rng) for state, epsilon in steps] == expected
     assert rng.getstate() == reference_rng.getstate()
     assert 0 < len(calls) == greedy < len(steps)
+    # epsilon 0 draws nothing, so a greedy chooser may pass no rng at all
+    greedy_picks = [int(np.argmax(forward(params, state))) for state, _ in steps]
+    assert [select_action(params, state, 0.0, None) for state, _ in steps] == greedy_picks
 
 
 def test_td_target_branches():

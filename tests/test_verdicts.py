@@ -207,7 +207,7 @@ def test_no_expiry_date_is_judged(env):
     assert verify_all(encode_der(cert), backends, NOW).codes == (1,) * len(SHIPPED_PROFILES)
     for action in range(actions.CATALOG_SIZE):
         mutant = actions.apply(cert, action)
-        assert len(features.extract(mutant, NOW)) == features.FEATURE_LENGTH
+        assert len(features.extract(mutant)) == features.FEATURE_LENGTH
         assert verify_all(mutant, backends, NOW).codes == verify_all(encode_der(mutant), backends, NOW).codes
 
 
