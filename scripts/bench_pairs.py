@@ -17,7 +17,10 @@ program with wrappers around it, so they stay out of those figures; a
 ``traced`` block lists them per workload and side with the per-layer
 metrics, the run's reference job (``reference_ms``) and, for each metric
 in seconds or microseconds, ``<name>_ref``: the value in reference jobs,
-which runs made at different hours can compare.  Metric names, units
+which runs made at different hours can compare.  One traced run drifts
+more than a small per-layer change, so ``traced_summary`` gives, per
+workload and side, the median and quartiles of ``reference_ms`` and of
+every ``<name>_ref`` over the traced runs.  Metric names, units
 and directions are read from BENCHMARK.json, so the file follows the
 benchmark.
 """
@@ -109,6 +112,16 @@ def traced_block(runs: list[dict]) -> dict:
     return block
 
 
+def traced_summary(block: dict, timed: dict[str, str]) -> dict:
+    """The spread of each side's traced runs: their reference job and
+    every figure in reference jobs."""
+    keys = ["reference_ms", *(f"{name}_ref" for name in timed)]
+    return {
+        workload: {side: {key: spread([run[key] for run in mine]) for key in keys} for side, mine in sides.items()}
+        for workload, sides in block.items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit (or prefix) of the parent side")
@@ -130,6 +143,7 @@ def main(argv=None) -> int:
     doc = {"parent": args.parent, "src_lines": src_lines(runs + traced), "runs": runs, "summary": summarize(runs, directions)}
     if traced:
         doc["traced"] = traced_block(traced)
+        doc["traced_summary"] = traced_summary(doc["traced"], timed)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -22,7 +22,8 @@ import re
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .certs import REFERENCE_TIME, Certificate, MalformedDer, UnsupportedStructure, encode_der, mock_sign, parse_der
 from . import x509oids as oid
@@ -238,6 +239,14 @@ class FlawProfile:
     parse_error_code: int = PARSING_ERROR
     ext_value_error_as_parse: bool = False  # malformed extension values surface as parse errors
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(value) is not type(field.default):
+                raise ValueError(f"profile {field.name}: expected {type(field.default).__name__}, got {value!r}")
+        if self.parse_error_code not in ALL_CODES:
+            raise ValueError(f"profile parse_error_code: {self.parse_error_code} is not a verdict code")
+
 
 STRICT_PROFILE = FlawProfile()
 
@@ -335,35 +344,39 @@ _EXT_ERROR_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class InputFacts:
+class InputFacts(NamedTuple):
     """What verification derives from one input and a trust store,
-    independently of any profile.
+    independently of any profile: all that `judge` reads.
 
-    ``cert`` is the lenient parse, or None when it fails; ``strict_ok``
-    says whether a strict parse would have succeeded too.  Extension
-    codes keep extension order; ``-10`` marks an unknown critical
-    extension, every other code a malformed known one.  ``trust_code`` is
-    the trust failure once the chain is accepted: self-sign, unknown
-    issuer or signature mismatch.
+    ``strict_ok`` says whether a strict parse succeeds too.  The validity
+    bounds are whole seconds; ``long_serial`` means more than 20 octets.
+    Extension codes keep extension order; ``-10`` marks an unknown
+    critical extension, every other code a malformed known one.
+    ``trust_code`` is the trust failure once the chain is accepted:
+    self-sign, unknown issuer or signature mismatch.
     """
 
-    cert: Certificate | None
     strict_ok: bool = False
+    version: int = 3
+    v3_extensions: bool = False  # the certificate has an extensions field
+    weak_sig_alg: bool = False
+    not_before: int = 0
+    not_after: int = 0
+    nonpositive_serial: bool = False
+    long_serial: bool = False
     name_failures: int = 0
     ext_codes: tuple[int, ...] = ()
-    malformed_known: int = 0
     legacy_issuer: bool = False  # issued by a v1/v2 intermediate anchor
     trust_code: int | None = None
 
 
-def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) -> InputFacts:
+def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) -> InputFacts | None:
     """The one pass over an input that every simulated profile shares.
 
     A certificate is judged from its fields: they are what a parse of its
-    encoding gives back.  Bytes are parsed.  Without a ``lenient`` profile
-    to read them, the facts of an input that is not strict DER stop at
-    the parse.
+    encoding gives back.  Bytes are parsed; None means even a lenient
+    parse fails.  Without a ``lenient`` profile to read them, the facts of
+    an input that is not strict DER are the default ones.
     """
     if isinstance(data, Certificate):
         cert = data
@@ -371,21 +384,19 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
         try:
             cert = parse_der(data, lenient=True)
         except (MalformedDer, UnsupportedStructure):
-            return InputFacts(None)
+            return None
     if not (cert.strict_der or lenient):
-        return InputFacts(cert)
+        return InputFacts()
 
     name_failures = cert.issuer.odd_countries + cert.subject.odd_countries
     if not cert.subject.rdns and cert.extension(oid.SUBJECT_ALT_NAME) is None:
         name_failures += 1
 
     ext_codes = []
-    malformed_known = 0
     for ext in cert.extensions:
         if ext.oid in VALIDATOR_KNOWN_EXTENSIONS:
             if ext.malformed:
                 ext_codes.append(_EXT_ERROR_CODES.get(ext.oid, OTHER_EXTENSION_ERROR))
-                malformed_known += 1
         elif ext.critical:
             ext_codes.append(UNKNOWN_CRITICAL_EXTENSION)
 
@@ -400,7 +411,11 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
             tbs, _ = cert.encoding
             if cert.signature_value != b"\x00" + mock_sign(tbs, anchor.tag):
                 trust_code = SIGNATURE_ERROR
-    return InputFacts(cert, cert.strict_der, name_failures, tuple(ext_codes), malformed_known, legacy_issuer, trust_code)
+    return InputFacts(
+        cert.strict_der, cert.version, bool(cert.extensions), cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS,
+        cert.not_before.seconds, cert.not_after.seconds, cert.serial <= 0, len(cert.serial_raw) > 20,
+        name_failures, tuple(ext_codes), legacy_issuer, trust_code,
+    )
 
 
 def validity_window(profile: FlawProfile, now: dt.datetime) -> tuple[int, int]:
@@ -413,39 +428,39 @@ def validity_window(profile: FlawProfile, now: dt.datetime) -> tuple[int, int]:
     return int((local_now + dt.timedelta(seconds=linger)).timestamp()), int(local_now.timestamp()) - linger
 
 
-def judge(profile: FlawProfile, facts: InputFacts, window: tuple[int, int]) -> int:
+def judge(profile: FlawProfile, facts: InputFacts | None, window: tuple[int, int]) -> int:
     """One profile's verdict within its `validity_window`: waive what its
     switches accept, then report the first failure met or the most severe one."""
-    cert = facts.cert
-    if cert is None or not (facts.strict_ok or profile.lenient_parse):
+    if facts is None or not (facts.strict_ok or profile.lenient_parse):
         return profile.parse_error_code
     # Stages in check order: names, extension values read as parse errors,
     # version, algorithm, validity, serial, trust, extensions.
     failures = [SUBJECT_ISSUER_ERROR] * facts.name_failures
     ext_codes = facts.ext_codes
     if profile.ext_value_error_as_parse:
-        failures += [profile.parse_error_code] * facts.malformed_known
-        ext_codes = [c for c in ext_codes if c == UNKNOWN_CRITICAL_EXTENSION]
+        unknown = [c for c in ext_codes if c == UNKNOWN_CRITICAL_EXTENSION]
+        failures += [profile.parse_error_code] * (len(ext_codes) - len(unknown))
+        ext_codes = unknown
     if profile.ignore_unknown_critical:
         ext_codes = [c for c in ext_codes if c != UNKNOWN_CRITICAL_EXTENSION]
 
-    version = cert.version
+    version = facts.version
     if version not in (1, 2, 3):
         if not (version == 4 and profile.accept_v4):
             failures.append(VERSION_ERROR)
-    elif version in (1, 2) and cert.extensions:
+    elif version in (1, 2) and facts.v3_extensions:
         if not (profile.accept_v1_with_v3_ext if version == 1 else profile.accept_v2_with_v3_ext):
             failures.append(VERSION_ERROR)
-    if not profile.accept_weak_sig_alg and cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS:
+    if facts.weak_sig_alg and not profile.accept_weak_sig_alg:
         failures.append(ALGORITHM_ERROR)
 
     latest_start, earliest_end = window
-    if cert.not_before.seconds > latest_start or cert.not_after.seconds < earliest_end:
+    if facts.not_before > latest_start or facts.not_after < earliest_end:
         failures.append(VALIDITY_PERIOD_ERROR)
 
-    if cert.serial <= 0 and not profile.accept_nonpositive_serial:
+    if facts.nonpositive_serial and not profile.accept_nonpositive_serial:
         failures.append(OTHER_ERROR)
-    elif len(cert.serial_raw) > 20 and not profile.accept_long_serial:
+    elif facts.long_serial and not profile.accept_long_serial:
         failures.append(OTHER_ERROR)
 
     # A rejected legacy chain stops the trust check before the signature.
@@ -577,8 +592,9 @@ def bind_backends(backends, trust: TrustStore) -> list:
 class Panel:
     """The bound backends of one campaign under one clock, with what every
     verdict shares fixed once: ids, trust store, lenient flag, validity
-    windows.  ``memo`` maps a DER to its verdicts; a panel with an external
-    backend, which may answer otherwise when asked again, has none.
+    windows.  ``memo`` maps an input's facts, all that judging reads, to
+    its verdicts; a panel with an external backend, which may answer
+    otherwise when asked again, has none.
     Externals share one executor, shut down by `close` or leaving ``with``."""
 
     def __init__(self, backends, now: dt.datetime):
@@ -597,7 +613,7 @@ class Panel:
             if backend.trust is not self.trust:
                 raise ValueError(f"backend {backend.id!r} is bound to another trust store than {self.ids[self.simulated[0][0]]!r}")
         self.lenient = any(backend.profile.lenient_parse for _, backend, _ in self.simulated)
-        self.memo: dict | None = None if self.externals else {}
+        self.memo: dict[InputFacts | None, VerdictVector] | None = None if self.externals else {}
         self.pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(self.externals))) if self.externals else None
 
     def close(self) -> None:
@@ -627,14 +643,11 @@ def verify_all(cert, panel, now: dt.datetime | None = None) -> VerdictVector:
         raise ValueError("verify_all: a Panel judges at its own clock; pass no `now` with it")
     data = cert if isinstance(cert, Certificate) else bytes(cert)
     memo = panel.memo
-    if memo is not None:
-        key = data.encoding[1] if isinstance(data, Certificate) else data
-        if key in memo:
-            return memo[key]
-
     codes: list[int | None] = [None] * len(panel.backends)
     if panel.simulated:
         facts = derive_facts(data, panel.trust, panel.lenient)
+        if memo is not None and facts in memo:
+            return memo[facts]
         for i, backend, window in panel.simulated:
             codes[i] = backend.verify_prepared(facts, window)
     if panel.externals:
@@ -643,7 +656,7 @@ def verify_all(cert, panel, now: dt.datetime | None = None) -> VerdictVector:
             codes[i] = code
     verdicts = VerdictVector(tuple(codes), panel.ids)
     if memo is not None:
-        memo[key] = verdicts
+        memo[facts] = verdicts
     return verdicts
 
 

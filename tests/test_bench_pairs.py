@@ -167,3 +167,31 @@ def test_traced_seconds_are_also_given_in_reference_jobs(tmp_path):
     for name in micros:
         assert parent[f"{name}_ref"] == pytest.approx(8e-6) and change[f"{name}_ref"] == pytest.approx(4e-6)
         assert parent[name] == change[name] == 2.0
+
+
+def test_traced_summary_gives_the_spread_of_each_side(tmp_path):
+    # four traced runs a side: the median and quartiles of the reference
+    # job and of every figure in reference jobs, the traced block as it was
+    layers = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["per_layer"]
+    timed = {metric["name"] for metric in layers if metric["unit"] in ("s", "us")}
+    traced = []
+    for seed, reference_ms in enumerate((100.0, 400.0, 200.0, 500.0), 1):
+        for commit in (PARENT, CHANGE):
+            path = write_run(tmp_path, commit, seed, 0.0, reference_ms=reference_ms)
+            doc = json.loads(path.read_text())
+            doc["trace"] = 1
+            doc["metrics"] = {metric["name"]: {"value": 1.0, "unit": metric["unit"]} for metric in layers}
+            doc["metrics"]["campaign.self_s"]["value"] = 2.0 if commit == CHANGE else 1.0
+            path = path.with_name(f"traced-{path.name}")
+            path.write_text(json.dumps(doc))
+            traced.append(path)
+    doc = summarize(tmp_path, traced)
+    assert [len(doc["traced"]["train"][side]) for side in ("parent", "change")] == [4, 4]
+    summary = doc["traced_summary"]["train"]
+    assert set(summary) == {"parent", "change"}
+    assert set(summary["change"]) == {"reference_ms"} | {f"{name}_ref" for name in timed}
+    assert summary["parent"]["reference_ms"] == {"n": 4, "median": 300.0, "q1": 175.0, "q3": 425.0}
+    # 1 s over jobs of 0.1, 0.4, 0.2 and 0.5 s: 10, 2.5, 5 and 2 jobs
+    assert summary["parent"]["campaign.self_s_ref"] == pytest.approx({"n": 4, "median": 3.75, "q1": 2.375, "q3": 6.25})
+    assert summary["change"]["campaign.self_s_ref"]["median"] == pytest.approx(7.5)
+    assert "traced_summary" not in summarize(tmp_path, [write_run(tmp_path, PARENT, 9, 400.0)])

@@ -50,10 +50,9 @@ class RiggedBackend:
         self.accepts_v4 = accepts_v4
 
     def verify_prepared(self, facts, window):
-        cert = facts.cert
-        if cert is None:
+        if facts is None:
             return -3
-        if cert.version == 4 and self.accepts_v4:
+        if facts.version == 4 and self.accepts_v4:
             return 1
         return -4
 
@@ -253,8 +252,7 @@ def test_delta_scheme_saturation_stop():
     # saturates the category count, so each seed stops after one action
     class AlwaysTwoCodes(RiggedBackend):
         def verify_prepared(self, facts, window):
-            cert = facts.cert
-            if cert is None:
+            if facts is None:
                 return -3
             base = -4 if self.accepts_v4 else -5
             return base
@@ -317,10 +315,9 @@ def test_delta_reward_scheme_stops_on_category_growth():
     # loop even without an acceptance present
     class TwoCodes(RiggedBackend):
         def verify_prepared(self, facts, window):
-            cert = facts.cert
-            if cert is None:
+            if facts is None:
                 return -3
-            if cert.version == 4:
+            if facts.version == 4:
                 return -4 if self.accepts_v4 else -5
             return -2
 

@@ -324,6 +324,29 @@ def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, conten
         assert all(name in err[0] for name in SHIPPED_PROFILES)
 
 
+@pytest.mark.parametrize(
+    "profile, problem",
+    [
+        ({"time_linger_seconds": "abc"}, "profile time_linger_seconds: expected int, got 'abc'"),
+        ({"parse_error_code": 99}, "profile parse_error_code: 99 is not a verdict code"),
+        ({"accept_v4": "no"}, "profile accept_v4: expected bool, got 'no'"),
+        ({"accept_v4": 1}, "profile accept_v4: expected bool, got 1"),
+        ({"local_time_offset_seconds": 3600.0}, "profile local_time_offset_seconds: expected int, got 3600.0"),
+    ],
+    ids=["linger-string", "unknown-parse-code", "switch-string", "switch-int", "offset-float"],
+)
+def test_bad_profile_value_is_a_clean_error(tmp_path, corpus_dir, capsys, profile, problem):
+    # a mistyped setting is refused when the file loads, not met later as
+    # a traceback, a KeyError or a switch that a non-empty string turns on
+    bad = {"id": "b", "kind": "simulated", "profile": profile}
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [bad, _SIMULATED]}))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    capsys.readouterr()
+    assert run_cli("verify", str(issued), "--trust", str(corpus_dir / "trust.json"), "--backends", str(path)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: backends: ValueError: {problem}"]
+
+
 def test_unknown_command_placeholder_is_a_clean_error(tmp_path, corpus_dir, capsys):
     # caught when the file loads, not as a KeyError in the first verification
     external = {"id": "ext", "kind": "external", "command": ["true", "{cert}", "{certfile}"], "patterns": [{"code": -15}]}

@@ -4,6 +4,7 @@ external subprocess adapters."""
 
 import dataclasses
 import datetime
+import functools
 import hashlib
 import random
 import re
@@ -226,9 +227,6 @@ def test_validity_window_matches_datetime_sums(now):
     # judge compares the bounds with thresholds computed once per clock
     # setting; they must reject exactly what the datetime sums reject, at
     # one second either side of each threshold and at the no-expiry date
-    def at(seconds):
-        return TimeValue(datetime.datetime.fromtimestamp(seconds, asn1.UTC), asn1.GENERALIZED_TIME)
-
     no_expiry = int(datetime.datetime(9999, 12, 31, 23, 59, 59, tzinfo=asn1.UTC).timestamp())
     seen = set()
     for profile in (STRICT_PROFILE, *SHIPPED_PROFILES.values()):
@@ -237,9 +235,9 @@ def test_validity_window_matches_datetime_sums(now):
         earliest_end = int(local_now.timestamp()) - profile.time_linger_seconds
         for not_before in (latest_start - ONE_YEAR, latest_start - 1, latest_start, latest_start + 1):
             for not_after in (earliest_end - 1, earliest_end, earliest_end + 1, no_expiry):
-                cert = dataclasses.replace(issued(), not_before=at(not_before), not_after=at(not_after))
+                facts = verdicts.InputFacts(strict_ok=True, not_before=not_before, not_after=not_after)
                 expected = _outside_validity_per_datetimes(profile, not_before, not_after, now)
-                code = verdicts.judge(profile, verdicts.InputFacts(cert, strict_ok=True), verdicts.validity_window(profile, now))
+                code = verdicts.judge(profile, facts, verdicts.validity_window(profile, now))
                 assert code == (-2 if expected else 1), (profile, not_before, not_after)
                 seen.add(expected)
     assert seen == {True, False}
@@ -570,9 +568,9 @@ def test_external_panel_skips_the_memo(env, tmp_path):
         assert verify_all(cert, panel) == first
     assert panel.memo is None and log.read_text() == "xx"
     with Panel(default_backends(store), NOW) as simulated:
-        verdicts = verify_all(cert, simulated)
-        assert simulated.memo == {encode_der(cert): verdicts}
-        assert verify_all(encode_der(cert), simulated) is verdicts
+        vector = verify_all(cert, simulated)
+        assert simulated.memo == {verdicts.derive_facts(cert, store, True): vector}
+        assert verify_all(encode_der(cert), simulated) is vector
 
 
 def test_panel_rejects_unbound_backends(env):
@@ -814,3 +812,40 @@ def test_verify_all_parses_bytes_only(env, monkeypatch):
     from_bytes = verify_all(encode_der(mutant), default_backends(store), NOW)
     assert len(calls) == 1
     assert from_fields == from_bytes
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed_corpus(rng_seed):
+    corpus = generate_corpus(6, rng_seed)
+    return [parse_der(entry.der) for entry in corpus.entries], corpus.trust, default_backends(corpus.trust)
+
+
+def _is_fact_value(value):
+    return type(value) in (bool, int, type(None)) or (type(value) is tuple and all(type(c) is int for c in value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rng_seed=st.integers(0, 3),
+    walks=st.lists(
+        st.tuples(st.integers(0, 5), st.lists(st.integers(0, actions.CATALOG_SIZE - 1), max_size=10)), min_size=2, max_size=8
+    ),
+)
+def test_equal_facts_give_equal_verdicts(rng_seed, walks):
+    # judging reads nothing but an input's facts, so the panel memo keyed
+    # by them is exact: inputs with equal facts get equal vectors from
+    # fresh panels, the facts are plain values, and a mutant's fields
+    # give the facts its bytes give
+    seeds, trust, backends = _parsed_corpus(rng_seed)
+    vector_of = {}
+    for seed_index, trace in walks:
+        mutant = seeds[seed_index]
+        for action in trace:
+            mutant = actions.apply(mutant, action)
+        der = encode_der(mutant)
+        for lenient in (True, False):
+            assert verdicts.derive_facts(mutant, trust, lenient) == verdicts.derive_facts(der, trust, lenient)
+        facts = verdicts.derive_facts(mutant, trust, True)
+        assert all(_is_fact_value(value) for value in facts)
+        codes = verify_all(der, backends, NOW).codes
+        assert vector_of.setdefault(facts, codes) == codes
