@@ -115,8 +115,8 @@ class _Learner:
     One gradient step per transition, on a batch made of the fresh
     transition plus a uniform replay sample once the buffer can supply
     one; raw batch-of-one updates destabilize the value scale badly.
-    The batch is read from the replay ring by logical index, and its TD
-    targets from the ring's per-version cache of max next-Q.
+    Each update reads its rows' states and actions from the replay ring,
+    and their TD targets from the ring's per-version cache of max next-Q.
     """
 
     def __init__(self, config: CampaignConfig, rng: random.Random):
@@ -140,9 +140,10 @@ class _Learner:
         indices = [len(self.buffer) - 1]
         if len(self.buffer) >= qnet.BATCH_SIZE:
             indices += self.buffer.sample(qnet.BATCH_SIZE - 1, self.rng)
-        targets = self.buffer.targets(indices, self.target, self.updates // interval)
-        batch = self.buffer.batch(indices)
-        self.params, self.last_loss = qnet.train_step(self.params, batch, targets)
+        rows = self.buffer.rows(indices)
+        targets = self.buffer.targets(rows, self.target, self.updates // interval)
+        store = self.buffer.store
+        self.params, self.last_loss = qnet.train_step(self.params, store.states[rows], store.actions[rows], targets)
         self.updates += 1
         if self.updates % interval == 0:
             self.target = self.params

@@ -12,6 +12,7 @@ give identical parameters on any platform.
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -33,11 +34,11 @@ class DimensionMismatch(ValueError):
 
 
 class NonFiniteLoss(RuntimeError):
-    """A training step produced a non-finite loss; carries the batch."""
+    """A training step produced a non-finite loss; carries the states and actions it trained on."""
 
-    def __init__(self, loss: float, batch: Batch):
+    def __init__(self, loss: float, states: np.ndarray, actions: np.ndarray):
         super().__init__(f"non-finite loss {loss!r}")
-        self.batch = batch
+        self.states, self.actions = states, actions
 
 
 class CorruptCheckpoint(ValueError):
@@ -86,7 +87,7 @@ class QParams:
 
 
 class Batch(NamedTuple):
-    """Transitions as parallel arrays, the form `train_step` takes.
+    """Transitions as parallel arrays, the columns of the replay ring.
 
     ``next_states`` rows of terminal transitions are never read.
     """
@@ -114,6 +115,8 @@ REPLAY_CAPACITY = 10_000  # transitions the replay ring keeps
 BATCH_SIZE = 32  # transitions per update
 TARGET_SYNC_INTERVAL = 500  # updates between target-network syncs
 MAX_GRAD_NORM = 10.0  # global-norm gradient clip
+
+_ROW_INDEX = np.arange(BATCH_SIZE)  # sliced to a batch's length
 
 
 @dataclass(frozen=True)
@@ -196,47 +199,50 @@ def max_next_q(params: QParams, next_states: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Training
 
-def _gradients(params: QParams, batch: Batch, targets: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
-    """Gradients (`QParams.arrays` order) of the mean squared error of Q(state,
-    taken action) against ``targets``, and the loss; reads only states and actions."""
-    n = len(batch.actions)
+def _gradients(params: QParams, states: np.ndarray, actions: np.ndarray, targets: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
+    """Gradients (`QParams.arrays` order) of the mean squared error of
+    Q(state, taken action) against ``targets``, and the loss."""
+    n = len(actions)
     if not n:
         raise ValueError("empty batch")
 
-    x = batch.states
-    z0, h0, z1, h1, q = _forward_batch(params, x)
+    z0, h0, z1, h1, q = _forward_batch(params, states)
 
-    rows = np.arange(n)
-    predicted = q[rows, batch.actions]
-    errors = predicted - targets
+    rows = _ROW_INDEX[:n] if n <= len(_ROW_INDEX) else np.arange(n)
+    errors = q[rows, actions] - targets
     with np.errstate(over="ignore"):
-        loss = float(np.mean(errors**2))
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(loss, batch)
+        loss = float(np.add.reduce(errors * errors) / n)
+    if not math.isfinite(loss):
+        raise NonFiniteLoss(loss, states, actions)
 
+    dqa = 2.0 * errors / n
     dq = np.zeros_like(q)
-    dq[rows, batch.actions] = 2.0 * errors / n
+    dq[rows, actions] = dqa
     dw2 = h1.T @ dq
-    db2 = dq.sum(axis=0)
-    dh1 = dq @ params.w2.T
+    db2 = np.add.reduce(dq, axis=0)
+    # each row of dq has one nonzero, at its action, so every entry of dq @ w2.T
+    # is exactly the one product gathered here; they can differ only in the sign of a
+    # zero (an exact-zero error or an underflow), which p - g cannot show unless p is -0
+    dh1 = params.w2.T[actions]
+    dh1 *= dqa[:, None]
     dh1 *= z1 > 0.0
     dw1 = h0.T @ dh1
-    db1 = dh1.sum(axis=0)
+    db1 = np.add.reduce(dh1, axis=0)
     dh0 = dh1 @ params.w1.T
     dh0 *= z0 > 0.0
-    dw0 = x.T @ dh0
-    db0 = dh0.sum(axis=0)
+    dw0 = states.T @ dh0
+    db0 = np.add.reduce(dh0, axis=0)
     return (dw0, db0, dw1, db1, dw2, db2), loss
 
 
-def train_step(params: QParams, batch: Batch, targets: np.ndarray) -> tuple[QParams, float]:
-    """One SGD step against ``targets``, the batch's Bellman targets
+def train_step(params: QParams, states: np.ndarray, actions: np.ndarray, targets: np.ndarray) -> tuple[QParams, float]:
+    """One SGD step against ``targets``, the transitions' Bellman targets
     (`ReplayBuffer.targets`), with the gradients clipped to a global norm of
     `MAX_GRAD_NORM`.  Returns fresh parameters and the scalar loss."""
-    grads, loss = _gradients(params, batch, targets)
+    grads, loss = _gradients(params, states, actions, targets)
     # the gradients are this step's own arrays, so the clip and the
     # update scale them in place and the new parameters are written over them
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    total = math.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
     if total > MAX_GRAD_NORM:
         scale = MAX_GRAD_NORM / total
         for g in grads:
@@ -300,23 +306,18 @@ class ReplayBuffer:
         """``k`` logical indices drawn uniformly with ``rng.randrange``."""
         return [rng.randrange(self._size) for _ in range(k)]
 
-    def _rows(self, indices) -> np.ndarray:
+    def rows(self, indices) -> np.ndarray:
+        """The ring rows of the given logical indices, which index `store`."""
         return (np.asarray(indices, dtype=np.intp) + (self._next - self._size)) % self.capacity
 
-    def batch(self, indices) -> Batch:
-        """The transitions at the given logical indices."""
-        rows = self._rows(indices)
-        return Batch(*(column[rows] for column in self.store))
-
-    def targets(self, indices, params_target: QParams, version: int) -> np.ndarray:
-        """Bellman targets (reward, plus discounted max next-Q) of the transitions at ``indices``.
+    def targets(self, rows: np.ndarray, params_target: QParams, version: int) -> np.ndarray:
+        """Bellman targets (reward, plus discounted max next-Q) of the transitions at ``rows``.
 
         ``version`` names ``params_target``: equal versions must mean
         equal parameters. Live rows cached under another version are
         recomputed in one `max_next_q` call; a terminal row adds
         ``GAMMA * 0.0``, which leaves its reward exact.
         """
-        rows = self._rows(indices)
         stale = rows[(self.version[rows] != version) & ~self.store.terminal[rows]]
         if len(stale):
             self.value[stale] = max_next_q(params_target, self.store.next_states[stale])

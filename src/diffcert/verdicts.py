@@ -151,6 +151,12 @@ class TrustAnchor:
     version: int = 3
     is_root: bool = True
 
+    def __post_init__(self):
+        # exact types, so a JSON "false" or "1" is refused, not coerced
+        for name, want in (("version", int), ("is_root", bool)):
+            if type(getattr(self, name)) is not want:
+                raise ValueError(f"trust anchor {name}: expected {want.__name__}, got {getattr(self, name)!r}")
+
 
 class TrustStore:
     """Anchors keyed by DER-encoded name.
@@ -199,12 +205,7 @@ class TrustStore:
         try:
             return cls(
                 [
-                    TrustAnchor(
-                        base64.b64decode(e["name_b64"]),
-                        e["tag"],
-                        int(e.get("version", 3)),
-                        bool(e.get("is_root", True)),
-                    )
+                    TrustAnchor(base64.b64decode(e["name_b64"]), e["tag"], e.get("version", 3), e.get("is_root", True))
                     for e in doc["anchors"]
                 ]
             )
@@ -489,6 +490,10 @@ class PatternRule:
     is_regex: bool = False
     exit_status: int | None = None
 
+    def __post_init__(self):
+        if type(self.is_regex) is not bool:
+            raise ValueError(f"pattern regex: expected bool, got {self.is_regex!r}")
+
     def matches(self, status: int, output: str) -> bool:
         if self.exit_status is not None and status != self.exit_status:
             return False
@@ -683,7 +688,7 @@ def load_backend_specs(path) -> list:
             backends.append(SimulatedBackend(entry["id"], profile))
         elif entry["kind"] == "external":
             patterns = tuple(
-                PatternRule(rule["code"], rule.get("match", ""), bool(rule.get("regex", False)), rule.get("exit_status"))
+                PatternRule(rule["code"], rule.get("match", ""), rule.get("regex", False), rule.get("exit_status"))
                 for rule in entry["patterns"]
             )
             timeout = float(entry.get("timeout", 10.0))

@@ -33,7 +33,7 @@ from diffcert.verdicts import (
     verify_all,
 )
 
-from qnet_helpers import td_targets
+from qnet_helpers import gather, td_targets
 from verdict_helpers import default_backends
 
 WINNING_ACTION = 3  # set version to 4
@@ -703,10 +703,10 @@ def test_learner_targets_match_per_batch_reference(use_target_network, monkeypat
     for update, step in enumerate(steps, 1):
         ring.add(*step)
         indices = [len(ring) - 1] + (ring.sample(7, rng) if len(ring) >= 8 else [])
-        batch = ring.batch(indices)
+        batch = gather(ring, indices)
         live_rows += int((~batch.terminal).sum())
         targets = td_targets(batch, target if use_target_network else params)
-        params, loss = qnet.train_step(params, batch, targets)
+        params, loss = qnet.train_step(params, batch.states, batch.actions, targets)
         expected_losses.append(loss)
         if use_target_network and update % 7 == 0:
             target = params

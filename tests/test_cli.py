@@ -238,6 +238,27 @@ def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys)
     assert len(err) == 1 and err[0].startswith("error: now: ")
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("is_root", "false", "trust anchor is_root: expected bool, got 'false'"),
+        ("is_root", 0, "trust anchor is_root: expected bool, got 0"),
+        ("version", "1", "trust anchor version: expected int, got '1'"),
+        ("version", True, "trust anchor version: expected int, got True"),
+    ],
+    ids=["root-string", "root-int", "version-string", "version-bool"],
+)
+def test_bad_trust_anchor_field_is_a_clean_error(tmp_path, corpus_dir, capsys, field, value, problem):
+    # a mistyped anchor field is refused, not coerced: "false" would make
+    # a v1 intermediate a root, and "1" would read as version 1
+    doc = json.loads((corpus_dir / "trust.json").read_text())
+    doc["anchors"][0][field] = value
+    (tmp_path / "trust.json").write_text(json.dumps(doc))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    assert run_cli("verify", str(issued), "--trust", str(tmp_path / "trust.json")) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: trust: {problem}"]
+
+
 def test_report_bad_record_is_a_clean_error(tmp_path, capsys):
     record = {"seed_id": "s", "trace": [3], "mutant_b64": "MAA=", "timestamp": "2025-06-01T00:00:00+00:00", "rng_seed": 0}
     payloads = [
@@ -358,6 +379,18 @@ def test_unknown_command_placeholder_is_a_clean_error(tmp_path, corpus_dir, caps
         assert run_cli(*argv, "--backends", str(path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: backends: ValueError: command argument '{certfile}'")
+
+
+@pytest.mark.parametrize("regex", ["false", 0, None])
+def test_non_bool_pattern_regex_is_a_clean_error(tmp_path, corpus_dir, capsys, regex):
+    # "regex": "false" would otherwise turn regex matching on
+    patterns = [{"code": 1, "match": "a.c", "regex": regex}, {"code": -15}]
+    external = {"id": "ext", "kind": "external", "command": ["true", "{cert}"], "patterns": patterns}
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, external]}))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    assert run_cli("verify", str(issued), "--backends", str(path)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: backends: ValueError: pattern regex: expected bool, got {regex!r}"]
 
 
 def test_one_backend_is_a_clean_error(tmp_path, corpus_dir, capsys):

@@ -29,7 +29,17 @@ from diffcert.qnet import (
     init,
     select_action,
 )
-from qnet_helpers import Transition, as_batch, init_per_draw, splitmix64, td_targets, train_step
+from qnet_helpers import (
+    Transition,
+    as_batch,
+    gather,
+    init_per_draw,
+    reference_gradients,
+    reference_train_step,
+    splitmix64,
+    td_targets,
+    train_step,
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "forward_golden.json").read_text())
 
@@ -261,7 +271,8 @@ def finite_difference_check(batch_seed: int, param_seed: int, coords_per_tensor:
     frozen_target = init(param_seed + 1000)
     targets = np.asarray([td_target(t, frozen_target) for t in batch])
 
-    grads, _ = qnet._gradients(params, as_batch(batch), targets)
+    transitions = as_batch(batch)
+    grads, _ = qnet._gradients(params, transitions.states, transitions.actions, targets)
     analytic = dict(zip(("w0", "b0", "w1", "b1", "w2", "b2"), grads))
 
     h = 1e-4
@@ -295,11 +306,44 @@ def test_gradients_match_finite_differences():
 def test_non_finite_loss_reported():
     p = init(1)
     bad = dataclasses.replace(p, b2=p.b2 + 1e200)
-    state = tuple([1] * FEATURE_LENGTH)
-    tr = Transition(state, 0, 100, None, True)
-    with pytest.raises(qnet.NonFiniteLoss):
+    rng = random.Random(1)
+    batch = as_batch([Transition(random_state(rng), action, 100, None, True) for action in (0, 5, 0)])
+    with pytest.raises(qnet.NonFiniteLoss) as raised:
         # squaring 1e200 errors overflows to inf
-        train_step(bad, as_batch([tr]))
+        train_step(bad, batch)
+    # the exception carries the states and actions the step trained on
+    assert raised.value.states.tobytes() == batch.states.tobytes()
+    assert raised.value.actions.tolist() == [0, 5, 0]
+
+
+def test_train_step_bit_equal_to_reference():
+    # the gradient step calls its reductions directly and gathers dh1 from
+    # w2 instead of multiplying by a one-hot dq; over a chain of steps from
+    # init(11), its loss and parameter bytes must equal the earlier code's
+    # at every step: batches of 1, 8, 32 and 40 rows, repeated actions, sparse
+    # and dense states, targets that clip, targets that do not, and rows
+    # whose error is exactly zero
+    rng = np.random.default_rng(23)
+    params = expected = init(11)
+    clipped = 0
+    for step in range(3000):
+        n = (1, 8, 32, 40)[step % 4]
+        states = rng.integers(-1, 5, (n, FEATURE_LENGTH)).astype(np.float64)
+        if step % 3 == 1:
+            states *= rng.random((n, FEATURE_LENGTH)) < 0.05
+        actions = rng.integers(0, 3 if step % 5 < 2 else ACTION_COUNT, n).astype(np.intp)
+        q = qnet._forward_batch(params, states)[-1][np.arange(n), actions]
+        targets = q + rng.normal(0.0, (1e-9, 1.0, 1e3)[step % 7 % 3], n)
+        if step % 6 == 0:
+            targets[::2] = q[::2]
+        batch = qnet.Batch(states, actions, np.zeros(n), np.zeros_like(states), np.ones(n, dtype=bool))
+        grads, _ = reference_gradients(expected, batch, targets)
+        clipped += np.sqrt(sum(float(np.sum(g * g)) for g in grads)) > qnet.MAX_GRAD_NORM
+        params, loss = qnet.train_step(params, states, actions, targets)
+        expected, expected_loss = reference_train_step(expected, batch, targets)
+        assert loss == expected_loss
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(params.arrays(), expected.arrays())), step
+    assert 500 < clipped < 2500, clipped
 
 
 def _add(buf, transition):
@@ -320,7 +364,7 @@ def test_replay_buffer_capacity_and_uniformity():
     for item in items:
         _add(buf, item)
     assert len(buf) == 5
-    sample = _transitions(buf.batch(buf.sample(10, rng)))
+    sample = _transitions(gather(buf, buf.sample(10, rng)))
     assert all(s in items[3:] for s in sample)
 
 
@@ -341,7 +385,7 @@ def test_replay_ring_matches_deque_reference(capacity):
         k = 1 + step % 8
         indices = ring.sample(k, ring_rng)
         expected = [reference[reference_rng.randrange(len(reference))] for _ in range(k)]
-        assert _transitions(ring.batch([len(ring) - 1] + indices)) == [reference[-1]] + expected
+        assert _transitions(gather(ring, [len(ring) - 1] + indices)) == [reference[-1]] + expected
     assert len(ring.store.actions) == capacity
 
 
@@ -369,10 +413,10 @@ def test_ring_cache_drops_an_evicted_rows_value():
     items = [_live_transition(rng) for _ in range(6)]
     for item in items[:5]:
         _add(ring, item)
-    assert list(ring.targets(range(5), params, 0)) == [td_target(t, params) for t in items[:5]]
+    assert list(ring.targets(ring.rows(range(5)), params, 0)) == [td_target(t, params) for t in items[:5]]
     _add(ring, items[5])
     assert td_target(items[5], params) != td_target(items[0], params)
-    assert list(ring.targets(range(5), params, 0)) == [td_target(t, params) for t in items[1:]]
+    assert list(ring.targets(ring.rows(range(5)), params, 0)) == [td_target(t, params) for t in items[1:]]
 
 
 def test_ring_cache_survives_doubling():
@@ -386,14 +430,14 @@ def test_ring_cache_survives_doubling():
     for item in items:
         _add(ring, item)
     expected = [td_target(t, first) for t in items]
-    assert list(ring.targets(range(64), first, 0)) == expected
+    assert list(ring.targets(ring.rows(range(64)), first, 0)) == expected
     sizes = {len(ring.value)}
     for _ in range(150):
         _add(ring, random_transition(rng))
         sizes.add(len(ring.value))
     assert sizes == {64, 128, 256} and len(ring.version) == 256
-    assert list(ring.targets(range(64), other, 0)) == expected
-    assert list(ring.targets(range(64), other, 1)) == [td_target(t, other) for t in items]
+    assert list(ring.targets(ring.rows(range(64)), other, 0)) == expected
+    assert list(ring.targets(ring.rows(range(64)), other, 1)) == [td_target(t, other) for t in items]
 
 
 def test_ring_cache_repeated_row_in_one_batch():
@@ -403,7 +447,7 @@ def test_ring_cache_repeated_row_in_one_batch():
     items = [_live_transition(rng) for _ in range(4)]
     for item in items:
         _add(ring, item)
-    targets = ring.targets([2, 0, 2, 2], params, 0)
+    targets = ring.targets(ring.rows([2, 0, 2, 2]), params, 0)
     assert targets[0] == targets[2] == targets[3] == td_target(items[2], params)
     assert targets[1] == td_target(items[0], params)
 
@@ -430,10 +474,10 @@ def test_train_step_leaves_its_inputs_alone():
     before = [a.copy() for a in params.arrays()]
     batch = as_batch([random_transition(rng) for _ in range(8)])
     targets = td_targets(batch, params) + 1e4
-    grads, _ = qnet._gradients(params, batch, targets)
+    grads, _ = qnet._gradients(params, batch.states, batch.actions, targets)
     assert np.sqrt(sum(float(np.sum(g * g)) for g in grads)) > qnet.MAX_GRAD_NORM
     saved = [column.copy() for column in batch] + [targets.copy()]
-    updated, _ = qnet.train_step(params, batch, targets)
+    updated, _ = qnet.train_step(params, batch.states, batch.actions, targets)
     assert all((a == b).all() for a, b in zip(params.arrays(), before))
     assert all((a == b).all() for a, b in zip([*batch, targets], saved))
     assert not any(u is p for u, p in zip(updated.arrays(), params.arrays()))
