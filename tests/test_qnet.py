@@ -1,6 +1,7 @@
 """Q-network tests: shape contracts, the frozen forward golden, selection
 semantics, TD targets against a per-transition oracle, gradient
-correctness against central finite differences, convergence, the replay
+correctness against central finite differences, the training step bit
+for bit against the earlier code, convergence, the replay
 ring against a deque reference, and checkpoint round-trips."""
 
 import dataclasses
