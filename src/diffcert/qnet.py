@@ -116,8 +116,6 @@ BATCH_SIZE = 32  # transitions per update
 TARGET_SYNC_INTERVAL = 500  # updates between target-network syncs
 MAX_GRAD_NORM = 10.0  # global-norm gradient clip
 
-_ROW_INDEX = np.arange(BATCH_SIZE)  # sliced to a batch's length
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -208,7 +206,7 @@ def _gradients(params: QParams, states: np.ndarray, actions: np.ndarray, targets
 
     z0, h0, z1, h1, q = _forward_batch(params, states)
 
-    rows = _ROW_INDEX[:n] if n <= len(_ROW_INDEX) else np.arange(n)
+    rows = np.arange(n)
     errors = q[rows, actions] - targets
     with np.errstate(over="ignore"):
         loss = float(np.add.reduce(errors * errors) / n)
