@@ -1,5 +1,6 @@
 """CLI tests exercising every subcommand in-process via main()."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -89,6 +90,33 @@ def test_fuzz_deterministic(tmp_path, corpus_dir):
 
 def test_fuzz_missing_checkpoint(tmp_path, corpus_dir):
     assert run_cli("fuzz", str(corpus_dir), str(tmp_path / "no.ckpt"), "--out", str(tmp_path / "f")) == 1
+    assert not (tmp_path / "f").exists()  # the checkpoint is read before --out is made
+
+
+# SHA-256 over everything gen, train, fuzz and baseline print and write in
+# test_campaign_outputs_are_pinned; a refactor of the CLI keeps it as is
+CLI_OUTPUT_DIGEST = "5e12ed539e6e6a1782fb7523d05edaba9e4929bd24a3f7acc677f409a3126ac9"
+
+
+def test_campaign_outputs_are_pinned(tmp_path, capsys):
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    commands = [
+        ("gen", "30", "--seed", "3", "--out", str(corpus)),
+        ("train", str(corpus), "--episodes", "2", "--seed", "5", "--out", str(run)),
+        ("fuzz", str(corpus), str(run / "qnet.ckpt"), "--seed", "7", "--out", str(tmp_path / "fuzz")),
+        ("baseline", str(corpus), "--seed", "9", "--out", str(tmp_path / "base")),
+    ]
+    digest = hashlib.sha256()
+    for argv in commands:
+        assert run_cli(*argv) == 0
+        digest.update(capsys.readouterr().out.replace(str(tmp_path), "<tmp>").encode())
+    written = sorted(path for path in tmp_path.rglob("*") if path.is_file())
+    assert {path.name for path in written} >= {
+        "qnet.ckpt", "discrepancies.db", "fuzz.db", "baseline.db", "stats.json", "fuzz-stats.json", "baseline-stats.json"
+    }
+    for path in written:
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    assert digest.hexdigest() == CLI_OUTPUT_DIGEST
 
 
 def test_train_missing_corpus(tmp_path):
