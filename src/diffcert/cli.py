@@ -147,33 +147,42 @@ def _load_trust(path: str) -> TrustStore:
         raise CliError(f"trust: {exc}") from exc
 
 
-def _campaign_config(
-    settings: dict,
-    corpus: SeedCorpus,
-    out: Path,
-    reward: str = "primary",
-    db_name: str = "discrepancies.db",
-    training: bool = False,
-):
-    trust = corpus.trust if corpus.trust is not None else TrustStore()
-    backends = _load_backends(settings, trust)
-    # Training runs get the stabilized recipe (annealed exploration plus a
-    # target network); inference and baseline runs have nothing to learn.
-    recipe = {"epsilon": campaign_mod.EpsilonSchedule.annealed(), "train": TrainConfig(use_target_network=True)} if training else {}
+def _campaign(args, settings: dict, db_name: str, **recipe):
+    """Load the corpus, make --out, bind the backends to the corpus's trust
+    store and build the campaign's config."""
+    corpus = _load_corpus(args.corpus, args.trust)
+    out = Path(settings["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    backends = _load_backends(settings, corpus.trust if corpus.trust is not None else TrustStore())
     try:
-        return campaign_mod.CampaignConfig(
+        config = campaign_mod.CampaignConfig(
             backends=backends,
             max_episode=settings["episodes"],
-            reward_scheme=reward,
             rng_seed=settings["seed"],
             db_path=str(out / db_name),
             **recipe,
         )
     except ValueError as exc:
         raise CliError(f"config: {exc}") from exc
+    return corpus, out, config
 
 
-def _print_stats(stats) -> None:
+def _write_stats(path: Path, stats) -> None:
+    doc = {
+        "seeds_processed": stats.seeds_processed,
+        "skipped_seeds": stats.skipped_seeds,
+        "discrepancies": stats.discrepancies,
+        "yield": stats.yield_ratio,
+        "episodes": [
+            {"corpus_size": ep.corpus_size, "discrepancies": ep.discrepancies, "proportion": ep.proportion}
+            for ep in stats.episodes
+        ],
+        "modification_histogram": {str(k): v for k, v in sorted(stats.modification_histogram.items())},
+        "type_counts": {",".join(map(str, k)): v for k, v in sorted(stats.type_counts.items())},
+        "updates": stats.updates,
+        "final_loss": stats.final_loss,
+    }
+    path.write_text(json.dumps(doc, indent=2))
     for line in stats.summary_lines():
         print(line)
 
@@ -198,44 +207,35 @@ def cmd_gen(args, settings) -> int:
 
 
 def cmd_train(args, settings) -> int:
-    corpus = _load_corpus(args.corpus, args.trust)
-    out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    config = _campaign_config(settings, corpus, out, reward=args.reward, training=True)
+    # training gets the stabilized recipe: annealed exploration plus a target network
+    corpus, out, config = _campaign(
+        args, settings, "discrepancies.db", reward_scheme=args.reward,
+        epsilon=campaign_mod.EpsilonSchedule.annealed(), train=TrainConfig(use_target_network=True),
+    )
     params, records, stats = campaign_mod.run_training(corpus, config)
     checkpoint = out / "qnet.ckpt"
     qnet.save(params, checkpoint)
-    (out / "stats.json").write_text(_stats_json(stats))
-    _print_stats(stats)
+    _write_stats(out / "stats.json", stats)
     print(f"checkpoint -> {checkpoint}")
     print(f"discrepancy db -> {config.db_path} ({len(records)} records)")
     return EXIT_OK
 
 
 def cmd_fuzz(args, settings) -> int:
-    corpus = _load_corpus(args.corpus, args.trust)
-    try:
+    try:  # before the shared set-up, so a bad checkpoint makes no --out
         params = qnet.load(args.checkpoint)
     except (OSError, qnet.CorruptCheckpoint) as exc:
         raise CliError(f"checkpoint: {exc}") from exc
-    out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    config = _campaign_config(settings, corpus, out, db_name="fuzz.db")
+    corpus, out, config = _campaign(args, settings, "fuzz.db")
     records, stats = campaign_mod.run_inference(corpus, params, config)
-    (out / "fuzz-stats.json").write_text(_stats_json(stats))
-    _print_stats(stats)
+    _write_stats(out / "fuzz-stats.json", stats)
     print(f"discrepancy db -> {config.db_path} ({len(records)} records)")
     return EXIT_OK
 
 
 def cmd_baseline(args, settings) -> int:
-    corpus = _load_corpus(args.corpus, args.trust)
-    out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    config = _campaign_config(settings, corpus, out, db_name="baseline.db")
-    stats = campaign_mod.run_baseline(corpus, config)
-    (out / "baseline-stats.json").write_text(_stats_json(stats))
-    _print_stats(stats)
+    corpus, out, config = _campaign(args, settings, "baseline.db")
+    _write_stats(out / "baseline-stats.json", campaign_mod.run_baseline(corpus, config))
     return EXIT_OK
 
 
@@ -279,26 +279,6 @@ def cmd_report(args, _settings) -> int:
     if args.json_out:
         Path(args.json_out).write_text(rep.to_json_lines())
     return EXIT_OK
-
-
-def _stats_json(stats) -> str:
-    return json.dumps(
-        {
-            "seeds_processed": stats.seeds_processed,
-            "skipped_seeds": stats.skipped_seeds,
-            "discrepancies": stats.discrepancies,
-            "yield": stats.yield_ratio,
-            "episodes": [
-                {"corpus_size": ep.corpus_size, "discrepancies": ep.discrepancies, "proportion": ep.proportion}
-                for ep in stats.episodes
-            ],
-            "modification_histogram": {str(k): v for k, v in sorted(stats.modification_histogram.items())},
-            "type_counts": {",".join(map(str, k)): v for k, v in sorted(stats.type_counts.items())},
-            "updates": stats.updates,
-            "final_loss": stats.final_loss,
-        },
-        indent=2,
-    )
 
 
 _COMMANDS = {
