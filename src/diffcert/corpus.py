@@ -144,9 +144,8 @@ def _issued_params(rng: random.Random, root) -> SeedParams:
 
 
 def _generate_one(bucket: str, rng: random.Random, trust: TrustStore) -> Certificate:
-    if bucket == "issued":
-        root = _ROOTS[rng.randrange(len(_ROOTS))]
-        return build_synthetic(_issued_params(rng, root), rng.getrandbits(32))
+    if bucket == "diverse":
+        return _generate_diverse(rng, trust)
     if bucket == "anchored":
         cn = f"self-{rng.randrange(10**6):06d}.example.test"
         tag = f"self-{cn}"
@@ -160,25 +159,15 @@ def _generate_one(bucket: str, rng: random.Random, trust: TrustStore) -> Certifi
         cert = build_synthetic(params, rng.getrandbits(32))
         trust.add(TrustAnchor(cert.subject.der, tag))
         return cert
-    if bucket == "expired_recent":
-        root = _ROOTS[rng.randrange(len(_ROOTS))]
-        hours = 1 + rng.randrange(20)  # expired less than a day ago
-        params = dataclasses.replace(_issued_params(rng, root), not_after_offset=-hours * 3600)
-        return build_synthetic(params, rng.getrandbits(32))
-    if bucket == "future_recent":
-        root = _ROOTS[rng.randrange(len(_ROOTS))]
-        hours = 1 + rng.randrange(20)
-        params = dataclasses.replace(_issued_params(rng, root), not_before_offset=hours * 3600)
-        return build_synthetic(params, rng.getrandbits(32))
-    if bucket == "unknown_issuer":
-        params = dataclasses.replace(
-            _issued_params(rng, ("Unregistered CA", "RU", "nobody")),
-            signer_tag="nobody",
-        )
-        return build_synthetic(params, rng.getrandbits(32))
-    if bucket == "diverse":
-        return _generate_diverse(rng, trust)
-    raise EmptyCorpus(f"unknown generator bucket {bucket!r}")
+    # rng draw order: root, hours, host, country, then the certificate seed
+    root = ("Unregistered CA", "RU", "nobody") if bucket == "unknown_issuer" else _ROOTS[rng.randrange(len(_ROOTS))]
+    if bucket in ("expired_recent", "future_recent"):
+        hours = 1 + rng.randrange(20)  # out of validity by less than a day
+        window = {"not_after_offset": -hours * 3600} if bucket == "expired_recent" else {"not_before_offset": hours * 3600}
+        params = dataclasses.replace(_issued_params(rng, root), **window)
+    else:
+        params = _issued_params(rng, root)
+    return build_synthetic(params, rng.getrandbits(32))
 
 
 def _generate_diverse(rng: random.Random, trust: TrustStore) -> Certificate:
