@@ -141,6 +141,19 @@ def reward_delta(v_before, v_after) -> int:
 # ---------------------------------------------------------------------------
 # Trust model
 
+def _check_type(what: str, value, *types: type):
+    # exact types, so a JSON "false", "1" or true is refused, not coerced
+    if type(value) not in types:
+        raise ValueError(f"{what}: expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
+def _check_header(doc, fmt: str, what: str) -> None:
+    # version is the int 1: JSON true and 1.0 compare equal to it
+    if not isinstance(doc, dict) or doc.get("format") != fmt or type(doc.get("version")) is not int or doc["version"] != 1:
+        raise ValueError(f"not a diffcert {what} file")
+
+
 @dataclass(frozen=True)
 class TrustAnchor:
     """A trusted name: its mock signing tag plus the chain facts the
@@ -152,10 +165,8 @@ class TrustAnchor:
     is_root: bool = True
 
     def __post_init__(self):
-        # exact types, so a JSON "false" or "1" is refused, not coerced
-        for name, want in (("version", int), ("is_root", bool)):
-            if type(getattr(self, name)) is not want:
-                raise ValueError(f"trust anchor {name}: expected {want.__name__}, got {getattr(self, name)!r}")
+        for name, want in (("tag", str), ("version", int), ("is_root", bool)):
+            _check_type(f"trust anchor {name}", getattr(self, name), want)
 
 
 class TrustStore:
@@ -198,8 +209,7 @@ class TrustStore:
     @classmethod
     def from_json(cls, text: str) -> "TrustStore":
         doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("format") != "diffcert-trust" or doc.get("version") != 1:
-            raise ValueError("not a diffcert trust store file")
+        _check_header(doc, "diffcert-trust", "trust store")
         if not isinstance(doc.get("anchors"), list):
             raise ValueError("trust store has no 'anchors' list")
         try:
@@ -242,9 +252,7 @@ class FlawProfile:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if type(value) is not type(field.default):
-                raise ValueError(f"profile {field.name}: expected {type(field.default).__name__}, got {value!r}")
+            _check_type(f"profile {field.name}", getattr(self, field.name), type(field.default))
         if self.parse_error_code not in ALL_CODES:
             raise ValueError(f"profile parse_error_code: {self.parse_error_code} is not a verdict code")
 
@@ -491,8 +499,10 @@ class PatternRule:
     exit_status: int | None = None
 
     def __post_init__(self):
-        if type(self.is_regex) is not bool:
-            raise ValueError(f"pattern regex: expected bool, got {self.is_regex!r}")
+        _check_type("pattern match", self.match, str)
+        _check_type("pattern regex", self.is_regex, bool)
+        if self.exit_status is not None:
+            _check_type("pattern exit_status", self.exit_status, int)
 
     def matches(self, status: int, output: str) -> bool:
         if self.exit_status is not None and status != self.exit_status:
@@ -673,10 +683,10 @@ def load_backend_specs(path) -> list:
     `SimulatedBackend`s and `ExternalBackend`s."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if doc.get("format") != "diffcert-backends" or doc.get("version") != 1:
-        raise ValueError("not a diffcert backend configuration file")
+    _check_header(doc, "diffcert-backends", "backend configuration")
     backends = []
     for entry in doc["backends"]:
+        _check_type("backend id", entry["id"], str)
         if entry["kind"] == "simulated":
             profile = entry.get("profile", {})
             if isinstance(profile, str):
@@ -691,8 +701,9 @@ def load_backend_specs(path) -> list:
                 PatternRule(rule["code"], rule.get("match", ""), rule.get("regex", False), rule.get("exit_status"))
                 for rule in entry["patterns"]
             )
-            timeout = float(entry.get("timeout", 10.0))
-            backends.append(ExternalBackend(entry["id"], tuple(entry["command"]), patterns, entry.get("trust", ""), timeout))
+            command = tuple(_check_type("backend command", entry["command"], list))
+            timeout = float(_check_type("backend timeout", entry.get("timeout", 10.0), int, float))
+            backends.append(ExternalBackend(entry["id"], command, patterns, entry.get("trust", ""), timeout))
         else:
             raise ValueError(f"unknown backend kind {entry['kind']!r}")
     return backends

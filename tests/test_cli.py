@@ -254,7 +254,8 @@ def test_episodes_below_one_is_a_clean_error(tmp_path, corpus_dir, capsys):
 
 def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys):
     issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
-    for text in ("[]", '{"format": "diffcert-trust", "version": 1}'):
+    texts = ("[]", '{"format": "diffcert-trust", "version": 1}', '{"format": "diffcert-trust", "version": true, "anchors": []}')
+    for text in texts:
         (tmp_path / "trust.json").write_text(text)
         for argv in (["verify", str(issued)], ["baseline", str(corpus_dir), "--out", str(tmp_path / "o")]):
             capsys.readouterr()
@@ -273,8 +274,9 @@ def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys)
         ("is_root", 0, "trust anchor is_root: expected bool, got 0"),
         ("version", "1", "trust anchor version: expected int, got '1'"),
         ("version", True, "trust anchor version: expected int, got True"),
+        ("tag", 5, "trust anchor tag: expected str, got 5"),
     ],
-    ids=["root-string", "root-int", "version-string", "version-bool"],
+    ids=["root-string", "root-int", "version-string", "version-bool", "tag-int"],
 )
 def test_bad_trust_anchor_field_is_a_clean_error(tmp_path, corpus_dir, capsys, field, value, problem):
     # a mistyped anchor field is refused, not coerced: "false" would make
@@ -355,8 +357,9 @@ _SIMULATED = {"id": "strict-a", "kind": "simulated"}
             "version": 1,
             "backends": [{"id": "b", "kind": "simulated", "profile": "gnutls-lik"}, _SIMULATED],
         },
+        {"format": "diffcert-backends", "version": True, "backends": [{"id": "b", "kind": "simulated"}, _SIMULATED]},
     ],
-    ids=["missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile"],
+    ids=["missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile", "version-bool"],
 )
 def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, content):
     path = tmp_path / "backends.json"
@@ -419,6 +422,29 @@ def test_non_bool_pattern_regex_is_a_clean_error(tmp_path, corpus_dir, capsys, r
     issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
     assert run_cli("verify", str(issued), "--backends", str(path)) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: backends: ValueError: pattern regex: expected bool, got {regex!r}"]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        ({"id": 7}, "backend id: expected str, got 7"),
+        ({"command": "true"}, "backend command: expected list, got 'true'"),
+        ({"patterns": [{"code": 1, "match": 5}, {"code": -15}]}, "pattern match: expected str, got 5"),
+        ({"patterns": [{"code": 1, "exit_status": "0"}, {"code": -15}]}, "pattern exit_status: expected int, got '0'"),
+        ({"timeout": "10"}, "backend timeout: expected int or float, got '10'"),
+        ({"timeout": True}, "backend timeout: expected int or float, got True"),
+    ],
+    ids=["id-int", "command-string", "match-int", "exit-status-string", "timeout-string", "timeout-bool"],
+)
+def test_mistyped_external_backend_field_is_a_clean_error(tmp_path, corpus_dir, capsys, edit, problem):
+    # refused when the file loads, not coerced ("true" into the command
+    # t r u e) or met as a traceback in the middle of a campaign
+    external = {"id": "ext", "kind": "external", "command": ["true", "{cert}"], "patterns": [{"code": -15}], **edit}
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, external]}))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    assert run_cli("verify", str(issued), "--backends", str(path)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: backends: ValueError: {problem}"]
 
 
 def test_one_backend_is_a_clean_error(tmp_path, corpus_dir, capsys):
