@@ -84,6 +84,38 @@ def test_read_tlv_rejects_ber_leniencies():
         asn1.read_tlv(b"\x9f\x85\x01\x00", 0, 4)
 
 
+@pytest.mark.parametrize(
+    "blob, position, reason",
+    [
+        (b"", 0, "truncated: expected a tag"),
+        (b"\x9f\x85\x01\x00", 0, "tag numbers >= 31 are not supported"),
+        (b"\x30", 1, "truncated: expected a length"),
+        (b"\x30\x80\x00\x00", 1, "indefinite lengths are not DER"),
+        (b"\x04\x82\x01", 1, "truncated length field"),
+        (b"\x04\x82\x00\x05hello", 2, "length has a leading zero octet"),
+        (b"\x04\x81\x05hello", 1, "length uses the long form needlessly"),
+        (b"\x04\x05he", 2, "content runs past the end of the buffer"),
+    ],
+    ids=["no-tag", "long-tag", "no-length", "indefinite", "truncated-length", "leading-zero", "needless-long-form", "short-content"],
+)
+def test_read_tlv_refusals_keep_offset_and_reason(blob, position, reason):
+    for pos in (0, 3):
+        data = b"\x05" * pos + blob
+        with pytest.raises(asn1.MalformedDer) as info:
+            asn1.read_tlv(data, pos, len(data))
+        assert (info.value.offset, info.value.reason) == (pos + position, reason)
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"", "BOOLEAN must be one octet"), (b"\xff\xff", "BOOLEAN must be one octet"), (b"\x01", "BOOLEAN content must be 0x00 or 0xff")],
+)
+def test_bool_content_refusals_keep_offset_and_reason(content, reason):
+    with pytest.raises(asn1.MalformedDer) as info:
+        asn1.decode_bool_content(content, 5)
+    assert (info.value.offset, info.value.reason) == (5, reason)
+
+
 KNOWN_OIDS = [
     ("1.2.840.113549.1.1.11", bytes.fromhex("2a864886f70d01010b")),
     ("2.5.29.19", bytes.fromhex("551d13")),
@@ -180,6 +212,33 @@ def test_time_escapes_utc_range():
 def test_time_rejects_bad_shapes(content):
     with pytest.raises(asn1.MalformedDer):
         asn1.decode_time(asn1.UTC_TIME, content)
+
+
+def test_generalized_time_round_trip():
+    t = dt.datetime(2055, 1, 2, 3, 4, 5, tzinfo=asn1.UTC)
+    assert asn1.decode_time(asn1.GENERALIZED_TIME, b"20550102030405Z") == t
+    assert asn1.decode_time(asn1.GENERALIZED_TIME, b"19490102030405Z").year == 1949
+
+
+@pytest.mark.parametrize(
+    "tag, content",
+    [
+        (asn1.UTC_TIME, b"20250601000000Z"),  # four year digits
+        (asn1.UTC_TIME, b"2506010000000"),  # no Z
+        (asn1.GENERALIZED_TIME, b"250601000000Z"),  # two year digits
+        (asn1.GENERALIZED_TIME, b"20250601000000"),  # no Z
+        (asn1.GENERALIZED_TIME, b"2025060100000zZ"),  # a letter among the digits
+        (asn1.GENERALIZED_TIME, b"20251301000000Z"),  # month 13
+        (asn1.GENERALIZED_TIME, "2025060100000\xe9Z".encode("latin-1")),  # a non-ASCII octet
+    ],
+    ids=["utc-four-digit-year", "utc-no-z", "generalized-two-digit-year", "generalized-no-z", "generalized-letter",
+         "generalized-month-13", "generalized-non-ascii"],
+)
+def test_time_shape_refusals_keep_offset_and_reason(tag, content):
+    with pytest.raises(asn1.MalformedDer) as info:
+        asn1.decode_time(tag, content, 7)
+    text = content.decode("ascii", errors="replace")
+    assert (info.value.offset, info.value.reason) == (7, f"invalid time value {text!r}")
 
 
 def test_time_rejects_a_tag_that_is_not_a_time_type():

@@ -307,6 +307,77 @@ def test_parse_rejects_non_sequence():
         parse_der(b"\x02\x01\x05")
     with pytest.raises(MalformedDer):
         parse_der(b"")
+    with pytest.raises(TypeError, match="^parse_der expects bytes$"):
+        parse_der("3000")
+
+
+# A v3 certificate small enough to count offsets in by hand: the TBS
+# starts at 2 and its fields at 4 (issuer at 17, SPKI at 53), the
+# signatureAlgorithm sits at 63 and the signature at 68, 71 bytes in all.
+_ALG_1_2 = bytes.fromhex("300306012a")  # AlgorithmIdentifier { 1.2 }, no parameters
+_TINY_FIELDS = (
+    bytes.fromhex("a003020102"),  # version [0] { INTEGER 2 }
+    bytes.fromhex("020101"),  # serialNumber 1
+    _ALG_1_2,  # signature
+    bytes.fromhex("3000"),  # issuer: an empty Name
+    asn1.tlv(asn1.SEQUENCE, asn1.tlv(asn1.UTC_TIME, b"250101000000Z") + asn1.tlv(asn1.UTC_TIME, b"260101000000Z")),
+    bytes.fromhex("3000"),  # subject
+    bytes.fromhex("3008") + _ALG_1_2 + bytes.fromhex("030100"),  # SPKI with an empty key
+)
+_TINY_EXTENSIONS = bytes.fromhex("a30b300930070603551d0e0400")  # [3] { { subjectKeyIdentifier, '' } }
+
+
+def _tiny(fields=_TINY_FIELDS, alg=_ALG_1_2, sig=b"\x03\x01\x00", trailer=b"") -> bytes:
+    return asn1.tlv(asn1.SEQUENCE, asn1.tlv(asn1.SEQUENCE, b"".join(fields)) + alg + sig + trailer)
+
+
+def _tiny_issuer(issuer: bytes) -> bytes:
+    return _tiny(_TINY_FIELDS[:3] + (issuer,) + _TINY_FIELDS[4:])
+
+
+@pytest.mark.parametrize(
+    "der, error, offset, reason",
+    [
+        (asn1.tlv(asn1.SEQUENCE, b"\x02\x01\x05"), certs.UnsupportedStructure, None, "tbsCertificate is not a SEQUENCE"),
+        (_tiny(alg=b"\x05\x00"), certs.UnsupportedStructure, None, "signatureAlgorithm is not a SEQUENCE"),
+        (_tiny(trailer=b"\x05\x00"), MalformedDer, 71, "trailing bytes inside the certificate SEQUENCE"),
+        (_tiny(_TINY_FIELDS + (_TINY_EXTENSIONS, b"\x05\x00")), MalformedDer, 76, "trailing bytes in the TBS"),
+        (_tiny((bytes.fromhex("a0030201ff"),) + _TINY_FIELDS[1:]), certs.UnsupportedStructure, None, "nonsensical version value -1"),
+        (_tiny(_TINY_FIELDS + (b"\xa4\x00",)), certs.UnsupportedStructure, None, "unexpected TBS field with tag 0xa4"),
+        (_tiny(sig=b"\x03\x00"), MalformedDer, 70, "empty BIT STRING"),
+        (_tiny(_TINY_FIELDS + (bytes.fromhex("a30d300930070603551d0e04000500"),)), MalformedDer, 76, "trailing bytes after the extensions list"),
+        (_tiny_issuer(bytes.fromhex("300f310d300b0603550406130244450500")), MalformedDer, 32, "trailing bytes in AttributeTypeAndValue"),
+        (_tiny_issuer(bytes.fromhex("30023100")), MalformedDer, 21, "empty RelativeDistinguishedName"),
+    ],
+    ids=[
+        "tbs-not-sequence", "signature-algorithm-not-sequence", "trailing-in-certificate", "trailing-in-tbs",
+        "negative-version", "unexpected-tbs-tag", "empty-signature-bit-string", "trailing-after-extensions-list",
+        "trailing-in-attribute", "empty-rdn",
+    ],
+)
+def test_parse_refusals_keep_type_offset_and_reason(der, error, offset, reason):
+    message = reason if offset is None else f"malformed DER at offset {offset}: {reason}"
+    for lenient in (False, True):
+        assert _parse_outcome(der, lenient) == (error, offset, message)
+    # the hand-counted layout holds: the same certificate without the fault parses
+    assert parse_der(_tiny()).encoding[1] == _tiny()
+
+
+def test_unique_ids_round_trip_and_survive_every_action(default_cert):
+    # issuerUniqueID [1] and subjectUniqueID [2] sit between the SPKI and
+    # the extensions; the model keeps them verbatim
+    unique_ids = bytes.fromhex("810200aa820300bbcc")
+    tiny = parse_der(_tiny(_TINY_FIELDS + (unique_ids, _TINY_EXTENSIONS)))
+    assert tiny.unique_ids_raw == unique_ids and [ext.oid for ext in tiny.extensions] == [oid.SUBJECT_KEY_ID]
+    der = encode_der(certs.copy_certificate(default_cert, unique_ids_raw=unique_ids))
+    spki = default_cert.public_key_info.der
+    assert der.index(unique_ids) == der.index(spki) + len(spki)
+    cert = parse_der(der)
+    assert cert.unique_ids_raw == unique_ids and encode_der(cert) == der
+    assert certs.encode_tbs(cert) == cert.encoding[0]
+    for spec in actions.catalog():
+        mutant = actions.apply(cert, spec.id)
+        assert mutant.unique_ids_raw == unique_ids and unique_ids in encode_der(mutant), spec.description
 
 
 def test_parse_rejects_trailing_bytes(default_cert):

@@ -6,6 +6,7 @@ import dataclasses
 import datetime as dt
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from diffcert import actions, asn1, certs, features, verdicts, x509oids as oid
@@ -195,6 +196,35 @@ def test_eku_classes():
     assert classify_extension_value(oid.EXT_KEY_USAGE, server) == 1
     assert classify_extension_value(oid.EXT_KEY_USAGE, client) == 2
     assert classify_extension_value(oid.EXT_KEY_USAGE, b"\x30\x00") == 3
+
+
+_SERVER_AUTH = asn1.tlv(asn1.SEQUENCE, asn1.tlv(asn1.OBJECT_IDENTIFIER, asn1.encode_oid_content(oid.EKU_SERVER_AUTH)))
+
+
+@pytest.mark.parametrize(
+    "ext_oid, value, expected",
+    [
+        (oid.BASIC_CONSTRAINTS, bytes.fromhex("300000"), 3),  # trailing bytes
+        (oid.BASIC_CONSTRAINTS, bytes.fromhex("3003020100"), 2),  # pathLen without cA: cA defaults to FALSE
+        (oid.BASIC_CONSTRAINTS, bytes.fromhex("0400"), 3),  # not a SEQUENCE
+        (oid.KEY_USAGE, bytes.fromhex("030205a000"), 3),  # trailing bytes
+        (oid.KEY_USAGE, bytes.fromhex("03020000"), 3),  # no bit set
+        (oid.KEY_USAGE, bytes.fromhex("030208a0"), 3),  # pad count above 7
+        (oid.KEY_USAGE, bytes.fromhex("0400"), 3),  # not a BIT STRING
+        (oid.EXT_KEY_USAGE, _SERVER_AUTH + b"\x00", 3),  # trailing bytes
+        (oid.EXT_KEY_USAGE, bytes.fromhex("3003040100"), 3),  # a purpose that is not an OID
+        (oid.EXT_KEY_USAGE, bytes.fromhex("3003060180"), 3),  # a purpose OID that does not decode
+        (oid.SUBJECT_ALT_NAME, bytes.fromhex("3003820161") + b"\x00", 3),  # trailing bytes
+        (oid.SUBJECT_ALT_NAME, bytes.fromhex("30020400"), 3),  # a universal tag, not a GeneralName
+        (oid.SUBJECT_ALT_NAME, bytes.fromhex("3000"), 3),  # no name
+        (oid.SUBJECT_ALT_NAME, bytes.fromhex("30028205"), 3),  # a name running past the value
+        (oid.SUBJECT_ALT_NAME, bytes.fromhex("3003860161"), 2),  # a URI alone
+        (oid.SUBJECT_ALT_NAME, bytes.fromhex("3006860161820161"), 1),  # a URI and a dNSName
+    ],
+)
+def test_value_class_table(ext_oid, value, expected):
+    assert classify_extension_value(ext_oid, value) == expected
+    assert certs.Extension(ext_oid, False, value).malformed == (expected == 3)
 
 
 def test_existence_mode_value_class_is_zero():
