@@ -148,12 +148,11 @@ def _load_trust(path: str) -> TrustStore:
 
 
 def _campaign(args, settings: dict, db_name: str, **recipe):
-    """Load the corpus, make --out, bind the backends to the corpus's trust
-    store and build the campaign's config."""
+    """Load the corpus, bind the backends to the corpus's trust store,
+    build the campaign's config and then make --out."""
     corpus = _load_corpus(args.corpus, args.trust)
-    out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
     backends = _load_backends(settings, corpus.trust if corpus.trust is not None else TrustStore())
+    out = Path(settings["out"])
     try:
         config = campaign_mod.CampaignConfig(
             backends=backends,
@@ -164,6 +163,7 @@ def _campaign(args, settings: dict, db_name: str, **recipe):
         )
     except ValueError as exc:
         raise CliError(f"config: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return corpus, out, config
 
 

@@ -701,9 +701,11 @@ def load_backend_specs(path) -> list:
                 PatternRule(rule["code"], rule.get("match", ""), rule.get("regex", False), rule.get("exit_status"))
                 for rule in entry["patterns"]
             )
-            command = tuple(_check_type("backend command", entry["command"], list))
+            command = _check_type("backend command", entry["command"], list)
+            command = tuple(_check_type("backend command argument", arg, str) for arg in command)
             timeout = float(_check_type("backend timeout", entry.get("timeout", 10.0), int, float))
-            backends.append(ExternalBackend(entry["id"], command, patterns, entry.get("trust", ""), timeout))
+            trust = _check_type("backend trust", entry.get("trust", ""), str)
+            backends.append(ExternalBackend(entry["id"], command, patterns, trust, timeout))
         else:
             raise ValueError(f"unknown backend kind {entry['kind']!r}")
     return backends

@@ -134,6 +134,11 @@ def test_campaign_runs_at_least_one_episode():
             CampaignConfig(backends=rigged_backends(), max_episode=episodes)
 
 
+def test_campaign_config_refuses_an_unknown_reward_scheme():
+    with pytest.raises(ValueError, match="^unknown reward scheme 'primry'$"):
+        CampaignConfig(backends=rigged_backends(), reward_scheme="primry")
+
+
 def test_discrepant_seed_short_circuits():
     # a corpus whose every seed is already discrepancy-triggering: no
     # mutation happens, yield is 1.0

@@ -161,6 +161,9 @@ def test_verify_now_flag_moves_the_clock(tmp_path, corpus_dir, capsys):
     assert run_cli("verify", str(issued), "--trust", trust, "--now", "2035-06-01T00:00:00+00:00") == 0
     out = capsys.readouterr().out
     assert out.count("Validity period error") == 6
+    # a clock without a timezone is read as UTC
+    assert run_cli("verify", str(issued), "--trust", trust, "--now", "2035-06-01T00:00:00") == 0
+    assert capsys.readouterr().out == out
 
 
 def test_catalog_prints_86_rows(capsys):
@@ -250,6 +253,16 @@ def test_episodes_below_one_is_a_clean_error(tmp_path, corpus_dir, capsys):
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: config: max_episode must be at least 1, got {episodes}"]
         assert "total:" not in captured.out
+
+
+def test_failed_campaign_set_up_makes_no_out_directory(tmp_path, corpus_dir, capsys):
+    # the backends load and the campaign's config builds before --out is made
+    missing = str(tmp_path / "missing.json")
+    for command, *flags in (("train", "--episodes", "0"), ("train", "--backends", missing), ("baseline", "--episodes", "0")):
+        capsys.readouterr()
+        assert run_cli(command, str(corpus_dir), *flags, "--out", str(tmp_path / "o")) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "o").exists(), (command, *flags)
 
 
 def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys):
@@ -433,8 +446,10 @@ def test_non_bool_pattern_regex_is_a_clean_error(tmp_path, corpus_dir, capsys, r
         ({"patterns": [{"code": 1, "exit_status": "0"}, {"code": -15}]}, "pattern exit_status: expected int, got '0'"),
         ({"timeout": "10"}, "backend timeout: expected int or float, got '10'"),
         ({"timeout": True}, "backend timeout: expected int or float, got True"),
+        ({"trust": 5}, "backend trust: expected str, got 5"),
+        ({"command": ["true", 5]}, "backend command argument: expected str, got 5"),
     ],
-    ids=["id-int", "command-string", "match-int", "exit-status-string", "timeout-string", "timeout-bool"],
+    ids=["id-int", "command-string", "match-int", "exit-status-string", "timeout-string", "timeout-bool", "trust-int", "argument-int"],
 )
 def test_mistyped_external_backend_field_is_a_clean_error(tmp_path, corpus_dir, capsys, edit, problem):
     # refused when the file loads, not coerced ("true" into the command

@@ -418,6 +418,14 @@ def _script_backend(script: str, patterns, timeout=10.0, command_prefix=None):
 CATCH_ALL = PatternRule(code=-15)
 
 
+def test_pattern_rule_regex_searches_the_output():
+    rule = PatternRule(code=-2, match=r"has exp\w+ed", is_regex=True)
+    assert rule.matches(1, "error 10: certificate has expired")
+    assert not rule.matches(1, "certificate has not expired yet")
+    # the same text as a substring rule matches only itself
+    assert not PatternRule(code=-2, match=r"has exp\w+ed").matches(1, "certificate has expired")
+
+
 def test_external_verify_pattern_match(tmp_path):
     # transcript fixture: the stub prints a canned "expired" diagnostic
     spec = _script_backend(
@@ -521,10 +529,13 @@ def test_bind_backends_drops_missing_external(env):
         SimulatedBackend("sim-a", STRICT_PROFILE),
         SimulatedBackend("sim-b", SHIPPED_PROFILES["matrixssl-like"]),
         ExternalBackend("gone", ("/nonexistent/verifier", "{cert}"), (CATCH_ALL,)),
+        ExternalBackend("here", (sys.executable, "{cert}"), (CATCH_ALL,)),
     ]
     bound = verdicts.bind_backends(specs, store)
-    assert [b.id for b in bound] == ["sim-a", "sim-b"]
-    v = verify_all(cert, bound, NOW)
+    assert [b.id for b in bound] == ["sim-a", "sim-b", "here"]
+    assert bound[2] is specs[3]  # an external on PATH is kept as it is
+    assert all(b.trust is store for b in bound[:2])
+    v = verify_all(cert, bound[:2], NOW)
     assert v.backend_ids == ("sim-a", "sim-b")
 
 
