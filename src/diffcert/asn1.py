@@ -234,18 +234,14 @@ def decode_time(tag: int, content: bytes, offset: int = 0) -> dt.datetime:
     if tag not in (UTC_TIME, GENERALIZED_TIME):
         raise MalformedDer(offset, f"tag 0x{tag:02x} is not a time type")
     text = content.decode("ascii", errors="replace")
+    digits = 2 if tag == UTC_TIME else 4  # of the year; then MMDDHHMMSS and Z
     try:
+        if len(text) != digits + 11 or not text.endswith("Z") or not text[:-1].isdigit():
+            raise ValueError("bad time shape")
+        year = int(text[:digits])
         if tag == UTC_TIME:
-            if len(text) != 13 or not text.endswith("Z") or not text[:-1].isdigit():
-                raise ValueError("bad UTCTime shape")
-            yy = int(text[0:2])
-            year = 1900 + yy if yy >= 50 else 2000 + yy
-            rest = text[2:-1]
-        else:
-            if len(text) != 15 or not text.endswith("Z") or not text[:-1].isdigit():
-                raise ValueError("bad GeneralizedTime shape")
-            year = int(text[0:4])
-            rest = text[4:-1]
+            year += 1900 if year >= 50 else 2000
+        rest = text[digits:-1]
         month, day = int(rest[0:2]), int(rest[2:4])
         hour, minute, second = int(rest[4:6]), int(rest[6:8]), int(rest[8:10])
         return dt.datetime(year, month, day, hour, minute, second, tzinfo=UTC)

@@ -106,22 +106,13 @@ class Name:
         return sum(attr.oid == oid.COUNTRY and len(attr.value) != 2 for attr in self.attributes())
 
     def with_country(self, code: str) -> "Name":
-        """Return a copy with the country attribute set (appended if absent)."""
+        """Return a copy with the first country attribute set (appended if absent)."""
         new_attr = NameAttribute(oid.COUNTRY, asn1.PRINTABLE_STRING, code.encode("ascii"))
-        if self.first(oid.COUNTRY) is None:
-            return Name(self.rdns + ((new_attr,),))
-        done = False
-        rdns = []
-        for rdn in self.rdns:
-            attrs = []
-            for attr in rdn:
-                if attr.oid == oid.COUNTRY and not done:
-                    attrs.append(new_attr)
-                    done = True
-                else:
-                    attrs.append(attr)
-            rdns.append(tuple(attrs))
-        return Name(tuple(rdns))
+        for i, rdn in enumerate(self.rdns):
+            for j, attr in enumerate(rdn):
+                if attr.oid == oid.COUNTRY:
+                    return Name(self.rdns[:i] + (rdn[:j] + (new_attr,) + rdn[j + 1 :],) + self.rdns[i + 1 :])
+        return Name(self.rdns + ((new_attr,),))
 
     def without_country(self) -> "Name":
         rdns = []
@@ -201,76 +192,67 @@ VALUE_WELL_FORMED_DEFAULT = 0
 MALFORMED = 3
 
 
-def _classify_basic_constraints(value: bytes) -> int:
-    # 1 = CA TRUE, 2 = CA false (explicit or defaulted), 3 = malformed
-    try:
-        start, stop, nxt = asn1.expect_tlv(value, 0, len(value), asn1.SEQUENCE, "BasicConstraints")
-        if nxt != len(value):
-            return MALFORMED
-        if start == stop:
-            return 2
-        tag, bstart, bstop, pos = asn1.read_tlv(value, start, stop)
-        if tag != asn1.BOOLEAN:
-            return 2  # pathLen without cA; cA defaults to FALSE
-        return 1 if value[bstart:bstop] not in (b"\x00",) else 2
-    except asn1.MalformedDer:
-        return MALFORMED
+def _value_classifier(tag: int):
+    """Make a content rule a value classifier: the value must be one TLV
+    with ``tag`` and nothing after it, ``rule(value, start, stop)`` then
+    classes its content, and any `MalformedDer` is `MALFORMED`."""
 
-
-def _classify_key_usage(value: bytes) -> int:
-    # 1 = keyCertSign present, 2 = other usable bits, 3 = malformed/empty
-    try:
-        start, stop, nxt = asn1.expect_tlv(value, 0, len(value), asn1.BIT_STRING, "KeyUsage")
-        if nxt != len(value):
-            return MALFORMED
-        content = value[start:stop]
-        if len(content) < 2 or content[0] > 7:
-            return MALFORMED
-        bits = content[1:]
-        if not any(bits):
-            return MALFORMED
-        key_cert_sign = bool(bits[0] & 0x04)  # bit 5 of the first octet
-        return 1 if key_cert_sign else 2
-    except asn1.MalformedDer:
-        return MALFORMED
-
-
-def _classify_ext_key_usage(value: bytes) -> int:
-    # 1 = serverAuth present, 2 = other purposes, 3 = malformed/empty
-    try:
-        start, stop, nxt = asn1.expect_tlv(value, 0, len(value), asn1.SEQUENCE, "ExtKeyUsage")
-        if nxt != len(value):
-            return MALFORMED
-        purposes = []
-        pos = start
-        while pos < stop:
-            ostart, ostop, pos = asn1.expect_tlv(value, pos, stop, asn1.OBJECT_IDENTIFIER, "purpose")
-            purposes.append(asn1.decode_oid_content(value[ostart:ostop], ostart))
-        if not purposes:
-            return MALFORMED
-        return 1 if oid.EKU_SERVER_AUTH in purposes else 2
-    except asn1.MalformedDer:
-        return MALFORMED
-
-
-def _classify_subject_alt_name(value: bytes) -> int:
-    # 1 = contains a dNSName, 2 = other general names, 3 = malformed/empty
-    try:
-        start, stop, nxt = asn1.expect_tlv(value, 0, len(value), asn1.SEQUENCE, "SubjectAltName")
-        if nxt != len(value):
-            return MALFORMED
-        tags = []
-        pos = start
-        while pos < stop:
-            tag, _, _, pos = asn1.read_tlv(value, pos, stop)
-            if tag & 0xC0 != 0x80:
+    def frame(rule):
+        def classify(value: bytes) -> int:
+            try:
+                got, start, stop, nxt = asn1.read_tlv(value, 0, len(value))
+                return rule(value, start, stop) if got == tag and nxt == len(value) else MALFORMED
+            except MalformedDer:
                 return MALFORMED
-            tags.append(tag & 0x1F)
-        if not tags:
-            return MALFORMED
-        return 1 if 2 in tags else 2
-    except asn1.MalformedDer:
+
+        return classify
+
+    return frame
+
+
+@_value_classifier(asn1.SEQUENCE)
+def _classify_basic_constraints(value: bytes, start: int, stop: int) -> int:
+    # 1 = CA TRUE, 2 = CA false (explicit or defaulted), 3 = malformed
+    if start == stop:
+        return 2
+    tag, bstart, bstop, _ = asn1.read_tlv(value, start, stop)
+    if tag != asn1.BOOLEAN:
+        return 2  # pathLen without cA; cA defaults to FALSE
+    return 1 if value[bstart:bstop] != b"\x00" else 2
+
+
+@_value_classifier(asn1.BIT_STRING)
+def _classify_key_usage(value: bytes, start: int, stop: int) -> int:
+    # 1 = keyCertSign present, 2 = other usable bits, 3 = malformed/empty
+    if stop - start < 2 or value[start] > 7 or not any(value[start + 1 : stop]):
         return MALFORMED
+    return 1 if value[start + 1] & 0x04 else 2  # keyCertSign: bit 5 of the first octet
+
+
+@_value_classifier(asn1.SEQUENCE)
+def _classify_ext_key_usage(value: bytes, pos: int, stop: int) -> int:
+    # 1 = serverAuth present, 2 = other purposes, 3 = malformed/empty
+    if pos == stop:
+        return MALFORMED
+    purposes = []
+    while pos < stop:
+        ostart, ostop, pos = asn1.expect_tlv(value, pos, stop, asn1.OBJECT_IDENTIFIER, "purpose")
+        purposes.append(asn1.decode_oid_content(value[ostart:ostop], ostart))
+    return 1 if oid.EKU_SERVER_AUTH in purposes else 2
+
+
+@_value_classifier(asn1.SEQUENCE)
+def _classify_subject_alt_name(value: bytes, pos: int, stop: int) -> int:
+    # 1 = contains a dNSName, 2 = other general names, 3 = malformed/empty
+    if pos == stop:
+        return MALFORMED
+    tags = []
+    while pos < stop:
+        tag, _, _, pos = asn1.read_tlv(value, pos, stop)
+        if tag & 0xC0 != 0x80:
+            return MALFORMED
+        tags.append(tag & 0x1F)
+    return 1 if 2 in tags else 2
 
 
 _VALUE_CLASSIFIERS = {
@@ -444,9 +426,9 @@ def parse_der(data: bytes, *, lenient: bool = False) -> Certificate:
 
 def _parse_tbs(data: bytes, pos: int, end: int, *, lenient: bool) -> dict:
     version, version_present = 1, False
-    tag, _, _, _ = asn1.read_tlv(data, pos, end)
+    tag, vstart, vstop, nxt = asn1.read_tlv(data, pos, end)
     if tag == asn1.CTX_0_EXPLICIT:
-        vstart, vstop, pos = asn1.read_tlv(data, pos, end)[1:]
+        pos = nxt
         istart, istop, inxt = asn1.expect_tlv(data, vstart, vstop, asn1.INTEGER, "version")
         if inxt != vstop:
             raise MalformedDer(inxt, "trailing bytes in the version field")
@@ -459,8 +441,8 @@ def _parse_tbs(data: bytes, pos: int, end: int, *, lenient: bool) -> dict:
     serial_raw = data[sstart:sstop]
     serial = asn1.decode_int_content(serial_raw, sstart)
 
-    sig_alg, pos = _parse_algorithm(data, pos, end)
-    issuer, pos = _parse_name(data, pos, end)
+    sig_alg, pos = _sequence_part(_algorithm, data, pos, end, "AlgorithmIdentifier")
+    issuer, pos = _sequence_part(_name, data, pos, end, "Name")
 
     vstart, vstop, pos = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "validity")
     not_before, vpos = _parse_time(data, vstart, vstop)
@@ -468,16 +450,12 @@ def _parse_tbs(data: bytes, pos: int, end: int, *, lenient: bool) -> dict:
     if vpos != vstop:
         raise MalformedDer(vpos, "trailing bytes in validity")
 
-    subject, pos = _parse_name(data, pos, end)
+    subject, pos = _sequence_part(_name, data, pos, end, "Name")
     spki, pos = _parse_spki(data, pos, end)
 
     unique_start = pos
-    while pos < end:
-        tag, _, _, nxt = asn1.read_tlv(data, pos, end)
-        if tag in (asn1.CTX_1_PRIMITIVE, asn1.CTX_2_PRIMITIVE):
-            pos = nxt
-        else:
-            break
+    while pos < end and data[pos] in (asn1.CTX_1_PRIMITIVE, asn1.CTX_2_PRIMITIVE):
+        pos = asn1.read_tlv(data, pos, end)[3]
     unique_ids_raw = data[unique_start:pos]
 
     extensions: tuple[Extension, ...] = ()
@@ -503,16 +481,6 @@ def _parse_tbs(data: bytes, pos: int, end: int, *, lenient: bool) -> dict:
         unique_ids_raw=unique_ids_raw,
         extensions=extensions,
     )
-
-
-def _parse_algorithm(data: bytes, pos: int, end: int) -> tuple[AlgorithmId, int]:
-    nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "AlgorithmIdentifier")[2]
-    return _interned(_algorithm, data, pos, nxt), nxt
-
-
-def _parse_name(data: bytes, pos: int, end: int) -> tuple[Name, int]:
-    nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, "Name")[2]
-    return _interned(_name, data, pos, nxt), nxt
 
 
 def _parse_time(data: bytes, pos: int, end: int) -> tuple[TimeValue, int]:
@@ -552,11 +520,9 @@ def _parse_extensions(data: bytes, pos: int, end: int, *, lenient: bool) -> tupl
     if lstart == lstop:
         raise MalformedDer(pos, "empty extensions list (RFC 5280 requires at least one)")
     exts = []
-    p = lstart
-    while p < lstop:
-        ext_pos = p
-        p = asn1.expect_tlv(data, p, lstop, asn1.SEQUENCE, "Extension")[2]
-        exts.append(_interned(_extension, data, ext_pos, p, lenient))
+    while lstart < lstop:
+        ext, lstart = _sequence_part(_extension, data, lstart, lstop, "Extension", lenient)
+        exts.append(ext)
     return tuple(exts)
 
 
@@ -577,6 +543,13 @@ def _interned(parse, data: bytes, pos: int, nxt: int, *args):
         return parse(data[pos:nxt], *args)
     except MalformedDer as exc:
         raise MalformedDer(pos + exc.offset, exc.reason) from None
+
+
+def _sequence_part(parse, data: bytes, pos: int, end: int, what: str, *args):
+    """Frame the SEQUENCE ``what`` at ``pos``, intern it through `_interned`
+    and return it with the position after it."""
+    nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, what)[2]
+    return _interned(parse, data, pos, nxt, *args), nxt
 
 
 @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
@@ -626,9 +599,9 @@ def _extension(der: bytes, lenient: bool) -> Extension:
     ostart, ostop, q = asn1.expect_tlv(der, estart, estop, asn1.OBJECT_IDENTIFIER, "extnID")
     ext_oid = asn1.decode_oid_content(der[ostart:ostop], ostart)
     critical, critical_encoded = False, False
-    tag, _, _, _ = asn1.read_tlv(der, q, estop)
+    tag, bstart, bstop, nxt = asn1.read_tlv(der, q, estop)
     if tag == asn1.BOOLEAN:
-        bstart, bstop, q = asn1.read_tlv(der, q, estop)[1:]
+        q = nxt
         critical = asn1.decode_bool_content(der[bstart:bstop], bstart)
         critical_encoded = True
         if not critical and not lenient:
