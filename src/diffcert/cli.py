@@ -148,8 +148,9 @@ def _load_trust(path: str) -> TrustStore:
 
 
 def _campaign(args, settings: dict, db_name: str, **recipe):
-    """Load the corpus, bind the backends to the corpus's trust store,
-    build the campaign's config and then make --out."""
+    """Load the corpus, bind the backends to the corpus's trust store and
+    build the campaign's config.  --out is made by the discrepancy
+    database, which the campaign opens once its panel of backends stands."""
     corpus = _load_corpus(args.corpus, args.trust)
     backends = _load_backends(settings, corpus.trust if corpus.trust is not None else TrustStore())
     out = Path(settings["out"])
@@ -163,7 +164,6 @@ def _campaign(args, settings: dict, db_name: str, **recipe):
         )
     except ValueError as exc:
         raise CliError(f"config: {exc}") from exc
-    out.mkdir(parents=True, exist_ok=True)
     return corpus, out, config
 
 

@@ -324,10 +324,12 @@ class DiscrepancyRecord:
 
 
 class DiscrepancyDb:
-    """Append-only store: ``<payload-length><TAB><json><LF>`` per record."""
+    """Append-only store: ``<payload-length><TAB><json><LF>`` per record.
+    Opening one makes its directory."""
 
     def __init__(self, path):
         self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._drop_torn_tail()
 
     def _drop_torn_tail(self) -> None:

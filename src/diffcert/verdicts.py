@@ -347,36 +347,47 @@ VALIDATOR_KNOWN_EXTENSIONS = frozenset(
     }
 )
 
-_EXT_ERROR_CODES = {
-    oid.BASIC_CONSTRAINTS: BASIC_CONSTRAINTS_ERROR,
-    oid.KEY_USAGE: KEY_USAGE_ERROR,
+# The entries of `InputFacts.failures`.
+_NAME_FAILURE = (SUBJECT_ISSUER_ERROR, None, True)
+_EXT_VALUE_AS_PARSE = (PARSING_ERROR, "ext_value_error_as_parse", True)
+_EXT_VALUE_FAILURES = {
+    oid.BASIC_CONSTRAINTS: (BASIC_CONSTRAINTS_ERROR, "ext_value_error_as_parse", False),
+    oid.KEY_USAGE: (KEY_USAGE_ERROR, "ext_value_error_as_parse", False),
 }
+_OTHER_EXT_VALUE = (OTHER_EXTENSION_ERROR, "ext_value_error_as_parse", False)
+_UNKNOWN_CRITICAL = (UNKNOWN_CRITICAL_EXTENSION, "ignore_unknown_critical", False)
+_VERSION_FAILURES = {  # versions 1 and 2 fail only with an extensions field
+    1: (VERSION_ERROR, "accept_v1_with_v3_ext", False),
+    2: (VERSION_ERROR, "accept_v2_with_v3_ext", False),
+    4: (VERSION_ERROR, "accept_v4", False),
+}
+_BAD_VERSION = (VERSION_ERROR, None, True)
+_WEAK_SIG_ALG = (ALGORITHM_ERROR, "accept_weak_sig_alg", False)
+_VALIDITY = (VALIDITY_PERIOD_ERROR, None, True)  # where validity sits; `judge` drops it inside the window
+_NONPOSITIVE_SERIAL = (OTHER_ERROR, "accept_nonpositive_serial", False)
+_LONG_SERIAL = (OTHER_ERROR, "accept_long_serial", False)
+_TRUST_FAILURES = {code: (code, None, True) for code in (SELF_SIGN, UNKNOWN_ISSUER, SIGNATURE_ERROR)}
+# A rejected legacy chain stops the trust check before the signature.
+_LEGACY_CHAIN = (CHAIN_ERROR, "accept_v1v2_intermediate", False)
+_LEGACY_SIGNATURE = (SIGNATURE_ERROR, "accept_v1v2_intermediate", True)
 
 
 class InputFacts(NamedTuple):
     """What verification derives from one input and a trust store,
     independently of any profile: all that `judge` reads.
 
-    ``strict_ok`` says whether a strict parse succeeds too.  The validity
-    bounds are whole seconds; ``long_serial`` means more than 20 octets.
-    Extension codes keep extension order; ``-10`` marks an unknown
-    critical extension, every other code a malformed known one.
-    ``trust_code`` is the trust failure once the chain is accepted:
-    self-sign, unknown issuer or signature mismatch.
+    ``strict_ok`` says whether a strict parse succeeds too; the validity
+    bounds are whole seconds.  ``failures`` holds the strict validator's
+    failures in check order as ``(code, switch, counts)``: one counts for a
+    profile whose ``switch`` setting equals ``counts``, and always when
+    ``switch`` is None.  PARSING_ERROR stands for the profile's
+    ``parse_error_code``.  The defaults are a certificate with no defect.
     """
 
     strict_ok: bool = False
-    version: int = 3
-    v3_extensions: bool = False  # the certificate has an extensions field
-    weak_sig_alg: bool = False
     not_before: int = 0
     not_after: int = 0
-    nonpositive_serial: bool = False
-    long_serial: bool = False
-    name_failures: int = 0
-    ext_codes: tuple[int, ...] = ()
-    legacy_issuer: bool = False  # issued by a v1/v2 intermediate anchor
-    trust_code: int | None = None
+    failures: tuple[tuple[int, str | None, bool], ...] = (_VALIDITY,)
 
 
 def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) -> InputFacts | None:
@@ -397,88 +408,68 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
     if not (cert.strict_der or lenient):
         return InputFacts()
 
-    name_failures = cert.issuer.odd_countries + cert.subject.odd_countries
+    # Check order: names, extension values read as parse errors, version,
+    # algorithm, validity, serial, chain and trust, extensions.
+    failures = [_NAME_FAILURE] * (cert.issuer.odd_countries + cert.subject.odd_countries)
     if not cert.subject.rdns and cert.extension(oid.SUBJECT_ALT_NAME) is None:
-        name_failures += 1
-
-    ext_codes = []
+        failures.append(_NAME_FAILURE)
+    ext_failures = []
     for ext in cert.extensions:
         if ext.oid in VALIDATOR_KNOWN_EXTENSIONS:
             if ext.malformed:
-                ext_codes.append(_EXT_ERROR_CODES.get(ext.oid, OTHER_EXTENSION_ERROR))
+                failures.append(_EXT_VALUE_AS_PARSE)
+                ext_failures.append(_EXT_VALUE_FAILURES.get(ext.oid, _OTHER_EXT_VALUE))
         elif ext.critical:
-            ext_codes.append(UNKNOWN_CRITICAL_EXTENSION)
+            ext_failures.append(_UNKNOWN_CRITICAL)
+    version = cert.version
+    if version not in (1, 2, 3) or version < 3 and cert.extensions:
+        failures.append(_VERSION_FAILURES.get(version, _BAD_VERSION))
+    if cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS:
+        failures.append(_WEAK_SIG_ALG)
+    failures.append(_VALIDITY)
+    if cert.serial <= 0:
+        failures.append(_NONPOSITIVE_SERIAL)
+    if len(cert.serial_raw) > 20:
+        failures.append(_LONG_SERIAL)
 
-    legacy_issuer, trust_code = False, None
     subject, issuer = cert.subject.der, cert.issuer.der
     if trust.lookup(subject) is None:  # an anchor itself is trusted by fiat
         anchor = trust.lookup(issuer)
         if anchor is None:
-            trust_code = SELF_SIGN if subject == issuer else UNKNOWN_ISSUER
+            failures.append(_TRUST_FAILURES[SELF_SIGN if subject == issuer else UNKNOWN_ISSUER])
         else:
-            legacy_issuer = anchor.version < 3 and not anchor.is_root
+            legacy = anchor.version < 3 and not anchor.is_root
+            if legacy:
+                failures.append(_LEGACY_CHAIN)
             tbs, _ = cert.encoding
             if cert.signature_value != b"\x00" + mock_sign(tbs, anchor.tag):
-                trust_code = SIGNATURE_ERROR
-    return InputFacts(
-        cert.strict_der, cert.version, bool(cert.extensions), cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS,
-        cert.not_before.seconds, cert.not_after.seconds, cert.serial <= 0, len(cert.serial_raw) > 20,
-        name_failures, tuple(ext_codes), legacy_issuer, trust_code,
-    )
+                failures.append(_LEGACY_SIGNATURE if legacy else _TRUST_FAILURES[SIGNATURE_ERROR])
+    return InputFacts(cert.strict_der, cert.not_before.seconds, cert.not_after.seconds, tuple(failures + ext_failures))
 
 
 def validity_window(profile: FlawProfile, now: dt.datetime) -> tuple[int, int]:
     """The latest notBefore and the earliest notAfter, in whole seconds,
     that ``profile``'s clock accepts at ``now``: offset by its local-time
-    setting, with its linger as slack.  Whole seconds, because a bound
-    plus the linger may lie past year 9999."""
-    local_now = now + dt.timedelta(seconds=profile.local_time_offset_seconds)
+    setting, with its linger as slack.  Integer seconds, so no clock,
+    offset or linger overflows a datetime past year 9999."""
+    local_now = int(now.timestamp()) + profile.local_time_offset_seconds
     linger = profile.time_linger_seconds
-    return int((local_now + dt.timedelta(seconds=linger)).timestamp()), int(local_now.timestamp()) - linger
+    return local_now + linger, local_now - linger
 
 
 def judge(profile: FlawProfile, facts: InputFacts | None, window: tuple[int, int]) -> int:
-    """One profile's verdict within its `validity_window`: waive what its
-    switches accept, then report the first failure met or the most severe one."""
+    """One profile's verdict within its `validity_window`: the failures
+    that count for it, then the first met or the most severe one."""
     if facts is None or not (facts.strict_ok or profile.lenient_parse):
         return profile.parse_error_code
-    # Stages in check order: names, extension values read as parse errors,
-    # version, algorithm, validity, serial, trust, extensions.
-    failures = [SUBJECT_ISSUER_ERROR] * facts.name_failures
-    ext_codes = facts.ext_codes
-    if profile.ext_value_error_as_parse:
-        unknown = [c for c in ext_codes if c == UNKNOWN_CRITICAL_EXTENSION]
-        failures += [profile.parse_error_code] * (len(ext_codes) - len(unknown))
-        ext_codes = unknown
-    if profile.ignore_unknown_critical:
-        ext_codes = [c for c in ext_codes if c != UNKNOWN_CRITICAL_EXTENSION]
-
-    version = facts.version
-    if version not in (1, 2, 3):
-        if not (version == 4 and profile.accept_v4):
-            failures.append(VERSION_ERROR)
-    elif version in (1, 2) and facts.v3_extensions:
-        if not (profile.accept_v1_with_v3_ext if version == 1 else profile.accept_v2_with_v3_ext):
-            failures.append(VERSION_ERROR)
-    if facts.weak_sig_alg and not profile.accept_weak_sig_alg:
-        failures.append(ALGORITHM_ERROR)
-
     latest_start, earliest_end = window
-    if facts.not_before > latest_start or facts.not_after < earliest_end:
-        failures.append(VALIDITY_PERIOD_ERROR)
-
-    if facts.nonpositive_serial and not profile.accept_nonpositive_serial:
-        failures.append(OTHER_ERROR)
-    elif facts.long_serial and not profile.accept_long_serial:
-        failures.append(OTHER_ERROR)
-
-    # A rejected legacy chain stops the trust check before the signature.
-    if facts.legacy_issuer and not profile.accept_v1v2_intermediate:
-        failures.append(CHAIN_ERROR)
-    elif facts.trust_code is not None:
-        failures.append(facts.trust_code)
-    failures += ext_codes
-
+    outside = facts.not_before > latest_start or facts.not_after < earliest_end
+    parse_code = profile.parse_error_code
+    failures = [
+        parse_code if code == PARSING_ERROR else code
+        for code, switch, counts in facts.failures
+        if (switch is None or getattr(profile, switch) == counts) and (outside or code != VALIDITY_PERIOD_ERROR)
+    ]
     if not failures:
         return VALID
     if profile.first_error_only:
@@ -687,6 +678,8 @@ def load_backend_specs(path) -> list:
     backends = []
     for entry in doc["backends"]:
         _check_type("backend id", entry["id"], str)
+        if any(backend.id == entry["id"] for backend in backends):
+            raise ValueError(f"backend id {entry['id']!r} appears twice")
         if entry["kind"] == "simulated":
             profile = entry.get("profile", {})
             if isinstance(profile, str):

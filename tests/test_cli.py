@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -164,6 +165,9 @@ def test_verify_now_flag_moves_the_clock(tmp_path, corpus_dir, capsys):
     # a clock without a timezone is read as UTC
     assert run_cli("verify", str(issued), "--trust", trust, "--now", "2035-06-01T00:00:00") == 0
     assert capsys.readouterr().out == out
+    # an eight-hour local-time offset takes this clock past year 9999
+    assert run_cli("verify", str(issued), "--trust", trust, "--now", "9999-12-31T20:00:00") == 0
+    assert capsys.readouterr().out == out
 
 
 def test_catalog_prints_86_rows(capsys):
@@ -256,9 +260,17 @@ def test_episodes_below_one_is_a_clean_error(tmp_path, corpus_dir, capsys):
 
 
 def test_failed_campaign_set_up_makes_no_out_directory(tmp_path, corpus_dir, capsys):
-    # the backends load and the campaign's config builds before --out is made
+    # the backends load, the campaign's config builds and the panel stands
+    # before --out is made
     missing = str(tmp_path / "missing.json")
-    for command, *flags in (("train", "--episodes", "0"), ("train", "--backends", missing), ("baseline", "--episodes", "0")):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED]}))
+    for command, *flags in (
+        ("train", "--episodes", "0"),
+        ("train", "--backends", missing),
+        ("baseline", "--episodes", "0"),
+        ("baseline", "--backends", str(one)),
+    ):
         capsys.readouterr()
         assert run_cli(command, str(corpus_dir), *flags, "--out", str(tmp_path / "o")) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
@@ -344,6 +356,8 @@ def test_backends_config_file(tmp_path, corpus_dir, capsys):
         "backends": [
             {"id": "strict-a", "kind": "simulated", "profile": {}},
             {"id": "gnutls-twin", "kind": "simulated", "profile": "gnutls-like"},
+            # a clock some three million years ahead: past year 9999, but whole seconds
+            {"id": "far-clock", "kind": "simulated", "profile": {"local_time_offset_seconds": 100000000000000}},
         ],
     }
     path = tmp_path / "backends.json"
@@ -352,7 +366,10 @@ def test_backends_config_file(tmp_path, corpus_dir, capsys):
     code = run_cli("verify", str(issued), "--trust", str(corpus_dir / "trust.json"), "--backends", str(path))
     out = capsys.readouterr().out
     assert "strict-a" in out and "gnutls-twin" in out
+    assert re.search(r"far-clock +-2  Validity period error", out)
     assert code in (0, 10)
+    assert run_cli("baseline", str(corpus_dir), "--backends", str(path), "--out", str(tmp_path / "o")) == 0
+    assert (tmp_path / "o" / "baseline-stats.json").is_file()
 
 
 _SIMULATED = {"id": "strict-a", "kind": "simulated"}
@@ -371,8 +388,9 @@ _SIMULATED = {"id": "strict-a", "kind": "simulated"}
             "backends": [{"id": "b", "kind": "simulated", "profile": "gnutls-lik"}, _SIMULATED],
         },
         {"format": "diffcert-backends", "version": True, "backends": [{"id": "b", "kind": "simulated"}, _SIMULATED]},
+        {"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, {**_SIMULATED, "profile": "gnutls-like"}]},
     ],
-    ids=["missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile", "version-bool"],
+    ids=["missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile", "version-bool", "repeated-id"],
 )
 def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, content):
     path = tmp_path / "backends.json"
@@ -387,6 +405,9 @@ def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, conten
     if isinstance(content, dict) and "profile" in content["backends"][0]:
         assert err[0].startswith("error: backends: ValueError: \"profile\": unknown shipped profile 'gnutls-lik'")
         assert all(name in err[0] for name in SHIPPED_PROFILES)
+    if isinstance(content, dict) and content["backends"][0] == _SIMULATED:
+        # records and reports key their columns by backend id
+        assert err == ["error: backends: ValueError: backend id 'strict-a' appears twice"]
 
 
 @pytest.mark.parametrize(

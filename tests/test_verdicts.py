@@ -52,7 +52,7 @@ from diffcert.verdicts import (
     verify_all,
 )
 
-from verdict_helpers import default_backends, simulate_verify
+from verdict_helpers import default_backends, reference_derive_facts, reference_judge, reference_validity_window, simulate_verify
 
 NOW = REFERENCE_TIME
 ONE_YEAR = 365 * 24 * 3600
@@ -755,6 +755,76 @@ def test_six_profile_verdict_lock():
     assert digest.hexdigest() == SWEEP_DIGEST
 
 
+@functools.lru_cache(maxsize=None)
+def _sweep_facts():
+    """Per input of the seeded sweep and per lenient flag, its facts and
+    the facts of the earlier facts pass."""
+    corpus = generate_corpus(60, rng_seed=3)
+    return [
+        {
+            lenient: (verdicts.derive_facts(der, corpus.trust, lenient), reference_derive_facts(der, corpus.trust, lenient))
+            for lenient in (True, False)
+        }
+        for der in _sweep_inputs(corpus, random.Random(5))
+    ]
+
+
+def _outcome(judge, *args):
+    # a parse code without a severity rank (Valid, Connection error) makes
+    # both judgements raise KeyError on a malformed extension value
+    try:
+        return judge(*args)
+    except KeyError:
+        return KeyError
+
+
+def _assert_judged_as_reference(profile):
+    for now in (NOW, NOW + datetime.timedelta(hours=13)):
+        window, reference_window = verdicts.validity_window(profile, now), reference_validity_window(profile, now)
+        for facts in _sweep_facts():
+            for lenient in {True, profile.lenient_parse}:  # a lenient profile makes its panel lenient
+                tagged, reference = facts[lenient]
+                assert _outcome(verdicts.judge, profile, tagged, window) == _outcome(
+                    reference_judge, profile, reference, reference_window
+                ), (profile, now, reference)
+
+
+_SWITCHES = tuple(field.name for field in dataclasses.fields(FlawProfile) if type(field.default) is bool)
+_SINGLE_SETTING_PROFILES = (
+    *(dataclasses.replace(STRICT_PROFILE, **{name: True}) for name in _SWITCHES),
+    dataclasses.replace(STRICT_PROFILE, time_linger_seconds=24 * 3600),
+    dataclasses.replace(STRICT_PROFILE, local_time_offset_seconds=8 * 3600),
+    dataclasses.replace(STRICT_PROFILE, local_time_offset_seconds=-8 * 3600),
+    dataclasses.replace(STRICT_PROFILE, parse_error_code=verdicts.OTHER_ERROR),
+)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [STRICT_PROFILE, *SHIPPED_PROFILES.values(), *_SINGLE_SETTING_PROFILES],
+    ids=["strict", *SHIPPED_PROFILES, *_SWITCHES, "linger", "offset", "negative-offset", "parse-code"],
+)
+def test_tagged_failures_judge_as_the_reference(profile):
+    # filtering the tagged failure list gives each profile the code that
+    # the earlier per-switch judgement gave, over the sweep at two clocks
+    _assert_judged_as_reference(profile)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    profile=st.builds(
+        FlawProfile,
+        time_linger_seconds=st.integers(-10 * ONE_YEAR, 10 * ONE_YEAR),
+        local_time_offset_seconds=st.integers(-10 * ONE_YEAR, 10 * ONE_YEAR),
+        parse_error_code=st.sampled_from(ALL_CODES),
+        **{name: st.booleans() for name in _SWITCHES},
+    )
+)
+def test_random_profiles_judge_as_the_reference(profile):
+    # any mix of switches, clock settings and parse code
+    _assert_judged_as_reference(profile)
+
+
 def test_panel_signs_once_per_input(env, monkeypatch):
     # the trust facts are derived once per input, not once per profile
     cert, store = env
@@ -818,7 +888,7 @@ def test_verify_all_parses_bytes_only(env, monkeypatch):
     monkeypatch.setattr(verdicts, "parse_der", counting_parse)
     from_fields = verify_all(mutant, default_backends(store), NOW)
     assert calls == []
-    assert verdicts.derive_facts(mutant, store, True).trust_code == verdicts.SIGNATURE_ERROR
+    assert (verdicts.SIGNATURE_ERROR, None, True) in verdicts.derive_facts(mutant, store, True).failures
     assert calls == []
     from_bytes = verify_all(encode_der(mutant), default_backends(store), NOW)
     assert len(calls) == 1
@@ -832,7 +902,10 @@ def _parsed_corpus(rng_seed):
 
 
 def _is_fact_value(value):
-    return type(value) in (bool, int, type(None)) or (type(value) is tuple and all(type(c) is int for c in value))
+    return type(value) in (bool, int) or (
+        type(value) is tuple
+        and all(type(code) is int and type(switch) in (str, type(None)) and type(counts) is bool for code, switch, counts in value)
+    )
 
 
 @settings(max_examples=60, deadline=None)
