@@ -347,7 +347,7 @@ VALIDATOR_KNOWN_EXTENSIONS = frozenset(
     }
 )
 
-# The entries of `InputFacts.failures`.
+# The entries of `InputFacts.failures`, as constants: deriving facts builds none.
 _NAME_FAILURE = (SUBJECT_ISSUER_ERROR, None, True)
 _EXT_VALUE_AS_PARSE = (PARSING_ERROR, "ext_value_error_as_parse", True)
 _EXT_VALUE_FAILURES = {
