@@ -11,8 +11,10 @@ environment block starts with ``--parent``, otherwise to the change side.
 The output holds each side's ``src_lines`` (the ``src/`` line count its
 runs' environment blocks report), every run (side, seed, order, the
 gated end-to-end metrics, the behaviour-lock digest and the environment
-block) and, per workload and metric, each side's median and quartiles
-plus how many same-seed pairs the change won.  Traced (``--trace 1``) runs time the
+block) and, per workload, whether every pair's digests match, whether
+every run was ``correct`` with no failed operation (``all_correct``)
+and, per metric, each side's median and quartiles plus how many
+same-seed pairs the change won.  Traced (``--trace 1``) runs time the
 program with wrappers around it, so they stay out of those figures; a
 ``traced`` block lists them per workload and side with the per-layer
 metrics, the run's reference job (``reference_ms``) and, for each metric
@@ -78,6 +80,7 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
         entry = {
             "pairs": len(pairs),
             "digests_match": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
+            "all_correct": all(run["correct"] and run["failed"] == 0 for run in mine),
         }
         for name, better in directions.items():
             sign = 1 if better == "higher" else -1

@@ -16,11 +16,9 @@ BOOLEAN = 0x01
 INTEGER = 0x02
 BIT_STRING = 0x03
 OCTET_STRING = 0x04
-NULL = 0x05
 OBJECT_IDENTIFIER = 0x06
 UTF8_STRING = 0x0C
 PRINTABLE_STRING = 0x13
-IA5_STRING = 0x16
 UTC_TIME = 0x17
 GENERALIZED_TIME = 0x18
 SEQUENCE = 0x30

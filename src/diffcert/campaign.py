@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 
 REWARD_PRIMARY = "primary"
 REWARD_DELTA = "delta"
+REWARD_SCHEMES = (REWARD_PRIMARY, REWARD_DELTA)
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class EpsilonSchedule:
     decay_updates: int = 0
 
     def at(self, update: int) -> float:
-        if self.decay_updates <= 0 or update >= self.decay_updates:
+        if update >= self.decay_updates:
             return self.end
         frac = update / self.decay_updates
         return self.start + (self.end - self.start) * frac
@@ -68,7 +69,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.max_episode < 1:
             raise ValueError(f"max_episode must be at least 1, got {self.max_episode}")
-        if self.reward_scheme not in (REWARD_PRIMARY, REWARD_DELTA):
+        if self.reward_scheme not in REWARD_SCHEMES:
             raise ValueError(f"unknown reward scheme {self.reward_scheme!r}")
 
 

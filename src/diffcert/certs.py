@@ -89,16 +89,10 @@ class Name:
         for rdn in self.rdns:
             yield from rdn
 
-    def first(self, attr_oid: str) -> NameAttribute | None:
-        for attr in self.attributes():
-            if attr.oid == attr_oid:
-                return attr
-        return None
-
     @_cached
     def country(self) -> str | None:
-        attr = self.first(oid.COUNTRY)
-        return attr.text() if attr is not None else None
+        """The text of the first country attribute, if any."""
+        return next((attr.text() for attr in self.attributes() if attr.oid == oid.COUNTRY), None)
 
     @_cached
     def odd_countries(self) -> int:

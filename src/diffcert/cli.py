@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="run a training campaign over a corpus")
     p.add_argument("corpus")
     p.add_argument("--trust", help="trust store JSON (default: <corpus>/trust.json)")
-    p.add_argument("--reward", choices=("primary", "delta"), default="primary")
+    p.add_argument("--reward", choices=campaign_mod.REWARD_SCHEMES, default=campaign_mod.REWARD_PRIMARY)
 
     p = sub.add_parser("fuzz", parents=[common], help="greedy inference campaign from a checkpoint")
     p.add_argument("corpus")
@@ -150,16 +150,20 @@ def _load_trust(path: str) -> TrustStore:
 def _campaign(args, settings: dict, db_name: str, **recipe):
     """Load the corpus, bind the backends to the corpus's trust store and
     build the campaign's config.  --out is made by the discrepancy
-    database, which the campaign opens once its panel of backends stands."""
+    database, which the campaign opens once its panel of backends stands;
+    a database that already holds records is refused, not appended to."""
+    out = Path(settings["out"])
+    db = out / db_name
+    if db.is_file() and db.stat().st_size:
+        raise CliError(f"out: {db} already holds records; give another --out")
     corpus = _load_corpus(args.corpus, args.trust)
     backends = _load_backends(settings, corpus.trust if corpus.trust is not None else TrustStore())
-    out = Path(settings["out"])
     try:
         config = campaign_mod.CampaignConfig(
             backends=backends,
             max_episode=settings["episodes"],
             rng_seed=settings["seed"],
-            db_path=str(out / db_name),
+            db_path=str(db),
             **recipe,
         )
     except ValueError as exc:

@@ -25,6 +25,10 @@ from .features import FEATURE_LENGTH, LABELS_TEXT
 
 LAYER_DIMS: tuple[int, ...] = (FEATURE_LENGTH, 100, 100, CATALOG_SIZE)
 ACTION_COUNT = LAYER_DIMS[-1]
+# weights then biases of each layer: the shapes of `QParams.arrays`, in order
+PARAM_SHAPES: tuple[tuple[int, ...], ...] = tuple(
+    shape for rows, cols in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]) for shape in ((rows, cols), (cols,))
+)
 
 _CKPT_MAGIC = b"DQCERT\x00\x01"
 
@@ -57,16 +61,7 @@ class QParams:
     b2: np.ndarray
 
     def __post_init__(self):
-        expected = [
-            (LAYER_DIMS[0], LAYER_DIMS[1]),
-            (LAYER_DIMS[1],),
-            (LAYER_DIMS[1], LAYER_DIMS[2]),
-            (LAYER_DIMS[2],),
-            (LAYER_DIMS[2], LAYER_DIMS[3]),
-            (LAYER_DIMS[3],),
-        ]
-        arrays = (self.w0, self.b0, self.w1, self.b1, self.w2, self.b2)
-        for arr, shape in zip(arrays, expected):
+        for arr, shape in zip(self.arrays(), PARAM_SHAPES):
             if arr.shape != shape:
                 raise DimensionMismatch(f"parameter shape {arr.shape} != {shape}")
             if not np.all(np.isfinite(arr)):
@@ -368,10 +363,7 @@ def load(path) -> QParams:
     if dims != LAYER_DIMS:
         raise CorruptCheckpoint(f"layer dimensions {dims} != {LAYER_DIMS}")
 
-    arrays = []
-    for rows, cols in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]):
-        arrays.append(np.frombuffer(bytes(take(8 * rows * cols)), dtype=np.float64).reshape(rows, cols))
-        arrays.append(np.frombuffer(bytes(take(8 * cols)), dtype=np.float64))
+    arrays = [np.frombuffer(bytes(take(8 * math.prod(shape))), dtype=np.float64).reshape(shape) for shape in PARAM_SHAPES]
     (labels_len,) = struct.unpack("<I", take(4))
     if bytes(take(labels_len)) != LABELS_TEXT.encode("utf-8"):
         raise CorruptCheckpoint("feature labels differ from this version's")

@@ -109,9 +109,6 @@ class VerdictVector:
     def __iter__(self):
         return iter(self.codes)
 
-    def __len__(self):
-        return len(self.codes)
-
 
 def is_discrepancy(v) -> bool:
     """True when the panel both accepted and rejected the same certificate.
@@ -167,6 +164,8 @@ class TrustAnchor:
     def __post_init__(self):
         for name, want in (("tag", str), ("version", int), ("is_root", bool)):
             _check_type(f"trust anchor {name}", getattr(self, name), want)
+        if any("\ud800" <= c <= "\udfff" for c in self.tag):  # `mock_sign` hashes the tag as UTF-8
+            raise ValueError(f"trust anchor tag: {self.tag!r} is not UTF-8 text")
 
 
 class TrustStore:
@@ -253,11 +252,22 @@ class FlawProfile:
     def __post_init__(self):
         for field in fields(self):
             _check_type(f"profile {field.name}", getattr(self, field.name), type(field.default))
-        if self.parse_error_code not in ALL_CODES:
-            raise ValueError(f"profile parse_error_code: {self.parse_error_code} is not a verdict code")
+        if self.parse_error_code not in _SEVERITY_RANK:  # `judge` ranks it beside the other failures
+            raise ValueError(f"profile parse_error_code: {self.parse_error_code} is not a failure code in SEVERITY_ORDER")
 
 
 STRICT_PROFILE = FlawProfile()
+
+_NSS_OPENSSL = FlawProfile(
+    accept_v1_with_v3_ext=True,
+    accept_v2_with_v3_ext=True,
+    accept_v4=True,
+    accept_v1v2_intermediate=True,
+    accept_nonpositive_serial=True,
+    accept_long_serial=True,
+    accept_weak_sig_alg=True,
+    first_error_only=True,
+)
 
 # Behavioral caricatures of the six commonly tested TLS libraries, one
 # switch per reproduced flaw class (plus taxonomy-reachability settings
@@ -290,26 +300,10 @@ SHIPPED_PROFILES: dict[str, FlawProfile] = {
         ignore_unknown_critical=True,
         ext_value_error_as_parse=True,
     ),
-    "nss-like": FlawProfile(
-        accept_v1_with_v3_ext=True,
-        accept_v2_with_v3_ext=True,
-        accept_v4=True,
-        accept_v1v2_intermediate=True,
-        accept_nonpositive_serial=True,
-        accept_long_serial=True,
-        accept_weak_sig_alg=True,
-        first_error_only=True,
-    ),
-    "openssl-like": FlawProfile(
-        accept_v1_with_v3_ext=True,
-        accept_v2_with_v3_ext=True,
-        accept_v4=True,
-        accept_v1v2_intermediate=True,
-        accept_nonpositive_serial=True,
-        accept_long_serial=True,
-        accept_weak_sig_alg=True,
-        first_error_only=True,
-    ),
+    # nss-like and openssl-like are one profile today, so their columns never
+    # disagree; splitting them would move every verdict and campaign lock
+    "nss-like": _NSS_OPENSSL,
+    "openssl-like": _NSS_OPENSSL,
     "wolfssl-like": FlawProfile(
         accept_v4=True,
         accept_weak_sig_alg=True,
@@ -494,6 +488,11 @@ class PatternRule:
         _check_type("pattern regex", self.is_regex, bool)
         if self.exit_status is not None:
             _check_type("pattern exit_status", self.exit_status, int)
+        if self.is_regex:
+            try:
+                re.compile(self.match)
+            except re.error as exc:
+                raise ValueError(f"pattern regex {self.match!r}: {exc}") from None
 
     def matches(self, status: int, output: str) -> bool:
         if self.exit_status is not None and status != self.exit_status:
@@ -529,11 +528,15 @@ class ExternalBackend:
             raise ValueError("the catch-all rule must map to Other error (-15)")
         if not all(type(rule.code) is int and rule.code in ALL_CODES for rule in self.patterns):
             raise ValueError("every pattern must map to a verdict code")
+        if not 0 < self.timeout <= 2147483.647:  # `subprocess` waits in `poll`, at most 2**31 - 1 ms
+            raise ValueError("backend timeout: must be above 0 and at most 2147483.647 seconds")
         for arg in self.command:
             try:
-                arg.format(cert="cert.der", trust=self.trust_path)
+                formatted = arg.format(cert="cert.der", trust=self.trust_path)
             except (AttributeError, IndexError, KeyError, ValueError):
                 raise ValueError(f"command argument {arg!r} has a placeholder other than {{cert}} and {{trust}}") from None
+            if any(c == "\x00" or "\ud800" <= c <= "\udfff" for c in formatted):  # no OS argument holds either
+                raise ValueError(f"command argument {formatted!r} holds a NUL or a lone surrogate")
 
 
 def external_verify(backend: ExternalBackend, cert_bytes: bytes) -> int:
@@ -696,7 +699,7 @@ def load_backend_specs(path) -> list:
             )
             command = _check_type("backend command", entry["command"], list)
             command = tuple(_check_type("backend command argument", arg, str) for arg in command)
-            timeout = float(_check_type("backend timeout", entry.get("timeout", 10.0), int, float))
+            timeout = _check_type("backend timeout", entry.get("timeout", 10.0), int, float)
             trust = _check_type("backend trust", entry.get("trust", ""), str)
             backends.append(ExternalBackend(entry["id"], command, patterns, trust, timeout))
         else:

@@ -106,6 +106,16 @@ def test_digest_mismatch_in_one_pair(tmp_path):
     assert summarize(tmp_path, runs)["summary"]["train"]["digests_match"] is False
 
 
+@pytest.mark.parametrize("edit", [{"correct": False}, {"failed": 1}])
+def test_all_correct_names_a_refused_run(tmp_path, edit):
+    # every run correct with nothing failed, on either side, or not
+    runs = [write_run(tmp_path, PARENT, 1, 400.0), write_run(tmp_path, CHANGE, 1, 300.0)]
+    assert summarize(tmp_path, runs)["summary"]["train"]["all_correct"] is True
+    doc = json.loads(runs[0].read_text())
+    runs[0].write_text(json.dumps({**doc, **edit}))
+    assert summarize(tmp_path, runs)["summary"]["train"]["all_correct"] is False
+
+
 def test_traced_runs_collected_apart(tmp_path):
     # a traced run adds no end-to-end figure; it lands in the traced block
     # with the per-layer metrics, by workload and side, in run order

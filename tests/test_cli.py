@@ -277,6 +277,32 @@ def test_failed_campaign_set_up_makes_no_out_directory(tmp_path, corpus_dir, cap
         assert not (tmp_path / "o").exists(), (command, *flags)
 
 
+def test_second_campaign_into_one_database_is_refused(tmp_path, capsys):
+    # a fresh campaign never appends to another one's records: it stops
+    # with one error line before it runs and leaves the database as it was
+    corpus, run = tmp_path / "c", tmp_path / "o"
+    assert run_cli("gen", "40", "--seed", "1", "--out", str(corpus)) == 0
+    assert run_cli("train", str(corpus), "--out", str(run)) == 0
+    assert run_cli("fuzz", str(corpus), str(run / "qnet.ckpt"), "--out", str(run)) == 0
+    capsys.readouterr()
+    assert run_cli("baseline", str(corpus), "--out", str(run)) == 0
+    assert "total: seeds 40  discrepancies 17" in capsys.readouterr().out
+    databases = {name: (run / name).read_bytes() for name in ("discrepancies.db", "fuzz.db", "baseline.db")}
+    assert all(databases.values())
+    for argv, name in (
+        (["train", str(corpus)], "discrepancies.db"),
+        (["fuzz", str(corpus), str(run / "qnet.ckpt")], "fuzz.db"),
+        (["baseline", str(corpus)], "baseline.db"),
+    ):
+        assert run_cli(*argv, "--out", str(run)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: out: {run / name} already holds records; give another --out"]
+        assert "total:" not in captured.out
+    assert {name: (run / name).read_bytes() for name in databases} == databases
+    assert run_cli("report", str(run / "baseline.db")) == 0
+    assert "discrepancies 17" in capsys.readouterr().out
+
+
 def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys):
     issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
     texts = ("[]", '{"format": "diffcert-trust", "version": 1}', '{"format": "diffcert-trust", "version": true, "anchors": []}')
@@ -414,12 +440,15 @@ def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, conten
     "profile, problem",
     [
         ({"time_linger_seconds": "abc"}, "profile time_linger_seconds: expected int, got 'abc'"),
-        ({"parse_error_code": 99}, "profile parse_error_code: 99 is not a verdict code"),
+        ({"parse_error_code": 99}, "profile parse_error_code: 99 is not a failure code in SEVERITY_ORDER"),
+        # codes that `judge` cannot rank beside the other failures
+        ({"parse_error_code": 1, "ext_value_error_as_parse": True}, "profile parse_error_code: 1 is not a failure code in SEVERITY_ORDER"),
+        ({"parse_error_code": -13}, "profile parse_error_code: -13 is not a failure code in SEVERITY_ORDER"),
         ({"accept_v4": "no"}, "profile accept_v4: expected bool, got 'no'"),
         ({"accept_v4": 1}, "profile accept_v4: expected bool, got 1"),
         ({"local_time_offset_seconds": 3600.0}, "profile local_time_offset_seconds: expected int, got 3600.0"),
     ],
-    ids=["linger-string", "unknown-parse-code", "switch-string", "switch-int", "offset-float"],
+    ids=["linger-string", "unknown-parse-code", "valid-parse-code", "connection-parse-code", "switch-string", "switch-int", "offset-float"],
 )
 def test_bad_profile_value_is_a_clean_error(tmp_path, corpus_dir, capsys, profile, problem):
     # a mistyped setting is refused when the file loads, not met later as
@@ -481,6 +510,40 @@ def test_mistyped_external_backend_field_is_a_clean_error(tmp_path, corpus_dir, 
     issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
     assert run_cli("verify", str(issued), "--backends", str(path)) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: backends: ValueError: {problem}"]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        ({"patterns": [{"code": 1, "match": "(", "regex": True}, {"code": -15}]}, "pattern regex '(': missing ), unterminated subpattern at position 0"),
+        ({"timeout": 0}, "backend timeout: must be above 0 and at most 2147483.647 seconds"),
+        ({"timeout": float("nan")}, "backend timeout: must be above 0 and at most 2147483.647 seconds"),
+        ({"timeout": 10**400}, "backend timeout: must be above 0 and at most 2147483.647 seconds"),
+        ({"command": ["true", "a\x00b"]}, "command argument 'a\\x00b' holds a NUL or a lone surrogate"),
+        ({"command": ["true", "{trust}"], "trust": "\ud800"}, "command argument '\\ud800' holds a NUL or a lone surrogate"),
+    ],
+    ids=["bad-regex", "timeout-zero", "timeout-nan", "timeout-huge", "argument-nul", "trust-surrogate"],
+)
+def test_unrunnable_external_backend_is_a_clean_error(tmp_path, corpus_dir, capsys, edit, problem):
+    # each loaded before and raised at the first verification: re.error,
+    # a timeout subprocess cannot wait, an argument the OS cannot take
+    external = {"id": "ext", "kind": "external", "command": ["true", "{cert}"], "patterns": [{"code": -15}], **edit}
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, external]}))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    assert run_cli("verify", str(issued), "--backends", str(path)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: backends: ValueError: {problem}"]
+
+
+def test_unencodable_trust_tag_is_a_clean_error(tmp_path, corpus_dir, capsys):
+    # the signing tag is hashed as UTF-8; a lone surrogate loaded before
+    # and raised at the first signature check
+    doc = json.loads((corpus_dir / "trust.json").read_text())
+    doc["anchors"][0]["tag"] = "\ud800"
+    (tmp_path / "trust.json").write_text(json.dumps(doc))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    assert run_cli("verify", str(issued), "--trust", str(tmp_path / "trust.json")) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: trust: trust anchor tag: '\\ud800' is not UTF-8 text"]
 
 
 def test_one_backend_is_a_clean_error(tmp_path, corpus_dir, capsys):

@@ -2,20 +2,26 @@
 validator, profile monotonicity, discrepancy/reward semantics and the
 external subprocess adapters."""
 
+import base64
 import dataclasses
 import datetime
 import functools
 import hashlib
+import itertools
+import json
 import random
 import re
 import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffcert import actions, asn1, features, verdicts, x509oids as oid
+from diffcert import actions, asn1, cli, features, verdicts, x509oids as oid
 from diffcert.certs import (
     REFERENCE_TIME,
     ExtensionParam,
@@ -290,6 +296,18 @@ def test_shipped_profiles_table(env):
     assert len(backends) == 6
     v = verify_all(cert, backends, NOW)
     assert v.codes == (1, 1, 1, 1, 1, 1)
+
+
+def test_equal_shipped_profiles_are_one_object():
+    # an equal pair is one deliberate binding (nss-like is openssl-like);
+    # any other equal pair would be a column that can never disagree with its twin
+    assert SHIPPED_PROFILES["nss-like"] is SHIPPED_PROFILES["openssl-like"]
+    equal = {
+        (a, b)
+        for a, b in itertools.combinations(SHIPPED_PROFILES, 2)
+        if SHIPPED_PROFILES[a] == SHIPPED_PROFILES[b]
+    }
+    assert equal == {("nss-like", "openssl-like")}
 
 
 def test_example_discrepancy_vector_shapes(env):
@@ -769,24 +787,17 @@ def _sweep_facts():
     ]
 
 
-def _outcome(judge, *args):
-    # a parse code without a severity rank (Valid, Connection error) makes
-    # both judgements raise KeyError on a malformed extension value
-    try:
-        return judge(*args)
-    except KeyError:
-        return KeyError
-
-
 def _assert_judged_as_reference(profile):
     for now in (NOW, NOW + datetime.timedelta(hours=13)):
         window, reference_window = verdicts.validity_window(profile, now), reference_validity_window(profile, now)
         for facts in _sweep_facts():
             for lenient in {True, profile.lenient_parse}:  # a lenient profile makes its panel lenient
                 tagged, reference = facts[lenient]
-                assert _outcome(verdicts.judge, profile, tagged, window) == _outcome(
-                    reference_judge, profile, reference, reference_window
-                ), (profile, now, reference)
+                assert verdicts.judge(profile, tagged, window) == reference_judge(profile, reference, reference_window), (
+                    profile,
+                    now,
+                    reference,
+                )
 
 
 _SWITCHES = tuple(field.name for field in dataclasses.fields(FlawProfile) if type(field.default) is bool)
@@ -816,7 +827,7 @@ def test_tagged_failures_judge_as_the_reference(profile):
         FlawProfile,
         time_linger_seconds=st.integers(-10 * ONE_YEAR, 10 * ONE_YEAR),
         local_time_offset_seconds=st.integers(-10 * ONE_YEAR, 10 * ONE_YEAR),
-        parse_error_code=st.sampled_from(ALL_CODES),
+        parse_error_code=st.sampled_from(verdicts.SEVERITY_ORDER),
         **{name: st.booleans() for name in _SWITCHES},
     )
 )
@@ -933,3 +944,147 @@ def test_equal_facts_give_equal_verdicts(rng_seed, walks):
         assert all(_is_fact_value(value) for value in facts)
         codes = verify_all(der, backends, NOW).codes
         assert vector_of.setdefault(facts, codes) == codes
+
+
+# ---------------------------------------------------------------------------
+# Every configuration that loads also runs: a drawn backends file and
+# trust store is refused with one CLI error line, or its panel judges the
+# whole sweep at two clocks.
+
+# text that an operating system, a format string or UTF-8 may refuse
+_EDGE_TEXT = st.text(st.one_of(st.sampled_from("a{}\x00\ud800"), st.characters(exclude_categories=())), max_size=4)
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(ALL_CODES),
+    st.integers(),
+    st.sampled_from([0, -1, 10**400]),
+    st.floats(),  # json writes and reads NaN and Infinity
+    _EDGE_TEXT,
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def _mostly(typed, odds=10):
+    """``typed``, or any JSON value about once in ``odds`` draws (not on
+    0, which Hypothesis draws more often than its share)."""
+    return st.integers(0, odds - 1).flatmap(lambda roll: _JSON_VALUES if roll == 7 else typed)
+
+
+def _profile_value(field):
+    if field.name == "parse_error_code":
+        return _mostly(st.sampled_from(ALL_CODES), 40)
+    return _mostly(st.booleans() if type(field.default) is bool else st.integers(), 40)
+
+
+_PROFILES = _mostly(
+    st.one_of(
+        st.sampled_from([*SHIPPED_PROFILES, "gnutls-lik"]),
+        st.fixed_dictionaries(
+            {}, optional={"no_such_switch": st.booleans(), **{field.name: _profile_value(field) for field in dataclasses.fields(FlawProfile)}}
+        ),
+    )
+)
+_PATTERN = st.fixed_dictionaries(
+    {"code": _mostly(st.sampled_from(ALL_CODES))},
+    optional={
+        "match": _mostly(st.sampled_from(["ok", "a.c", "(", "[x", ""])),
+        "regex": _mostly(st.booleans()),
+        "exit_status": _mostly(st.integers(-1, 2)),
+    },
+)
+_EXTERNAL = st.fixed_dictionaries(
+    {
+        "kind": st.just("external"),
+        "command": _mostly(
+            st.tuples(
+                st.sampled_from(["true", "true", "false", "no-such-verifier"]),
+                st.lists(_mostly(st.sampled_from(["{cert}", "{trust}", "-v", "-CAfile"])), max_size=3),
+            ).map(lambda drawn: [drawn[0], *drawn[1]])
+        ),
+        "patterns": _mostly(st.lists(_PATTERN, max_size=2).map(lambda rules: [*rules, {"code": -15}])),
+    },
+    optional={
+        "timeout": _mostly(st.sampled_from([10, 2.5, 0, -1.5, float("nan"), float("inf"), 1e7])),
+        "trust": _mostly(_EDGE_TEXT),
+    },
+)
+_SIMULATED = st.fixed_dictionaries({"kind": st.just("simulated")}, optional={"profile": _PROFILES})
+_ANCHOR_VALUES = {
+    "name_b64": _mostly(st.binary(max_size=6).map(lambda raw: base64.b64encode(raw).decode())),
+    "tag": _mostly(_EDGE_TEXT),
+    "version": _mostly(st.integers(-1, 4)),
+    "is_root": _mostly(st.booleans()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_parsed():
+    """The sweep's inputs, parsed once where a lenient parse takes them
+    (`verify_all` judges a certificate as the bytes it came from), and the
+    trust document of its corpus."""
+    corpus = generate_corpus(60, rng_seed=3)
+    inputs = []
+    for der in _sweep_inputs(corpus, random.Random(5)):
+        try:
+            inputs.append(parse_der(der, lenient=True))
+        except ValueError:  # MalformedDer and UnsupportedStructure
+            inputs.append(der)
+    return tuple(inputs), corpus.trust.to_json()
+
+
+@st.composite
+def _backends_document(draw):
+    entries = draw(st.lists(_mostly(st.one_of(_SIMULATED, _SIMULATED, _EXTERNAL)), min_size=2, max_size=4))
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            entry["id"] = draw(_mostly(st.just(f"b{i}")))
+    return draw(_mostly(st.just({"format": "diffcert-backends", "version": 1, "backends": entries})))
+
+
+@st.composite
+def _trust_document(draw):
+    """The sweep's trust document with a few anchor fields edited or
+    dropped and a few anchors added."""
+    doc = json.loads(_sweep_parsed()[1])
+    for _ in range(draw(st.integers(0, 3))):
+        anchor = draw(st.sampled_from(doc["anchors"]))
+        key = draw(st.sampled_from(sorted(_ANCHOR_VALUES)))
+        if draw(st.integers(0, 4)) == 2:
+            anchor.pop(key, None)
+        else:
+            anchor[key] = draw(_ANCHOR_VALUES[key])
+    doc["anchors"] += draw(st.lists(st.fixed_dictionaries(_ANCHOR_VALUES), max_size=2))
+    return draw(_mostly(st.just(doc)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    backends_doc=_backends_document(),
+    trust_doc=_trust_document(),
+    outcomes=st.lists(st.tuples(st.integers(-1, 2), st.sampled_from(["", "ok", "abc", "error"])), min_size=1, max_size=3),
+)
+def test_every_loaded_configuration_runs(backends_doc, trust_doc, outcomes):
+    # refused as the CLI refuses a file (one error line, before any
+    # verification), or every verification of the sweep returns a code
+    inputs, _ = _sweep_parsed()
+    with tempfile.TemporaryDirectory() as scratch:
+        backends_path, trust_path = Path(scratch, "backends.json"), Path(scratch, "trust.json")
+        backends_path.write_text(json.dumps(backends_doc))
+        trust_path.write_text(json.dumps(trust_doc))
+        try:
+            backends = cli._load_backends({"backends": str(backends_path)}, cli._load_trust(str(trust_path)))
+            panels = [Panel(backends, now) for now in (NOW, NOW + datetime.timedelta(hours=13))]
+        except (cli.CliError, InsufficientBackends) as refused:
+            assert "\n" not in str(refused)
+            return
+    # an external verifier runs for real on the first input; for the rest
+    # it answers with the drawn outcomes, so its pattern table meets them all
+    replies = itertools.cycle(outcomes)
+    fake_run = lambda argv, **kwargs: subprocess.CompletedProcess(argv, *next(replies), "")  # noqa: E731
+    for panel in panels:
+        with panel:
+            assert set(verify_all(inputs[0], panel)) <= set(ALL_CODES)
+            with mock.patch.object(subprocess, "run", fake_run):
+                for data in inputs[1:]:
+                    assert set(verify_all(data, panel)) <= set(ALL_CODES)
