@@ -172,9 +172,7 @@ def _run_loop(
     """``choose`` picks each action from the current state, the vector
     ``featurize(cert)``; a loop whose chooser and learner read no state
     passes None and its state stays None."""
-    if panel is None:
-        with Panel(config.backends, REFERENCE_TIME) as panel:
-            return _run_loop(corpus, config, choose, featurize, learner, panel, on_episode_end)
+    panel = panel or Panel(config.backends, REFERENCE_TIME)
     rng = random.Random(config.rng_seed ^ 0x5EED)
     stats = CampaignStats()
     records: list[DiscrepancyRecord] = []
@@ -277,8 +275,8 @@ def run_training(corpus: SeedCorpus, config: CampaignConfig) -> tuple[QParams, l
         log.info("episode %d greedy probe yield %.1f%%", episode_index + 1, 100.0 * probe)
         snapshots.append((probe, -episode_index, learner.params))
 
-    with Panel(config.backends, REFERENCE_TIME) as panel:
-        records, stats = _run_loop(corpus, config, learner.select, extract, learner, panel, on_episode_end)
+    panel = Panel(config.backends, REFERENCE_TIME)
+    records, stats = _run_loop(corpus, config, learner.select, extract, learner, panel, on_episode_end)
     params = max(snapshots)[2] if snapshots else learner.params
     return params, records, stats
 
@@ -287,8 +285,8 @@ def run_inference(
     corpus: SeedCorpus, params: QParams, config: CampaignConfig, panel: Panel | None = None
 ) -> tuple[list[DiscrepancyRecord], CampaignStats]:
     """Greedy fuzzing with frozen parameters (epsilon = 0, no updates);
-    ``panel`` is an open panel of ``config``'s backends to share, or
-    None to open one for this run."""
+    ``panel`` is a panel of ``config``'s backends to share, or None to
+    build one for this run."""
 
     def choose(state) -> int:
         return qnet.select_action(params, state, 0.0, None)

@@ -603,8 +603,7 @@ class Panel:
     verdict shares fixed once: ids, trust store, lenient flag, validity
     windows.  ``memo`` maps an input's facts, all that judging reads, to
     its verdicts; a panel with an external backend, which may answer
-    otherwise when asked again, has none.
-    Externals share one executor, shut down by `close` or leaving ``with``."""
+    otherwise when asked again, has none."""
 
     def __init__(self, backends, now: dt.datetime):
         self.backends = tuple(backends)
@@ -623,31 +622,20 @@ class Panel:
                 raise ValueError(f"backend {backend.id!r} is bound to another trust store than {self.ids[self.simulated[0][0]]!r}")
         self.lenient = any(backend.profile.lenient_parse for _, backend, _ in self.simulated)
         self.memo: dict[InputFacts | None, VerdictVector] | None = None if self.externals else {}
-        self.pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(self.externals))) if self.externals else None
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def __enter__(self) -> "Panel":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def verify_all(cert, panel, now: dt.datetime | None = None) -> VerdictVector:
     """One verdict per backend of ``panel``, in configuration order.
 
     Simulated backends judge a `Certificate` from its fields and parse
-    bytes; external backends are given the encoding and run concurrently.
-    Given bound backends, a one-shot panel judges at the clock ``now``,
-    by default the campaigns' `REFERENCE_TIME`.  An open `Panel` judges
-    at its own clock, so it refuses another one with ValueError.
+    bytes; external backends are given the encoding and run concurrently,
+    in threads that live for this call.  Given bound backends, a one-shot
+    panel judges at the clock ``now``, by default the campaigns'
+    `REFERENCE_TIME`.  A `Panel` judges at its own clock, so it refuses
+    another one with ValueError.
     """
     if not isinstance(panel, Panel):
-        with Panel(panel, REFERENCE_TIME if now is None else now) as one_shot:
-            return verify_all(cert, one_shot)
+        return verify_all(cert, Panel(panel, REFERENCE_TIME if now is None else now))
     if now is not None:
         raise ValueError("verify_all: a Panel judges at its own clock; pass no `now` with it")
     data = cert if isinstance(cert, Certificate) else bytes(cert)
@@ -661,8 +649,9 @@ def verify_all(cert, panel, now: dt.datetime | None = None) -> VerdictVector:
             codes[i] = backend.verify_prepared(facts, window)
     if panel.externals:
         der = encode_der(data) if isinstance(data, Certificate) else data
-        for (i, _), code in zip(panel.externals, panel.pool.map(lambda external: external_verify(external[1], der), panel.externals)):
-            codes[i] = code
+        with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(panel.externals))) as pool:
+            for (i, _), code in zip(panel.externals, pool.map(lambda external: external_verify(external[1], der), panel.externals)):
+                codes[i] = code
     verdicts = VerdictVector(tuple(codes), panel.ids)
     if memo is not None:
         memo[facts] = verdicts

@@ -595,8 +595,8 @@ def test_campaign_with_external_backend_leaves_memo_empty(tmp_path, monkeypatch)
 
 
 def test_external_panel_makes_one_executor(monkeypatch):
-    # two external verifiers share one thread pool for the whole campaign,
-    # made on first use and shut down when the campaign returns
+    # each verification that runs external verifiers makes one thread pool
+    # and shuts it down before it returns; simulated backends need none
     made = []
 
     class CountingPool(concurrent.futures.ThreadPoolExecutor):
@@ -612,11 +612,20 @@ def test_external_panel_makes_one_executor(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     patterns = (PatternRule(code=1, exit_status=0), PatternRule(code=-15))
     stubs = tuple(ExternalBackend(name, (sys.executable, "-c", "pass", "{cert}"), patterns) for name in ("one", "two"))
-    real, calls = campaign_mod.verify_all, []
-    monkeypatch.setattr(campaign_mod, "verify_all", lambda *args: calls.append(args) or real(*args))
+    real, made_by_call = campaign_mod.verify_all, []
+
+    def counted(*args):
+        before = len(made)
+        verdicts = real(*args)
+        made_by_call.append([pool.shut for pool in made[before:]])  # state as the call returns
+        return verdicts
+
+    monkeypatch.setattr(campaign_mod, "verify_all", counted)
     stats = run_baseline(small_corpus(1), CampaignConfig(backends=stubs, rng_seed=5))
-    assert stats.seeds_processed == 1 and len(calls) == 1 + MAX_TRACE_LENGTH  # the seed and its mutants
-    assert len(made) == 1 and made[0].shut
+    assert stats.seeds_processed == 1 and made_by_call == [[True]] * (1 + MAX_TRACE_LENGTH)  # the seed and its mutants
+    made_by_call.clear()
+    run_baseline(small_corpus(2), CampaignConfig(backends=tuple(default_backends(TrustStore())), rng_seed=5))
+    assert made_by_call and all(pools == [] for pools in made_by_call)  # a simulated panel makes none
 
 
 # SHA-256 over the records read back from the database -- (seed id,

@@ -341,21 +341,21 @@ def test_verify_all_without_a_clock_judges_at_the_reference_time():
 
 
 def test_verify_all_refuses_a_clock_with_an_open_panel():
-    # an open panel judges at the clock it was opened with; a second
-    # clock would be ignored, so it is refused, even the same one
+    # a panel judges at the clock it was built with; a second clock
+    # would be ignored, so it is refused, even the same one
     corpus = generate_corpus(30, 1)
     backends = default_backends(corpus.trust)
     later = REFERENCE_TIME + datetime.timedelta(days=365 * 30)
-    with Panel(backends, REFERENCE_TIME) as panel:
-        for clock in (later, REFERENCE_TIME):
-            with pytest.raises(ValueError, match="its own clock"):
-                verify_all(corpus.entries[0].der, panel, clock)
-        # the one-shot form judges as a panel opened at its clock
-        for entry in corpus.entries:
-            assert verify_all(entry.der, backends) == verify_all(entry.der, panel)
-    with Panel(backends, later) as panel:
-        for entry in corpus.entries:
-            assert verify_all(entry.der, backends, later) == verify_all(entry.der, panel)
+    panel = Panel(backends, REFERENCE_TIME)
+    for clock in (later, REFERENCE_TIME):
+        with pytest.raises(ValueError, match="its own clock"):
+            verify_all(corpus.entries[0].der, panel, clock)
+    # the one-shot form judges as a panel built at its clock
+    for entry in corpus.entries:
+        assert verify_all(entry.der, backends) == verify_all(entry.der, panel)
+    panel = Panel(backends, later)
+    for entry in corpus.entries:
+        assert verify_all(entry.der, backends, later) == verify_all(entry.der, panel)
 
 
 def test_verify_all_order_is_configuration_order(env):
@@ -592,14 +592,14 @@ def test_external_panel_skips_the_memo(env, tmp_path):
     log = tmp_path / "calls"
     script = "import sys; open(sys.argv[1], 'a').write('x')"
     stub = ExternalBackend("stub", (sys.executable, "-c", script, str(log)), (PatternRule(code=1, exit_status=0), CATCH_ALL))
-    with Panel(default_backends(store)[:1] + [stub], NOW) as panel:
-        first = verify_all(cert, panel)
-        assert verify_all(cert, panel) == first
+    panel = Panel(default_backends(store)[:1] + [stub], NOW)
+    first = verify_all(cert, panel)
+    assert verify_all(cert, panel) == first
     assert panel.memo is None and log.read_text() == "xx"
-    with Panel(default_backends(store), NOW) as simulated:
-        vector = verify_all(cert, simulated)
-        assert simulated.memo == {verdicts.derive_facts(cert, store, True): vector}
-        assert verify_all(encode_der(cert), simulated) is vector
+    simulated = Panel(default_backends(store), NOW)
+    vector = verify_all(cert, simulated)
+    assert simulated.memo == {verdicts.derive_facts(cert, store, True): vector}
+    assert verify_all(encode_der(cert), simulated) is vector
 
 
 def test_panel_rejects_unbound_backends(env):
@@ -1083,8 +1083,7 @@ def test_every_loaded_configuration_runs(backends_doc, trust_doc, outcomes):
     replies = itertools.cycle(outcomes)
     fake_run = lambda argv, **kwargs: subprocess.CompletedProcess(argv, *next(replies), "")  # noqa: E731
     for panel in panels:
-        with panel:
-            assert set(verify_all(inputs[0], panel)) <= set(ALL_CODES)
-            with mock.patch.object(subprocess, "run", fake_run):
-                for data in inputs[1:]:
-                    assert set(verify_all(data, panel)) <= set(ALL_CODES)
+        assert set(verify_all(inputs[0], panel)) <= set(ALL_CODES)
+        with mock.patch.object(subprocess, "run", fake_run):
+            for data in inputs[1:]:
+                assert set(verify_all(data, panel)) <= set(ALL_CODES)
