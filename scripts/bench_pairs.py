@@ -14,7 +14,12 @@ gated end-to-end metrics, the behaviour-lock digest and the environment
 block) and, per workload, whether every pair's digests match, whether
 every run was ``correct`` with no failed operation (``all_correct``)
 and, per metric, each side's median and quartiles plus how many
-same-seed pairs the change won.  Traced (``--trace 1``) runs time the
+same-seed pairs the change won.  Each metric's ``bad_move`` is the
+change median's move from the parent median in the metric's worse
+direction, relative to the parent median (negative when it moved the
+better way); it is ``within_bound`` when it is at most the metric's
+``bound`` from BENCHMARK.json, and a workload with both sides has
+``no_regression`` when every metric is.  Traced (``--trace 1``) runs time the
 program with wrappers around it, so they stay out of those figures; a
 ``traced`` block lists them per workload and side with the per-layer
 metrics, the run's reference job (``reference_ms``) and, for each metric
@@ -69,7 +74,15 @@ def spread(values: list[float]) -> dict:
     return {"n": len(values), "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
+def bad_move(parent: float, change: float, better: str, bound: float) -> dict:
+    """How far the change median moved from the parent median in the
+    worse direction, relative to the parent (None from a zero parent),
+    and whether that is at most ``bound``."""
+    worse = change - parent if better == "lower" else parent - change
+    return {"bound": bound, "bad_move": worse / abs(parent) if parent else None, "within_bound": worse <= bound * abs(parent)}
+
+
+def summarize(runs: list[dict], gates: dict[str, dict]) -> dict:
     summary = {}
     for workload in sorted({run["workload"] for run in runs}):
         mine = [run for run in runs if run["workload"] == workload]
@@ -82,7 +95,8 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
             "digests_match": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
             "all_correct": all(run["correct"] and run["failed"] == 0 for run in mine),
         }
-        for name, better in directions.items():
+        for name, gate in gates.items():
+            better = gate["better"]
             sign = 1 if better == "higher" else -1
             sides = {
                 side: spread([run[name] for run in mine if run["side"] == side])
@@ -91,6 +105,10 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
             }
             wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in pairs)
             entry[name] = {"better": better, **sides, "change_wins": wins}
+            if len(sides) == 2:
+                entry[name].update(bad_move(sides["parent"]["median"], sides["change"]["median"], better, gate["bound"]))
+        if all("within_bound" in entry[name] for name in gates):
+            entry["no_regression"] = all(entry[name]["within_bound"] for name in gates)
         summary[workload] = entry
     return summary
 
@@ -133,7 +151,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    directions = {gate["name"]: gate["better"] for gate in benchmark["end_to_end"]}
+    gates = {gate["name"]: gate for gate in benchmark["end_to_end"]}
     layers = [metric["name"] for metric in benchmark["per_layer"]]
     timed = {metric["name"]: metric["unit"] for metric in benchmark["per_layer"] if metric["unit"] in REFERENCE_UNITS}
     runs, traced = [], []
@@ -142,8 +160,8 @@ def main(argv=None) -> int:
         if doc["trace"]:
             traced.append(load_run(doc, order, args.parent, layers, timed))
         else:
-            runs.append(load_run(doc, order, args.parent, list(directions)))
-    doc = {"parent": args.parent, "src_lines": src_lines(runs + traced), "runs": runs, "summary": summarize(runs, directions)}
+            runs.append(load_run(doc, order, args.parent, list(gates)))
+    doc = {"parent": args.parent, "src_lines": src_lines(runs + traced), "runs": runs, "summary": summarize(runs, gates)}
     if traced:
         doc["traced"] = traced_block(traced)
         doc["traced_summary"] = traced_summary(doc["traced"], timed)

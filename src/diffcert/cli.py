@@ -34,6 +34,7 @@ from .verdicts import (
     default_backend_specs,
     is_discrepancy,
     load_backend_specs,
+    read_keys,
     verify_all,
 )
 
@@ -102,19 +103,14 @@ def _effective_config(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            loaded = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            loaded = read_keys("top level", json.loads(Path(config_path).read_text()), (), settings)
+        except (OSError, ValueError) as exc:
             raise CliError(f"config: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise CliError("config: top level must be a JSON object")
-        unknown = set(loaded) - set(settings)
-        if unknown:
-            raise CliError(f"config: unknown keys {sorted(unknown)}")
         for key, value in loaded.items():
             want = int if key in ("seed", "episodes") else str
             if type(value) is not want and not (key == "backends" and value is None):
                 raise CliError(f"config: {key} must be {want.__name__}, got {value!r}")
-        settings.update(loaded)
+        settings = loaded
     for key in ("seed", "episodes", "out", "backends"):
         value = getattr(args, key, None)
         if value is not None:
@@ -125,7 +121,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
 def _load_backends(settings: dict, trust: TrustStore):
     try:
         specs = load_backend_specs(settings["backends"]) if settings["backends"] else default_backend_specs()
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"backends: {type(exc).__name__}: {exc}") from exc
     return tuple(bind_backends(specs, trust))
 
@@ -186,7 +182,7 @@ def _write_stats(path: Path, stats) -> None:
         "updates": stats.updates,
         "final_loss": stats.final_loss,
     }
-    path.write_text(json.dumps(doc, indent=2))
+    corpus_mod.write_atomic(path, json.dumps(doc, indent=2).encode())
     for line in stats.summary_lines():
         print(line)
 
@@ -281,7 +277,7 @@ def cmd_report(args, _settings) -> int:
     rep = corpus_mod.report(records, corpus_size=args.corpus_size)
     print(rep.to_text(), end="")
     if args.json_out:
-        Path(args.json_out).write_text(rep.to_json_lines())
+        corpus_mod.write_atomic(args.json_out, rep.to_json_lines().encode())
     return EXIT_OK
 
 

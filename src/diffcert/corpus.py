@@ -249,6 +249,22 @@ def write_corpus(corpus: SeedCorpus, out_dir) -> None:
         (out / "trust.json").write_text(corpus.trust.to_json())
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file ``path`` with ``data``: written beside it under a
+    temporary name and renamed onto it, so a write cut short leaves the
+    earlier file whole and removes the temporary one."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(data)
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def load_corpus_dir(path) -> SeedCorpus:
     """Ingest a directory, picking up a trust.json sidecar when present."""
     corpus = ingest_dir(path)

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .actions import CATALOG_SIZE
+from .corpus import write_atomic
 from .features import FEATURE_LENGTH, LABELS_TEXT
 
 LAYER_DIMS: tuple[int, ...] = (FEATURE_LENGTH, 100, 100, CATALOG_SIZE)
@@ -328,14 +329,9 @@ def save(params: QParams, path) -> None:
     """Write a versioned binary checkpoint that records the feature labels
     (`features.LABELS_TEXT`) the parameters were trained under."""
     labels_blob = LABELS_TEXT.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(_CKPT_MAGIC)
-        handle.write(struct.pack("<II", 1, len(LAYER_DIMS)))
-        handle.write(struct.pack(f"<{len(LAYER_DIMS)}I", *LAYER_DIMS))
-        for arr in params.arrays():
-            handle.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-        handle.write(struct.pack("<I", len(labels_blob)))
-        handle.write(labels_blob)
+    parts = [_CKPT_MAGIC, struct.pack("<II", 1, len(LAYER_DIMS)), struct.pack(f"<{len(LAYER_DIMS)}I", *LAYER_DIMS)]
+    parts += [np.ascontiguousarray(arr, dtype=np.float64).tobytes() for arr in params.arrays()]
+    write_atomic(path, b"".join([*parts, struct.pack("<I", len(labels_blob)), labels_blob]))
 
 
 def load(path) -> QParams:

@@ -22,7 +22,7 @@ import re
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 from .certs import REFERENCE_TIME, Certificate, MalformedDer, UnsupportedStructure, encode_der, mock_sign, parse_der
@@ -142,13 +142,34 @@ def _check_type(what: str, value, *types: type):
     # exact types, so a JSON "false", "1" or true is refused, not coerced
     if type(value) not in types:
         raise ValueError(f"{what}: expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    if type(value) is str and any("\ud800" <= c <= "\udfff" for c in value):  # a lone surrogate encodes to nothing
+        raise ValueError(f"{what}: {value!r} is not UTF-8 text")
     return value
 
 
-def _check_header(doc, fmt: str, what: str) -> None:
+def read_keys(what: str, doc, required: tuple[str, ...], optional: dict) -> dict:
+    """The JSON object ``doc`` with each absent ``optional`` key at its
+    default; a missing ``required`` key or any other key is a ValueError,
+    so a misspelt key is refused rather than read as its default."""
+    if type(doc) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{what} is missing keys {missing}")
+    return {**optional, **doc}
+
+
+def _read_body(doc, fmt: str, what: str, body: str) -> list:
+    """The ``body`` list of a versioned diffcert file."""
     # version is the int 1: JSON true and 1.0 compare equal to it
     if not isinstance(doc, dict) or doc.get("format") != fmt or type(doc.get("version")) is not int or doc["version"] != 1:
         raise ValueError(f"not a diffcert {what} file")
+    if type(doc.get(body)) is not list:
+        raise ValueError(f"{what} has no {body!r} list")
+    return read_keys(what, doc, ("format", "version", body), {})[body]
 
 
 @dataclass(frozen=True)
@@ -162,10 +183,8 @@ class TrustAnchor:
     is_root: bool = True
 
     def __post_init__(self):
-        for name, want in (("tag", str), ("version", int), ("is_root", bool)):
+        for name, want in (("tag", str), ("version", int), ("is_root", bool)):  # `mock_sign` hashes the tag as UTF-8
             _check_type(f"trust anchor {name}", getattr(self, name), want)
-        if any("\ud800" <= c <= "\udfff" for c in self.tag):  # `mock_sign` hashes the tag as UTF-8
-            raise ValueError(f"trust anchor tag: {self.tag!r} is not UTF-8 text")
 
 
 class TrustStore:
@@ -207,19 +226,16 @@ class TrustStore:
 
     @classmethod
     def from_json(cls, text: str) -> "TrustStore":
-        doc = json.loads(text)
-        _check_header(doc, "diffcert-trust", "trust store")
-        if not isinstance(doc.get("anchors"), list):
-            raise ValueError("trust store has no 'anchors' list")
-        try:
-            return cls(
-                [
-                    TrustAnchor(base64.b64decode(e["name_b64"]), e["tag"], e.get("version", 3), e.get("is_root", True))
-                    for e in doc["anchors"]
-                ]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"trust store anchor: {type(exc).__name__}: {exc}") from exc
+        anchors = []
+        for entry in _read_body(json.loads(text), "diffcert-trust", "trust store", "anchors"):
+            entry = read_keys("trust anchor", entry, ("name_b64", "tag"), {"version": 3, "is_root": True})
+            name_b64 = _check_type("trust anchor name_b64", entry["name_b64"], str)
+            try:
+                name_der = base64.b64decode(name_b64, validate=True)
+            except ValueError as exc:
+                raise ValueError(f"trust anchor name_b64: {name_b64!r} is not base64 ({exc})") from None
+            anchors.append(TrustAnchor(name_der, entry["tag"], entry["version"], entry["is_root"]))
+        return cls(anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +536,8 @@ class ExternalBackend:
     timeout: float = 10.0
 
     def __post_init__(self):
+        _check_type("backend trust", self.trust_path, str)
+        _check_type("backend timeout", self.timeout, int, float)
         if not self.command:
             raise ValueError("external backend needs a command")
         if not self.patterns or self.patterns[-1].match or self.patterns[-1].exit_status is not None:
@@ -531,12 +549,13 @@ class ExternalBackend:
         if not 0 < self.timeout <= 2147483.647:  # `subprocess` waits in `poll`, at most 2**31 - 1 ms
             raise ValueError("backend timeout: must be above 0 and at most 2147483.647 seconds")
         for arg in self.command:
+            _check_type("backend command argument", arg, str)
             try:
                 formatted = arg.format(cert="cert.der", trust=self.trust_path)
             except (AttributeError, IndexError, KeyError, ValueError):
                 raise ValueError(f"command argument {arg!r} has a placeholder other than {{cert}} and {{trust}}") from None
-            if any(c == "\x00" or "\ud800" <= c <= "\udfff" for c in formatted):  # no OS argument holds either
-                raise ValueError(f"command argument {formatted!r} holds a NUL or a lone surrogate")
+            if "\x00" in formatted:  # no OS argument holds one
+                raise ValueError(f"command argument {formatted!r} holds a NUL")
 
 
 def external_verify(backend: ExternalBackend, cert_bytes: bytes) -> int:
@@ -666,33 +685,34 @@ def load_backend_specs(path) -> list:
     `SimulatedBackend`s and `ExternalBackend`s."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    _check_header(doc, "diffcert-backends", "backend configuration")
     backends = []
-    for entry in doc["backends"]:
-        _check_type("backend id", entry["id"], str)
-        if any(backend.id == entry["id"] for backend in backends):
-            raise ValueError(f"backend id {entry['id']!r} appears twice")
-        if entry["kind"] == "simulated":
-            profile = entry.get("profile", {})
+    for entry in _read_body(doc, "diffcert-backends", "backend configuration", "backends"):
+        kind = _check_type("backend entry", entry, dict).get("kind")
+        if kind == "simulated":
+            entry = read_keys("simulated backend", entry, ("id", "kind"), {"profile": {}})
+            profile = entry["profile"]
             if isinstance(profile, str):
                 if profile not in SHIPPED_PROFILES:
                     raise ValueError(f"\"profile\": unknown shipped profile {profile!r} (known: {', '.join(SHIPPED_PROFILES)})")
                 profile = SHIPPED_PROFILES[profile]
             else:
-                profile = replace(STRICT_PROFILE, **profile)
-            backends.append(SimulatedBackend(entry["id"], profile))
-        elif entry["kind"] == "external":
-            patterns = tuple(
-                PatternRule(rule["code"], rule.get("match", ""), rule.get("regex", False), rule.get("exit_status"))
-                for rule in entry["patterns"]
-            )
-            command = _check_type("backend command", entry["command"], list)
-            command = tuple(_check_type("backend command argument", arg, str) for arg in command)
-            timeout = _check_type("backend timeout", entry.get("timeout", 10.0), int, float)
-            trust = _check_type("backend trust", entry.get("trust", ""), str)
-            backends.append(ExternalBackend(entry["id"], command, patterns, trust, timeout))
+                profile = FlawProfile(**read_keys("profile", profile, (), asdict(STRICT_PROFILE)))
+            backend = SimulatedBackend(entry["id"], profile)
+        elif kind == "external":
+            entry = read_keys("external backend", entry, ("id", "kind", "command", "patterns"), {"timeout": 10.0, "trust": ""})
+            rules = [
+                read_keys("pattern", rule, ("code",), {"match": "", "regex": False, "exit_status": None})
+                for rule in _check_type("backend patterns", entry["patterns"], list)
+            ]
+            patterns = tuple(PatternRule(rule["code"], rule["match"], rule["regex"], rule["exit_status"]) for rule in rules)
+            command = tuple(_check_type("backend command", entry["command"], list))
+            backend = ExternalBackend(entry["id"], command, patterns, entry["trust"], entry["timeout"])
         else:
-            raise ValueError(f"unknown backend kind {entry['kind']!r}")
+            raise ValueError(f"unknown backend kind {kind!r}")
+        _check_type("backend id", backend.id, str)
+        if any(other.id == backend.id for other in backends):
+            raise ValueError(f"backend id {backend.id!r} appears twice")
+        backends.append(backend)
     return backends
 
 

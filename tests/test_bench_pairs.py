@@ -205,3 +205,37 @@ def test_traced_summary_gives_the_spread_of_each_side(tmp_path):
     assert summary["parent"]["campaign.self_s_ref"] == pytest.approx({"n": 4, "median": 3.75, "q1": 2.375, "q3": 6.25})
     assert summary["change"]["campaign.self_s_ref"]["median"] == pytest.approx(7.5)
     assert "traced_summary" not in summarize(tmp_path, [write_run(tmp_path, PARENT, 9, 400.0)])
+
+
+@pytest.mark.parametrize("change_ref, within", [(480.0, True), (510.0, False)], ids=["inside", "outside"])
+def test_bounds_are_checked(tmp_path, change_ref, within):
+    # campaign_ref is better lower with a 0.25 bound: 400 -> 480 is a 20%
+    # move the worse way, inside it; 400 -> 510 is 27.5%, outside it
+    runs = [write_run(tmp_path, PARENT, seed, 400.0) for seed in (1, 2, 3)]
+    runs += [write_run(tmp_path, CHANGE, seed, change_ref) for seed in (1, 2, 3)]
+    entry = summarize(tmp_path, runs)["summary"]["train"]
+    assert entry["campaign_ref"]["bound"] == 0.25
+    assert entry["campaign_ref"]["bad_move"] == pytest.approx(change_ref / 400.0 - 1)
+    assert entry["campaign_ref"]["within_bound"] is within
+    # every other metric is equal on both sides: no move at all
+    assert entry["yield"]["bad_move"] == 0.0 and entry["yield"]["within_bound"] is True
+    assert entry["no_regression"] is within
+
+
+def test_bound_of_a_higher_is_better_metric(tmp_path):
+    # yield is better higher: 1.0 -> 0.5 is a 50% move the worse way;
+    # with no change runs there is no verdict
+    runs = [write_run(tmp_path, PARENT, 1, 400.0), write_run(tmp_path, CHANGE, 1, 400.0)]
+    doc = json.loads(runs[1].read_text())
+    doc["metrics"]["yield"]["value"] = 0.5
+    runs[1].write_text(json.dumps(doc))
+    entry = summarize(tmp_path, runs)["summary"]["train"]
+    assert entry["yield"]["bad_move"] == 0.5 and entry["yield"]["within_bound"] is False
+    assert "no_regression" not in summarize(tmp_path, runs[:1])["summary"]["train"]
+
+
+def test_bad_move_from_a_zero_parent():
+    # no relative move exists; any move the worse way is outside the bound
+    assert bench_pairs.bad_move(0.0, 0.0, "higher", 0.25) == {"bound": 0.25, "bad_move": None, "within_bound": True}
+    assert bench_pairs.bad_move(0.0, 0.1, "lower", 0.25)["within_bound"] is False
+    assert bench_pairs.bad_move(0.0, 0.1, "higher", 0.25)["within_bound"] is True

@@ -225,10 +225,11 @@ def test_config_file_precedence(tmp_path, corpus_dir, capsys):
     assert echo.startswith("# config:")
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"sneed": 1}))
     assert cli.main(["catalog", "--config", str(config), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: config: top level has unknown keys ['sneed']"]
 
 
 @pytest.mark.parametrize(
@@ -326,8 +327,11 @@ def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys)
         ("version", "1", "trust anchor version: expected int, got '1'"),
         ("version", True, "trust anchor version: expected int, got True"),
         ("tag", 5, "trust anchor tag: expected str, got 5"),
+        # decoded strictly: "!!!!" would otherwise load as an empty name
+        ("name_b64", "QUJ", "trust anchor name_b64: 'QUJ' is not base64 (Incorrect padding)"),
+        ("name_b64", "!!!!", "trust anchor name_b64: '!!!!' is not base64 (Only base64 data is allowed)"),
     ],
-    ids=["root-string", "root-int", "version-string", "version-bool", "tag-int"],
+    ids=["root-string", "root-int", "version-string", "version-bool", "tag-int", "name-padding", "name-not-base64"],
 )
 def test_bad_trust_anchor_field_is_a_clean_error(tmp_path, corpus_dir, capsys, field, value, problem):
     # a mistyped anchor field is refused, not coerced: "false" would make
@@ -415,8 +419,10 @@ _SIMULATED = {"id": "strict-a", "kind": "simulated"}
         },
         {"format": "diffcert-backends", "version": True, "backends": [{"id": "b", "kind": "simulated"}, _SIMULATED]},
         {"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, {**_SIMULATED, "profile": "gnutls-like"}]},
+        # records and `verify` print the id, which a lone surrogate cannot be encoded in
+        {"format": "diffcert-backends", "version": 1, "backends": [{"id": "a\ud800", "kind": "simulated"}, _SIMULATED]},
     ],
-    ids=["missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile", "version-bool", "repeated-id"],
+    ids=["missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile", "version-bool", "repeated-id", "surrogate-id"],
 )
 def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, content):
     path = tmp_path / "backends.json"
@@ -434,6 +440,43 @@ def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, conten
     if isinstance(content, dict) and content["backends"][0] == _SIMULATED:
         # records and reports key their columns by backend id
         assert err == ["error: backends: ValueError: backend id 'strict-a' appears twice"]
+    if isinstance(content, dict) and content["backends"][0].get("id") == "a\ud800":
+        assert err == ["error: backends: ValueError: backend id: 'a\\ud800' is not UTF-8 text"]
+
+
+_EXTERNAL = {"id": "ext", "kind": "external", "command": ["true", "{cert}"], "patterns": [{"code": -15}]}
+
+
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        ({"id": "b", "kind": "simulated", "profle": "gnutls-like"}, "simulated backend has unknown keys ['profle']"),
+        ({"id": "b", "kind": "simulated", "profile": {"accept_v5": True}}, "profile has unknown keys ['accept_v5']"),
+        # read as a match-everything rule, it would book every rejection as a discrepancy
+        ({**_EXTERNAL, "patterns": [{"code": 1, "mach": "OK"}, {"code": -15}]}, "pattern has unknown keys ['mach']"),
+        ({**_EXTERNAL, "timout": 0.5}, "external backend has unknown keys ['timout']"),
+        ({"id": "b", "kind": "simulated", "profile": []}, "profile must be a JSON object, got []"),
+        ({**_EXTERNAL, "patterns": [{"match": "OK"}, {"code": -15}]}, "pattern is missing keys ['code']"),
+    ],
+    ids=["entry-key", "profile-key", "pattern-key", "external-key", "profile-list", "pattern-no-code"],
+)
+def test_misspelt_backend_key_is_a_clean_error(tmp_path, corpus_dir, capsys, entry, problem):
+    # a misspelt key is refused when the file loads, not read as its default
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, entry]}))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    assert run_cli("verify", str(issued), "--backends", str(path)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: backends: ValueError: {problem}"]
+
+
+def test_misspelt_trust_anchor_key_is_a_clean_error(tmp_path, corpus_dir, capsys):
+    # read as its defaults, the anchor would be a version-3 root
+    doc = json.loads((corpus_dir / "trust.json").read_text())
+    doc["anchors"][0] = {"name_b64": doc["anchors"][0]["name_b64"], "tag": "t", "verison": 1, "is_rot": False}
+    (tmp_path / "trust.json").write_text(json.dumps(doc))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    assert run_cli("verify", str(issued), "--trust", str(tmp_path / "trust.json")) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: trust: trust anchor has unknown keys ['is_rot', 'verison']"]
 
 
 @pytest.mark.parametrize(
@@ -519,8 +562,8 @@ def test_mistyped_external_backend_field_is_a_clean_error(tmp_path, corpus_dir, 
         ({"timeout": 0}, "backend timeout: must be above 0 and at most 2147483.647 seconds"),
         ({"timeout": float("nan")}, "backend timeout: must be above 0 and at most 2147483.647 seconds"),
         ({"timeout": 10**400}, "backend timeout: must be above 0 and at most 2147483.647 seconds"),
-        ({"command": ["true", "a\x00b"]}, "command argument 'a\\x00b' holds a NUL or a lone surrogate"),
-        ({"command": ["true", "{trust}"], "trust": "\ud800"}, "command argument '\\ud800' holds a NUL or a lone surrogate"),
+        ({"command": ["true", "a\x00b"]}, "command argument 'a\\x00b' holds a NUL"),
+        ({"command": ["true", "{trust}"], "trust": "\ud800"}, "backend trust: '\\ud800' is not UTF-8 text"),
     ],
     ids=["bad-regex", "timeout-zero", "timeout-nan", "timeout-huge", "argument-nul", "trust-surrogate"],
 )

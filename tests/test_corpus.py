@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from diffcert import corpus as corpus_mod
+from diffcert import cli, corpus as corpus_mod, qnet
 from diffcert.actions import UnknownSeed
+from diffcert.campaign import CampaignStats
 from diffcert.certs import SeedParams, build_synthetic, encode_der, pem_encode
 from diffcert.corpus import (
     DiscrepancyDb,
@@ -258,3 +259,53 @@ def test_db_recovers_torn_tail(tmp_path, caplog):
     assert f"dropped {size // 3 - 20} bytes" in caplog.text  # the three lines are equally long
     db.append(recs[2])
     assert DiscrepancyDb(path).load_all() == recs
+
+
+def _write_checkpoint(path):
+    qnet.save(qnet.init(0), path)
+
+
+def _write_stats(path):
+    cli._write_stats(path, CampaignStats())
+
+
+def _write_report(path):
+    assert cli.main(["report", str(path.with_name("empty.db")), "--json", str(path), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_stats, _write_report], ids=["checkpoint", "stats", "report-json"])
+def test_output_written_atomically(tmp_path, monkeypatch, write):
+    # a write that fails partway leaves the earlier file's bytes and no
+    # temporary file; a whole write replaces the file
+    target = tmp_path / "out"
+    target.write_bytes(b"earlier")
+    (tmp_path / "empty.db").touch()
+    real_open = open
+
+    class Torn:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.handle.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return Torn(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(corpus_mod, "open", torn_open, raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        write(target)
+    assert target.read_bytes() == b"earlier"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["empty.db", "out"]
+    monkeypatch.undo()
+    write(target)
+    assert target.read_bytes() != b"earlier"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["empty.db", "out"]
