@@ -10,9 +10,11 @@ environment block starts with ``--parent``, otherwise to the change side.
 
 The output holds each side's ``src_lines`` (the ``src/`` line count its
 runs' environment blocks report), every run (side, seed, order, the
-gated end-to-end metrics, the behaviour-lock digest and the environment
-block) and, per workload, whether every pair's digests match, whether
-every run was ``correct`` with no failed operation (``all_correct``)
+gated end-to-end metrics, the behaviour-lock digest, the ``verify_calls``
+count and the environment block) and, per workload, whether every pair's
+digests match, whether every run was ``correct`` with no failed
+operation (``all_correct``), each side's median ``verify_calls`` (so a
+fall in ``verified_per_ref`` reads as fewer calls or as slower ones)
 and, per metric, each side's median and quartiles plus how many
 same-seed pairs the change won.  Each metric's ``bad_move`` is the
 change median's move from the parent median in the metric's worse
@@ -62,6 +64,7 @@ def load_run(doc: dict, order: int, parent: str, metrics: list[str], timed: dict
         reference_ms = run["reference_ms"] = doc["extra"]["reference_ms"]
         run.update({f"{name}_ref": run[name] / (reference_ms * REFERENCE_UNITS[unit]) for name, unit in timed.items()})
     run["digest"] = doc["counts"]["digest"]
+    run["verify_calls"] = doc["counts"]["verify_calls"]
     run["environment"] = env
     return run
 
@@ -90,19 +93,17 @@ def summarize(runs: list[dict], gates: dict[str, dict]) -> dict:
         for run in mine:
             by_seed.setdefault(run["seed"], {})[run["side"]] = run
         pairs = [sides for sides in by_seed.values() if len(sides) == 2]
+        present = [side for side in ("parent", "change") if any(run["side"] == side for run in mine)]
         entry = {
             "pairs": len(pairs),
             "digests_match": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
             "all_correct": all(run["correct"] and run["failed"] == 0 for run in mine),
+            "verify_calls": {side: statistics.median(run["verify_calls"] for run in mine if run["side"] == side) for side in present},
         }
         for name, gate in gates.items():
             better = gate["better"]
             sign = 1 if better == "higher" else -1
-            sides = {
-                side: spread([run[name] for run in mine if run["side"] == side])
-                for side in ("parent", "change")
-                if any(run["side"] == side for run in mine)
-            }
+            sides = {side: spread([run[name] for run in mine if run["side"] == side]) for side in present}
             wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in pairs)
             entry[name] = {"better": better, **sides, "change_wins": wins}
             if len(sides) == 2:

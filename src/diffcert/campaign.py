@@ -22,7 +22,7 @@ from .certs import REFERENCE_TIME, MalformedDer, UnsupportedStructure, encode_de
 from .corpus import DiscrepancyDb, DiscrepancyRecord, SeedCorpus
 from .features import extract
 from .qnet import QParams, ReplayBuffer, TrainConfig
-from .verdicts import Panel, VerdictVector, is_discrepancy, reward_delta, reward_primary, verdict_categories, verify_all
+from .verdicts import Panel, VerdictVector, verify_all
 
 log = logging.getLogger(__name__)
 
@@ -152,12 +152,10 @@ class _Learner:
 
 def _seed_stop(config: CampaignConfig, verdicts: VerdictVector, previous: VerdictVector) -> tuple[int, bool]:
     """Reward for one mutant plus whether the seed's loop should stop."""
-    if config.reward_scheme == REWARD_PRIMARY:
-        reward = reward_primary(verdicts)
-        return reward, reward == 100
-    reward = reward_delta(previous, verdicts)
-    saturated = len(verdict_categories(verdicts)) == len(config.backends)
-    return reward, reward > 0 or saturated
+    if config.reward_scheme == REWARD_PRIMARY:  # reward_primary and reward_delta, read off the vectors
+        return (100 if verdicts.discrepancy else -1), verdicts.discrepancy
+    reward = verdicts.categories - previous.categories
+    return reward, reward > 0 or verdicts.categories == len(config.backends)
 
 
 def _run_loop(
@@ -177,6 +175,7 @@ def _run_loop(
     stats = CampaignStats()
     records: list[DiscrepancyRecord] = []
     db = DiscrepancyDb(config.db_path) if config.db_path else None
+    greedy = learner is None and featurize is not None  # frozen parameters choose from the state alone
 
     def book(seed_id: str, trace: tuple[int, ...], mutant_der: bytes, verdicts: VerdictVector, episode: EpisodeStats):
         rec = DiscrepancyRecord(
@@ -211,7 +210,7 @@ def _run_loop(
             episode.corpus_size += 1
 
             verdicts = verify_all(seed, panel)
-            if is_discrepancy(verdicts):
+            if verdicts.discrepancy:
                 book(entry.seed_id, (), entry.der, verdicts, episode)
                 continue
 
@@ -233,9 +232,11 @@ def _run_loop(
                     next_state = state if mutant_der == current_der else featurize(mutant)
                 if learner is not None:
                     learner.observe(state, action, reward, next_state)
-                if is_discrepancy(verdicts):
+                if verdicts.discrepancy:
                     book(entry.seed_id, tuple(trace), mutant_der, verdicts, episode)
-                if terminal:
+                if terminal or (greedy and mutant_der == current_der and not verdicts.discrepancy):
+                    # a greedy no-op leaves the state as it was, so the same action
+                    # and verdicts would repeat to the budget's end, booking nothing
                     break
                 current, current_der, previous, state = mutant, mutant_der, verdicts, next_state
         stats.episodes.append(episode)

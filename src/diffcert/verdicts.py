@@ -22,7 +22,7 @@ import re
 import shutil
 import subprocess
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .certs import REFERENCE_TIME, Certificate, MalformedDer, UnsupportedStructure, encode_der, mock_sign, parse_der
@@ -101,10 +101,18 @@ class BackendUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class VerdictVector:
-    """One normalized code per backend, in configuration order."""
+    """One normalized code per backend, in configuration order, with
+    ``is_discrepancy`` and the ``verdict_categories`` count of its codes
+    worked out once; equality and hashing read only codes and ids."""
 
     codes: tuple[int, ...]
     backend_ids: tuple[str, ...]
+    discrepancy: bool = field(init=False, repr=False, compare=False)
+    categories: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "discrepancy", is_discrepancy(self.codes))
+        object.__setattr__(self, "categories", len(verdict_categories(self.codes)))
 
     def __iter__(self):
         return iter(self.codes)

@@ -19,7 +19,14 @@ GATES = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_t
 
 
 def write_run(
-    directory: Path, commit: str, seed: int, campaign_ref: float, digest: str = "d", reference_ms: float = 250.0, src_lines: int = 3000
+    directory: Path,
+    commit: str,
+    seed: int,
+    campaign_ref: float,
+    digest: str = "d",
+    reference_ms: float = 250.0,
+    src_lines: int = 3000,
+    verify_calls: int = 100,
 ) -> Path:
     metrics = {gate["name"]: {"value": 1.0, "unit": gate["unit"]} for gate in GATES}
     metrics["campaign_ref"]["value"] = campaign_ref
@@ -31,7 +38,7 @@ def write_run(
         "attempted": 10,
         "failed": 0,
         "metrics": metrics,
-        "counts": {"digest": f"{digest}{seed}"},
+        "counts": {"digest": f"{digest}{seed}", "verify_calls": verify_calls},
         "extra": {"reference_ms": reference_ms},
         "environment": {"commit": commit, "src_lines": src_lines},
     }
@@ -88,6 +95,22 @@ def test_src_lines_of_each_side_at_the_top_level(tmp_path):
     runs.append(write_run(tmp_path, PARENT, 2, 400.0, src_lines=3804))
     with pytest.raises(ValueError, match="3804, 3805"):
         summarize(tmp_path, runs)
+
+
+def test_verify_calls_of_each_run_and_side(tmp_path):
+    # each run carries the count its result reports; each side gets the
+    # median, so a verified_per_ref fall at equal digests reads as fewer calls
+    runs = [
+        write_run(tmp_path, PARENT, 1, 400.0, verify_calls=13802),
+        write_run(tmp_path, CHANGE, 1, 380.0, verify_calls=10497),
+        write_run(tmp_path, PARENT, 2, 400.0, verify_calls=13900),
+        write_run(tmp_path, CHANGE, 2, 380.0, verify_calls=10500),
+        write_run(tmp_path, PARENT, 3, 400.0, verify_calls=13700),
+    ]
+    doc = summarize(tmp_path, runs)
+    assert [run["verify_calls"] for run in doc["runs"]] == [13802, 10497, 13900, 10500, 13700]
+    assert doc["summary"]["train"]["verify_calls"] == {"parent": 13802, "change": 10498.5}
+    assert summarize(tmp_path, runs[:1])["summary"]["train"]["verify_calls"] == {"parent": 13802}
 
 
 def test_spread_quartiles():

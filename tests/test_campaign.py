@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from diffcert import campaign as campaign_mod, certs as certs_mod, verdicts as verdicts_mod
-from diffcert.actions import MAX_TRACE_LENGTH
+from diffcert.actions import CATALOG_SIZE, MAX_TRACE_LENGTH, apply
 from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_training
 from diffcert.certs import REFERENCE_TIME, SeedParams, build_synthetic, encode_der, encode_tbs
 from diffcert.corpus import SeedCorpus, SeedEntry, generate_corpus, DiscrepancyDb
@@ -76,7 +76,7 @@ def small_corpus(n=6):
 def test_rigged_environment_single_winner():
     backends = rigged_backends()
     cert = build_synthetic(SeedParams(), 1)
-    from diffcert.actions import apply, catalog
+    from diffcert.actions import catalog
 
     winners = [
         spec.id
@@ -734,3 +734,121 @@ def test_learner_targets_match_per_batch_reference(use_target_network, monkeypat
     assert all(a.tobytes() == b.tobytes() for a, b in zip(learner.params.arrays(), params.arrays()))
     # with a target network the cache saves work; without one it saves none
     assert (learner_recomputed < live_rows) == use_target_network
+
+
+def test_no_op_fixed_point_repeats_its_der_and_verdicts():
+    # the lemma the greedy stop rests on: a mutant that re-encodes its
+    # parent gives, under the same action again, the same DER and the same
+    # verdicts (3,000 seeded sequences of 1-10 actions, a fresh panel per
+    # verification, so no memo entry answers for another input)
+    corpus = generate_corpus(30, 1)
+    backends = tuple(default_backends(corpus.trust))
+    seeds = [certs_mod.parse_der(entry.der) for entry in corpus.entries]
+
+    def verdicts(cert):
+        return verify_all(cert, verdicts_mod.Panel(backends, REFERENCE_TIME))
+
+    rng = random.Random(12)
+    noops = 0
+    for _ in range(3000):
+        cert = seeds[rng.randrange(len(seeds))]
+        der = encode_der(cert)
+        for _ in range(1 + rng.randrange(MAX_TRACE_LENGTH)):
+            action = rng.randrange(CATALOG_SIZE)
+            mutant = apply(cert, action)
+            mutant_der = encode_der(mutant)
+            if mutant_der == der:
+                noops += 1
+                again = apply(mutant, action)
+                assert encode_der(again) == der
+                assert verdicts(again) == verdicts(mutant) == verdicts(cert)
+            cert, der = mutant, mutant_der
+    assert noops > 1000
+
+
+class _LearnsNothing:
+    """A learner that observes and changes nothing: a loop with a learner
+    never ends a seed at a no-op, so this runs greedy inference in full."""
+
+    updates = 0
+    last_loss = None
+
+    def observe(self, *transition):
+        pass
+
+
+def _inference_in_full(corpus, params, config, panel=None):
+    def choose(state) -> int:
+        return qnet.select_action(params, state, 0.0, None)
+
+    return campaign_mod._run_loop(corpus, config, choose, extract, _LearnsNothing(), panel)
+
+
+@pytest.mark.parametrize("reward_scheme", ["primary", "delta"])
+@pytest.mark.parametrize("corpus_seed", [1, 4])
+def test_greedy_stop_at_a_no_op_changes_no_output(reward_scheme, corpus_seed, monkeypatch):
+    # greedy inference ends a seed at its first no-op that is no
+    # discrepancy; records and statistics equal those of the full run,
+    # which verifies more inputs
+    corpus = generate_corpus(40, corpus_seed)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), rng_seed=3, reward_scheme=reward_scheme)
+    params = qnet.init(11)
+    calls = {}
+    _count_calls(monkeypatch, campaign_mod, "verify_all", calls)
+    stopped = run_inference(corpus, params, config)
+    stopped_calls = calls.pop("verify_all")
+    full = _inference_in_full(corpus, params, config)
+    assert stopped[0] and stopped == full  # records, then statistics
+    assert 0 < stopped_calls < calls["verify_all"]
+
+
+def test_greedy_no_op_of_a_discrepancy_keeps_booking():
+    # under delta a discrepancy need not end the seed: three backends, and
+    # version 4 turns two categories (-4, -5) into two others (1, -4), so
+    # the reward is 0 and the vector does not saturate.  Setting version 4
+    # again is a no-op that books the same DER with a longer trace, to the
+    # budget's end, with the stop as without it
+    class SplitOnV4(RiggedBackend):
+        def verify_prepared(self, facts, window):
+            if facts is None:
+                return -3
+            if is_v4(facts):
+                return 1 if self.accepts_v4 else -4
+            return -4 if self.accepts_v4 else -5
+
+    backends = (SplitOnV4("lenient", True), SplitOnV4("strict", False), SplitOnV4("strict-2", False))
+    corpus = small_corpus(3)
+    config = CampaignConfig(backends=backends, rng_seed=1, reward_scheme="delta")
+
+    def choose(_state) -> int:
+        return WINNING_ACTION
+
+    stopped = campaign_mod._run_loop(corpus, config, choose, extract, None)
+    full = campaign_mod._run_loop(corpus, config, choose, extract, _LearnsNothing())
+    assert stopped == full
+    records = stopped[0]
+    assert len(records) == len(corpus.entries) * MAX_TRACE_LENGTH
+    assert sorted({len(rec.trace) for rec in records}) == list(range(1, MAX_TRACE_LENGTH + 1))
+    assert all(len({rec.mutant_der for rec in records if rec.seed_id == entry.seed_id}) == 1 for entry in corpus.entries)
+
+
+def test_greedy_stop_changes_no_trained_parameter(monkeypatch):
+    # the end-of-episode probes pick the returned snapshot: with the stop
+    # they verify fewer inputs and choose the same parameters
+    corpus = generate_corpus(24, 1)
+    config = CampaignConfig(
+        backends=tuple(default_backends(corpus.trust)),
+        max_episode=2,
+        rng_seed=11,
+        epsilon=campaign_mod.EpsilonSchedule.annealed(),
+        train=TrainConfig(use_target_network=True),
+    )
+    calls = {}
+    _count_calls(monkeypatch, campaign_mod, "verify_all", calls)
+    stopped = run_training(corpus, config)
+    stopped_calls = calls.pop("verify_all")
+    monkeypatch.setattr(campaign_mod, "run_inference", _inference_in_full)
+    full = run_training(corpus, config)
+    assert stopped[1:] == full[1:]
+    assert [a.tobytes() for a in stopped[0].arrays()] == [a.tobytes() for a in full[0].arrays()]
+    assert stopped_calls < calls["verify_all"]

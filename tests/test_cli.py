@@ -1,16 +1,27 @@
-"""CLI tests exercising every subcommand in-process via main()."""
+"""CLI tests exercising every subcommand in-process via main(), plus
+`train` as a child process killed mid-run."""
 
+import datetime as dt
 import hashlib
 import json
 import math
+import os
+import random
 import re
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from diffcert import cli
-from diffcert.corpus import DiscrepancyDb
-from diffcert.verdicts import SHIPPED_PROFILES
+import diffcert
+from diffcert import cli, qnet
+from diffcert.certs import encode_der
+from diffcert.corpus import DiscrepancyDb, load_corpus_dir, replay_record
+from diffcert.verdicts import SHIPPED_PROFILES, bind_backends, default_backend_specs, verify_all
 
 
 def run_cli(*argv):
@@ -118,6 +129,39 @@ def test_campaign_outputs_are_pinned(tmp_path, capsys):
     for path in written:
         digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
     assert digest.hexdigest() == CLI_OUTPUT_DIGEST
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_killed_train_leaves_whole_outputs(tmp_path):
+    # `train` killed at seeded delays after its start-up line, one child
+    # at a time: the database loads and every record replays and
+    # re-verifies to what it booked; the checkpoint and the stats file are
+    # absent or whole
+    corpus_path = tmp_path / "corpus"
+    assert run_cli("gen", "40", "--seed", "1", "--out", str(corpus_path)) == 0
+    corpus = load_corpus_dir(corpus_path)
+    backends = tuple(bind_backends(default_backend_specs(), corpus.trust))
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(diffcert.__file__).parents[1]), env.get("PYTHONPATH")]))
+    rng = random.Random(8)
+    exits = []
+    for kill in range(4):
+        out = tmp_path / f"run-{kill}"
+        argv = [sys.executable, "-m", "diffcert.cli", "train", str(corpus_path), "--episodes", "4", "--seed", "3", "--out", str(out)]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as child:
+            assert child.stdout.readline().startswith(b"# config:")  # the campaign starts next
+            time.sleep(rng.uniform(0.0, 0.6))
+            child.kill()
+            exits.append(child.wait())
+        records = DiscrepancyDb(out / "discrepancies.db").load_all()
+        for rec in records:
+            assert encode_der(replay_record(corpus, rec)) == rec.mutant_der
+            assert verify_all(rec.mutant_der, backends, dt.datetime.fromisoformat(rec.timestamp)).codes == rec.verdicts
+        if (out / "qnet.ckpt").exists():
+            qnet.load(out / "qnet.ckpt")
+        if (out / "stats.json").exists():
+            assert json.loads((out / "stats.json").read_text())["discrepancies"] == len(records)
+    assert -signal.SIGKILL in exits  # at least one kill landed mid-run
 
 
 def test_train_missing_corpus(tmp_path):

@@ -410,6 +410,13 @@ def test_discrepancy_predicate_property(codes):
     expected = (1 in codes) and any(c not in (1, -13) for c in codes)
     assert is_discrepancy(codes) == expected
     assert (reward_primary(codes) == 100) == expected
+    # a vector carries the flag and its category count; equality, hashing
+    # and repr still read only the codes and the ids
+    ids = tuple(f"b{i}" for i in range(len(codes)))
+    vector = VerdictVector(tuple(codes), ids)
+    assert vector.discrepancy == expected and vector.categories == len(set(codes) - {-13})
+    assert vector == VerdictVector(tuple(codes), ids) and hash(vector) == hash((tuple(codes), ids))
+    assert repr(vector) == f"VerdictVector(codes={tuple(codes)!r}, backend_ids={ids!r})"
 
 
 @settings(max_examples=200)
