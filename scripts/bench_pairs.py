@@ -12,8 +12,9 @@ The output holds each side's ``src_lines`` (the ``src/`` line count its
 runs' environment blocks report), every run (side, seed, order, the
 gated end-to-end metrics, the behaviour-lock digest, the ``verify_calls``
 count and the environment block) and, per workload, whether every pair's
-digests match, whether every run was ``correct`` with no failed
-operation (``all_correct``), each side's median ``verify_calls`` (so a
+digests match (a workload may hold one untraced run per seed and side,
+so that no run drops out of its pair), whether every run was
+``correct`` with no failed operation (``all_correct``), each side's median ``verify_calls`` (so a
 fall in ``verified_per_ref`` reads as fewer calls or as slower ones)
 and, per metric, each side's median and quartiles plus how many
 same-seed pairs the change won.  Each metric's ``bad_move`` is the
@@ -91,7 +92,10 @@ def summarize(runs: list[dict], gates: dict[str, dict]) -> dict:
         mine = [run for run in runs if run["workload"] == workload]
         by_seed: dict[int, dict[str, dict]] = {}
         for run in mine:
-            by_seed.setdefault(run["seed"], {})[run["side"]] = run
+            sides = by_seed.setdefault(run["seed"], {})
+            if run["side"] in sides:  # a second run would replace the first in its pair
+                raise ValueError(f"two untraced {run['side']} runs of {workload} at seed {run['seed']}")
+            sides[run["side"]] = run
         pairs = [sides for sides in by_seed.values() if len(sides) == 2]
         present = [side for side in ("parent", "change") if any(run["side"] == side for run in mine)]
         entry = {

@@ -15,7 +15,12 @@ re-derives only the parts its edit replaced.  Each distinct algorithm,
 name, validity time and extension is parsed once per process: the parse
 interns parts by their DER, so certificates that repeat a part (one CA's
 issuer name, its policies, its key usages) share one instance of it and
-the facts cached on it.
+the facts cached on it.  Each distinct certificate is parsed once per
+process too, keyed by its DER and the parse mode, so a campaign's seed
+visits reuse the parse that accepted the seed into the corpus.  Each
+cache holds at most `PART_CACHE_LIMIT` entries; at about 4 KB per
+certificate that is some 4 MB, and a smaller limit would no longer hold
+a corpus of a few hundred seeds, whose visits would then evict each other.
 """
 
 from __future__ import annotations
@@ -376,6 +381,9 @@ def copy_certificate(cert: Certificate, **changes) -> Certificate:
 # ---------------------------------------------------------------------------
 # Parsing
 
+PART_CACHE_LIMIT = 1024  # distinct certificates, and parts of each kind, kept parsed; a hostile corpus cannot grow them further
+
+
 def parse_der(data: bytes, *, lenient: bool = False) -> Certificate:
     """Parse a DER-encoded certificate.
 
@@ -383,10 +391,15 @@ def parse_der(data: bytes, *, lenient: bool = False) -> Certificate:
     ``lenient=True`` additionally tolerates an explicitly encoded FALSE
     extension-criticality flag (a mutation this fuzzer emits on purpose);
     the flag's encoding is preserved so the round-trip stays byte-exact.
+    Equal bytes parsed in one mode give the same (immutable) instance.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_der expects bytes")
-    data = bytes(data)
+    return _certificate(bytes(data), lenient)
+
+
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _certificate(data: bytes, lenient: bool) -> Certificate:
     if not data or data[0] != asn1.SEQUENCE:
         raise MalformedDer(0, "certificate must start with a SEQUENCE tag (0x30)")
     _, start, stop, nxt = asn1.read_tlv(data, 0, len(data))
@@ -526,8 +539,6 @@ def _parse_extensions(data: bytes, pos: int, end: int, *, lenient: bool) -> tupl
 # their cached attributes are functions of their fields, so certificates
 # may share them.  An extension is keyed with the parse mode as well: a
 # lenient parse accepts an explicit FALSE flag that a strict one refuses.
-
-PART_CACHE_LIMIT = 1024  # distinct parts of each kind kept parsed; a hostile corpus cannot grow them further
 
 
 def _interned(parse, data: bytes, pos: int, nxt: int, *args):

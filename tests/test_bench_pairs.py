@@ -97,6 +97,18 @@ def test_src_lines_of_each_side_at_the_top_level(tmp_path):
         summarize(tmp_path, runs)
 
 
+def test_a_repeated_seed_is_refused(tmp_path):
+    # the parent ran 100 then 100 and the change 90 then 120 at one seed:
+    # pairing by seed would keep only the second runs and lose the win
+    runs = []
+    for directory, parent_ref, change_ref in (("first", 100.0, 90.0), ("second", 100.0, 120.0)):
+        (tmp_path / directory).mkdir()
+        runs += [write_run(tmp_path / directory, PARENT, 1, parent_ref), write_run(tmp_path / directory, CHANGE, 1, change_ref)]
+    with pytest.raises(ValueError, match="^two untraced parent runs of train at seed 1$"):
+        summarize(tmp_path, runs)
+    assert summarize(tmp_path, runs[:2])["summary"]["train"]["campaign_ref"]["change_wins"] == 1
+
+
 def test_verify_calls_of_each_run_and_side(tmp_path):
     # each run carries the count its result reports; each side gets the
     # median, so a verified_per_ref fall at equal digests reads as fewer calls

@@ -349,6 +349,27 @@ def _count_calls(monkeypatch, owner, name: str, counts: dict) -> None:
     monkeypatch.setattr(owner, name, counted)
 
 
+def test_seed_visits_parse_no_certificate_the_corpus_did_not():
+    # generate_corpus parses every seed it stores, so each campaign visit
+    # finds its seed in the certificate cache
+    corpus = generate_corpus(30, 1)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=2, rng_seed=5)
+    misses = certs_mod._certificate.cache_info().misses
+    run_baseline(corpus, config)
+    run_training(corpus, config)
+    assert certs_mod._certificate.cache_info().misses == misses
+
+
+def test_each_seed_visit_looks_up_parse_der_once(monkeypatch):
+    # the lookup is the hook perfbench's traced runs open a seed visit on
+    corpus = generate_corpus(20, 1)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=2, rng_seed=5)
+    calls = {}
+    _count_calls(monkeypatch, campaign_mod, "parse_der", calls)
+    run_baseline(corpus, config)
+    assert calls["parse_der"] == 2 * 20
+
+
 def test_training_featurizes_each_distinct_certificate_once(monkeypatch):
     # the seed and every non-terminal mutant have a state, featurized once:
     # the mutant's vector is both the transition's next state and the next

@@ -172,7 +172,7 @@ def test_copy_certificate_equals_replace_without_caches(default_cert):
         dataclasses.replace(parsed, serial_number=3)
 
 
-_PART_CACHES = ("_algorithm", "_name", "_time", "_extension")
+_PART_CACHES = ("_certificate", "_algorithm", "_name", "_time", "_extension")  # whole certificates too
 
 
 def _clear_part_caches() -> None:
@@ -205,9 +205,11 @@ def _assert_interned_parse_exact(der: bytes) -> None:
 
 
 def test_interned_parse_equals_uncached_on_generated_corpora():
+    inputs = _codec_inputs()  # built before the caches are emptied: each input's first parse is cold
     _clear_part_caches()
-    for der, _ in _codec_inputs():
+    for der, _ in inputs:
         _assert_interned_parse_exact(der)
+    # a warm parse finds the certificate, so the part caches saw only cold ones
     assert certs._extension.cache_info().hits > certs._extension.cache_info().misses
 
 
@@ -244,6 +246,7 @@ def test_part_failures_keep_their_offset_in_the_input(default_cert):
 
 
 def test_interned_parts_are_shared_between_corpora():
+    _clear_part_caches()  # a certificate cached earlier holds parts interned before a clear
     first = [parse_der(entry.der) for entry in generate_corpus(20, 3).entries]
     seen = {}
     for cert in first:
@@ -285,6 +288,57 @@ def test_part_caches_stay_within_their_limit():
         info = getattr(certs, name).cache_info()
         assert info.misses > limit and info.currsize <= limit, name
     _clear_part_caches()
+
+
+def test_certificate_cache_is_bounded_by_the_part_limit():
+    assert certs._certificate.cache_info().maxsize == certs.PART_CACHE_LIMIT
+
+
+def test_equal_der_gives_one_certificate_per_mode(default_cert):
+    der = encode_der(default_cert)
+    cert = parse_der(der)
+    buffer = bytearray(der)
+    assert parse_der(der) is cert and parse_der(buffer) is cert
+    assert parse_der(der, lenient=True) is parse_der(buffer, lenient=True) is not cert
+    buffer[-1] ^= 0xFF  # the parse copied the buffer: the cached certificate keeps its bytes
+    assert cert.encoding[1] == der and parse_der(der) is cert
+    assert parse_der(bytes(buffer)).signature_value != cert.signature_value
+
+
+def test_cached_lenient_certificate_is_not_served_to_a_strict_parse():
+    (der, _), *_ = (pair for pair in _codec_inputs() if pair[1])
+    cert = parse_der(der, lenient=True)
+    assert not cert.strict_der and parse_der(der, lenient=True) is cert
+    for _ in range(2):
+        with pytest.raises(MalformedDer, match="criticality FALSE"):
+            parse_der(der)
+
+
+def test_refused_certificate_is_not_cached(default_cert):
+    der = encode_der(default_cert)
+    tbs_tag = der.index(default_cert.encoding[0])
+    refused = (der + b"\x00", der[:tbs_tag] + b"\x31" + der[tbs_tag + 1 :])  # trailing byte; a TBS SET
+    for data in refused:
+        before = certs._certificate.cache_info().currsize
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                parse_der(data)
+            outcomes.append((type(info.value), getattr(info.value, "offset", None), str(info.value)))
+        assert outcomes[0] == outcomes[1]
+        assert certs._certificate.cache_info().currsize == before
+    assert outcomes[0][0] is certs.UnsupportedStructure
+
+
+def test_mutants_leave_their_cached_seed_unchanged():
+    entry = generate_corpus(1, 5).entries[0]
+    seed = parse_der(entry.der)
+    state = dict(vars(seed))
+    assert state["encoding"][1] is entry.der
+    for spec in actions.catalog():
+        encode_der(actions.apply(seed, spec.id, now=REFERENCE_TIME))
+    assert parse_der(entry.der) is seed and vars(seed) == state
+    assert encode_der(seed) is entry.der
 
 
 def test_empty_extensions_list_is_refused():

@@ -236,9 +236,10 @@ def test_extension_facts_derived_once_per_instance(monkeypatch, now):
     # one seed visit as the campaign makes it: the seed and ten mutants,
     # each judged by the six-profile panel and featurized; a mutant shares
     # every extension its action did not replace with its parent.  Parsed
-    # parts are interned for the process, so the caches are emptied first:
-    # the seed's extensions are then this test's own, classified here
-    for cache in (certs._algorithm, certs._name, certs._time, certs._extension):
+    # certificates and parts are interned for the process, so the caches
+    # are emptied first: the seed's extensions are then this test's own,
+    # classified here
+    for cache in (certs._certificate, certs._algorithm, certs._name, certs._time, certs._extension):
         cache.cache_clear()
     calls = Counter()
 
