@@ -220,7 +220,8 @@ def _run_loop(
             for step in range(MAX_TRACE_LENGTH):
                 action = choose(state)
                 mutant = apply(current, action)
-                mutant_der = encode_der(mutant)
+                # a loop without states compares no DERs, so it encodes only what it books
+                mutant_der = encode_der(mutant) if featurize is not None else None
                 verdicts = verify_all(mutant, panel)
                 reward, stop = _seed_stop(config, verdicts, previous)
                 exhausted = step == MAX_TRACE_LENGTH - 1
@@ -233,7 +234,7 @@ def _run_loop(
                 if learner is not None:
                     learner.observe(state, action, reward, next_state)
                 if verdicts.discrepancy:
-                    book(entry.seed_id, tuple(trace), mutant_der, verdicts, episode)
+                    book(entry.seed_id, tuple(trace), mutant_der or encode_der(mutant), verdicts, episode)
                 if terminal or (greedy and mutant_der == current_der and not verdicts.discrepancy):
                     # a greedy no-op leaves the state as it was, so the same action
                     # and verdicts would repeat to the budget's end, booking nothing

@@ -271,10 +271,9 @@ def cmd_report(args, _settings) -> int:
         raise CliError(f"report: no database at {args.database}")
     db = DiscrepancyDb(args.database)
     try:
-        records = db.load_all()
+        rep = corpus_mod.report(db.load_all(), corpus_size=args.corpus_size)
     except (OSError, corpus_mod.CorruptDatabase) as exc:
         raise CliError(f"report: {exc}") from exc
-    rep = corpus_mod.report(records, corpus_size=args.corpus_size)
     print(rep.to_text(), end="")
     if args.json_out:
         corpus_mod.write_atomic(args.json_out, rep.to_json_lines().encode())

@@ -39,7 +39,7 @@ from .certs import (
     pem_decode,
     pem_encode,
 )
-from .verdicts import ALL_CODES, TrustAnchor, TrustStore, is_discrepancy
+from .verdicts import ALL_CODES, TrustAnchor, TrustStore, is_discrepancy, read_keys
 
 log = logging.getLogger(__name__)
 
@@ -277,6 +277,10 @@ def load_corpus_dir(path) -> SeedCorpus:
 # ---------------------------------------------------------------------------
 # Discrepancy database
 
+# the keys of a stored record, every one required
+_RECORD_KEYS = ("seed_id", "trace", "mutant_b64", "verdicts", "backend_ids", "timestamp", "rng_seed")
+
+
 @dataclass(frozen=True)
 class DiscrepancyRecord:
     """A discrepancy-triggering certificate with everything needed to
@@ -327,11 +331,15 @@ class DiscrepancyRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "DiscrepancyRecord":
-        doc = json.loads(text)
+        doc = read_keys("record", json.loads(text), _RECORD_KEYS, {})
+        try:
+            mutant_der = base64.b64decode(doc["mutant_b64"], validate=True)
+        except ValueError as exc:
+            raise ValueError(f"mutant_b64: {doc['mutant_b64']!r} is not base64 ({exc})") from None
         return cls(
             seed_id=doc["seed_id"],
             trace=tuple(doc["trace"]),
-            mutant_der=base64.b64decode(doc["mutant_b64"]),
+            mutant_der=mutant_der,
             verdicts=tuple(doc["verdicts"]),
             backend_ids=tuple(doc["backend_ids"]),
             timestamp=doc["timestamp"],
@@ -449,11 +457,16 @@ class Report:
 
 def report(records, *, corpus_size: int | None = None) -> Report:
     """Group records by exact verdict vector and tally modification counts;
-    the header names the first record's backends."""
+    the header names the first record's backends, so a record that names
+    others is refused with CorruptDatabase."""
     records = list(records)
     by_vector: dict[tuple[int, ...], int] = {}
     histogram: dict[int, int] = {}
-    for rec in records:
+    for number, rec in enumerate(records, 1):
+        if rec.backend_ids != records[0].backend_ids:
+            raise CorruptDatabase(
+                f"record {number} names backends {list(rec.backend_ids)}, record 1 names {list(records[0].backend_ids)}"
+            )
         by_vector[rec.verdicts] = by_vector.get(rec.verdicts, 0) + 1
         histogram[len(rec.trace)] = histogram.get(len(rec.trace), 0) + 1
     ordered = tuple(sorted(by_vector.items(), key=lambda kv: (-kv[1], kv[0])))

@@ -874,3 +874,51 @@ def test_greedy_stop_changes_no_trained_parameter(monkeypatch):
     assert stopped[1:] == full[1:]
     assert [a.tobytes() for a in stopped[0].arrays()] == [a.tobytes() for a in full[0].arrays()]
     assert stopped_calls < calls["verify_all"]
+
+
+def _eager_baseline(corpus, config):
+    # run_baseline's chooser on a loop with a state function whose states
+    # nothing reads and a learner that learns nothing: the loop compares
+    # DERs, so it encodes every mutant, and never ends a seed at a no-op
+    rng = random.Random(config.rng_seed)
+    return campaign_mod._run_loop(corpus, config, lambda _state: rng.randrange(CATALOG_SIZE), lambda cert: None, _LearnsNothing())
+
+
+@pytest.mark.parametrize("panel", ["six", "pair"])
+@pytest.mark.parametrize("reward_scheme", ["primary", "delta"])
+@pytest.mark.parametrize("corpus_seed", [1, 4])
+def test_baseline_encoding_only_what_it_books_changes_no_output(panel, reward_scheme, corpus_seed, tmp_path):
+    corpus = generate_corpus(40, corpus_seed)
+    specs = [s for s in default_backend_specs() if panel == "six" or s.id in ("mbedtls-like", "openssl-like")]
+    config = CampaignConfig(
+        backends=tuple(bind_backends(specs, corpus.trust)),
+        max_episode=2,
+        rng_seed=corpus_seed + 10,
+        reward_scheme=reward_scheme,
+        db_path=str(tmp_path / "lazy.db"),
+    )
+    lazy_stats = run_baseline(corpus, config)
+    eager_records, eager_stats = _eager_baseline(corpus, replace(config, db_path=str(tmp_path / "eager.db")))
+    assert any(rec.trace for rec in eager_records)
+    assert DiscrepancyDb(config.db_path).load_all() == eager_records
+    assert (tmp_path / "lazy.db").read_bytes() == (tmp_path / "eager.db").read_bytes()
+    assert _stats_blob(lazy_stats) == _stats_blob(eager_stats)
+
+
+def test_only_the_stateful_loops_encode_every_mutant(monkeypatch, tmp_path):
+    # the baseline encodes the mutants it books and verifies every one;
+    # training and inference compare each mutant's DER with its parent's,
+    # so they encode every mutant they make
+    corpus = generate_corpus(40, 1)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=2, rng_seed=5)
+    counts = {}
+    for name in ("apply", "encode_der", "verify_all"):
+        _count_calls(monkeypatch, campaign_mod, name, counts)
+    stats = run_baseline(corpus, replace(config, db_path=str(tmp_path / "baseline.db")))
+    booked = sum(1 for rec in DiscrepancyDb(tmp_path / "baseline.db").load_all() if rec.trace)
+    assert 0 < booked == counts["encode_der"] < counts["apply"]
+    assert counts["verify_all"] == stats.seeds_processed + counts["apply"]
+    for run in (lambda: run_training(corpus, config), lambda: run_inference(corpus, qnet.init(11), config)):
+        counts.clear()
+        run()
+        assert counts["encode_der"] == counts["apply"] > 0

@@ -394,6 +394,8 @@ def test_report_bad_record_is_a_clean_error(tmp_path, capsys):
         "{}",
         json.dumps({**record, "verdicts": ["x", 1], "backend_ids": ["a", "b"]}),  # a verdict that is no code
         json.dumps({**record, "verdicts": [1, -4], "backend_ids": ["a"]}),  # one backend id for two verdicts
+        json.dumps({**record, "verdicts": [1, -4], "backend_ids": ["a", "b"], "mutant_b64": "MA*A="}),  # not base64
+        json.dumps({**record, "verdicts": [1, -4], "backend_ids": ["a", "b"], "seed": "s"}),  # an unknown key
     ]
     for payload in payloads:
         db = tmp_path / "bad.db"
@@ -401,6 +403,24 @@ def test_report_bad_record_is_a_clean_error(tmp_path, capsys):
         assert run_cli("report", str(db)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: report: record 1: ")
+
+
+def test_report_of_records_from_two_panels_is_a_clean_error(tmp_path, capsys):
+    # one header per report: records that name other backends than the
+    # first one's would print under the wrong columns
+    record = {"seed_id": "s", "trace": [3], "mutant_b64": "MAA=", "timestamp": "2025-06-01T00:00:00+00:00", "rng_seed": 0}
+    lines = []
+    for backend_ids in (["a", "b"], ["a", "b"], ["b", "a"]):
+        payload = json.dumps({**record, "verdicts": [1, -4], "backend_ids": backend_ids})
+        lines.append(f"{len(payload)}\t{payload}\n")
+    db = tmp_path / "mixed.db"
+    db.write_text("".join(lines))
+    assert run_cli("report", str(db)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: report: record 3 names backends ['b', 'a'], record 1 names ['a', 'b']"]
+    assert "discrepancies" not in captured.out
+    db.write_text("".join(lines[:2]))
+    assert run_cli("report", str(db)) == 0
 
 
 def test_report_corpus_size_below_one_is_a_clean_error(tmp_path, capsys):

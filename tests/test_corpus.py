@@ -185,6 +185,29 @@ def test_db_bad_payload_is_corruption(tmp_path, mangle):
         db.load_all()
 
 
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"mutant_b64": "MA*A="}, "mutant_b64: 'MA\\*A=' is not base64"),  # a loose decoder drops the '*'
+        ({"mutant_b64": "MA A="}, "mutant_b64: 'MA A=' is not base64"),
+        ({"mutant_b64": "MAA"}, "mutant_b64: 'MAA' is not base64"),
+        ({"mutant_b64": "MAÀ="}, "mutant_b64: 'MAÀ=' is not base64"),
+        ({"seed": "s"}, r"record has unknown keys \['seed'\]"),
+        ({"verdict": [1, -4]}, r"record has unknown keys \['verdict'\]"),
+    ],
+    ids=["star", "space", "padding", "non-ascii", "unknown-key", "misspelt-key"],
+)
+def test_db_refuses_loose_base64_and_unknown_keys(tmp_path, change, reason):
+    # the database is read as strictly as backend and trust files: no
+    # misspelt key and no character outside the base64 alphabet passes
+    doc = json.loads(make_record().to_json())
+    payload = json.dumps({**doc, **change})
+    path = tmp_path / "found.db"
+    path.write_text(f"{len(payload)}\t{payload}\n")
+    with pytest.raises(corpus_mod.CorruptDatabase, match=f"^record 1: ValueError: {reason}"):
+        DiscrepancyDb(path).load_all()
+
+
 def test_db_missing_file_is_empty(tmp_path):
     assert DiscrepancyDb(tmp_path / "nothing.db").load_all() == []
 
@@ -234,6 +257,15 @@ def test_report_counts_sum():
     assert sum(count for _, count in rep.modification_histogram) == 9
     with pytest.raises(TypeError):  # corpus_size is keyword-only, so a stale header argument fails
         report(recs, BACKENDS)
+
+
+def test_report_refuses_records_from_another_panel():
+    recs = [make_record(seed_id="a"), make_record(seed_id="b")]
+    swapped = dataclasses.replace(make_record(seed_id="c"), backend_ids=BACKENDS[::-1])
+    with pytest.raises(corpus_mod.CorruptDatabase) as refused:
+        report(recs + [swapped])
+    assert str(refused.value) == f"record 3 names backends {list(BACKENDS[::-1])}, record 1 names {list(BACKENDS)}"
+    assert report(recs).backend_ids == BACKENDS
 
 
 def test_report_empty():
