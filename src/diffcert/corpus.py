@@ -332,9 +332,12 @@ class DiscrepancyRecord:
     @classmethod
     def from_json(cls, text: str) -> "DiscrepancyRecord":
         doc = read_keys("record", json.loads(text), _RECORD_KEYS, {})
+        for key in ("trace", "verdicts", "backend_ids"):  # a string would pass as a tuple of characters
+            if type(doc[key]) is not list:
+                raise ValueError(f"{key}: expected a list, got {doc[key]!r}")
         try:
             mutant_der = base64.b64decode(doc["mutant_b64"], validate=True)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"mutant_b64: {doc['mutant_b64']!r} is not base64 ({exc})") from None
         return cls(
             seed_id=doc["seed_id"],

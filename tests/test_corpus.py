@@ -192,14 +192,18 @@ def test_db_bad_payload_is_corruption(tmp_path, mangle):
         ({"mutant_b64": "MA A="}, "mutant_b64: 'MA A=' is not base64"),
         ({"mutant_b64": "MAA"}, "mutant_b64: 'MAA' is not base64"),
         ({"mutant_b64": "MAÀ="}, "mutant_b64: 'MAÀ=' is not base64"),
+        ({"mutant_b64": 5}, "mutant_b64: 5 is not base64"),
         ({"seed": "s"}, r"record has unknown keys \['seed'\]"),
         ({"verdict": [1, -4]}, r"record has unknown keys \['verdict'\]"),
+        ({"backend_ids": "abcdef"}, "backend_ids: expected a list, got 'abcdef'"),  # six ids for six verdicts
+        ({"trace": "3"}, "trace: expected a list, got '3'"),
     ],
-    ids=["star", "space", "padding", "non-ascii", "unknown-key", "misspelt-key"],
+    ids=["star", "space", "padding", "non-ascii", "int", "unknown-key", "misspelt-key", "string-ids", "string-trace"],
 )
-def test_db_refuses_loose_base64_and_unknown_keys(tmp_path, change, reason):
+def test_db_reads_records_strictly(tmp_path, change, reason):
     # the database is read as strictly as backend and trust files: no
-    # misspelt key and no character outside the base64 alphabet passes
+    # misspelt key, no character outside the base64 alphabet and no
+    # string in place of a list passes
     doc = json.loads(make_record().to_json())
     payload = json.dumps({**doc, **change})
     path = tmp_path / "found.db"
