@@ -150,12 +150,18 @@ class _Learner:
             self.target = self.params
 
 
-def _seed_stop(config: CampaignConfig, verdicts: VerdictVector, previous: VerdictVector) -> tuple[int, bool]:
-    """Reward for one mutant plus whether the seed's loop should stop."""
-    if config.reward_scheme == REWARD_PRIMARY:  # reward_primary and reward_delta, read off the vectors
+def reward(scheme: str, verdicts: VerdictVector, previous: VerdictVector) -> tuple[int, bool]:
+    """The reward for a mutant judged ``verdicts`` whose parent was judged
+    ``previous``, and whether its seed's loop stops there.
+
+    ``primary`` gives 100 and stops on a discrepancy, and -1 otherwise.
+    ``delta`` gives the growth in distinct verdicts, and stops when they
+    grew or when every backend gave a verdict of its own.
+    """
+    if scheme == REWARD_PRIMARY:
         return (100 if verdicts.discrepancy else -1), verdicts.discrepancy
-    reward = verdicts.categories - previous.categories
-    return reward, reward > 0 or verdicts.categories == len(config.backends)
+    growth = verdicts.categories - previous.categories
+    return growth, growth > 0 or verdicts.categories == len(verdicts.codes)
 
 
 def _run_loop(
@@ -223,7 +229,7 @@ def _run_loop(
                 # a loop without states compares no DERs, so it encodes only what it books
                 mutant_der = encode_der(mutant) if featurize is not None else None
                 verdicts = verify_all(mutant, panel)
-                reward, stop = _seed_stop(config, verdicts, previous)
+                score, stop = reward(config.reward_scheme, verdicts, previous)
                 exhausted = step == MAX_TRACE_LENGTH - 1
                 terminal = stop or exhausted
                 trace.append(action)
@@ -232,7 +238,7 @@ def _run_loop(
                     # a no-op mutant re-encodes its parent, so it has its parent's state
                     next_state = state if mutant_der == current_der else featurize(mutant)
                 if learner is not None:
-                    learner.observe(state, action, reward, next_state)
+                    learner.observe(state, action, score, next_state)
                 if verdicts.discrepancy:
                     book(entry.seed_id, tuple(trace), mutant_der or encode_der(mutant), verdicts, episode)
                 if terminal or (greedy and mutant_der == current_der and not verdicts.discrepancy):

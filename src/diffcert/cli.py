@@ -32,8 +32,8 @@ from .verdicts import (
     TrustStore,
     bind_backends,
     default_backend_specs,
-    is_discrepancy,
     load_backend_specs,
+    load_json,
     read_keys,
     verify_all,
 )
@@ -103,7 +103,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            loaded = read_keys("top level", json.loads(Path(config_path).read_text()), (), settings)
+            loaded = read_keys("top level", load_json(Path(config_path).read_text()), (), settings)
         except (OSError, ValueError) as exc:
             raise CliError(f"config: {exc}") from exc
         for key, value in loaded.items():
@@ -255,7 +255,7 @@ def cmd_verify(args, settings) -> int:
     verdicts = verify_all(der, backends, now)
     for backend_id, code in zip(verdicts.backend_ids, verdicts.codes):
         print(f"{backend_id:>16}  {code:>4}  {VERDICT_NAMES[code]}")
-    return EXIT_DISCREPANCY if is_discrepancy(verdicts) else EXIT_OK
+    return EXIT_DISCREPANCY if verdicts.discrepancy else EXIT_OK
 
 
 def cmd_catalog(_args, _settings) -> int:

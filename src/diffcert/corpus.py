@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import x509oids as oid
@@ -39,7 +39,7 @@ from .certs import (
     pem_decode,
     pem_encode,
 )
-from .verdicts import ALL_CODES, TrustAnchor, TrustStore, is_discrepancy, read_keys
+from .verdicts import ALL_CODES, TrustAnchor, TrustStore, is_discrepancy, load_json, read_keys
 
 log = logging.getLogger(__name__)
 
@@ -60,18 +60,29 @@ class SeedEntry:
 
 @dataclass(frozen=True)
 class SeedCorpus:
+    """Seeds under distinct ids, which records name them by."""
+
     entries: tuple[SeedEntry, ...]
     trust: TrustStore | None = None
     rejected: int = 0  # unparseable files met during ingestion
+    _by_id: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        by_id = {}
+        for entry in self.entries:
+            if entry.seed_id in by_id:
+                raise ValueError(f"seed id {entry.seed_id!r} appears twice")
+            by_id[entry.seed_id] = entry
+        object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self):
         return len(self.entries)
 
     def by_id(self, seed_id: str) -> SeedEntry:
-        for entry in self.entries:
-            if entry.seed_id == seed_id:
-                return entry
-        raise UnknownSeed(seed_id)
+        try:
+            return self._by_id[seed_id]
+        except KeyError:
+            raise UnknownSeed(seed_id) from None
 
 
 def read_certificate(path) -> bytes:
@@ -331,7 +342,7 @@ class DiscrepancyRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "DiscrepancyRecord":
-        doc = read_keys("record", json.loads(text), _RECORD_KEYS, {})
+        doc = read_keys("record", load_json(text), _RECORD_KEYS, {})
         for key in ("trace", "verdicts", "backend_ids"):  # a string would pass as a tuple of characters
             if type(doc[key]) is not list:
                 raise ValueError(f"{key}: expected a list, got {doc[key]!r}")

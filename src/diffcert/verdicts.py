@@ -1,6 +1,6 @@
 """Differential testing: run a certificate through a panel of verifier
-backends, normalize every outcome into a 16-code taxonomy, detect
-discrepancies and compute rewards.
+backends, normalize every outcome into a 16-code taxonomy and detect
+discrepancies.
 
 Two backend types exist.  Simulated backends are parameterized reference
 validators whose acceptance switches each re-create one known class of
@@ -102,8 +102,8 @@ class BackendUnavailable(RuntimeError):
 @dataclass(frozen=True)
 class VerdictVector:
     """One normalized code per backend, in configuration order, with
-    ``is_discrepancy`` and the ``verdict_categories`` count of its codes
-    worked out once; equality and hashing read only codes and ids."""
+    ``is_discrepancy`` and the number of distinct verdicts (a connection
+    error is none) worked out once; equality and hashing read only codes and ids."""
 
     codes: tuple[int, ...]
     backend_ids: tuple[str, ...]
@@ -112,10 +112,7 @@ class VerdictVector:
 
     def __post_init__(self):
         object.__setattr__(self, "discrepancy", is_discrepancy(self.codes))
-        object.__setattr__(self, "categories", len(verdict_categories(self.codes)))
-
-    def __iter__(self):
-        return iter(self.codes)
+        object.__setattr__(self, "categories", len(set(self.codes) - {CONNECTION_ERROR}))
 
 
 def is_discrepancy(v) -> bool:
@@ -124,23 +121,7 @@ def is_discrepancy(v) -> bool:
     A connection error (an external verifier that timed out or could not
     run) is neither an acceptance nor a rejection.
     """
-    codes = tuple(v)
-    return VALID in codes and any(c not in (VALID, CONNECTION_ERROR) for c in codes)
-
-
-def reward_primary(v) -> int:
-    """100 for a discrepancy, -1 otherwise."""
-    return 100 if is_discrepancy(v) else -1
-
-
-def verdict_categories(v) -> set[int]:
-    """The distinct verdicts of a vector; a connection error is none."""
-    return set(v) - {CONNECTION_ERROR}
-
-
-def reward_delta(v_before, v_after) -> int:
-    """Growth in the number of distinct verdict categories."""
-    return len(verdict_categories(v_after)) - len(verdict_categories(v_before))
+    return VALID in v and any(c not in (VALID, CONNECTION_ERROR) for c in v)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +149,21 @@ def read_keys(what: str, doc, required: tuple[str, ...], optional: dict) -> dict
     if missing:
         raise ValueError(f"{what} is missing keys {missing}")
     return {**optional, **doc}
+
+
+def _refuse_repeated_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def load_json(text: str):
+    """``text`` parsed as JSON; a key given twice in one object is a
+    ValueError, where ``json.loads`` would read it as its last value."""
+    return json.loads(text, object_pairs_hook=_refuse_repeated_keys)
 
 
 def _read_body(doc, fmt: str, what: str, body: str) -> list:
@@ -235,7 +231,7 @@ class TrustStore:
     @classmethod
     def from_json(cls, text: str) -> "TrustStore":
         anchors = []
-        for entry in _read_body(json.loads(text), "diffcert-trust", "trust store", "anchors"):
+        for entry in _read_body(load_json(text), "diffcert-trust", "trust store", "anchors"):
             entry = read_keys("trust anchor", entry, ("name_b64", "tag"), {"version": 3, "is_root": True})
             name_b64 = _check_type("trust anchor name_b64", entry["name_b64"], str)
             try:
@@ -692,7 +688,7 @@ def load_backend_specs(path) -> list:
     """Read a backend configuration file (JSON, versioned) into unbound
     `SimulatedBackend`s and `ExternalBackend`s."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        doc = load_json(handle.read())
     backends = []
     for entry in _read_body(doc, "diffcert-backends", "backend configuration", "backends"):
         kind = _check_type("backend entry", entry, dict).get("kind")

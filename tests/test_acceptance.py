@@ -17,7 +17,7 @@ from diffcert.certs import REFERENCE_TIME, SeedParams, build_synthetic, encode_d
 from diffcert.corpus import generate_corpus, replay_record
 from diffcert.features import FEATURE_LENGTH, extract
 from diffcert.qnet import TrainConfig
-from diffcert.verdicts import is_discrepancy, reward_primary, verify_all
+from diffcert.verdicts import VerdictVector, is_discrepancy, verify_all
 
 from qnet_helpers import Transition, as_batch, train_step
 from verdict_helpers import default_backends, simulate_verify
@@ -243,7 +243,9 @@ def test_criterion_10_discrepancy_predicate():
     for _ in range(cases):
         vector = [rng.choice(codes) for _ in range(rng.randint(2, 8))]
         expected = (1 in vector) and any(code not in (1, -13) for code in vector)  # -13: no verdict
-        if is_discrepancy(vector) != expected or (reward_primary(vector) == 100) != expected:
+        # the loop's reward, on the vector as the panel returns it
+        judged = VerdictVector(tuple(vector), tuple(f"b{i}" for i in range(len(vector))))
+        if is_discrepancy(vector) != expected or (campaign.reward("primary", judged, judged)[0] == 100) != expected:
             mismatches += 1
-    report_line(10, mismatches == 0, f"is_discrepancy and reward agree with the definition on {cases} random vectors")
+    report_line(10, mismatches == 0, f"is_discrepancy and the loop's reward agree with the definition on {cases} random vectors")
     assert mismatches == 0

@@ -29,7 +29,6 @@ from diffcert.verdicts import (
     TrustStore,
     bind_backends,
     default_backend_specs,
-    is_discrepancy,
     verify_all,
 )
 
@@ -81,7 +80,7 @@ def test_rigged_environment_single_winner():
     winners = [
         spec.id
         for spec in catalog()
-        if is_discrepancy(verify_all(apply(cert, spec.id), backends, REFERENCE_TIME))
+        if verify_all(apply(cert, spec.id), backends, REFERENCE_TIME).discrepancy
     ]
     assert winners == [WINNING_ACTION]
 
@@ -922,3 +921,25 @@ def test_only_the_stateful_loops_encode_every_mutant(monkeypatch, tmp_path):
         counts.clear()
         run()
         assert counts["encode_der"] == counts["apply"] > 0
+
+
+@pytest.mark.parametrize("scheme", campaign_mod.REWARD_SCHEMES)
+def test_the_loop_rewards_each_mutant_through_campaign_reward(monkeypatch, scheme):
+    # the reward the tests check is the one the loop runs: one call per
+    # mutant, under the campaign's scheme, in training and the baseline
+    corpus = generate_corpus(20, 1)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), reward_scheme=scheme, rng_seed=5)
+    reward, schemes, counts = campaign_mod.reward, [], {}
+
+    def recording_reward(*args):
+        schemes.append(args[0])
+        return reward(*args)
+
+    monkeypatch.setattr(campaign_mod, "reward", recording_reward)
+    _count_calls(monkeypatch, campaign_mod, "apply", counts)
+    for run in (lambda: run_training(corpus, config), lambda: run_baseline(corpus, config)):
+        schemes.clear()
+        counts.clear()
+        run()
+        assert len(schemes) == counts["apply"] > 0
+        assert set(schemes) == {scheme}

@@ -20,7 +20,7 @@ import pytest
 import diffcert
 from diffcert import cli, qnet
 from diffcert.certs import encode_der
-from diffcert.corpus import DiscrepancyDb, load_corpus_dir, replay_record
+from diffcert.corpus import DiscrepancyDb, load_corpus_dir, read_certificate, replay_record
 from diffcert.verdicts import SHIPPED_PROFILES, bind_backends, default_backend_specs, verify_all
 
 
@@ -285,11 +285,12 @@ def test_config_file_unknown_key(tmp_path, capsys):
         ({"out": 3}, "out must be str"),
         ({"backends": ["a", "b"]}, "backends must be str"),
         ([], "top level must be a JSON object"),
+        ('{"seed": 1, "seed": 2}', "repeated key 'seed'"),  # not read as its last value
     ],
 )
 def test_config_file_bad_value_is_a_clean_error(tmp_path, corpus_dir, capsys, settings, problem):
     config = tmp_path / "conf.json"
-    config.write_text(json.dumps(settings))
+    config.write_text(settings if isinstance(settings, str) else json.dumps(settings))
     assert run_cli("baseline", str(corpus_dir), "--config", str(config), "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: config: {problem}")
@@ -348,9 +349,24 @@ def test_second_campaign_into_one_database_is_refused(tmp_path, capsys):
     assert "discrepancies 17" in capsys.readouterr().out
 
 
+def test_two_files_of_one_seed_id_are_a_clean_error(tmp_path, corpus_dir, capsys):
+    # `a.der` and `a.pem` would both be seed `a`, and a record booked from
+    # one would replay from the other
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    pem = next(p for p in sorted(corpus_dir.iterdir()) if p.suffix == ".pem")
+    (seeds / "a.pem").write_text(pem.read_text())
+    (seeds / "a.der").write_bytes(read_certificate(pem))
+    for argv in (["ingest", str(seeds)], ["baseline", str(seeds)]):
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: corpus: seed id 'a' appears twice"]
+
+
 def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys):
     issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
-    texts = ("[]", '{"format": "diffcert-trust", "version": 1}', '{"format": "diffcert-trust", "version": true, "anchors": []}')
+    # read as its last value, a repeated "anchors" would load no anchor
+    repeated = (corpus_dir / "trust.json").read_text().rstrip()[:-1] + ', "anchors": []}'
+    texts = ("[]", '{"format": "diffcert-trust", "version": 1}', '{"format": "diffcert-trust", "version": true, "anchors": []}', repeated)
     for text in texts:
         (tmp_path / "trust.json").write_text(text)
         for argv in (["verify", str(issued)], ["baseline", str(corpus_dir), "--out", str(tmp_path / "o")]):
@@ -358,6 +374,7 @@ def test_bad_trust_file_and_clock_are_clean_errors(tmp_path, corpus_dir, capsys)
             assert run_cli(*argv, "--trust", str(tmp_path / "trust.json")) == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: trust: ")
+            assert text != repeated or err == ["error: trust: repeated key 'anchors'"]
     assert run_cli("verify", str(issued), "--now", "garbage") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: now: ")
@@ -396,6 +413,7 @@ def test_report_bad_record_is_a_clean_error(tmp_path, capsys):
         json.dumps({**record, "verdicts": [1, -4], "backend_ids": ["a"]}),  # one backend id for two verdicts
         json.dumps({**record, "verdicts": [1, -4], "backend_ids": ["a", "b"], "mutant_b64": "MA*A="}),  # not base64
         json.dumps({**record, "verdicts": [1, -4], "backend_ids": ["a", "b"], "seed": "s"}),  # an unknown key
+        json.dumps({**record, "verdicts": [1, -4], "backend_ids": ["a", "b"]})[:-1] + ', "seed_id": "b"}',  # a repeated key
     ]
     for payload in payloads:
         db = tmp_path / "bad.db"
@@ -485,8 +503,13 @@ _SIMULATED = {"id": "strict-a", "kind": "simulated"}
         {"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, {**_SIMULATED, "profile": "gnutls-like"}]},
         # records and `verify` print the id, which a lone surrogate cannot be encoded in
         {"format": "diffcert-backends", "version": 1, "backends": [{"id": "a\ud800", "kind": "simulated"}, _SIMULATED]},
+        # read as its last value, the entry would be one backend `b`
+        '{"format": "diffcert-backends", "version": 1, "backends": [{"id": "a", "id": "b", "kind": "simulated"}, {"id": "c", "kind": "simulated"}]}',
     ],
-    ids=["missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile", "version-bool", "repeated-id", "surrogate-id"],
+    ids=[
+        "missing-file", "bad-json", "missing-key", "unknown-kind", "unknown-profile", "version-bool", "repeated-id", "surrogate-id",
+        "repeated-key",
+    ],
 )
 def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, content):
     path = tmp_path / "backends.json"
@@ -506,6 +529,8 @@ def test_bad_backends_file_is_a_clean_error(tmp_path, corpus_dir, capsys, conten
         assert err == ["error: backends: ValueError: backend id 'strict-a' appears twice"]
     if isinstance(content, dict) and content["backends"][0].get("id") == "a\ud800":
         assert err == ["error: backends: ValueError: backend id: 'a\\ud800' is not UTF-8 text"]
+    if isinstance(content, str) and '"id": "a", "id"' in content:
+        assert err == ["error: backends: ValueError: repeated key 'id'"]
 
 
 _EXTERNAL = {"id": "ext", "kind": "external", "command": ["true", "{cert}"], "patterns": [{"code": -15}]}

@@ -14,6 +14,8 @@ from diffcert.corpus import (
     DiscrepancyDb,
     DiscrepancyRecord,
     EmptyCorpus,
+    SeedCorpus,
+    SeedEntry,
     generate_corpus,
     ingest_dir,
     replay_record,
@@ -46,6 +48,28 @@ def test_ingest_dir(tmp_path):
     assert len(corpus) == 3
     assert corpus.rejected == 1
     assert [e.seed_id for e in corpus.entries] == ["cert0", "cert1", "cert2"]
+
+
+def test_ingest_refuses_two_files_of_one_seed_id(tmp_path):
+    # both would be seed `a`: a record booked from one would replay from the other
+    der = encode_der(build_synthetic(SeedParams(), 1))
+    (tmp_path / "a.der").write_bytes(der)
+    (tmp_path / "a.pem").write_text(pem_encode(der))
+    with pytest.raises(ValueError, match="^seed id 'a' appears twice$"):
+        ingest_dir(tmp_path)
+
+
+def test_by_id_reads_an_index_of_the_entries():
+    entries = tuple(SeedEntry(f"s{i}", bytes([i % 256])) for i in range(1100))
+    corpus = SeedCorpus(entries)
+    assert corpus.by_id("s0") is entries[0] and corpus.by_id("s1099") is entries[-1]
+    with pytest.raises(UnknownSeed):
+        corpus.by_id("s1100")
+    # the index is built with the corpus, not read from it: equal corpora compare equal
+    assert corpus == SeedCorpus(entries) and "_by_id" not in repr(SeedCorpus(entries[:2]))
+    assert dataclasses.replace(corpus, entries=entries[:1]).by_id("s0") is entries[0]
+    with pytest.raises(UnknownSeed):
+        dataclasses.replace(corpus, entries=entries[:1]).by_id("s1")
 
 
 def test_ingest_empty_dir(tmp_path):
@@ -197,15 +221,16 @@ def test_db_bad_payload_is_corruption(tmp_path, mangle):
         ({"verdict": [1, -4]}, r"record has unknown keys \['verdict'\]"),
         ({"backend_ids": "abcdef"}, "backend_ids: expected a list, got 'abcdef'"),  # six ids for six verdicts
         ({"trace": "3"}, "trace: expected a list, got '3'"),
+        ('"seed_id": "b"', "repeated key 'seed_id'"),  # appended raw: read as its last value, the seed would be `b`
     ],
-    ids=["star", "space", "padding", "non-ascii", "int", "unknown-key", "misspelt-key", "string-ids", "string-trace"],
+    ids=["star", "space", "padding", "non-ascii", "int", "unknown-key", "misspelt-key", "string-ids", "string-trace", "repeated-key"],
 )
 def test_db_reads_records_strictly(tmp_path, change, reason):
     # the database is read as strictly as backend and trust files: no
-    # misspelt key, no character outside the base64 alphabet and no
-    # string in place of a list passes
+    # misspelt key, no repeated key, no character outside the base64
+    # alphabet and no string in place of a list passes
     doc = json.loads(make_record().to_json())
-    payload = json.dumps({**doc, **change})
+    payload = json.dumps(doc)[:-1] + f", {change}}}" if isinstance(change, str) else json.dumps({**doc, **change})
     path = tmp_path / "found.db"
     path.write_text(f"{len(payload)}\t{payload}\n")
     with pytest.raises(corpus_mod.CorruptDatabase, match=f"^record 1: ValueError: {reason}"):

@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffcert import actions, asn1, cli, features, verdicts, x509oids as oid
+from diffcert import actions, asn1, campaign, cli, features, verdicts, x509oids as oid
 from diffcert.certs import (
     REFERENCE_TIME,
     ExtensionParam,
@@ -53,8 +53,6 @@ from diffcert.verdicts import (
     external_verify,
     is_discrepancy,
     load_backend_specs,
-    reward_delta,
-    reward_primary,
     verify_all,
 )
 
@@ -376,29 +374,44 @@ def test_is_discrepancy_examples():
     assert not is_discrepancy([-1, -2, -3, -4, -5, -6])
 
 
+def vector(codes) -> VerdictVector:
+    return VerdictVector(tuple(codes), tuple(f"b{i}" for i in range(len(codes))))
+
+
+def primary(codes) -> tuple[int, bool]:
+    # the primary reward reads only the mutant's vector
+    return campaign.reward("primary", vector(codes), vector(codes))
+
+
+def delta(before, after) -> tuple[int, bool]:
+    return campaign.reward("delta", vector(after), vector(before))
+
+
 def test_connection_error_is_neither_accept_nor_reject():
     # an external verifier that timed out says nothing about the certificate
     assert not is_discrepancy((1, -13))
     assert not is_discrepancy((1, 1, -13))
     assert is_discrepancy((1, -13, -4))
-    assert reward_primary((1, -13)) == -1
-    assert reward_primary((1, -13, -4)) == 100
+    assert primary((1, -13)) == (-1, False)
+    assert primary((1, -13, -4)) == (100, True)
 
 
-def test_reward_primary_examples():
-    assert reward_primary([1, -14, -6, 1, 1, 1]) == 100
-    assert reward_primary([1, 1, 1, 1, 1, 1]) == -1
-    assert reward_primary([-2, -2, -2, -2, -2, -2]) == -1
+def test_primary_reward_examples():
+    assert primary([1, -14, -6, 1, 1, 1]) == (100, True)
+    assert primary([1, 1, 1, 1, 1, 1]) == (-1, False)
+    assert primary([-2, -2, -2, -2, -2, -2]) == (-1, False)
 
 
-def test_reward_delta_examples():
+def test_delta_reward_examples():
     before = [1, 1, 1, 1, 1, 1]
     after = [1, -14, -6, 1, 1, 1]
     # category counts 1 -> 3 per the distinct-verdict definition
     assert len(set(before)) == 1 and len(set(after)) == 3
-    assert reward_delta(before, after) == 2
-    assert reward_delta(after, after) == 0
-    assert reward_delta(after, before) == -2
+    assert delta(before, after) == (2, True)
+    assert delta(after, after) == (0, False)
+    assert delta(after, before) == (-2, False)
+    # no growth, but every backend gave a verdict of its own: nothing is left to find
+    assert delta([-2, -3], [-4, -5]) == (0, True)
 
 
 codes_strategy = st.lists(st.sampled_from(ALL_CODES), min_size=2, max_size=8)
@@ -409,7 +422,7 @@ codes_strategy = st.lists(st.sampled_from(ALL_CODES), min_size=2, max_size=8)
 def test_discrepancy_predicate_property(codes):
     expected = (1 in codes) and any(c not in (1, -13) for c in codes)
     assert is_discrepancy(codes) == expected
-    assert (reward_primary(codes) == 100) == expected
+    assert primary(codes) == ((100, True) if expected else (-1, False))
     # a vector carries the flag and its category count; equality, hashing
     # and repr still read only the codes and the ids
     ids = tuple(f"b{i}" for i in range(len(codes)))
@@ -421,15 +434,16 @@ def test_discrepancy_predicate_property(codes):
 
 @settings(max_examples=200)
 @given(before=codes_strategy, after=codes_strategy)
-def test_reward_delta_property(before, after):
-    assert reward_delta(before, after) == len(set(after) - {-13}) - len(set(before) - {-13})
+def test_delta_reward_property(before, after):
+    growth = len(set(after) - {-13}) - len(set(before) - {-13})
+    assert delta(before, after) == (growth, growth > 0 or len(set(after) - {-13}) == len(after))
 
 
 def test_connection_error_is_no_delta_category():
     # a timed-out external verifier adds no verdict category
-    assert reward_delta((1, 1), (1, -13)) == 0
-    assert reward_delta((1, -13), (1, -2)) == 1
-    assert reward_delta((-4, -13), (-4, -5)) == 1
+    assert delta((1, 1), (1, -13)) == (0, False)
+    assert delta((1, -13), (1, -2)) == (1, True)
+    assert delta((-4, -13), (-4, -5)) == (1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,7 +1104,7 @@ def test_every_loaded_configuration_runs(backends_doc, trust_doc, outcomes):
     replies = itertools.cycle(outcomes)
     fake_run = lambda argv, **kwargs: subprocess.CompletedProcess(argv, *next(replies), "")  # noqa: E731
     for panel in panels:
-        assert set(verify_all(inputs[0], panel)) <= set(ALL_CODES)
+        assert set(verify_all(inputs[0], panel).codes) <= set(ALL_CODES)
         with mock.patch.object(subprocess, "run", fake_run):
             for data in inputs[1:]:
-                assert set(verify_all(data, panel)) <= set(ALL_CODES)
+                assert set(verify_all(data, panel).codes) <= set(ALL_CODES)
