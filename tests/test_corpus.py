@@ -65,11 +65,13 @@ def test_by_id_reads_an_index_of_the_entries():
     assert corpus.by_id("s0") is entries[0] and corpus.by_id("s1099") is entries[-1]
     with pytest.raises(UnknownSeed):
         corpus.by_id("s1100")
-    # the index is built with the corpus, not read from it: equal corpora compare equal
+    # equality and repr read the entries, not the index; a replaced corpus
+    # indexes its own entries
     assert corpus == SeedCorpus(entries) and "_by_id" not in repr(SeedCorpus(entries[:2]))
-    assert dataclasses.replace(corpus, entries=entries[:1]).by_id("s0") is entries[0]
+    shorter = dataclasses.replace(corpus, entries=entries[:1])
+    assert shorter.by_id("s0") is entries[0]
     with pytest.raises(UnknownSeed):
-        dataclasses.replace(corpus, entries=entries[:1]).by_id("s1")
+        shorter.by_id("s1")
 
 
 def test_ingest_empty_dir(tmp_path):

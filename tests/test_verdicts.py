@@ -374,17 +374,17 @@ def test_is_discrepancy_examples():
     assert not is_discrepancy([-1, -2, -3, -4, -5, -6])
 
 
-def vector(codes) -> VerdictVector:
+def as_vector(codes) -> VerdictVector:
     return VerdictVector(tuple(codes), tuple(f"b{i}" for i in range(len(codes))))
 
 
 def primary(codes) -> tuple[int, bool]:
     # the primary reward reads only the mutant's vector
-    return campaign.reward("primary", vector(codes), vector(codes))
+    return campaign.reward("primary", as_vector(codes), as_vector(codes))
 
 
 def delta(before, after) -> tuple[int, bool]:
-    return campaign.reward("delta", vector(after), vector(before))
+    return campaign.reward("delta", as_vector(after), as_vector(before))
 
 
 def test_connection_error_is_neither_accept_nor_reject():
