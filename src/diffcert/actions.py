@@ -6,22 +6,33 @@ the input is never touched, the output always re-encodes, and actions
 whose precondition does not hold (deleting an absent extension, writing a
 value a field already has) degrade to no-ops rather than failing.  The
 learning loop penalizes useless picks through the reward, not through
-errors.
+errors.  An edit that builds a name, validity bound, algorithm, key or
+extension returns one shared instance per distinct result, so its DER
+and facts are computed once per process.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 from . import asn1, x509oids as oid
 from .certs import (
+    PART_CACHE_LIMIT,
     REFERENCE_TIME,
+    AlgorithmId,
     Certificate,
     Extension,
+    Name,
+    PublicKeyInfo,
     TimeValue,
-    AlgorithmId,
+    _algorithm,
+    _extension,
+    _name,
+    _parse_spki,
+    _time,
     copy_certificate,
 )
 
@@ -82,7 +93,26 @@ def _pad_serial(cert: Certificate, octets: int) -> Certificate:
     return copy_certificate(cert, serial=int.from_bytes(raw, "big", signed=True), serial_raw=raw)
 
 
-def _shift_year(t: TimeValue, years: int) -> TimeValue:
+# Edits that build a part return one shared instance per distinct result.
+# Each is cached on the DER of the part it edits (whose hash the bytes
+# object keeps) plus fixed arguments, never on the part itself, whose
+# dataclass hash would walk every field, and reads that part back through
+# the parse interner.  Parts are immutable, their cached facts are
+# functions of their fields and their fields of their DER, so a repeated
+# edit is one lookup and its result's DER and facts are computed once per
+# process.  Each cache holds at most `PART_CACHE_LIMIT` parts.
+
+
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _name_with_country(der: bytes, code: str | None) -> Name:
+    """The name with its first country set to ``code``, or with none when ``code`` is None."""
+    name = _name(der)
+    return name.without_country() if code is None else name.with_country(code)
+
+
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _shifted_time(der: bytes, years: int) -> TimeValue:
+    t = _time(der)
     year = min(max(t.at.year + years, 1), 9999)
     try:
         moved = t.at.replace(year=year)
@@ -92,23 +122,39 @@ def _shift_year(t: TimeValue, years: int) -> TimeValue:
     return TimeValue(moved, asn1.time_tag(moved, t.tag))
 
 
-def _at_now(t: TimeValue, now: dt.datetime) -> TimeValue:
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _time_at(tag: int, now: dt.datetime) -> TimeValue:
+    """A bound at ``now`` that keeps the tag ``tag`` where it can."""
     at = now.replace(microsecond=0)
-    return TimeValue(at, asn1.time_tag(at, t.tag))
+    return TimeValue(at, asn1.time_tag(at, tag))
 
 
-def _set_sig_alg(cert: Certificate, alg_oid: str) -> Certificate:
-    return copy_certificate(cert, signature_algorithm=AlgorithmId(alg_oid, cert.signature_algorithm.params_raw))
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _algorithm_with_oid(der: bytes, alg_oid: str) -> AlgorithmId:
+    return AlgorithmId(alg_oid, _algorithm(der).params_raw)
 
 
-def _resize_key(cert: Certificate, factor: float) -> Certificate:
-    spki = cert.public_key_info
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _resized_key(der: bytes, factor: float) -> PublicKeyInfo:
+    spki = _parse_spki(der, 0, len(der))[0]
     body = spki.key_raw[1:] if len(spki.key_raw) > 1 else b""
     if factor > 1:
         body = body + body if body else b"\x00"
     else:
         body = body[: max(1, len(body) // 2)]
-    return copy_certificate(cert, public_key_info=replace(spki, key_raw=b"\x00" + body))
+    return replace(spki, key_raw=b"\x00" + body)
+
+
+@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+def _edited_extension(der: bytes, lenient: bool, value: bytes | None, critical: bool | None) -> Extension:
+    """The extension with ``value`` written, or else its flag set to
+    ``critical`` and encoded explicitly, even when FALSE.  ``lenient``
+    says whether ``der`` encodes a FALSE flag, so that a strict seed's
+    extension is read back from the parse that interned it."""
+    ext = _extension(der, lenient)
+    if critical is None:
+        return replace(ext, value=value)
+    return replace(ext, critical=critical, critical_encoded=True)
 
 
 # Per-type inner DER written by the add-with-default-value action; values
@@ -166,16 +212,22 @@ def _delete_extension(cert: Certificate, ext_oid: str) -> Certificate:
     return copy_certificate(cert, extensions=exts)
 
 
-def _upsert(cert: Certificate, ext_oid: str, **fields) -> Certificate:
-    """Edit the first extension of type ``ext_oid``, or append one that
-    carries the type's default value unless ``fields`` sets a value."""
-    exts = list(cert.extensions)
+# The extension an edit on an absent type starts from: one with the type's
+# default value and no flag on the wire, as the "add" action writes it.
+_ABSENT_EXTENSION_DER: dict[str, bytes] = {
+    ext_oid: Extension(ext_oid, value=value).der for ext_oid, value in ADD_DEFAULT_VALUES.items()
+}
+
+
+def _upsert(cert: Certificate, ext_oid: str, value: bytes | None = None, critical: bool | None = None) -> Certificate:
+    """Apply `_edited_extension` to the first extension of type
+    ``ext_oid``, or append one made by applying it to the type's default."""
+    exts = cert.extensions
     for i, ext in enumerate(exts):
         if ext.oid == ext_oid:
-            exts[i] = replace(ext, **fields)
-            return copy_certificate(cert, extensions=tuple(exts))
-    fields.setdefault("value", ADD_DEFAULT_VALUES[ext_oid])
-    return copy_certificate(cert, extensions=cert.extensions + (Extension(ext_oid, **fields),))
+            edited = _edited_extension(ext.der, ext.critical_encoded and not ext.critical, value, critical)
+            return copy_certificate(cert, extensions=exts[:i] + (edited,) + exts[i + 1 :])
+    return copy_certificate(cert, extensions=exts + (_edited_extension(_ABSENT_EXTENSION_DER[ext_oid], False, value, critical),))
 
 
 # ---------------------------------------------------------------------------
@@ -206,31 +258,35 @@ def _build_catalog():
     add(Family.SERIAL, "set the serial number to 1", lambda c, now: _set_serial(c, 1))
     add(Family.SERIAL, "pad the serial number to 21 octets", lambda c, now: _pad_serial(c, 21))
     add(Family.SERIAL, "pad the serial number to 37 octets", lambda c, now: _pad_serial(c, 37))
-    add(Family.VALIDITY, "shift notBefore one year earlier", lambda c, now: copy_certificate(c, not_before=_shift_year(c.not_before, -1)))
-    add(Family.VALIDITY, "shift notBefore one year later", lambda c, now: copy_certificate(c, not_before=_shift_year(c.not_before, 1)))
-    add(Family.VALIDITY, "set notBefore to the reference clock", lambda c, now: copy_certificate(c, not_before=_at_now(c.not_before, now)))
-    add(Family.VALIDITY, "shift notAfter one year earlier", lambda c, now: copy_certificate(c, not_after=_shift_year(c.not_after, -1)))
-    add(Family.VALIDITY, "shift notAfter one year later", lambda c, now: copy_certificate(c, not_after=_shift_year(c.not_after, 1)))
-    add(Family.VALIDITY, "set notAfter to the reference clock", lambda c, now: copy_certificate(c, not_after=_at_now(c.not_after, now)))
+    add(Family.VALIDITY, "shift notBefore one year earlier", lambda c, now: copy_certificate(c, not_before=_shifted_time(c.not_before.der, -1)))
+    add(Family.VALIDITY, "shift notBefore one year later", lambda c, now: copy_certificate(c, not_before=_shifted_time(c.not_before.der, 1)))
+    add(Family.VALIDITY, "set notBefore to the reference clock", lambda c, now: copy_certificate(c, not_before=_time_at(c.not_before.tag, now)))
+    add(Family.VALIDITY, "shift notAfter one year earlier", lambda c, now: copy_certificate(c, not_after=_shifted_time(c.not_after.der, -1)))
+    add(Family.VALIDITY, "shift notAfter one year later", lambda c, now: copy_certificate(c, not_after=_shifted_time(c.not_after.der, 1)))
+    add(Family.VALIDITY, "set notAfter to the reference clock", lambda c, now: copy_certificate(c, not_after=_time_at(c.not_after.tag, now)))
     add(Family.VALIDITY, "swap notBefore and notAfter", lambda c, now: copy_certificate(c, not_before=c.not_after, not_after=c.not_before))
     for alg_oid, alg_name in SIG_ALG_MENU:
-        add(Family.SIG_ALG, f"set signature algorithm to {alg_name}", lambda c, now, a=alg_oid: _set_sig_alg(c, a))
-    add(Family.NAME, "set issuer country to US", lambda c, now: copy_certificate(c, issuer=c.issuer.with_country("US")))
-    add(Family.NAME, "set issuer country to CN", lambda c, now: copy_certificate(c, issuer=c.issuer.with_country("CN")))
-    add(Family.NAME, "remove the issuer country", lambda c, now: copy_certificate(c, issuer=c.issuer.without_country()))
-    add(Family.NAME, "set subject country to US", lambda c, now: copy_certificate(c, subject=c.subject.with_country("US")))
-    add(Family.NAME, "set subject country to CN", lambda c, now: copy_certificate(c, subject=c.subject.with_country("CN")))
-    add(Family.NAME, "remove the subject country", lambda c, now: copy_certificate(c, subject=c.subject.without_country()))
+        add(
+            Family.SIG_ALG,
+            f"set signature algorithm to {alg_name}",
+            lambda c, now, a=alg_oid: copy_certificate(c, signature_algorithm=_algorithm_with_oid(c.signature_algorithm.der, a)),
+        )
+    add(Family.NAME, "set issuer country to US", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer.der, "US")))
+    add(Family.NAME, "set issuer country to CN", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer.der, "CN")))
+    add(Family.NAME, "remove the issuer country", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer.der, None)))
+    add(Family.NAME, "set subject country to US", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject.der, "US")))
+    add(Family.NAME, "set subject country to CN", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject.der, "CN")))
+    add(Family.NAME, "remove the subject country", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject.der, None)))
     add(Family.NAME, "copy the issuer name into the subject", lambda c, now: copy_certificate(c, subject=c.issuer))
-    add(Family.KEY, "halve the declared public-key length", lambda c, now: _resize_key(c, 0.5))
-    add(Family.KEY, "double the declared public-key length", lambda c, now: _resize_key(c, 2.0))
+    add(Family.KEY, "halve the declared public-key length", lambda c, now: copy_certificate(c, public_key_info=_resized_key(c.public_key_info.der, 0.5)))
+    add(Family.KEY, "double the declared public-key length", lambda c, now: copy_certificate(c, public_key_info=_resized_key(c.public_key_info.der, 2.0)))
     for ext_oid, name in EXTENSION_TARGET_NAMES.items():
         add(Family.EXTENSION, f"delete {name}", lambda c, now, o=ext_oid: _delete_extension(c, o))
         add(Family.EXTENSION, f"add {name} with its default value", lambda c, now, o=ext_oid: _upsert(c, o, value=ADD_DEFAULT_VALUES[o]))
-        add(Family.EXTENSION, f"mark {name} critical", lambda c, now, o=ext_oid: _upsert(c, o, critical=True, critical_encoded=True))
+        add(Family.EXTENSION, f"mark {name} critical", lambda c, now, o=ext_oid: _upsert(c, o, critical=True))
         # Writes the flag explicitly even when FALSE: an encoded default is a
         # deliberate DER violation that probes parser strictness downstream.
-        add(Family.EXTENSION, f"mark {name} non-critical (flag encoded explicitly)", lambda c, now, o=ext_oid: _upsert(c, o, critical=False, critical_encoded=True))
+        add(Family.EXTENSION, f"mark {name} non-critical (flag encoded explicitly)", lambda c, now, o=ext_oid: _upsert(c, o, critical=False))
         add(Family.EXTENSION, f"corrupt the value of {name}", lambda c, now, o=ext_oid: _upsert(c, o, value=CORRUPT_VALUES[o]))
 
     assert len(specs) == CATALOG_SIZE

@@ -12,10 +12,11 @@ seeds each part's DER (and the certificate's encoding) with its slice of
 the input, and `copy_certificate` copies the fields without any cached
 attribute, so every mutant, the first of a seed included, re-encodes and
 re-derives only the parts its edit replaced.  Each distinct algorithm,
-name, validity time and extension is parsed once per process: the parse
-interns parts by their DER, so certificates that repeat a part (one CA's
-issuer name, its policies, its key usages) share one instance of it and
-the facts cached on it.  Each distinct certificate is parsed once per
+name, validity time and extension is parsed or built once per process:
+the parse interns parts by their DER, and the actions intern the parts
+they build by the DER of the part they edit, so certificates that repeat
+a part (one CA's issuer name, its policies, its key usages, the same
+edit of them) share one instance of it and the facts cached on it.  Each distinct certificate is parsed once per
 process too, keyed by its DER and the parse mode, so a campaign's seed
 visits reuse the parse that accepted the seed into the corpus.  Each
 cache holds at most `PART_CACHE_LIMIT` entries; at about 4 KB per
@@ -381,7 +382,7 @@ def copy_certificate(cert: Certificate, **changes) -> Certificate:
 # ---------------------------------------------------------------------------
 # Parsing
 
-PART_CACHE_LIMIT = 1024  # distinct certificates, and parts of each kind, kept parsed; a hostile corpus cannot grow them further
+PART_CACHE_LIMIT = 1024  # distinct certificates, and parts of each kind, kept parsed or built; a hostile corpus cannot grow them further
 
 
 def parse_der(data: bytes, *, lenient: bool = False) -> Certificate:

@@ -297,8 +297,20 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, k: int, rng: random.Random) -> list[int]:
-        """``k`` logical indices drawn uniformly with ``rng.randrange``."""
-        return [rng.randrange(self._size) for _ in range(k)]
+        """``k`` logical indices drawn uniformly: ``rng.randrange(len(self))``
+        each, with its rejection loop over ``getrandbits`` inlined, so the
+        indices and the rng's state afterwards are the same."""
+        size = self._size
+        if size < 1:
+            raise ValueError("sample from an empty replay buffer")
+        getrandbits, bits = rng.getrandbits, size.bit_length()
+        indices = []
+        for _ in range(k):
+            i = getrandbits(bits)
+            while i >= size:
+                i = getrandbits(bits)
+            indices.append(i)
+        return indices
 
     def rows(self, indices) -> np.ndarray:
         """The ring rows of the given logical indices, which index `store`."""

@@ -3,6 +3,7 @@ determinism, byte-change coverage on the reference fixture and trace
 replay."""
 
 import dataclasses
+import datetime as dt
 import hashlib
 import random
 
@@ -371,3 +372,69 @@ def test_codec_round_trip_stress(monkeypatch):
             mutant = apply(mutant, rng.randrange(CATALOG_SIZE))
         round_trip.check(mutant)
     assert len(round_trip.seen) > 2900
+
+
+# An edit that builds a part is cached on the DER of the part it edits.
+# That is sound because a part's fields are read back from its DER
+# unchanged, so an interned result equals the part the edit builds afresh.
+
+EDIT_CACHES = ("_name_with_country", "_shifted_time", "_time_at", "_algorithm_with_oid", "_resized_key", "_edited_extension")
+
+
+def _parts(cert) -> list:
+    return [
+        cert.signature_algorithm,
+        cert.issuer,
+        cert.not_before,
+        cert.not_after,
+        cert.subject,
+        cert.public_key_info,
+        *cert.extensions,
+    ]
+
+
+def _edit_outcomes(seeds, traces, trust) -> list:
+    """Every mutant along every trace, each trace on its own clock: its
+    fields, every part's DER, its encoding and its facts in both parse
+    modes."""
+    outcomes = []
+    for seed, trace in zip(seeds, traces):
+        mutant, now = seed, certs.REFERENCE_TIME + dt.timedelta(days=len(trace))
+        for action in trace:
+            mutant = apply(mutant, action, now)
+            facts = [verdicts.derive_facts(mutant, trust, lenient) for lenient in (True, False)]
+            outcomes.append((mutant, [part.der for part in _parts(mutant)], encode_der(mutant), facts))
+    return outcomes
+
+
+def _uncached_edit_outcomes(*args) -> list:
+    with pytest.MonkeyPatch.context() as mp:
+        for name in EDIT_CACHES:
+            mp.setattr(actions, name, getattr(actions, name).__wrapped__)
+        return _edit_outcomes(*args)
+
+
+def test_interned_edits_equal_uncached_ones():
+    corpus = generate_corpus(30, 6)
+    rng = random.Random(4)
+    traces = [[rng.randrange(CATALOG_SIZE) for _ in range(1 + rng.randrange(10))] for _ in range(300)]
+    seeds = [parse_der(corpus.entries[rng.randrange(len(corpus.entries))].der) for _ in traces]
+    assert {action for trace in traces for action in trace} == set(range(CATALOG_SIZE))
+    expected = _uncached_edit_outcomes(seeds, traces, corpus.trust)
+    assert any(not mutant.strict_der for mutant, *_ in expected)  # an explicit FALSE flag
+    for name in EDIT_CACHES:
+        getattr(actions, name).cache_clear()
+    cold = _edit_outcomes(seeds, traces, corpus.trust)
+    assert cold == expected
+    assert _edit_outcomes(seeds, traces, corpus.trust) == expected  # warm
+    assert all(getattr(actions, name).cache_info().hits for name in EDIT_CACHES)
+    # what the parse reads back from a mutant's bytes is what the edits built
+    for mutant, ders, der, _ in cold:
+        reparsed = _parts(parse_der(der, lenient=True))
+        assert reparsed == _parts(mutant) and [part.der for part in reparsed] == ders
+
+
+def test_a_repeated_edit_returns_the_part_it_built(default_cert):
+    for spec in catalog():
+        once, again = apply(default_cert, spec.id), apply(default_cert, spec.id)
+        assert all(part is other for part, other in zip(_parts(once), _parts(again), strict=True)), spec

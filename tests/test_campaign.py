@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diffcert import campaign as campaign_mod, certs as certs_mod, verdicts as verdicts_mod
+from diffcert import actions as actions_mod, campaign as campaign_mod, certs as certs_mod, verdicts as verdicts_mod
 from diffcert.actions import CATALOG_SIZE, MAX_TRACE_LENGTH, apply
 from diffcert.campaign import CampaignConfig, run_baseline, run_inference, run_training
 from diffcert.certs import REFERENCE_TIME, SeedParams, build_synthetic, encode_der, encode_tbs
@@ -358,6 +358,32 @@ def test_seed_visits_parse_no_certificate_the_corpus_did_not():
     run_training(corpus, config)
     after = certs_mod._certificate.cache_info()
     assert after.misses == before.misses and after.hits >= before.hits + 2 * 2 * 30
+
+
+def test_a_repeated_baseline_misses_no_cache():
+    # the same campaign again makes the same edits on the same parts, so
+    # every edit and every part it reads back is found: a key that can
+    # never hit would miss here
+    corpus = generate_corpus(20, 1)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=2, rng_seed=5)
+    caches = {
+        f"{module.__name__}.{name}": fn
+        for module in (certs_mod, actions_mod)
+        for name, fn in vars(module).items()
+        if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
+    }
+    assert len(caches) == 11  # five parse caches, six edit caches
+
+    def misses() -> dict:
+        return {name: fn.cache_info().misses for name, fn in caches.items()}
+
+    for fn in caches.values():
+        fn.cache_clear()
+    run_baseline(corpus, config)
+    first = misses()
+    assert all(first.values())  # each edit cache was filled, the seeds were parsed again
+    run_baseline(corpus, config)
+    assert misses() == first
 
 
 def test_each_seed_visit_looks_up_parse_der_once(monkeypatch):

@@ -400,6 +400,21 @@ def test_replay_ring_grows_by_doubling():
     assert sizes == {64, 128, 256, 512}
 
 
+def test_sample_draws_what_randrange_draws():
+    # sample inlines randrange's getrandbits loop: the same indices and the
+    # same rng state after them, at sizes around powers of two and at capacity
+    ring = ReplayBuffer(capacity=10_000)
+    with pytest.raises(ValueError, match="empty"):
+        ring.sample(1, random.Random(0))
+    item = random_transition(random.Random(5))
+    for size in (1, 2, 31, 32, 33, 64, 9_999, 10_000):
+        while len(ring) < size:
+            _add(ring, item)
+        ring_rng, reference_rng = random.Random(size), random.Random(size)
+        assert ring.sample(50, ring_rng) == [reference_rng.randrange(size) for _ in range(50)]
+        assert ring_rng.getstate() == reference_rng.getstate()
+
+
 def _live_transition(rng):
     return Transition(random_state(rng), rng.randrange(ACTION_COUNT), -1, random_state(rng), False)
 
