@@ -6,7 +6,7 @@ the input is never touched, the output always re-encodes, and actions
 whose precondition does not hold (deleting an absent extension, writing a
 value a field already has) degrade to no-ops rather than failing.  The
 learning loop penalizes useless picks through the reward, not through
-errors.  An edit that builds a name, validity bound, algorithm, key or
+errors.  An edit that builds a name, validity bound, algorithm or
 extension returns one shared instance per distinct result, so its DER
 and facts are computed once per process.
 """
@@ -26,12 +26,10 @@ from .certs import (
     Certificate,
     Extension,
     Name,
-    PublicKeyInfo,
     TimeValue,
     _algorithm,
     _extension,
     _name,
-    _parse_spki,
     _time,
     copy_certificate,
 )
@@ -93,6 +91,16 @@ def _pad_serial(cert: Certificate, octets: int) -> Certificate:
     return copy_certificate(cert, serial=int.from_bytes(raw, "big", signed=True), serial_raw=raw)
 
 
+def _resize_key(cert: Certificate, factor: float) -> Certificate:
+    spki = cert.public_key_info
+    body = spki.key_raw[1:] if len(spki.key_raw) > 1 else b""
+    if factor > 1:
+        body = body + body if body else b"\x00"
+    else:
+        body = body[: max(1, len(body) // 2)]
+    return copy_certificate(cert, public_key_info=replace(spki, key_raw=b"\x00" + body))
+
+
 # Edits that build a part return one shared instance per distinct result.
 # Each is cached on the DER of the part it edits (whose hash the bytes
 # object keeps) plus fixed arguments, never on the part itself, whose
@@ -100,7 +108,9 @@ def _pad_serial(cert: Certificate, octets: int) -> Certificate:
 # the parse interner.  Parts are immutable, their cached facts are
 # functions of their fields and their fields of their DER, so a repeated
 # edit is one lookup and its result's DER and facts are computed once per
-# process.  Each cache holds at most `PART_CACHE_LIMIT` parts.
+# process.  Each cache holds at most `PART_CACHE_LIMIT` parts.  A resized
+# key is not interned: doubling makes it twice its input, so a cache
+# bounded by count could hold chains of doublings of hundreds of KB each.
 
 
 @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
@@ -132,17 +142,6 @@ def _time_at(tag: int, now: dt.datetime) -> TimeValue:
 @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
 def _algorithm_with_oid(der: bytes, alg_oid: str) -> AlgorithmId:
     return AlgorithmId(alg_oid, _algorithm(der).params_raw)
-
-
-@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _resized_key(der: bytes, factor: float) -> PublicKeyInfo:
-    spki = _parse_spki(der, 0, len(der))[0]
-    body = spki.key_raw[1:] if len(spki.key_raw) > 1 else b""
-    if factor > 1:
-        body = body + body if body else b"\x00"
-    else:
-        body = body[: max(1, len(body) // 2)]
-    return replace(spki, key_raw=b"\x00" + body)
 
 
 @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
@@ -278,8 +277,8 @@ def _build_catalog():
     add(Family.NAME, "set subject country to CN", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject.der, "CN")))
     add(Family.NAME, "remove the subject country", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject.der, None)))
     add(Family.NAME, "copy the issuer name into the subject", lambda c, now: copy_certificate(c, subject=c.issuer))
-    add(Family.KEY, "halve the declared public-key length", lambda c, now: copy_certificate(c, public_key_info=_resized_key(c.public_key_info.der, 0.5)))
-    add(Family.KEY, "double the declared public-key length", lambda c, now: copy_certificate(c, public_key_info=_resized_key(c.public_key_info.der, 2.0)))
+    add(Family.KEY, "halve the declared public-key length", lambda c, now: _resize_key(c, 0.5))
+    add(Family.KEY, "double the declared public-key length", lambda c, now: _resize_key(c, 2.0))
     for ext_oid, name in EXTENSION_TARGET_NAMES.items():
         add(Family.EXTENSION, f"delete {name}", lambda c, now, o=ext_oid: _delete_extension(c, o))
         add(Family.EXTENSION, f"add {name} with its default value", lambda c, now, o=ext_oid: _upsert(c, o, value=ADD_DEFAULT_VALUES[o]))

@@ -372,7 +372,7 @@ def test_a_repeated_baseline_misses_no_cache():
         for name, fn in vars(module).items()
         if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
     }
-    assert len(caches) == 11  # five parse caches, six edit caches
+    assert len(caches) == 10  # five parse caches, five edit caches
 
     def misses() -> dict:
         return {name: fn.cache_info().misses for name, fn in caches.items()}

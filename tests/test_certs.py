@@ -172,7 +172,7 @@ def test_copy_certificate_equals_replace_without_caches(default_cert):
         dataclasses.replace(parsed, serial_number=3)
 
 
-_EDIT_CACHES = ("_name_with_country", "_shifted_time", "_time_at", "_algorithm_with_oid", "_resized_key", "_edited_extension")
+_EDIT_CACHES = ("_name_with_country", "_shifted_time", "_time_at", "_algorithm_with_oid", "_edited_extension")
 _PART_CACHES = (  # (owner, name): the parse's caches, whole certificates too, and the parts edits build
     *((certs, name) for name in ("_certificate", "_algorithm", "_name", "_time", "_extension")),
     *((actions, name) for name in _EDIT_CACHES),
@@ -287,11 +287,11 @@ def test_part_caches_stay_within_their_limit():
     limit = certs.PART_CACHE_LIMIT
     for i in range(limit + 40):
         params = SeedParams(subject_common_name=f"host{i}.test", not_before_offset=-i, sig_alg_oid=f"1.2.3.{i}")
-        cert = build_synthetic(params, i)  # a distinct name, time, algorithm, key and AKI each
+        cert = build_synthetic(params, i)  # a distinct name, time, algorithm and AKI each
         now = REFERENCE_TIME + dt.timedelta(seconds=i)
         # shift and clock notBefore, set the signature algorithm and the
-        # subject country, halve the key and rewrite the AKI
-        for action in (9, 11, 16, 25, 29, 52):
+        # subject country, rewrite the AKI
+        for action in (9, 11, 16, 25, 52):
             actions.apply(cert, action, now)
     for owner, name in _PART_CACHES:
         info = getattr(owner, name).cache_info()
