@@ -91,16 +91,6 @@ def _pad_serial(cert: Certificate, octets: int) -> Certificate:
     return copy_certificate(cert, serial=int.from_bytes(raw, "big", signed=True), serial_raw=raw)
 
 
-def _resize_key(cert: Certificate, factor: float) -> Certificate:
-    spki = cert.public_key_info
-    body = spki.key_raw[1:] if len(spki.key_raw) > 1 else b""
-    if factor > 1:
-        body = body + body if body else b"\x00"
-    else:
-        body = body[: max(1, len(body) // 2)]
-    return copy_certificate(cert, public_key_info=replace(spki, key_raw=b"\x00" + body))
-
-
 # Edits that build a part return one shared instance per distinct result.
 # Each is cached on the DER of the part it edits (whose hash the bytes
 # object keeps) plus fixed arguments, never on the part itself, whose
@@ -154,6 +144,16 @@ def _edited_extension(der: bytes, lenient: bool, value: bytes | None, critical: 
     if critical is None:
         return replace(ext, value=value)
     return replace(ext, critical=critical, critical_encoded=True)
+
+
+def _resize_key(cert: Certificate, factor: float) -> Certificate:
+    spki = cert.public_key_info
+    body = spki.key_raw[1:] if len(spki.key_raw) > 1 else b""
+    if factor > 1:
+        body = body + body if body else b"\x00"
+    else:
+        body = body[: max(1, len(body) // 2)]
+    return copy_certificate(cert, public_key_info=replace(spki, key_raw=b"\x00" + body))
 
 
 # Per-type inner DER written by the add-with-default-value action; values
