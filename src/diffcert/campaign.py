@@ -201,61 +201,65 @@ def _run_loop(
         stats.modification_histogram[len(trace)] = stats.modification_histogram.get(len(trace), 0) + 1
         stats.type_counts[verdicts.codes] = stats.type_counts.get(verdicts.codes, 0) + 1
 
-    for episode_index in range(config.max_episode):
-        episode = EpisodeStats()
-        order = list(range(len(corpus.entries)))
-        rng.shuffle(order)
-        for index in order:
-            entry = corpus.entries[index]
-            try:
-                seed = parse_der(entry.der)
-            except (MalformedDer, UnsupportedStructure):
-                stats.skipped_seeds += 1
-                continue
-            stats.seeds_processed += 1
-            episode.corpus_size += 1
+    try:
+        for episode_index in range(config.max_episode):
+            episode = EpisodeStats()
+            order = list(range(len(corpus.entries)))
+            rng.shuffle(order)
+            for index in order:
+                entry = corpus.entries[index]
+                try:
+                    seed = parse_der(entry.der)
+                except (MalformedDer, UnsupportedStructure):
+                    stats.skipped_seeds += 1
+                    continue
+                stats.seeds_processed += 1
+                episode.corpus_size += 1
 
-            verdicts = verify_all(seed, panel)
-            if verdicts.discrepancy:
-                book(entry.seed_id, (), entry.der, verdicts, episode)
-                continue
-
-            current, current_der, previous = seed, entry.der, verdicts
-            state = featurize(seed) if featurize is not None else None
-            trace: list[int] = []
-            for step in range(MAX_TRACE_LENGTH):
-                action = choose(state)
-                mutant = apply(current, action)
-                # a loop without states compares no DERs, so it encodes only what it books
-                mutant_der = encode_der(mutant) if featurize is not None else None
-                verdicts = verify_all(mutant, panel)
-                score, stop = reward(config.reward_scheme, verdicts, previous)
-                exhausted = step == MAX_TRACE_LENGTH - 1
-                terminal = stop or exhausted
-                trace.append(action)
-                next_state = None
-                if featurize is not None and not terminal:
-                    # a no-op mutant re-encodes its parent, so it has its parent's state
-                    next_state = state if mutant_der == current_der else featurize(mutant)
-                if learner is not None:
-                    learner.observe(state, action, score, next_state)
+                verdicts = verify_all(seed, panel)
                 if verdicts.discrepancy:
-                    book(entry.seed_id, tuple(trace), mutant_der or encode_der(mutant), verdicts, episode)
-                if terminal or (greedy and mutant_der == current_der and not verdicts.discrepancy):
-                    # a greedy no-op leaves the state as it was, so the same action
-                    # and verdicts would repeat to the budget's end, booking nothing
-                    break
-                current, current_der, previous, state = mutant, mutant_der, verdicts, next_state
-        stats.episodes.append(episode)
-        log.info(
-            "episode %d: corpus %d discrepancies %d proportion %.1f%%",
-            episode_index + 1,
-            episode.corpus_size,
-            episode.discrepancies,
-            100.0 * episode.proportion,
-        )
-        if on_episode_end is not None:
-            on_episode_end(episode_index)
+                    book(entry.seed_id, (), entry.der, verdicts, episode)
+                    continue
+
+                current, current_der, previous = seed, entry.der, verdicts
+                state = featurize(seed) if featurize is not None else None
+                trace: list[int] = []
+                for step in range(MAX_TRACE_LENGTH):
+                    action = choose(state)
+                    mutant = apply(current, action)
+                    # a loop without states compares no DERs, so it encodes only what it books
+                    mutant_der = encode_der(mutant) if featurize is not None else None
+                    verdicts = verify_all(mutant, panel)
+                    score, stop = reward(config.reward_scheme, verdicts, previous)
+                    exhausted = step == MAX_TRACE_LENGTH - 1
+                    terminal = stop or exhausted
+                    trace.append(action)
+                    next_state = None
+                    if featurize is not None and not terminal:
+                        # a no-op mutant re-encodes its parent, so it has its parent's state
+                        next_state = state if mutant_der == current_der else featurize(mutant)
+                    if learner is not None:
+                        learner.observe(state, action, score, next_state)
+                    if verdicts.discrepancy:
+                        book(entry.seed_id, tuple(trace), mutant_der or encode_der(mutant), verdicts, episode)
+                    if terminal or (greedy and mutant_der == current_der and not verdicts.discrepancy):
+                        # a greedy no-op leaves the state as it was, so the same action
+                        # and verdicts would repeat to the budget's end, booking nothing
+                        break
+                    current, current_der, previous, state = mutant, mutant_der, verdicts, next_state
+            stats.episodes.append(episode)
+            log.info(
+                "episode %d: corpus %d discrepancies %d proportion %.1f%%",
+                episode_index + 1,
+                episode.corpus_size,
+                episode.discrepancies,
+                100.0 * episode.proportion,
+            )
+            if on_episode_end is not None:
+                on_episode_end(episode_index)
+    finally:
+        if db is not None:
+            db.close()
     if learner is not None:
         stats.updates = learner.updates
         stats.final_loss = learner.last_loss
@@ -302,14 +306,24 @@ def run_inference(
     return _run_loop(corpus, config, choose, extract, None, panel)
 
 
+def _random_chooser(rng: random.Random):
+    """A chooser that ignores the state and draws ``rng.randrange(CATALOG_SIZE)``
+    with its rejection loop over ``getrandbits`` inlined: the same actions
+    and the same rng state afterwards, without randrange's checks."""
+    getrandbits, bits = rng.getrandbits, CATALOG_SIZE.bit_length()
+
+    def choose(_state) -> int:
+        action = getrandbits(bits)
+        while action >= CATALOG_SIZE:
+            action = getrandbits(bits)
+        return action
+
+    return choose
+
+
 def run_baseline(corpus: SeedCorpus, config: CampaignConfig) -> CampaignStats:
     """The same loop with uniformly random actions and no learning; it
     featurizes nothing, since nothing reads a state."""
-    rng = random.Random(config.rng_seed)
-
-    def choose(_state) -> int:
-        return rng.randrange(CATALOG_SIZE)
-
-    _, stats = _run_loop(corpus, config, choose, None, None)
+    _, stats = _run_loop(corpus, config, _random_chooser(random.Random(config.rng_seed)), None, None)
     return stats
 

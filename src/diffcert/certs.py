@@ -8,10 +8,10 @@ re-encodes to its original bytes; a mutated one has its TBS re-serialized
 from the structured fields while the (now stale) signature bytes are
 carried over unchanged -- mutants are never re-signed.  Every part is
 immutable and caches its own DER and the facts read from it.  The parse
-seeds each part's DER (and the certificate's encoding) with its slice of
-the input, and `copy_certificate` copies the fields without any cached
-attribute, so every mutant, the first of a seed included, re-encodes and
-re-derives only the parts its edit replaced.  Each distinct algorithm,
+seeds each part's DER (and the certificate's TBS and encoding) with its
+slice of the input, and `copy_certificate` copies the fields without the
+cached bytes, so every mutant, the first of a seed included, re-encodes
+and re-derives only the parts its edit replaced.  Each distinct algorithm,
 name, validity time and extension is parsed or built once per process:
 the parse interns parts by their DER, and the actions intern the parts
 they build by the DER of the part they edit, so certificates that repeat
@@ -317,9 +317,9 @@ class Extension:
 class Certificate:
     """Structured TBS fields plus the opaque regions needed for re-encoding.
 
-    Immutable.  ``encoding`` is the one holder of a certificate's bytes:
-    :func:`parse_der` seeds it with the parsed bytes, and any other
-    instance -- built directly or copied with `copy_certificate` --
+    Immutable.  ``tbs`` and ``encoding`` hold a certificate's TBS and
+    whole DER: :func:`parse_der` seeds both with the parsed bytes, and any
+    other instance -- built directly or copied with `copy_certificate` --
     encodes from its fields on first read.
     """
 
@@ -345,14 +345,20 @@ class Certificate:
         return None
 
     @_cached
-    def encoding(self) -> tuple[bytes, bytes]:
-        """(TBS, whole certificate) DER, built from the fields with the
-        original signature carried over (a parsed certificate holds its
-        parsed bytes here instead)."""
-        tbs = encode_tbs(self)
+    def tbs(self) -> bytes:
+        """The TBS DER, built from the fields (a parsed certificate holds
+        its parsed slice here instead)."""
+        return encode_tbs(self)
+
+    @_cached
+    def encoding(self) -> bytes:
+        """The whole certificate's DER: `tbs` with the original signature
+        carried over (a parsed certificate holds its parsed bytes here
+        instead)."""
+        tbs = self.tbs
         sig = asn1.tlv(asn1.BIT_STRING, self.signature_value)
         head = asn1.header(asn1.SEQUENCE, len(tbs) + len(self.outer_sig_alg_raw) + len(sig))
-        return tbs, b"".join((head, tbs, self.outer_sig_alg_raw, sig))
+        return b"".join((head, tbs, self.outer_sig_alg_raw, sig))
 
     @_cached
     def strict_der(self) -> bool:
@@ -366,16 +372,22 @@ _CERTIFICATE_FIELDS = Certificate.__dataclass_fields__.keys()
 
 
 def copy_certificate(cert: Certificate, **changes) -> Certificate:
-    """``dataclasses.replace(cert, **changes)`` at about a third of the
-    cost: the fields are copied as they are (a certificate has no
-    ``__post_init__`` to rerun) and no cached attribute is carried, so
-    the copy encodes from its fields.  An unknown name raises TypeError."""
-    unknown = changes.keys() - _CERTIFICATE_FIELDS
-    if unknown:
-        raise TypeError(f"Certificate has no field {sorted(unknown)[0]!r}")
+    """``dataclasses.replace(cert, **changes)`` at a fraction of the cost:
+    the fields are copied as they are (a certificate has no
+    ``__post_init__`` to rerun), so the copy encodes from its fields.  Of
+    the cached attributes only ``strict_der``, a function of the
+    extensions alone, is carried, and only when ``extensions`` is not
+    among the changes.  An unknown name raises TypeError."""
     state = cert.__dict__
     copy = object.__new__(Certificate)
-    copy.__dict__.update({name: state[name] for name in _CERTIFICATE_FIELDS}, **changes)
+    fields = copy.__dict__
+    for name in _CERTIFICATE_FIELDS:
+        fields[name] = state[name]
+    fields.update(changes)
+    if len(fields) != len(_CERTIFICATE_FIELDS):
+        raise TypeError(f"Certificate has no field {sorted(changes.keys() - _CERTIFICATE_FIELDS)[0]!r}")
+    if "extensions" not in changes and "strict_der" in state:
+        fields["strict_der"] = state["strict_der"]
     return copy
 
 
@@ -428,7 +440,7 @@ def _certificate(data: bytes, lenient: bool) -> Certificate:
         raise MalformedDer(pos, "trailing bytes inside the certificate SEQUENCE")
 
     cert = Certificate(**fields, outer_sig_alg_raw=outer_sig_alg_raw, signature_value=signature_value)
-    cert.__dict__["encoding"] = (tbs_raw, data)  # seeds the cached slot: no re-encoding
+    cert.__dict__.update(tbs=tbs_raw, encoding=data)  # seeds the cached slots: no re-encoding
     return cert
 
 
@@ -649,7 +661,7 @@ def encode_der(cert: Certificate) -> bytes:
     A parsed certificate reproduces its original bytes exactly; an edited
     copy gets a freshly built TBS with the original signature carried over.
     """
-    return cert.encoding[1]
+    return cert.encoding
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +822,9 @@ def _validate_params(params: SeedParams) -> None:
             raise InvalidParams("validity offset exceeds 400 years")
 
 
-def _build_name(common_name: str | None, country: str | None) -> Name:
+def build_name(common_name: str | None, country: str | None) -> Name:
+    """The name a synthetic certificate gives a CA or subject: a country
+    RDN, then a common-name RDN, each left out when None."""
     rdns = []
     if country is not None:
         rdns.append((NameAttribute(oid.COUNTRY, asn1.PRINTABLE_STRING, country.encode("ascii")),))
@@ -850,8 +864,8 @@ def build_synthetic(params: SeedParams, rng_seed: int) -> Certificate:
         serial=serial,
         serial_raw=serial_raw,
         signature_algorithm=sig_alg,
-        issuer=_build_name(params.issuer_common_name, params.issuer_country),
-        subject=_build_name(params.subject_common_name, params.subject_country),
+        issuer=build_name(params.issuer_common_name, params.issuer_country),
+        subject=build_name(params.subject_common_name, params.subject_country),
         not_before=not_before,
         not_after=not_after,
         public_key_info=spki,

@@ -33,6 +33,7 @@ from .certs import (
     MalformedPem,
     SeedParams,
     UnsupportedStructure,
+    build_name,
     build_synthetic,
     encode_der,
     parse_der,
@@ -232,11 +233,7 @@ def generate_corpus(n: int, rng_seed: int) -> SeedCorpus:
     rng = random.Random(rng_seed)
     trust = TrustStore()
     for cn, country, tag in _ROOTS:
-        anchor_name = build_synthetic(
-            SeedParams(issuer_common_name=cn, issuer_country=country, signer_tag=tag),
-            0,
-        ).issuer.der
-        trust.add(TrustAnchor(anchor_name, tag))
+        trust.add(TrustAnchor(build_name(cn, country).der, tag))
 
     buckets = []
     for name, count in _bucket_counts(n).items():
@@ -363,12 +360,15 @@ class DiscrepancyRecord:
 
 class DiscrepancyDb:
     """Append-only store: ``<payload-length><TAB><json><LF>`` per record.
-    Opening one makes its directory."""
+    Opening one makes its directory.  The first `append` opens the file
+    and keeps it open until `close`; each record is flushed as one whole
+    line, so the file holds every record as soon as it is appended."""
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._drop_torn_tail()
+        self._handle = None
 
     def _drop_torn_tail(self) -> None:
         """Truncate an unterminated final line, the trace of a crash mid-append,
@@ -390,8 +390,15 @@ class DiscrepancyDb:
 
     def append(self, record: DiscrepancyRecord) -> None:
         payload = record.to_json()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(f"{len(payload)}\t{payload}\n")
+        if self._handle is None:
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(f"{len(payload)}\t{payload}\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def load_all(self) -> list[DiscrepancyRecord]:
         if not self.path.exists():

@@ -173,9 +173,15 @@ def select_action(params: QParams, state, epsilon: float, rng: random.Random | N
     """Epsilon-greedy pick for one state; greedy ties break toward the
     lowest action id.  The draw comes first, so an exploratory pick runs
     no `forward`; `forward` consumes no randomness, so the rng stream is
-    the same either way.  At epsilon 0 nothing is drawn: ``rng`` may be None."""
+    the same either way.  At epsilon 0 nothing is drawn: ``rng`` may be None.
+    An exploratory pick is ``rng.randrange(ACTION_COUNT)``, its rejection
+    loop over ``getrandbits`` inlined."""
     if epsilon > 0.0 and rng.random() < epsilon:
-        return rng.randrange(ACTION_COUNT)
+        getrandbits, bits = rng.getrandbits, ACTION_COUNT.bit_length()
+        action = getrandbits(bits)
+        while action >= ACTION_COUNT:
+            action = getrandbits(bits)
+        return action
     return int(np.argmax(forward(params, state)))
 
 

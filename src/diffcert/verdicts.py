@@ -20,6 +20,7 @@ import logging
 import os
 import re
 import shutil
+import string
 import subprocess
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -455,8 +456,7 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
             legacy = anchor.version < 3 and not anchor.is_root
             if legacy:
                 failures.append(_LEGACY_CHAIN)
-            tbs, _ = cert.encoding
-            if cert.signature_value != b"\x00" + mock_sign(tbs, anchor.tag):
+            if cert.signature_value != b"\x00" + mock_sign(cert.tbs, anchor.tag):
                 failures.append(_LEGACY_SIGNATURE if legacy else _TRUST_FAILURES[SIGNATURE_ERROR])
     return InputFacts(cert.strict_der, cert.not_before.seconds, cert.not_after.seconds, tuple(failures + ext_failures))
 
@@ -528,9 +528,10 @@ class PatternRule:
 class ExternalBackend:
     """A verification utility run on a certificate file.
 
-    ``command`` entries may hold the placeholders ``{cert}`` and
-    ``{trust}`` and no others; ``{trust}`` becomes ``trust_path``.  The
-    pattern table must end with a catch-all rule mapping to "Other error".
+    ``command`` entries may hold the placeholders ``{cert}``, ``{trust}``
+    and ``{now}`` and no others; ``{trust}`` becomes ``trust_path`` and
+    ``{now}`` the panel's clock in POSIX seconds.  The pattern table must
+    end with a catch-all rule mapping to "Other error".
     """
 
     id: str
@@ -555,20 +556,27 @@ class ExternalBackend:
         for arg in self.command:
             _check_type("backend command argument", arg, str)
             try:
-                formatted = arg.format(cert="cert.der", trust=self.trust_path)
+                formatted = arg.format(cert="cert.der", trust=self.trust_path, now="0")
             except (AttributeError, IndexError, KeyError, ValueError):
-                raise ValueError(f"command argument {arg!r} has a placeholder other than {{cert}} and {{trust}}") from None
+                raise ValueError(f"command argument {arg!r} has a placeholder other than {{cert}}, {{trust}} and {{now}}") from None
             if "\x00" in formatted:  # no OS argument holds one
                 raise ValueError(f"command argument {formatted!r} holds a NUL")
 
+    @property
+    def reads_clock(self) -> bool:
+        """Whether the command is given the clock: an argument holds ``{now}``."""
+        return any(name == "now" for arg in self.command for _, name, _, _ in string.Formatter().parse(arg))
 
-def external_verify(backend: ExternalBackend, cert_bytes: bytes) -> int:
-    """Run an external utility on a certificate file and normalize its outcome."""
+
+def external_verify(backend: ExternalBackend, cert_bytes: bytes, now: dt.datetime = REFERENCE_TIME) -> int:
+    """Run an external utility on a certificate file, at the clock ``now``
+    when its command reads one, and normalize its outcome."""
     with tempfile.NamedTemporaryFile(suffix=".der", delete=False) as handle:
         handle.write(cert_bytes)
         cert_path = handle.name
     try:
-        argv = [arg.format(cert=cert_path, trust=backend.trust_path) for arg in backend.command]
+        now_text = str(int(now.timestamp()))
+        argv = [arg.format(cert=cert_path, trust=backend.trust_path, now=now_text) for arg in backend.command]
         try:
             proc = subprocess.run(
                 argv,
@@ -626,14 +634,20 @@ class Panel:
     verdict shares fixed once: ids, trust store, lenient flag, validity
     windows.  ``memo`` maps an input's facts, all that judging reads, to
     its verdicts; a panel with an external backend, which may answer
-    otherwise when asked again, has none."""
+    otherwise when asked again, has none.  External commands are given
+    ``now`` through ``{now}``; one without it judges at the host's clock,
+    which the panel warns of."""
 
     def __init__(self, backends, now: dt.datetime):
         self.backends = tuple(backends)
         if len(self.backends) < 2:
             raise InsufficientBackends(f"need at least 2 backends, have {len(self.backends)}")
+        self.now = now
         self.ids = tuple(backend.id for backend in self.backends)
         self.externals = tuple((i, b) for i, b in enumerate(self.backends) if isinstance(b, ExternalBackend))
+        for _, backend in self.externals:
+            if not backend.reads_clock:
+                log.warning("backend %s: its command has no {now}, so it judges at the host clock, not at %s", backend.id, now.isoformat())
         self.simulated = tuple(
             (i, b, validity_window(b.profile, now)) for i, b in enumerate(self.backends) if not isinstance(b, ExternalBackend)
         )
@@ -663,17 +677,20 @@ def verify_all(cert, panel, now: dt.datetime | None = None) -> VerdictVector:
         raise ValueError("verify_all: a Panel judges at its own clock; pass no `now` with it")
     data = cert if isinstance(cert, Certificate) else bytes(cert)
     memo = panel.memo
-    codes: list[int | None] = [None] * len(panel.backends)
     if panel.simulated:
         facts = derive_facts(data, panel.trust, panel.lenient)
-        if memo is not None and facts in memo:
-            return memo[facts]
-        for i, backend, window in panel.simulated:
-            codes[i] = backend.verify_prepared(facts, window)
+        if memo is not None:
+            verdicts = memo.get(facts)  # a stored vector is never None
+            if verdicts is not None:
+                return verdicts
+    codes: list[int | None] = [None] * len(panel.backends)
+    for i, backend, window in panel.simulated:
+        codes[i] = backend.verify_prepared(facts, window)
     if panel.externals:
         der = encode_der(data) if isinstance(data, Certificate) else data
         with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(panel.externals))) as pool:
-            for (i, _), code in zip(panel.externals, pool.map(lambda external: external_verify(external[1], der), panel.externals)):
+            outcomes = pool.map(lambda external: external_verify(external[1], der, panel.now), panel.externals)
+            for (i, _), code in zip(panel.externals, outcomes):
                 codes[i] = code
     verdicts = VerdictVector(tuple(codes), panel.ids)
     if memo is not None:

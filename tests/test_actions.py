@@ -125,7 +125,7 @@ def test_version_wire_value_after_mutation(default_cert):
 
     reparsed = parse_der(encode_der(apply(default_cert, 3)))
     assert reparsed.version == 4
-    tbs = reparsed.encoding[0]
+    tbs = reparsed.tbs
     _, start, stop, _ = asn1.read_tlv(tbs, 0, len(tbs))
     vstart, vstop, _ = asn1.read_tlv(tbs, start, stop)[1:]
     istart, istop, _ = asn1.read_tlv(tbs, vstart, vstop)[1:]

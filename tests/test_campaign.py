@@ -624,6 +624,44 @@ def test_verdict_memo_changes_nothing(monkeypatch):
     assert [a.tobytes() for a in memoized[0].arrays()] == [a.tobytes() for a in fresh[0].arrays()]
 
 
+def test_a_campaign_that_raises_closes_its_database(tmp_path, monkeypatch):
+    # a campaign keeps one database handle; when a verification raises
+    # part-way, the handle is closed and the file holds exactly the records
+    # booked before the raise, each one a whole line
+    handles, appended = [], []
+
+    class Watched(DiscrepancyDb):
+        def append(self, record):
+            super().append(record)
+            appended.append(record)
+            handles.append(self._handle)
+
+    real, calls, crash_at = campaign_mod.verify_all, [], None
+
+    def verify(*args):
+        if len(calls) == crash_at:
+            raise RuntimeError("verifier crashed")
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(campaign_mod, "DiscrepancyDb", Watched)
+    monkeypatch.setattr(campaign_mod, "verify_all", verify)
+    corpus = generate_corpus(30, 2)
+    config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), rng_seed=3, db_path=str(tmp_path / "whole.db"))
+    run_baseline(corpus, config)
+    whole = (tmp_path / "whole.db").read_bytes()
+    booked = list(appended)
+    assert len(booked) > 4 and all(handle is handles[0] for handle in handles) and handles[0].closed
+
+    crash_at, calls[:], handles[:], appended[:] = len(calls) // 2, [], [], []
+    with pytest.raises(RuntimeError, match="verifier crashed"):
+        run_baseline(corpus, replace(config, db_path=str(tmp_path / "cut.db")))
+    assert 0 < len(appended) < len(booked) and all(handle is handles[0] for handle in handles) and handles[0].closed
+    cut = (tmp_path / "cut.db").read_bytes()
+    assert cut.endswith(b"\n") and cut.count(b"\n") == len(appended) and whole.startswith(cut)
+    assert DiscrepancyDb(tmp_path / "cut.db").load_all() == appended == booked[: len(appended)]
+
+
 def test_campaign_with_external_backend_leaves_memo_empty(tmp_path, monkeypatch):
     # a panel holding an external verifier has no memo: the stub is asked
     # once per verify_all call

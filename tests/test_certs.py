@@ -96,8 +96,10 @@ def _assert_seeded_parts_exact(cert: Certificate) -> None:
     for part in _parts(cert):
         assert "der" in vars(part)  # seeded by the parse, not computed
         assert part.der == dataclasses.replace(part).der
-    assert certs.encode_tbs(cert) == cert.encoding[0]
-    assert encode_der(_unseeded(cert)) == cert.encoding[1]
+    state = vars(cert)  # both seeded by the parse: the TBS is the slice after the outer header
+    _, start, _, _ = asn1.read_tlv(state["encoding"], 0, len(state["encoding"]))
+    assert state["tbs"] == state["encoding"][start : start + len(state["tbs"])] == certs.encode_tbs(cert)
+    assert encode_der(_unseeded(cert)) == cert.encoding
 
 
 def test_parse_seeds_exact_part_der_on_generated_corpora():
@@ -156,14 +158,32 @@ def test_single_field_edit_shares_parts_and_encodes_no_extension(default_cert, m
 
 def test_copy_certificate_equals_replace_without_caches(default_cert):
     parsed = parse_der(encode_der(default_cert))
-    assert parsed.strict_der and "encoding" in vars(parsed)  # both caches filled
-    for changes in ({}, {"serial": 2, "serial_raw": b"\x02"}, {"subject": parsed.issuer, "extensions": ()}):
-        copy = certs.copy_certificate(parsed, **changes)
-        expected = dataclasses.replace(parsed, **changes)
+    assert parsed.strict_der and {"tbs", "encoding"} <= vars(parsed).keys()  # every cache filled
+    explicit_false = next(spec.id for spec in actions.catalog() if "flag encoded explicitly" in spec.description)
+    lenient = actions.apply(parsed, explicit_false)
+    assert lenient.strict_der is False
+    cases = (
+        (parsed, {}),
+        (parsed, {"serial": 2, "serial_raw": b"\x02"}),
+        (parsed, {"subject": parsed.issuer, "extensions": ()}),
+        (parsed, {"extensions": parsed.extensions}),  # the same tuple, yet named among the changes
+        (lenient, {"serial": 2, "serial_raw": b"\x02"}),
+        (lenient, {"extensions": parsed.extensions}),
+    )
+    for source, changes in cases:
+        copy = certs.copy_certificate(source, **changes)
+        expected = dataclasses.replace(source, **changes)
         assert type(copy) is Certificate and copy == expected
-        assert vars(copy) == vars(expected)  # field for field, no cached attribute
-        assert "encoding" not in vars(copy) and "strict_der" not in vars(copy)
+        fields = {name: value for name, value in vars(copy).items() if name != "strict_der"}
+        assert fields == vars(expected)  # field for field, and no cached bytes
+        assert "encoding" not in vars(copy) and "tbs" not in vars(copy)
+        if "extensions" in changes:
+            assert "strict_der" not in vars(copy)  # no cached attribute at all
+        else:  # the extensions are the source's: so is strict_der
+            assert vars(copy)["strict_der"] is source.strict_der
+        assert copy.strict_der == dataclasses.replace(copy).strict_der  # a fresh computation
         assert encode_der(copy) == encode_der(expected)
+        assert copy.tbs == certs.encode_tbs(copy)
     with pytest.raises(dataclasses.FrozenInstanceError):
         copy.serial = 3
     with pytest.raises(TypeError, match="serial_number"):
@@ -191,7 +211,7 @@ def _parse_outcome(der: bytes, lenient: bool) -> tuple:
         cert = parse_der(der, lenient=lenient)
     except ValueError as exc:
         return type(exc), getattr(exc, "offset", None), str(exc)
-    return cert, [part.der for part in _parts(cert)], certs.encode_tbs(cert) == cert.encoding[0]
+    return cert, [part.der for part in _parts(cert)], certs.encode_tbs(cert) == cert.tbs
 
 
 def _uncached_outcome(der: bytes, lenient: bool) -> tuple:
@@ -310,7 +330,7 @@ def test_equal_der_gives_one_certificate_per_mode(default_cert):
     assert parse_der(der) is cert and parse_der(buffer) is cert
     assert parse_der(der, lenient=True) is parse_der(buffer, lenient=True) is not cert
     buffer[-1] ^= 0xFF  # the parse copied the buffer: the cached certificate keeps its bytes
-    assert cert.encoding[1] == der and parse_der(der) is cert
+    assert cert.encoding == der and parse_der(der) is cert
     assert parse_der(bytes(buffer)).signature_value != cert.signature_value
 
 
@@ -325,7 +345,7 @@ def test_cached_lenient_certificate_is_not_served_to_a_strict_parse():
 
 def test_refused_certificate_is_not_cached(default_cert):
     der = encode_der(default_cert)
-    tbs_tag = der.index(default_cert.encoding[0])
+    tbs_tag = der.index(default_cert.tbs)
     refused = (
         (der + b"\x00", MalformedDer),  # a trailing byte
         (der[:tbs_tag] + b"\x31" + der[tbs_tag + 1 :], certs.UnsupportedStructure),  # a TBS SET
@@ -345,7 +365,7 @@ def test_mutants_leave_their_cached_seed_unchanged():
     entry = generate_corpus(1, 5).entries[0]
     seed = parse_der(entry.der)
     state = dict(vars(seed))
-    assert state["encoding"][1] is entry.der
+    assert state["encoding"] is entry.der
     for spec in actions.catalog():
         encode_der(actions.apply(seed, spec.id, now=REFERENCE_TIME))
     assert parse_der(entry.der) is seed and vars(seed) == state
@@ -356,7 +376,7 @@ def test_empty_extensions_list_is_refused():
     # RFC 5280: Extensions ::= SEQUENCE SIZE (1..MAX).  Read as "no
     # extensions", [3] { SEQUENCE {} } would vanish from every re-encoding
     base = build_synthetic(SeedParams(extensions=()), 3)
-    tbs = base.encoding[0]
+    tbs = base.tbs
     _, start, _, _ = asn1.read_tlv(tbs, 0, len(tbs))
     tbs = asn1.tlv(asn1.SEQUENCE, tbs[start:] + b"\xa3\x02\x30\x00")
     der = asn1.tlv(asn1.SEQUENCE, tbs + base.outer_sig_alg_raw + asn1.tlv(asn1.BIT_STRING, base.signature_value))
@@ -425,7 +445,7 @@ def test_parse_refusals_keep_type_offset_and_reason(der, error, offset, reason):
     for lenient in (False, True):
         assert _parse_outcome(der, lenient) == (error, offset, message)
     # the hand-counted layout holds: the same certificate without the fault parses
-    assert parse_der(_tiny()).encoding[1] == _tiny()
+    assert parse_der(_tiny()).encoding == _tiny()
 
 
 def test_unique_ids_round_trip_and_survive_every_action(default_cert):
@@ -439,7 +459,7 @@ def test_unique_ids_round_trip_and_survive_every_action(default_cert):
     assert der.index(unique_ids) == der.index(spki) + len(spki)
     cert = parse_der(der)
     assert cert.unique_ids_raw == unique_ids and encode_der(cert) == der
-    assert certs.encode_tbs(cert) == cert.encoding[0]
+    assert certs.encode_tbs(cert) == cert.tbs
     for spec in actions.catalog():
         mutant = actions.apply(cert, spec.id)
         assert mutant.unique_ids_raw == unique_ids and unique_ids in encode_der(mutant), spec.description
@@ -528,14 +548,14 @@ def test_v1_omits_version_field():
     cert = build_synthetic(SeedParams(version=1, extensions=()), 5)
     assert not cert.version_present
     # wire bytes carry no [0] EXPLICIT element
-    tbs = cert.encoding[0]
+    tbs = cert.tbs
     _, start, _, _ = asn1.read_tlv(tbs, 0, len(tbs))
     first_tag = tbs[start]
     assert first_tag == asn1.INTEGER  # serial comes first
 
 
 def test_version_wire_value_is_human_minus_one(default_cert):
-    tbs = default_cert.encoding[0]
+    tbs = default_cert.tbs
     _, start, stop, _ = asn1.read_tlv(tbs, 0, len(tbs))
     vstart, vstop, _ = asn1.read_tlv(tbs, start, stop)[1:]
     istart, istop, _ = asn1.read_tlv(tbs, vstart, vstop)[1:]
@@ -614,7 +634,7 @@ def test_mock_sign_deterministic():
 def test_mock_sign_sensitive_to_tbs_flips(default_cert):
     # collision check across the fixture corpus: flipping any sampled TBS
     # byte must change the digest
-    tbs = default_cert.encoding[0]
+    tbs = default_cert.tbs
     base = mock_sign(tbs, "acme-root")
     for pos in range(0, len(tbs), 37):
         flipped = bytearray(tbs)
@@ -623,4 +643,4 @@ def test_mock_sign_sensitive_to_tbs_flips(default_cert):
 
 
 def test_builder_signature_matches_mock_scheme(default_cert):
-    assert default_cert.signature_value == b"\x00" + mock_sign(default_cert.encoding[0], "acme-root")
+    assert default_cert.signature_value == b"\x00" + mock_sign(default_cert.tbs, "acme-root")

@@ -19,7 +19,7 @@ import pytest
 
 import diffcert
 from diffcert import cli, qnet
-from diffcert.certs import encode_der
+from diffcert.certs import REFERENCE_TIME, encode_der
 from diffcert.corpus import DiscrepancyDb, load_corpus_dir, read_certificate, replay_record
 from diffcert.verdicts import SHIPPED_PROFILES, bind_backends, default_backend_specs, verify_all
 
@@ -482,6 +482,29 @@ def test_backends_config_file(tmp_path, corpus_dir, capsys):
     assert code in (0, 10)
     assert run_cli("baseline", str(corpus_dir), "--backends", str(path), "--out", str(tmp_path / "o")) == 0
     assert (tmp_path / "o" / "baseline-stats.json").is_file()
+
+
+def test_verify_now_reaches_external_commands(tmp_path, corpus_dir):
+    # `verify --now` is the clock an external command's `{now}` receives
+    log = tmp_path / "clocks"
+    echo = "import sys; open(sys.argv[1], 'a').write(sys.argv[2] + '\\n')"
+    backends = {
+        "format": "diffcert-backends",
+        "version": 1,
+        "backends": [
+            {"id": "strict-a", "kind": "simulated"},
+            {"id": "echo", "kind": "external", "command": [sys.executable, "-c", echo, str(log), "{now}"], "patterns": [{"code": -15}]},
+        ],
+    }
+    path = tmp_path / "backends.json"
+    path.write_text(json.dumps(backends))
+    issued = next(p for p in sorted(corpus_dir.iterdir()) if "issued" in p.name)
+    trust = str(corpus_dir / "trust.json")
+    for now in ("2030-01-02T03:04:05+00:00", "2030-01-02T03:04:05"):  # no timezone reads as UTC
+        assert run_cli("verify", str(issued), "--trust", trust, "--backends", str(path), "--now", now) in (0, 10)
+    assert run_cli("verify", str(issued), "--trust", trust, "--backends", str(path)) in (0, 10)
+    given = int(dt.datetime(2030, 1, 2, 3, 4, 5, tzinfo=dt.timezone.utc).timestamp())
+    assert log.read_text().splitlines() == [str(given), str(given), str(int(REFERENCE_TIME.timestamp()))]
 
 
 _SIMULATED = {"id": "strict-a", "kind": "simulated"}

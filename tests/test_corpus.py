@@ -22,6 +22,7 @@ from diffcert.corpus import (
     report,
     write_corpus,
 )
+from diffcert.verdicts import TrustAnchor
 
 BACKENDS = ("a", "b", "c", "d", "e", "f")
 
@@ -88,6 +89,17 @@ def test_generate_corpus_deterministic():
     assert a.trust.to_json() == b.trust.to_json()
     c = generate_corpus(40, rng_seed=2)
     assert [e.der for e in c.entries] != [e.der for e in a.entries]
+
+
+def test_trust_anchors_are_the_names_the_roots_sign_with():
+    # the store's first anchors are the roots, each under the issuer name a
+    # certificate built for that root carries, whichever seed drew the corpus
+    expected = []
+    for cn, country, tag in corpus_mod._ROOTS:
+        root_issued = build_synthetic(SeedParams(issuer_common_name=cn, issuer_country=country, signer_tag=tag), 0)
+        expected.append(TrustAnchor(root_issued.issuer.der, tag))
+    for rng_seed in (1, 2, 5):
+        assert generate_corpus(8, rng_seed).trust.anchors()[: len(expected)] == expected
 
 
 def test_generate_corpus_rejects_zero():

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diffcert import qnet
+from diffcert import campaign, qnet
+from diffcert.actions import CATALOG_SIZE
 from diffcert.campaign import EpsilonSchedule
 from diffcert.features import FEATURE_LENGTH, LABELS_TEXT
 from diffcert.qnet import (
@@ -413,6 +414,16 @@ def test_sample_draws_what_randrange_draws():
         ring_rng, reference_rng = random.Random(size), random.Random(size)
         assert ring.sample(50, ring_rng) == [reference_rng.randrange(size) for _ in range(50)]
         assert ring_rng.getstate() == reference_rng.getstate()
+
+
+def test_baseline_chooser_draws_what_randrange_draws():
+    # the baseline's chooser inlines randrange's getrandbits loop too: the
+    # same actions and the same rng state after them
+    for seed in (0, 1, 11):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        choose = campaign._random_chooser(rng)
+        assert [choose(None) for _ in range(2_000)] == [reference_rng.randrange(CATALOG_SIZE) for _ in range(2_000)]
+        assert rng.getstate() == reference_rng.getstate()
 
 
 def _live_transition(rng):

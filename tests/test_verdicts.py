@@ -562,6 +562,35 @@ def test_backend_command_formats_with_cert_and_trust_alone(arg):
     ExternalBackend("x", ("v", "{cert}", "--CAfile={trust}", "{{literal}}"), (CATCH_ALL,))
 
 
+_ECHO_NOW = "import sys; open(sys.argv[1], 'a').write(sys.argv[2] + '\\n')"  # appends its clock argument to a log
+
+
+def test_external_command_is_given_the_panel_clock(env, tmp_path, caplog):
+    # `{now}` is the panel's clock in POSIX seconds: panels at two clocks
+    # hand the command two values, and a command without it is warned of
+    cert, store = env
+    log = tmp_path / "clocks"
+    echo = ExternalBackend("echo", (sys.executable, "-c", _ECHO_NOW, str(log), "-attime={now}"), (CATCH_ALL,))
+    (simulated,) = verdicts.bind_backends([SimulatedBackend("sim", STRICT_PROFILE)], store)
+    clocks = (NOW, NOW + datetime.timedelta(days=400, seconds=7))
+    with caplog.at_level("WARNING", logger="diffcert.verdicts"):
+        for now in clocks:
+            assert verify_all(cert, Panel((simulated, echo), now)).codes[1] == -15
+        assert not caplog.records
+        host_clock = dataclasses.replace(echo, command=echo.command[:-1])
+        Panel((simulated, host_clock), NOW)
+        Panel((simulated, simulated), NOW)
+    assert log.read_text().splitlines() == [f"-attime={int(now.timestamp())}" for now in clocks]
+    assert [record.getMessage() for record in caplog.records] == [
+        f"backend echo: its command has no {{now}}, so it judges at the host clock, not at {NOW.isoformat()}"
+    ]
+    # `{now}` is a placeholder like the other two; a field of it is not
+    assert echo.reads_clock and not host_clock.reads_clock
+    assert not ExternalBackend("x", ("v", "{{now}}"), (CATCH_ALL,)).reads_clock
+    with pytest.raises(ValueError, match="command argument"):
+        ExternalBackend("x", ("v", "{now.real}"), (CATCH_ALL,))
+
+
 def test_bind_backends_drops_missing_external(env):
     cert, store = env
     specs = [

@@ -121,7 +121,7 @@ def reference_derive_facts(data: Certificate | bytes, trust: TrustStore, lenient
             trust_code = SELF_SIGN if subject == issuer else UNKNOWN_ISSUER
         else:
             legacy_issuer = anchor.version < 3 and not anchor.is_root
-            tbs, _ = cert.encoding
+            tbs = cert.tbs
             if cert.signature_value != b"\x00" + mock_sign(tbs, anchor.tag):
                 trust_code = SIGNATURE_ERROR
     return ReferenceFacts(
