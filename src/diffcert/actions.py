@@ -27,10 +27,6 @@ from .certs import (
     Extension,
     Name,
     TimeValue,
-    _algorithm,
-    _extension,
-    _name,
-    _time,
     copy_certificate,
 )
 
@@ -92,32 +88,29 @@ def _pad_serial(cert: Certificate, octets: int) -> Certificate:
 
 
 # Edits that build a part return one shared instance per distinct result.
-# Each is cached on the DER of the part it edits (whose hash the bytes
-# object keeps) plus fixed arguments, never on the part itself, whose
-# dataclass hash would walk every field, and reads that part back through
-# the parse interner.  Parts are immutable, their cached facts are
-# functions of their fields and their fields of their DER, so a repeated
-# edit is one lookup and its result's DER and facts are computed once per
-# process.  Each cache holds at most `PART_CACHE_LIMIT` parts.  A resized
-# key is not interned: doubling makes it twice its input, so a cache
-# bounded by count could hold chains of doublings of hundreds of KB each.
+# Each is cached on the part it edits plus fixed arguments; a part hashes
+# by its DER and compares by its fields.  Parts are immutable and their
+# cached facts are functions of their fields, so a repeated edit is one
+# lookup and its result's DER and facts are computed once per process.
+# Each cache holds at most `PART_CACHE_LIMIT` parts.  A resized key is not
+# interned: doubling makes it twice its input, so a cache bounded by count
+# could hold chains of doublings of hundreds of KB each.
 
 
 @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _name_with_country(der: bytes, code: str | None) -> Name:
+def _name_with_country(name: Name, code: str | None) -> Name:
     """The name with its first country set to ``code``, or with none when ``code`` is None."""
-    name = _name(der)
     return name.without_country() if code is None else name.with_country(code)
 
 
 @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _shifted_time(der: bytes, years: int) -> TimeValue:
-    t = _time(der)
-    year = min(max(t.at.year + years, 1), 9999)
+def _shifted_time(t: TimeValue, years: int) -> TimeValue:
+    at = t.at.astimezone(asn1.UTC)  # as encoded: bounds equal as instants shift alike
+    year = min(max(at.year + years, 1), 9999)
     try:
-        moved = t.at.replace(year=year)
+        moved = at.replace(year=year)
     except ValueError:  # Feb 29 in a non-leap target year
-        moved = t.at.replace(year=year, day=28)
+        moved = at.replace(year=year, day=28)
     # tagged as encoded: a UTCTime bound moved out of 1950-2049 is GeneralizedTime
     return TimeValue(moved, asn1.time_tag(moved, t.tag))
 
@@ -130,17 +123,14 @@ def _time_at(tag: int, now: dt.datetime) -> TimeValue:
 
 
 @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _algorithm_with_oid(der: bytes, alg_oid: str) -> AlgorithmId:
-    return AlgorithmId(alg_oid, _algorithm(der).params_raw)
+def _algorithm_with_oid(alg: AlgorithmId, alg_oid: str) -> AlgorithmId:
+    return AlgorithmId(alg_oid, alg.params_raw)
 
 
 @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _edited_extension(der: bytes, lenient: bool, value: bytes | None, critical: bool | None) -> Extension:
+def _edited_extension(ext: Extension, value: bytes | None, critical: bool | None) -> Extension:
     """The extension with ``value`` written, or else its flag set to
-    ``critical`` and encoded explicitly, even when FALSE.  ``lenient``
-    says whether ``der`` encodes a FALSE flag, so that a strict seed's
-    extension is read back from the parse that interned it."""
-    ext = _extension(der, lenient)
+    ``critical`` and encoded explicitly, even when FALSE."""
     if critical is None:
         return replace(ext, value=value)
     return replace(ext, critical=critical, critical_encoded=True)
@@ -213,8 +203,8 @@ def _delete_extension(cert: Certificate, ext_oid: str) -> Certificate:
 
 # The extension an edit on an absent type starts from: one with the type's
 # default value and no flag on the wire, as the "add" action writes it.
-_ABSENT_EXTENSION_DER: dict[str, bytes] = {
-    ext_oid: Extension(ext_oid, value=value).der for ext_oid, value in ADD_DEFAULT_VALUES.items()
+_ABSENT_EXTENSIONS: dict[str, Extension] = {
+    ext_oid: Extension(ext_oid, value=value) for ext_oid, value in ADD_DEFAULT_VALUES.items()
 }
 
 
@@ -224,9 +214,9 @@ def _upsert(cert: Certificate, ext_oid: str, value: bytes | None = None, critica
     exts = cert.extensions
     for i, ext in enumerate(exts):
         if ext.oid == ext_oid:
-            edited = _edited_extension(ext.der, ext.critical_encoded and not ext.critical, value, critical)
+            edited = _edited_extension(ext, value, critical)
             return copy_certificate(cert, extensions=exts[:i] + (edited,) + exts[i + 1 :])
-    return copy_certificate(cert, extensions=exts + (_edited_extension(_ABSENT_EXTENSION_DER[ext_oid], False, value, critical),))
+    return copy_certificate(cert, extensions=exts + (_edited_extension(_ABSENT_EXTENSIONS[ext_oid], value, critical),))
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +247,25 @@ def _build_catalog():
     add(Family.SERIAL, "set the serial number to 1", lambda c, now: _set_serial(c, 1))
     add(Family.SERIAL, "pad the serial number to 21 octets", lambda c, now: _pad_serial(c, 21))
     add(Family.SERIAL, "pad the serial number to 37 octets", lambda c, now: _pad_serial(c, 37))
-    add(Family.VALIDITY, "shift notBefore one year earlier", lambda c, now: copy_certificate(c, not_before=_shifted_time(c.not_before.der, -1)))
-    add(Family.VALIDITY, "shift notBefore one year later", lambda c, now: copy_certificate(c, not_before=_shifted_time(c.not_before.der, 1)))
+    add(Family.VALIDITY, "shift notBefore one year earlier", lambda c, now: copy_certificate(c, not_before=_shifted_time(c.not_before, -1)))
+    add(Family.VALIDITY, "shift notBefore one year later", lambda c, now: copy_certificate(c, not_before=_shifted_time(c.not_before, 1)))
     add(Family.VALIDITY, "set notBefore to the reference clock", lambda c, now: copy_certificate(c, not_before=_time_at(c.not_before.tag, now)))
-    add(Family.VALIDITY, "shift notAfter one year earlier", lambda c, now: copy_certificate(c, not_after=_shifted_time(c.not_after.der, -1)))
-    add(Family.VALIDITY, "shift notAfter one year later", lambda c, now: copy_certificate(c, not_after=_shifted_time(c.not_after.der, 1)))
+    add(Family.VALIDITY, "shift notAfter one year earlier", lambda c, now: copy_certificate(c, not_after=_shifted_time(c.not_after, -1)))
+    add(Family.VALIDITY, "shift notAfter one year later", lambda c, now: copy_certificate(c, not_after=_shifted_time(c.not_after, 1)))
     add(Family.VALIDITY, "set notAfter to the reference clock", lambda c, now: copy_certificate(c, not_after=_time_at(c.not_after.tag, now)))
     add(Family.VALIDITY, "swap notBefore and notAfter", lambda c, now: copy_certificate(c, not_before=c.not_after, not_after=c.not_before))
     for alg_oid, alg_name in SIG_ALG_MENU:
         add(
             Family.SIG_ALG,
             f"set signature algorithm to {alg_name}",
-            lambda c, now, a=alg_oid: copy_certificate(c, signature_algorithm=_algorithm_with_oid(c.signature_algorithm.der, a)),
+            lambda c, now, a=alg_oid: copy_certificate(c, signature_algorithm=_algorithm_with_oid(c.signature_algorithm, a)),
         )
-    add(Family.NAME, "set issuer country to US", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer.der, "US")))
-    add(Family.NAME, "set issuer country to CN", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer.der, "CN")))
-    add(Family.NAME, "remove the issuer country", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer.der, None)))
-    add(Family.NAME, "set subject country to US", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject.der, "US")))
-    add(Family.NAME, "set subject country to CN", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject.der, "CN")))
-    add(Family.NAME, "remove the subject country", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject.der, None)))
+    add(Family.NAME, "set issuer country to US", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer, "US")))
+    add(Family.NAME, "set issuer country to CN", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer, "CN")))
+    add(Family.NAME, "remove the issuer country", lambda c, now: copy_certificate(c, issuer=_name_with_country(c.issuer, None)))
+    add(Family.NAME, "set subject country to US", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject, "US")))
+    add(Family.NAME, "set subject country to CN", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject, "CN")))
+    add(Family.NAME, "remove the subject country", lambda c, now: copy_certificate(c, subject=_name_with_country(c.subject, None)))
     add(Family.NAME, "copy the issuer name into the subject", lambda c, now: copy_certificate(c, subject=c.issuer))
     add(Family.KEY, "halve the declared public-key length", lambda c, now: _resize_key(c, 0.5))
     add(Family.KEY, "double the declared public-key length", lambda c, now: _resize_key(c, 2.0))

@@ -14,12 +14,13 @@ cached bytes, so every mutant, the first of a seed included, re-encodes
 and re-derives only the parts its edit replaced.  Each distinct algorithm,
 name, validity time and extension is parsed or built once per process:
 the parse interns parts by their DER, and the actions intern the parts
-they build by the DER of the part they edit, so certificates that repeat
-a part (one CA's issuer name, its policies, its key usages, the same
-edit of them) share one instance of it and the facts cached on it.  Each distinct certificate is parsed once per
-process too, keyed by its DER and the parse mode, so a campaign's seed
-visits reuse the parse that accepted the seed into the corpus.  Each
-cache holds at most `PART_CACHE_LIMIT` entries; at about 4 KB per
+they build by the part they edit, which hashes by its DER and compares
+by its fields, so certificates that repeat a part (one CA's issuer name,
+its policies, its key usages, the same edit of them) share one instance
+of it and the facts cached on it.  Each distinct certificate is parsed
+once per process too, keyed by its DER and parse mode, so a campaign's
+seed visits reuse the parse that accepted the seed into the corpus.
+Each cache holds at most `PART_CACHE_LIMIT` entries; at about 4 KB per
 certificate that is some 4 MB, and a smaller limit would no longer hold
 a corpus of a few hundred seeds, whose visits would then evict each other.
 """
@@ -61,6 +62,11 @@ class _cached:
         return value
 
 
+def _der_hash(part) -> int:
+    """A part's hash: that of its DER, which its fields determine."""
+    return hash(part.der)
+
+
 class UnsupportedStructure(ValueError):
     """A required certificate field could not be located or understood."""
 
@@ -90,6 +96,7 @@ class Name:
     """An ordered X.501 name; ``rdns`` is a tuple of tuples of attributes."""
 
     rdns: tuple[tuple[NameAttribute, ...], ...] = ()
+    __hash__ = _der_hash
 
     def attributes(self):
         for rdn in self.rdns:
@@ -143,6 +150,7 @@ class TimeValue:
 
     at: dt.datetime
     tag: int = asn1.UTC_TIME
+    __hash__ = _der_hash
 
     @_cached
     def seconds(self) -> int:
@@ -161,6 +169,7 @@ class TimeValue:
 class AlgorithmId:
     oid: str
     params_raw: bytes = b"\x05\x00"  # raw TLVs following the OID, NULL by default
+    __hash__ = _der_hash
 
     @_cached
     def der(self) -> bytes:
@@ -283,6 +292,7 @@ class Extension:
     critical: bool = False
     value: bytes = b""
     critical_encoded: bool | None = None
+    __hash__ = _der_hash
 
     def __post_init__(self):
         if self.critical_encoded is None:

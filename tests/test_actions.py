@@ -11,7 +11,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffcert import actions, certs, features, verdicts
+from diffcert import actions, certs, features, verdicts, x509oids as oid
 from diffcert.actions import (
     CATALOG_SIZE,
     Family,
@@ -375,9 +375,11 @@ def test_codec_round_trip_stress(monkeypatch):
     assert len(round_trip.seen) > 2900
 
 
-# An edit that builds a part is cached on the DER of the part it edits.
-# That is sound because a part's fields are read back from its DER
-# unchanged, so an interned result equals the part the edit builds afresh.
+# An edit that builds a part is cached on the part it edits, which hashes
+# by its DER and compares by its fields.  That is sound because the codec
+# is lossless: equal fields encode alike and a part's fields are read back
+# from its DER unchanged, so an interned result equals the part the edit
+# builds afresh.
 
 EDIT_CACHES = ("_name_with_country", "_shifted_time", "_time_at", "_algorithm_with_oid", "_edited_extension")
 
@@ -441,6 +443,77 @@ def test_a_repeated_edit_returns_the_part_it_built(default_cert):
         once, again = apply(default_cert, spec.id), apply(default_cert, spec.id)
         fresh = [type(part) for part, other in zip(_parts(once), _parts(again), strict=True) if part is not other]
         assert fresh == ([certs.PublicKeyInfo] if spec.family is Family.KEY else []), spec
+
+
+def _action(description: str) -> int:
+    (spec,) = [spec for spec in catalog() if spec.description == description]
+    return spec.id
+
+
+def test_editing_a_built_part_reads_nothing_back(default_cert):
+    # an edit takes the part it edits, so editing a part that an earlier
+    # edit built looks nothing up in the parse's part interners
+    part_caches = [certs._name, certs._time, certs._algorithm, certs._extension]
+    for cache in part_caches + [getattr(actions, name) for name in EDIT_CACHES]:
+        cache.cache_clear()
+    built = replay(
+        default_cert,
+        [
+            _action("set issuer country to CN"),
+            _action("shift notAfter one year later"),
+            _action("set signature algorithm to md5WithRSAEncryption"),
+            _action("mark basicConstraints non-critical (flag encoded explicitly)"),
+        ],
+    )
+    edited = [built.issuer, built.not_after, built.signature_algorithm, built.extension(oid.BASIC_CONSTRAINTS)]
+    seed_parts = [default_cert.issuer, default_cert.not_after, default_cert.signature_algorithm]
+    assert all(part not in seed_parts + list(default_cert.extensions) for part in edited)
+    again = replay(
+        built,
+        [
+            _action("remove the issuer country"),
+            _action("shift notAfter one year earlier"),
+            _action("set signature algorithm to sha1WithRSAEncryption"),
+            _action("corrupt the value of basicConstraints"),
+        ],
+    )
+    assert again.issuer.country is None and again.not_after == default_cert.not_after
+    assert again.signature_algorithm.oid == oid.SHA1_RSA
+    assert again.extension(oid.BASIC_CONSTRAINTS).value == actions.CORRUPT_VALUES[oid.BASIC_CONSTRAINTS]
+    assert [cache.cache_info()[:2] for cache in part_caches] == [(0, 0)] * 4  # (hits, misses)
+
+
+def test_equal_parts_hash_alike_and_share_their_edits(default_cert):
+    # a parsed part and an equal one built by hand, its DER not yet
+    # encoded, are one key: an edit of either returns one cached instance
+    ext = default_cert.extensions[0]
+    nb = default_cert.not_before
+    cases = [
+        (default_cert.issuer, certs.Name(default_cert.issuer.rdns), lambda name: actions._name_with_country(name, "CN")),
+        (nb, certs.TimeValue(nb.at, nb.tag), lambda t: actions._shifted_time(t, -1)),
+        (
+            default_cert.signature_algorithm,
+            certs.AlgorithmId(default_cert.signature_algorithm.oid, default_cert.signature_algorithm.params_raw),
+            lambda alg: actions._algorithm_with_oid(alg, oid.MD5_RSA),
+        ),
+        (ext, certs.Extension(ext.oid, ext.critical, ext.value, ext.critical_encoded), lambda e: actions._edited_extension(e, None, True)),
+    ]
+    for parsed, by_hand, edit in cases:
+        assert parsed is not by_hand and "der" not in vars(by_hand)
+        assert by_hand == parsed and hash(by_hand) == hash(parsed) == hash(parsed.der)
+        assert edit(by_hand) is edit(parsed)
+
+
+def test_a_bound_shifts_by_its_instant():
+    # bounds at one instant in two zones are equal, so one cache key: a
+    # shift reads the instant in UTC, as encoded, whichever comes first
+    local = certs.TimeValue(dt.datetime(2024, 2, 29, 1, tzinfo=dt.timezone(dt.timedelta(hours=2))))
+    utc = certs.TimeValue(dt.datetime(2024, 2, 28, 23, tzinfo=dt.timezone.utc))
+    assert local == utc and local.der == utc.der
+    shift = actions._shifted_time.__wrapped__
+    for years in (1, -1, 7976):
+        assert shift(local, years) == shift(utc, years)
+    assert shift(local, 1).der == certs.TimeValue(dt.datetime(2025, 2, 28, 23, tzinfo=dt.timezone.utc)).der
 
 
 def test_a_doubled_key_is_not_kept(default_cert):
