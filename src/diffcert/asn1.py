@@ -150,7 +150,10 @@ def decode_bool_content(content: bytes, offset: int = 0) -> bool:
     raise MalformedDer(offset, "BOOLEAN content must be 0x00 or 0xff")
 
 
-@functools.lru_cache(maxsize=1024)  # the same few OIDs recur in every certificate
+OID_CACHE_LIMIT = 1024  # distinct OIDs kept encoded and decoded; a hostile corpus cannot grow it further
+
+
+@functools.lru_cache(maxsize=OID_CACHE_LIMIT)  # the same few OIDs recur in every certificate
 def encode_oid_content(dotted: str) -> bytes:
     arcs = [int(part) for part in dotted.split(".")]
     if len(arcs) < 2 or arcs[0] > 2 or (arcs[0] < 2 and arcs[1] >= 40):
@@ -166,9 +169,6 @@ def encode_oid_content(dotted: str) -> bytes:
             value >>= 7
         out.extend(reversed(chunk))
     return bytes(out)
-
-
-OID_CACHE_LIMIT = 1024  # distinct OIDs kept decoded; a hostile corpus cannot grow it further
 
 
 def decode_oid_content(content: bytes, offset: int = 0) -> str:

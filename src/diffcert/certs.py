@@ -12,17 +12,16 @@ seeds each part's DER (and the certificate's TBS and encoding) with its
 slice of the input, and `copy_certificate` copies the fields without the
 cached bytes, so every mutant, the first of a seed included, re-encodes
 and re-derives only the parts its edit replaced.  Each distinct algorithm,
-name, validity time and extension is parsed or built once per process:
-the parse interns parts by their DER, and the actions intern the parts
-they build by the part they edit, which hashes by its DER and compares
-by its fields, so certificates that repeat a part (one CA's issuer name,
-its policies, its key usages, the same edit of them) share one instance
-of it and the facts cached on it.  Each distinct certificate is parsed
-once per process too, keyed by its DER and parse mode, so a campaign's
-seed visits reuse the parse that accepted the seed into the corpus.
-Each cache holds at most `PART_CACHE_LIMIT` entries; at about 4 KB per
-certificate that is some 4 MB, and a smaller limit would no longer hold
-a corpus of a few hundred seeds, whose visits would then evict each other.
+name, validity time and extension is parsed or built once per process: the
+parse interns parts by their DER, and the actions intern the parts they
+build by the part they edit, which hashes by its DER, so certificates that
+repeat a part (one CA's issuer name, its policies, the same edit of them)
+share one instance of it and the facts cached on it.  Each distinct
+certificate is parsed once per process too, keyed by its DER and parse
+mode, so a campaign's seed visits reuse the parse that accepted the seed
+into the corpus.  Each cache holds at most `PART_CACHE_LIMIT` entries
+(some 4 MB of certificates at about 4 KB each); a smaller limit could not
+hold a corpus of a few hundred seeds, whose visits would evict each other.
 """
 
 from __future__ import annotations
@@ -556,12 +555,10 @@ def _parse_extensions(data: bytes, pos: int, end: int, *, lenient: bool) -> tupl
     return tuple(exts)
 
 
-# Each distinct algorithm, name, validity time and extension is parsed once
-# per process: the functions below take a part's whole TLV, parse it from
-# offset 0 and seed the part's `der` with it.  Parts are immutable and
-# their cached attributes are functions of their fields, so certificates
-# may share them.  An extension is keyed with the parse mode as well: a
-# lenient parse accepts an explicit FALSE flag that a strict one refuses.
+# The part interners below take a part's whole TLV, parse it from offset 0
+# and seed the part's `der` with it.  An extension is keyed with the parse
+# mode as well: a lenient parse accepts an explicit FALSE flag that a
+# strict one refuses.
 
 
 def _interned(parse, data: bytes, pos: int, nxt: int, *args):

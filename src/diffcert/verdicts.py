@@ -555,10 +555,13 @@ class ExternalBackend:
             raise ValueError("backend timeout: must be above 0 and at most 2147483.647 seconds")
         for arg in self.command:
             _check_type("backend command argument", arg, str)
-            try:
-                formatted = arg.format(cert="cert.der", trust=self.trust_path, now="0")
-            except (AttributeError, IndexError, KeyError, ValueError):
-                raise ValueError(f"command argument {arg!r} has a placeholder other than {{cert}}, {{trust}} and {{now}}") from None
+            try:  # the parse `reads_clock` reads: each field a bare name, nothing that picks part of a value
+                fields = [field[1:] for field in string.Formatter().parse(arg) if field[1] is not None]
+            except ValueError:  # an unmatched brace
+                fields = None
+            if fields is None or any(name not in ("cert", "trust", "now") or spec or conversion for name, spec, conversion in fields):
+                raise ValueError(f"command argument {arg!r} has a placeholder other than {{cert}}, {{trust}} and {{now}}")
+            formatted = arg.format(cert="cert.der", trust=self.trust_path, now="0")
             if "\x00" in formatted:  # no OS argument holds one
                 raise ValueError(f"command argument {formatted!r} holds a NUL")
 

@@ -183,6 +183,7 @@ def test_oid_cache_stays_within_its_limit():
     for arc in range(asn1.OID_CACHE_LIMIT + 300):
         assert asn1.decode_oid_content(asn1.encode_oid_content(f"1.3.6.1.4.1.{arc}")) == f"1.3.6.1.4.1.{arc}"
         assert asn1._decode_oid.cache_info().currsize <= asn1.OID_CACHE_LIMIT
+        assert asn1.encode_oid_content.cache_info().currsize <= asn1.OID_CACHE_LIMIT
 
 
 def test_time_utc_round_trip():

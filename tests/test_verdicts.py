@@ -555,7 +555,9 @@ def test_backend_spec_patterns_map_to_verdict_codes(code):
         ExternalBackend("x", ("v",), (PatternRule(code=code, exit_status=0), CATCH_ALL))
 
 
-@pytest.mark.parametrize("arg", ["{certfile}", "{}", "{0}", "{cert", "{cert.name}", "{now.real}"])
+@pytest.mark.parametrize(
+    "arg", ["{certfile}", "{}", "{0}", "{cert", "{cert.name}", "{now.real}", "{cert[0]}", "{trust[1]}", "{now[0]}", "{now!r}", "{cert:.3}"]
+)
 def test_backend_command_formats_with_cert_and_trust_alone(arg):
     with pytest.raises(ValueError, match="command argument"):
         ExternalBackend("x", ("v", arg), (CATCH_ALL,))
