@@ -560,7 +560,7 @@ def test_backend_spec_patterns_map_to_verdict_codes(code):
 )
 def test_backend_command_formats_with_cert_and_trust_alone(arg):
     with pytest.raises(ValueError, match="command argument"):
-        ExternalBackend("x", ("v", arg), (CATCH_ALL,))
+        ExternalBackend("x", ("v", arg), (CATCH_ALL,), trust_path="/etc/roots.pem")
     ExternalBackend("x", ("v", "{cert}", "--CAfile={trust}", "-attime={now}", "{{literal}}"), (CATCH_ALL,))
 
 
