@@ -221,14 +221,14 @@ def _run_loop(
                     book(entry.seed_id, (), entry.der, verdicts, episode)
                     continue
 
-                current, current_der, previous = seed, entry.der, verdicts
+                current, previous = seed, verdicts
                 state = featurize(seed) if featurize is not None else None
                 trace: list[int] = []
                 for step in range(MAX_TRACE_LENGTH):
                     action = choose(state)
                     mutant = apply(current, action)
-                    # a loop without states compares no DERs, so it encodes only what it books
-                    mutant_der = encode_der(mutant) if featurize is not None else None
+                    # a no-op mutant equals its parent, so it has its parent's state, verdicts and successors
+                    no_op = featurize is not None and mutant == current
                     verdicts = verify_all(mutant, panel)
                     score, stop = reward(config.reward_scheme, verdicts, previous)
                     exhausted = step == MAX_TRACE_LENGTH - 1
@@ -236,17 +236,16 @@ def _run_loop(
                     trace.append(action)
                     next_state = None
                     if featurize is not None and not terminal:
-                        # a no-op mutant re-encodes its parent, so it has its parent's state
-                        next_state = state if mutant_der == current_der else featurize(mutant)
+                        next_state = state if no_op else featurize(mutant)
                     if learner is not None:
                         learner.observe(state, action, score, next_state)
                     if verdicts.discrepancy:
-                        book(entry.seed_id, tuple(trace), mutant_der or encode_der(mutant), verdicts, episode)
-                    if terminal or (greedy and mutant_der == current_der and not verdicts.discrepancy):
+                        book(entry.seed_id, tuple(trace), encode_der(mutant), verdicts, episode)
+                    if terminal or (greedy and no_op and not verdicts.discrepancy):
                         # a greedy no-op leaves the state as it was, so the same action
                         # and verdicts would repeat to the budget's end, booking nothing
                         break
-                    current, current_der, previous, state = mutant, mutant_der, verdicts, next_state
+                    current, previous, state = mutant, verdicts, next_state
             stats.episodes.append(episode)
             log.info(
                 "episode %d: corpus %d discrepancies %d proportion %.1f%%",

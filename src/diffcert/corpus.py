@@ -315,9 +315,11 @@ class DiscrepancyRecord:
         if len(self.backend_ids) != len(self.verdicts) or not all(type(b) is str for b in self.backend_ids):
             raise ValueError(f"backend ids {list(self.backend_ids)!r} are not one string per verdict")
         try:
-            dt.datetime.fromisoformat(self.timestamp)
+            clock = dt.datetime.fromisoformat(self.timestamp)
         except (TypeError, ValueError):
             raise ValueError(f"timestamp {self.timestamp!r} is not an ISO 8601 string") from None
+        if clock.tzinfo is None:  # replay would read it in the host's time zone
+            raise ValueError(f"timestamp {self.timestamp!r} has no UTC offset")
         if type(self.rng_seed) is not int:
             raise ValueError(f"rng seed {self.rng_seed!r} is not an int")
         if not is_discrepancy(self.verdicts):
@@ -362,35 +364,26 @@ class DiscrepancyDb:
     """Append-only store: ``<payload-length><TAB><json><LF>`` per record.
     Opening one makes its directory.  The first `append` opens the file
     and keeps it open until `close`; each record is flushed as one whole
-    line, so the file holds every record as soon as it is appended."""
+    line, so the file holds every record as soon as it is appended.  A
+    torn final line (a crash mid-append) is skipped by `load_all` and cut
+    by the first `append`, so reading never writes."""
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._drop_torn_tail()
         self._handle = None
 
     def _drop_torn_tail(self) -> None:
-        """Truncate an unterminated final line, the trace of a crash mid-append,
-        so the intact records load and the next append starts a fresh line."""
-        try:
-            size = self.path.stat().st_size
-        except FileNotFoundError:
-            return
-        if size == 0:
-            return
-        with open(self.path, "rb") as handle:
-            handle.seek(size - 1)
-            if handle.read(1) == b"\n":
-                return
-            handle.seek(0)
-            keep = handle.read().rfind(b"\n") + 1
-        os.truncate(self.path, keep)
-        log.warning("%s: dropped %d bytes of a torn final record", self.path, size - keep)
+        data = self.path.read_bytes() if self.path.exists() else b""
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):
+            os.truncate(self.path, keep)
+            log.warning("%s: dropped %d bytes of a torn final record", self.path, len(data) - keep)
 
     def append(self, record: DiscrepancyRecord) -> None:
         payload = record.to_json()
         if self._handle is None:
+            self._drop_torn_tail()
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(f"{len(payload)}\t{payload}\n")
         self._handle.flush()
@@ -406,8 +399,9 @@ class DiscrepancyDb:
         records = []
         with open(self.path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, 1):
-                if not line.endswith("\n"):
-                    raise CorruptDatabase(f"record {lineno}: unterminated line")
+                if not line.endswith("\n"):  # only the final line can be unterminated
+                    log.warning("%s: dropped %d bytes of a torn final record", self.path, len(line.encode("utf-8")))
+                    break
                 try:
                     length_text, payload = line[:-1].split("\t", 1)
                     if int(length_text) != len(payload):

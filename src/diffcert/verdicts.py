@@ -231,7 +231,7 @@ class TrustStore:
 
     @classmethod
     def from_json(cls, text: str) -> "TrustStore":
-        anchors = []
+        store = cls()
         for entry in _read_body(load_json(text), "diffcert-trust", "trust store", "anchors"):
             entry = read_keys("trust anchor", entry, ("name_b64", "tag"), {"version": 3, "is_root": True})
             name_b64 = _check_type("trust anchor name_b64", entry["name_b64"], str)
@@ -239,8 +239,10 @@ class TrustStore:
                 name_der = base64.b64decode(name_b64, validate=True)
             except ValueError as exc:
                 raise ValueError(f"trust anchor name_b64: {name_b64!r} is not base64 ({exc})") from None
-            anchors.append(TrustAnchor(name_der, entry["tag"], entry["version"], entry["is_root"]))
-        return cls(anchors)
+            if store.lookup(name_der) is not None:
+                raise ValueError(f"trust anchor name_b64: {name_b64!r} appears twice")
+            store.add(TrustAnchor(name_der, entry["tag"], entry["version"], entry["is_root"]))
+        return store
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +647,8 @@ class Panel:
         self.backends = tuple(backends)
         if len(self.backends) < 2:
             raise InsufficientBackends(f"need at least 2 backends, have {len(self.backends)}")
+        if now.tzinfo is None:  # a naive clock would be read in the host's time zone
+            raise ValueError(f"clock {now.isoformat()} has no UTC offset")
         self.now = now
         self.ids = tuple(backend.id for backend in self.backends)
         self.externals = tuple((i, b) for i, b in enumerate(self.backends) if isinstance(b, ExternalBackend))

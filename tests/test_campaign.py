@@ -3,6 +3,7 @@ one action triggers a discrepancy, plus budget, determinism and the
 closed-form baseline yield."""
 
 import concurrent.futures
+import datetime as dt
 import hashlib
 import math
 import random
@@ -309,6 +310,7 @@ def test_custom_reference_clock_replays_exactly(tmp_path):
     verdicts = verify_all(mutant_der, backends, clock)
     db = DiscrepancyDb(tmp_path / "run.db")
     db.append(DiscrepancyRecord(entry.seed_id, trace, mutant_der, verdicts.codes, verdicts.backend_ids, clock.isoformat(), 8))
+    db.close()
     (rec,) = db.load_all()
     assert rec.timestamp == clock.isoformat()
     rebuilt = replay_record(corpus, rec)
@@ -399,34 +401,31 @@ def test_each_seed_visit_looks_up_parse_der_once(monkeypatch):
 def test_training_featurizes_each_distinct_certificate_once(monkeypatch):
     # the seed and every non-terminal mutant have a state, featurized once:
     # the mutant's vector is both the transition's next state and the next
-    # step's state, and a no-op mutant (its parent's DER again) reuses its
+    # step's state, and a no-op mutant (equal to its parent) reuses its
     # parent's state
     counts = {}
-    _count_calls(monkeypatch, campaign_mod, "apply", counts)
     _count_calls(monkeypatch, campaign_mod, "extract", counts)
-    visits, lineage = [], [b""]  # per seed visit, one no-op flag per mutant
-    parse, encode = campaign_mod.parse_der, campaign_mod.encode_der
+    visits = []  # per seed visit, one no-op flag per mutant
+    parse, apply = campaign_mod.parse_der, campaign_mod.apply
 
     def parse_seed(der):
         visits.append([])
-        lineage[0] = der
         return parse(der)
 
-    def encode_mutant(cert):
-        der = encode(cert)
-        visits[-1].append(der == lineage[0])
-        lineage[0] = der
-        return der
+    def apply_counting(cert, *args, **kwargs):
+        mutant = apply(cert, *args, **kwargs)
+        visits[-1].append(mutant == cert)
+        return mutant
 
     monkeypatch.setattr(campaign_mod, "parse_der", parse_seed)
-    monkeypatch.setattr(campaign_mod, "encode_der", encode_mutant)
+    monkeypatch.setattr(campaign_mod, "apply", apply_counting)
     corpus = generate_corpus(12, rng_seed=3)
     config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=1, rng_seed=5)
     run_training(corpus, config)
+    applied = sum(len(flags) for flags in visits)
     reused = sum(sum(flags[:-1]) for flags in visits)  # the last mutant of a visit is terminal
-    assert counts["apply"] == sum(len(flags) for flags in visits) > 0
-    assert reused > 0
-    assert counts["extract"] == counts["apply"] - reused
+    assert applied > 0 and reused > 0
+    assert counts["extract"] == applied - reused
 
 
 def test_no_op_mutant_has_its_parents_features(monkeypatch):
@@ -440,6 +439,38 @@ def test_no_op_mutant_has_its_parents_features(monkeypatch):
     no_ops = [(parent, action, mutant) for parent, action, mutant in pairs if encode_der(mutant) == encode_der(parent)]
     assert len({action for _, action, _ in no_ops}) > 10
     assert all(extract(mutant) == extract(parent) for parent, _, mutant in no_ops)
+
+
+@pytest.mark.parametrize(
+    "now",
+    [REFERENCE_TIME, REFERENCE_TIME.astimezone(dt.timezone(dt.timedelta(hours=2))), dt.datetime(2049, 12, 31, 23, 59, 59, tzinfo=dt.timezone.utc)],
+    ids=["reference", "plus-two", "end-of-utctime"],
+)
+def test_a_mutant_equals_its_parent_exactly_when_it_encodes_to_its_parents_der(now):
+    # the premise of deciding no-ops from fields: over seeded traces that
+    # take every action, lenient mutants (an explicit FALSE flag) among
+    # them, field equality and DER equality agree, and a field-equal
+    # mutant has its parent's features and verdicts
+    corpus = generate_corpus(24, 1)
+    backends = tuple(default_backends(corpus.trust))
+    rng = random.Random(17)
+    taken, no_ops, lenient_no_ops = set(), 0, 0
+    for entry in corpus.entries * 3:
+        parent = certs_mod.parse_der(entry.der)
+        for _ in range(MAX_TRACE_LENGTH):
+            action = rng.randrange(CATALOG_SIZE)
+            taken.add(action)
+            mutant = apply(parent, action, now=now)
+            same = mutant == parent
+            assert same == (encode_der(mutant) == encode_der(parent))
+            if same:
+                no_ops += 1
+                lenient_no_ops += not mutant.strict_der
+                assert extract(mutant) == extract(parent)
+                assert verify_all(mutant, backends, now) == verify_all(parent, backends, now)
+            parent = mutant
+    assert taken == set(range(CATALOG_SIZE))
+    assert no_ops > 0 and lenient_no_ops > 0
 
 
 def test_baseline_featurizes_nothing(monkeypatch):
@@ -566,8 +597,9 @@ def test_seed_visit_judges_without_parsing(monkeypatch):
 
 
 def test_each_mutant_encoded_once(monkeypatch):
-    # the TBS of a mutant is serialized once, however many times the loop,
-    # the verifier and the database ask for its bytes
+    # the TBS of a mutant is serialized at most once, however many times
+    # the loop, the verifier, the database and later readers ask for its
+    # bytes
     corpus = generate_corpus(12, rng_seed=3)
     config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=1, rng_seed=5)
     apply, encoded, applied = campaign_mod.apply, [], []
@@ -583,11 +615,10 @@ def test_each_mutant_encoded_once(monkeypatch):
     monkeypatch.setattr(campaign_mod, "apply", counting_apply)
     monkeypatch.setattr(certs_mod, "encode_tbs", counting_encode_tbs)
     run_training(corpus, config)
-    assert applied
+    assert applied and encoded
+    for _ in range(2):
+        assert all(encode_der(mutant) for mutant in applied)
     assert len({id(cert) for cert in encoded}) == len(encoded) <= len(applied)
-    before = len(encoded)
-    assert all(encode_der(mutant) for mutant in applied)
-    assert len(encoded) == before
 
 
 def test_verdict_memo_changes_nothing(monkeypatch):
@@ -941,8 +972,8 @@ def test_greedy_stop_changes_no_trained_parameter(monkeypatch):
 
 def _eager_baseline(corpus, config):
     # run_baseline's chooser on a loop with a state function whose states
-    # nothing reads and a learner that learns nothing: the loop compares
-    # DERs, so it encodes every mutant, and never ends a seed at a no-op
+    # nothing reads and a learner that learns nothing: the loop decides
+    # no-ops and reuses states, and never ends a seed at a no-op
     rng = random.Random(config.rng_seed)
     return campaign_mod._run_loop(corpus, config, lambda _state: rng.randrange(CATALOG_SIZE), lambda cert: None, _LearnsNothing())
 
@@ -968,23 +999,37 @@ def test_baseline_encoding_only_what_it_books_changes_no_output(panel, reward_sc
     assert _stats_blob(lazy_stats) == _stats_blob(eager_stats)
 
 
-def test_only_the_stateful_loops_encode_every_mutant(monkeypatch, tmp_path):
-    # the baseline encodes the mutants it books and verifies every one;
-    # training and inference compare each mutant's DER with its parent's,
-    # so they encode every mutant they make
+def test_every_loop_encodes_only_the_mutants_it_books(monkeypatch):
+    # every loop, the training probes too, decides no-ops from fields and
+    # verifies each mutant from its fields, so it encodes a mutant once,
+    # to book it, and never one it does not book
     corpus = generate_corpus(40, 1)
     config = CampaignConfig(backends=tuple(default_backends(corpus.trust)), max_episode=2, rng_seed=5)
-    counts = {}
-    for name in ("apply", "encode_der", "verify_all"):
-        _count_calls(monkeypatch, campaign_mod, name, counts)
-    stats = run_baseline(corpus, replace(config, db_path=str(tmp_path / "baseline.db")))
-    booked = sum(1 for rec in DiscrepancyDb(tmp_path / "baseline.db").load_all() if rec.trace)
-    assert 0 < booked == counts["encode_der"] < counts["apply"]
-    assert counts["verify_all"] == stats.seeds_processed + counts["apply"]
-    for run in (lambda: run_training(corpus, config), lambda: run_inference(corpus, qnet.init(11), config)):
-        counts.clear()
+    encode, record = campaign_mod.encode_der, campaign_mod.DiscrepancyRecord
+    encoded, booked, counts = [], [], {}
+
+    def encoding(cert):
+        encoded.append(encode(cert))
+        return encoded[-1]
+
+    def booking(*args, **kwargs):
+        rec = record(*args, **kwargs)
+        if rec.trace:  # a mutant, not a seed booked as it is
+            booked.append(rec.mutant_der)
+        return rec
+
+    monkeypatch.setattr(campaign_mod, "encode_der", encoding)
+    monkeypatch.setattr(campaign_mod, "DiscrepancyRecord", booking)
+    _count_calls(monkeypatch, campaign_mod, "apply", counts)
+    for run in (
+        lambda: run_baseline(corpus, config),
+        lambda: run_training(corpus, config),
+        lambda: run_inference(corpus, qnet.init(1), config),  # parameters that book on this corpus
+    ):
+        encoded.clear(), booked.clear(), counts.clear()
         run()
-        assert counts["encode_der"] == counts["apply"] > 0
+        assert 0 < len(booked) < counts["apply"]
+        assert encoded == booked
 
 
 @pytest.mark.parametrize("scheme", campaign_mod.REWARD_SCHEMES)

@@ -252,6 +252,22 @@ def test_report_json_stream(tmp_path, corpus_dir, capsys):
     assert vector_total == lines[0]["records"]
 
 
+def test_report_never_writes_the_database(tmp_path, corpus_dir, capsys):
+    # a torn final record, the trace of a crash mid-append, is left in the
+    # file: the report skips it and counts the intact records
+    run_dir = tmp_path / "run"
+    assert run_cli("baseline", str(corpus_dir), "--seed", "3", "--out", str(run_dir)) == 0
+    db_path = run_dir / "baseline.db"
+    records = DiscrepancyDb(db_path).load_all()
+    assert len(records) > 1
+    db_path.write_bytes(db_path.read_bytes()[:-19])
+    torn = db_path.read_bytes()
+    capsys.readouterr()
+    assert run_cli("report", str(db_path)) == 0
+    assert f"discrepancies {len(records) - 1}" in capsys.readouterr().out
+    assert db_path.read_bytes() == torn
+
+
 def test_unknown_flag_is_an_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["catalog", "--frobnicate"])

@@ -139,6 +139,7 @@ def test_db_round_trip(tmp_path):
     recs = [make_record(seed_id=f"s{i}", trace=(i % 10,)) for i in range(10)]
     for rec in recs:
         db.append(rec)
+    db.close()
     loaded = db.load_all()
     assert loaded == recs  # byte-identical fields, insertion order
 
@@ -203,12 +204,13 @@ def test_record_fields_of_the_wrong_type_are_refused(tmp_path, field, value):
 def test_db_detects_corruption(tmp_path):
     db = DiscrepancyDb(tmp_path / "found.db")
     db.append(make_record())
+    db.close()
     blob = db.path.read_text()
     db.path.write_text("9999\t" + blob.split("\t", 1)[1])
     with pytest.raises(corpus_mod.CorruptDatabase):
         db.load_all()
     with pytest.raises(corpus_mod.CorruptDatabase):
-        DiscrepancyDb(db.path).load_all()  # opening drops only an unterminated tail
+        DiscrepancyDb(db.path).load_all()  # only an unterminated final line is skipped
 
 
 @pytest.mark.parametrize("mangle", ["not-json", "empty-object", "bad-trace"])
@@ -216,6 +218,7 @@ def test_db_bad_payload_is_corruption(tmp_path, mangle):
     # a correctly framed record whose payload is not a record
     db = DiscrepancyDb(tmp_path / "found.db")
     db.append(make_record())
+    db.close()
     doc = json.loads(db.path.read_text().split("\t", 1)[1])
     payload = {"not-json": "abcde", "empty-object": "{}", "bad-trace": json.dumps({**doc, "trace": [99]})}[mangle]
     db.path.write_text(db.path.read_text() + f"{len(payload)}\t{payload}\n")
@@ -236,8 +239,22 @@ def test_db_bad_payload_is_corruption(tmp_path, mangle):
         ({"backend_ids": "abcdef"}, "backend_ids: expected a list, got 'abcdef'"),  # six ids for six verdicts
         ({"trace": "3"}, "trace: expected a list, got '3'"),
         ('"seed_id": "b"', "repeated key 'seed_id'"),  # appended raw: read as its last value, the seed would be `b`
+        # replayed in the host's time zone, a `set notBefore` trace would rebuild another mutant on each host
+        ({"timestamp": "2025-06-01T00:00:00"}, "timestamp '2025-06-01T00:00:00' has no UTC offset"),
     ],
-    ids=["star", "space", "padding", "non-ascii", "int", "unknown-key", "misspelt-key", "string-ids", "string-trace", "repeated-key"],
+    ids=[
+        "star",
+        "space",
+        "padding",
+        "non-ascii",
+        "int",
+        "unknown-key",
+        "misspelt-key",
+        "string-ids",
+        "string-trace",
+        "repeated-key",
+        "naive-timestamp",
+    ],
 )
 def test_db_reads_records_strictly(tmp_path, change, reason):
     # the database is read as strictly as backend and trust files: no
@@ -320,20 +337,27 @@ def test_report_empty():
 
 
 def test_db_recovers_torn_tail(tmp_path, caplog):
+    # reading skips the torn final line and leaves the file as it is; the
+    # next append cuts it, so its record starts a fresh line
     path = tmp_path / "found.db"
     db = DiscrepancyDb(path)
     recs = [make_record(seed_id=f"s{i}") for i in range(3)]
     for rec in recs:
         db.append(rec)
+    db.close()
     size = path.stat().st_size
     with open(path, "r+b") as handle:
         handle.truncate(size - 20)  # a crash mid-way through the third append
+    torn = path.read_bytes()
+    db = DiscrepancyDb(path)
     with caplog.at_level("WARNING", logger="diffcert.corpus"):
-        db = DiscrepancyDb(path)
-    assert db.load_all() == recs[:2]
+        assert db.load_all() == recs[:2]
     assert f"dropped {size // 3 - 20} bytes" in caplog.text  # the three lines are equally long
+    assert path.read_bytes() == torn
     db.append(recs[2])
+    db.close()
     assert DiscrepancyDb(path).load_all() == recs
+    assert path.stat().st_size == size
 
 
 def _write_checkpoint(path):

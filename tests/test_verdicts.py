@@ -356,6 +356,19 @@ def test_verify_all_refuses_a_clock_with_an_open_panel():
         assert verify_all(entry.der, backends, later) == verify_all(entry.der, panel)
 
 
+def test_panel_refuses_a_clock_without_a_utc_offset():
+    # a naive clock is read in the host's time zone, so two hosts would
+    # judge one input at two instants
+    corpus = generate_corpus(2, 1)
+    backends = default_backends(corpus.trust)
+    naive = REFERENCE_TIME.replace(tzinfo=None)
+    for build in (lambda: Panel(backends, naive), lambda: verify_all(corpus.entries[0].der, backends, naive)):
+        with pytest.raises(ValueError, match="has no UTC offset"):
+            build()
+    later = REFERENCE_TIME.astimezone(datetime.timezone(datetime.timedelta(hours=2)))
+    assert Panel(backends, later).now == REFERENCE_TIME  # any offset names an instant
+
+
 def test_verify_all_order_is_configuration_order(env):
     cert, store = env
     backends = default_backends(store)
@@ -734,6 +747,11 @@ def test_trust_store_round_trip(env):
         ("[]", "not a diffcert trust store"),
         ('{"format": "diffcert-trust", "version": 1}', "no 'anchors' list"),
         ('{"format": "diffcert-trust", "version": 1, "anchors": [{"tag": "t"}]}', "name_b64"),
+        # loaded one after the other, the second would replace the first
+        (
+            '{"format": "diffcert-trust", "version": 1, "anchors": [{"name_b64": "MAA=", "tag": "a"}, {"name_b64": "MAA=", "tag": "b"}]}',
+            "name_b64: 'MAA=' appears twice",
+        ),
     ],
 )
 def test_malformed_trust_store_is_a_value_error(text, problem):
