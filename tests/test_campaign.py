@@ -1020,16 +1020,19 @@ def test_every_loop_encodes_only_the_mutants_it_books(monkeypatch):
 
     monkeypatch.setattr(campaign_mod, "encode_der", encoding)
     monkeypatch.setattr(campaign_mod, "DiscrepancyRecord", booking)
-    _count_calls(monkeypatch, campaign_mod, "apply", counts)
+    for name in ("parse_der", "apply", "verify_all"):
+        _count_calls(monkeypatch, campaign_mod, name, counts)
     for run in (
         lambda: run_baseline(corpus, config),
         lambda: run_training(corpus, config),
         lambda: run_inference(corpus, qnet.init(1), config),  # parameters that book on this corpus
     ):
-        encoded.clear(), booked.clear(), counts.clear()
+        for seen in (encoded, booked, counts):
+            seen.clear()
         run()
         assert 0 < len(booked) < counts["apply"]
         assert encoded == booked
+        assert counts["verify_all"] == counts["parse_der"] + counts["apply"]  # every seed and mutant is verified
 
 
 @pytest.mark.parametrize("scheme", campaign_mod.REWARD_SCHEMES)
