@@ -77,14 +77,14 @@ def _set_version(cert: Certificate, value: int) -> Certificate:
 
 
 def _set_serial(cert: Certificate, value: int) -> Certificate:
-    return copy_certificate(cert, serial=value, serial_raw=asn1.encode_int_content(value))
+    return copy_certificate(cert, serial=value)
 
 
 def _pad_serial(cert: Certificate, octets: int) -> Certificate:
     """Grow the serial to a fixed octet count, keeping it minimal-positive."""
-    body = cert.serial_raw or b"\x00"
+    body = asn1.encode_int_content(cert.serial)
     raw = (b"\x01" + body * (octets // len(body) + 1))[:octets]
-    return copy_certificate(cert, serial=int.from_bytes(raw, "big", signed=True), serial_raw=raw)
+    return _set_serial(cert, int.from_bytes(raw, "big", signed=True))
 
 
 # Edits that build a part return one shared instance per distinct result.

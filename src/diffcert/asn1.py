@@ -123,10 +123,7 @@ def tlv(tag: int, content: bytes) -> bytes:
 
 def encode_int_content(value: int) -> bytes:
     """Two's-complement minimal content octets of an INTEGER."""
-    if value == 0:
-        return b"\x00"
-    nbytes = (value.bit_length() if value > 0 else (-1 - value).bit_length()) // 8 + 1
-    return value.to_bytes(nbytes, "big", signed=True)
+    return value.to_bytes((value if value >= 0 else ~value).bit_length() // 8 + 1, "big", signed=True)
 
 
 def decode_int_content(content: bytes, offset: int = 0) -> int:
@@ -171,15 +168,20 @@ def encode_oid_content(dotted: str) -> bytes:
     return bytes(out)
 
 
-def decode_oid_content(content: bytes, offset: int = 0) -> str:
-    """Dotted form of an OID's content bytes.  A certificate corpus names
-    few distinct OIDs, so successful decodes are cached by content; a
-    failure is not, and its `MalformedDer` carries ``offset`` plus the
-    position within ``content``."""
-    try:
-        return _decode_oid(bytes(content))
+def parse_at(parse, content: bytes, offset: int, *args):
+    """``parse(content, *args)`` for the slice ``content`` at ``offset`` of
+    an input, ``parse`` being a cache by slice that caches no failure: a
+    `MalformedDer` is moved from the slice to its offset in the input."""
+    try:  # a call without arguments is the cheaper one, and most are
+        return parse(content, *args) if args else parse(content)
     except MalformedDer as exc:
         raise MalformedDer(offset + exc.offset, exc.reason) from None
+
+
+def decode_oid_content(content: bytes, offset: int = 0) -> str:
+    """Dotted form of an OID's content bytes, cached by content: a
+    certificate corpus names few distinct OIDs."""
+    return parse_at(_decode_oid, bytes(content), offset)
 
 
 @functools.lru_cache(maxsize=OID_CACHE_LIMIT)

@@ -43,6 +43,11 @@ REFERENCE_TIME = dt.datetime(2025, 6, 1, 0, 0, 0, tzinfo=UTC)
 
 ONE_YEAR = 365 * 24 * 3600
 
+# RFC 5280 caps a serial number at 20 octets: the serials whose minimal
+# two's-complement octets, which the codec writes, fit in 20 are
+# SERIAL_MIN <= serial < SERIAL_END.
+SERIAL_MIN, SERIAL_END = -(2**159), 2**159
+
 
 class _cached:
     """``functools.cached_property`` without the lock it takes on every
@@ -334,8 +339,7 @@ class Certificate:
 
     version: int  # human value: 1..4+ (wire value is version - 1)
     version_present: bool
-    serial: int
-    serial_raw: bytes  # INTEGER content octets as they will appear on the wire
+    serial: int  # encoded minimal, as the parse requires
     signature_algorithm: AlgorithmId  # inner TBS algorithm
     issuer: Name
     subject: Name
@@ -467,8 +471,7 @@ def _parse_tbs(data: bytes, pos: int, end: int, *, lenient: bool) -> dict:
             raise UnsupportedStructure(f"nonsensical version value {version - 1}")
 
     sstart, sstop, pos = asn1.expect_tlv(data, pos, end, asn1.INTEGER, "serialNumber")
-    serial_raw = data[sstart:sstop]
-    serial = asn1.decode_int_content(serial_raw, sstart)
+    serial = asn1.decode_int_content(data[sstart:sstop], sstart)
 
     sig_alg, pos = _sequence_part(_algorithm, data, pos, end, "AlgorithmIdentifier")
     issuer, pos = _sequence_part(_name, data, pos, end, "Name")
@@ -500,7 +503,6 @@ def _parse_tbs(data: bytes, pos: int, end: int, *, lenient: bool) -> dict:
         version=version,
         version_present=version_present,
         serial=serial,
-        serial_raw=serial_raw,
         signature_algorithm=sig_alg,
         issuer=issuer,
         subject=subject,
@@ -516,7 +518,7 @@ def _parse_time(data: bytes, pos: int, end: int) -> tuple[TimeValue, int]:
     tag, _, _, nxt = asn1.read_tlv(data, pos, end)
     if tag not in (asn1.UTC_TIME, asn1.GENERALIZED_TIME):
         raise UnsupportedStructure(f"validity time has tag 0x{tag:02x}")
-    return _interned(_time, data, pos, nxt), nxt
+    return asn1.parse_at(_time, data[pos:nxt], pos), nxt
 
 
 def _parse_spki(data: bytes, pos: int, end: int) -> tuple[PublicKeyInfo, int]:
@@ -524,7 +526,7 @@ def _parse_spki(data: bytes, pos: int, end: int) -> tuple[PublicKeyInfo, int]:
     atag, _, _, apos = asn1.read_tlv(data, pstart, pstop)
     if atag != asn1.SEQUENCE:
         raise UnsupportedStructure("SPKI algorithm is not a SEQUENCE")
-    algorithm = _interned(_algorithm, data, pstart, apos)
+    algorithm = asn1.parse_at(_algorithm, data[pstart:apos], pstart)
     kstart, kstop, kpos = asn1.expect_tlv(data, apos, pstop, asn1.BIT_STRING, "subjectPublicKey")
     if kpos != pstop:
         raise MalformedDer(kpos, "trailing bytes in subjectPublicKeyInfo")
@@ -555,40 +557,38 @@ def _parse_extensions(data: bytes, pos: int, end: int, *, lenient: bool) -> tupl
     return tuple(exts)
 
 
-# The part interners below take a part's whole TLV, parse it from offset 0
-# and seed the part's `der` with it.  An extension is keyed with the parse
-# mode as well: a lenient parse accepts an explicit FALSE flag that a
-# strict one refuses.
-
-
-def _interned(parse, data: bytes, pos: int, nxt: int, *args):
-    """``parse(data[pos:nxt], *args)``; a `MalformedDer` is moved from the
-    slice to its offset in ``data``.  Failures are not cached."""
-    try:
-        return parse(data[pos:nxt], *args)
-    except MalformedDer as exc:
-        raise MalformedDer(pos + exc.offset, exc.reason) from None
-
-
 def _sequence_part(parse, data: bytes, pos: int, end: int, what: str, *args):
-    """Frame the SEQUENCE ``what`` at ``pos``, intern it through `_interned`
-    and return it with the position after it."""
+    """Frame the SEQUENCE ``what`` at ``pos``, intern it through
+    `asn1.parse_at` and return it with the position after it."""
     nxt = asn1.expect_tlv(data, pos, end, asn1.SEQUENCE, what)[2]
-    return _interned(parse, data, pos, nxt, *args), nxt
+    return asn1.parse_at(parse, data[pos:nxt], pos, *args), nxt
 
 
-@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _algorithm(der: bytes) -> AlgorithmId:
-    _, astart, astop, _ = asn1.read_tlv(der, 0, len(der))
+def _part_interner(read):
+    """The interner of one kind of part, keyed by its whole TLV ``der``:
+    ``read(der, tag, start, stop, *args)`` builds the part from the
+    content ``der[start:stop]``, and the part's `der` is seeded with
+    ``der``.  The cache has ``read``'s name; ``__wrapped__`` is uncached."""
+
+    @functools.lru_cache(maxsize=PART_CACHE_LIMIT)
+    @functools.wraps(read)
+    def parse(der: bytes, *args):
+        tag, start, stop, _ = asn1.read_tlv(der, 0, len(der))
+        part = read(der, tag, start, stop, *args)
+        part.__dict__["der"] = der
+        return part
+
+    return parse
+
+
+@_part_interner
+def _algorithm(der: bytes, tag: int, astart: int, astop: int) -> AlgorithmId:
     ostart, ostop, opos = asn1.expect_tlv(der, astart, astop, asn1.OBJECT_IDENTIFIER, "algorithm OID")
-    alg = AlgorithmId(asn1.decode_oid_content(der[ostart:ostop], ostart), der[opos:astop])
-    alg.__dict__["der"] = der
-    return alg
+    return AlgorithmId(asn1.decode_oid_content(der[ostart:ostop], ostart), der[opos:astop])
 
 
-@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _name(der: bytes) -> Name:
-    _, nstart, nstop, _ = asn1.read_tlv(der, 0, len(der))
+@_part_interner
+def _name(der: bytes, tag: int, nstart: int, nstop: int) -> Name:
     rdns = []
     p = nstart
     while p < nstop:
@@ -605,27 +605,21 @@ def _name(der: bytes) -> Name:
         if not attrs:
             raise MalformedDer(rstart, "empty RelativeDistinguishedName")
         rdns.append(tuple(attrs))
-    name = Name(tuple(rdns))
-    name.__dict__["der"] = der
-    return name
+    return Name(tuple(rdns))
 
 
-@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _time(der: bytes) -> TimeValue:
-    tag, start, stop, _ = asn1.read_tlv(der, 0, len(der))
-    value = TimeValue(asn1.decode_time(tag, der[start:stop], start), tag)
-    value.__dict__["der"] = der
-    return value
+@_part_interner
+def _time(der: bytes, tag: int, start: int, stop: int) -> TimeValue:
+    return TimeValue(asn1.decode_time(tag, der[start:stop], start), tag)
 
 
-@functools.lru_cache(maxsize=PART_CACHE_LIMIT)
-def _extension(der: bytes, lenient: bool) -> Extension:
-    _, estart, estop, _ = asn1.read_tlv(der, 0, len(der))
+@_part_interner  # keyed with the parse mode too: only a lenient parse accepts an explicit FALSE flag
+def _extension(der: bytes, tag: int, estart: int, estop: int, lenient: bool) -> Extension:
     ostart, ostop, q = asn1.expect_tlv(der, estart, estop, asn1.OBJECT_IDENTIFIER, "extnID")
     ext_oid = asn1.decode_oid_content(der[ostart:ostop], ostart)
     critical, critical_encoded = False, False
-    tag, bstart, bstop, nxt = asn1.read_tlv(der, q, estop)
-    if tag == asn1.BOOLEAN:
+    got, bstart, bstop, nxt = asn1.read_tlv(der, q, estop)
+    if got == asn1.BOOLEAN:
         q = nxt
         critical = asn1.decode_bool_content(der[bstart:bstop], bstart)
         critical_encoded = True
@@ -634,9 +628,7 @@ def _extension(der: bytes, lenient: bool) -> Extension:
     vstart, vstop, q = asn1.expect_tlv(der, q, estop, asn1.OCTET_STRING, "extnValue")
     if q != estop:
         raise MalformedDer(q, "trailing bytes in Extension")
-    ext = Extension(ext_oid, critical, der[vstart:vstop], critical_encoded)
-    ext.__dict__["der"] = der
-    return ext
+    return Extension(ext_oid, critical, der[vstart:vstop], critical_encoded)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +640,7 @@ def encode_tbs(cert: Certificate) -> bytes:
     if cert.version_present or cert.version != 1:
         body.append(asn1.tlv(asn1.CTX_0_EXPLICIT, asn1.tlv(asn1.INTEGER, asn1.encode_int_content(cert.version - 1))))
     body += (
-        asn1.tlv(asn1.INTEGER, cert.serial_raw),
+        asn1.tlv(asn1.INTEGER, asn1.encode_int_content(cert.serial)),
         cert.signature_algorithm.der,
         cert.issuer.der,
         asn1.tlv(asn1.SEQUENCE, cert.not_before.der + cert.not_after.der),
@@ -851,7 +843,6 @@ def build_synthetic(params: SeedParams, rng_seed: int) -> Certificate:
     rng = random.Random(rng_seed)
 
     serial = params.serial if params.serial is not None else rng.getrandbits(63) | 1
-    serial_raw = asn1.encode_int_content(serial)
     time_tag = asn1.GENERALIZED_TIME if params.use_generalized_time else asn1.UTC_TIME
     not_before = TimeValue(REFERENCE_TIME + dt.timedelta(seconds=params.not_before_offset), time_tag)
     not_after = TimeValue(REFERENCE_TIME + dt.timedelta(seconds=params.not_after_offset), time_tag)
@@ -869,7 +860,6 @@ def build_synthetic(params: SeedParams, rng_seed: int) -> Certificate:
         version=params.version,
         version_present=params.version != 1,
         serial=serial,
-        serial_raw=serial_raw,
         signature_algorithm=sig_alg,
         issuer=build_name(params.issuer_common_name, params.issuer_country),
         subject=build_name(params.subject_common_name, params.subject_country),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import x509oids as oid
 from .actions import EXTENSION_TARGETS
-from .certs import REFERENCE_TIME, Certificate
+from .certs import REFERENCE_TIME, SERIAL_END, SERIAL_MIN, Certificate
 
 FEATURE_LENGTH = 101
 EXTENSION_BLOCK_START = 8
@@ -94,10 +94,10 @@ def _sign(difference: int) -> int:
     return (difference > 0) - (difference < 0)
 
 
-def _serial_class(serial: int, serial_raw: bytes) -> int:
+def _serial_class(serial: int) -> int:
     if serial == 0:
         return SERIAL_ZERO
-    if len(serial_raw) > 20:
+    if not SERIAL_MIN <= serial < SERIAL_END:
         return SERIAL_OVERLONG
     if serial < 0:
         return SERIAL_NEGATIVE
@@ -114,7 +114,7 @@ def extract(cert: Certificate) -> tuple[int, ...]:
     vec[4] = _sign(cert.not_after.seconds - _REFERENCE_SECONDS)
     vec[5] = cert.public_key_info.bit_length // 1024
     vec[6] = SIG_ALG_LABELS.get(cert.signature_algorithm.oid, 0)
-    vec[7] = _serial_class(cert.serial, cert.serial_raw)
+    vec[7] = _serial_class(cert.serial)
     for ext in cert.extensions:
         idx = _TRACKED_INDEX.get(ext.oid)
         if idx is None:

@@ -26,7 +26,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
-from .certs import REFERENCE_TIME, Certificate, MalformedDer, UnsupportedStructure, encode_der, mock_sign, parse_der
+from .certs import REFERENCE_TIME, SERIAL_END, SERIAL_MIN, Certificate, MalformedDer, UnsupportedStructure, encode_der, mock_sign, parse_der
 from . import x509oids as oid
 
 log = logging.getLogger(__name__)
@@ -398,22 +398,22 @@ class InputFacts(NamedTuple):
     failures in check order as ``(code, switch, counts)``: one counts for a
     profile whose ``switch`` setting equals ``counts``, and always when
     ``switch`` is None.  PARSING_ERROR stands for the profile's
-    ``parse_error_code``.  The defaults are a certificate with no defect.
+    ``parse_error_code``.
     """
 
-    strict_ok: bool = False
-    not_before: int = 0
-    not_after: int = 0
-    failures: tuple[tuple[int, str | None, bool], ...] = (_VALIDITY,)
+    strict_ok: bool
+    not_before: int
+    not_after: int
+    failures: tuple[tuple[int, str | None, bool], ...]
 
 
 def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) -> InputFacts | None:
     """The one pass over an input that every simulated profile shares.
 
     A certificate is judged from its fields: they are what a parse of its
-    encoding gives back.  Bytes are parsed; None means even a lenient
-    parse fails.  Without a ``lenient`` profile to read them, the facts of
-    an input that is not strict DER are the default ones.
+    encoding gives back.  Bytes are parsed.  None means no profile reads
+    the input: even a lenient parse fails, or it is not strict DER and
+    no profile is ``lenient``.
     """
     if isinstance(data, Certificate):
         cert = data
@@ -423,7 +423,7 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
         except (MalformedDer, UnsupportedStructure):
             return None
     if not (cert.strict_der or lenient):
-        return InputFacts()
+        return None
 
     # Check order: names, extension values read as parse errors, version,
     # algorithm, validity, serial, chain and trust, extensions.
@@ -446,7 +446,7 @@ def derive_facts(data: Certificate | bytes, trust: TrustStore, lenient: bool) ->
     failures.append(_VALIDITY)
     if cert.serial <= 0:
         failures.append(_NONPOSITIVE_SERIAL)
-    if len(cert.serial_raw) > 20:
+    if not SERIAL_MIN <= cert.serial < SERIAL_END:
         failures.append(_LONG_SERIAL)
 
     subject, issuer = cert.subject.der, cert.issuer.der
@@ -531,9 +531,9 @@ class ExternalBackend:
     """A verification utility run on a certificate file.
 
     ``command`` entries may hold the placeholders ``{cert}``, ``{trust}``
-    and ``{now}`` and no others; ``{trust}`` becomes ``trust_path`` and
-    ``{now}`` the panel's clock in POSIX seconds.  The pattern table must
-    end with a catch-all rule mapping to "Other error".
+    and ``{now}`` and no others; ``{trust}`` becomes ``trust_path`` (then
+    required) and ``{now}`` the panel's clock in POSIX seconds.  The
+    pattern table must end with a catch-all rule mapping to "Other error".
     """
 
     id: str
@@ -563,6 +563,8 @@ class ExternalBackend:
                 fields = None
             if fields is None or any(name not in ("cert", "trust", "now") or spec or conversion for name, spec, conversion in fields):
                 raise ValueError(f"command argument {arg!r} has a placeholder other than {{cert}}, {{trust}} and {{now}}")
+            if not self.trust_path and any(name == "trust" for name, _, _ in fields):
+                raise ValueError(f"command argument {arg!r} holds {{trust}}, but the backend has no trust path")
             formatted = arg.format(cert="cert.der", trust=self.trust_path, now="0")
             if "\x00" in formatted:  # no OS argument holds one
                 raise ValueError(f"command argument {formatted!r} holds a NUL")
@@ -573,7 +575,7 @@ class ExternalBackend:
         return any(name == "now" for arg in self.command for _, name, _, _ in string.Formatter().parse(arg))
 
 
-def external_verify(backend: ExternalBackend, cert_bytes: bytes, now: dt.datetime = REFERENCE_TIME) -> int:
+def external_verify(backend: ExternalBackend, cert_bytes: bytes, now: dt.datetime) -> int:
     """Run an external utility on a certificate file, at the clock ``now``
     when its command reads one, and normalize its outcome."""
     with tempfile.NamedTemporaryFile(suffix=".der", delete=False) as handle:

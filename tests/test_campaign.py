@@ -9,6 +9,7 @@ import math
 import random
 import struct
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from diffcert.verdicts import (
     ExternalBackend,
     InsufficientBackends,
     PatternRule,
+    TrustAnchor,
     TrustStore,
     bind_backends,
     default_backend_specs,
@@ -441,11 +443,14 @@ def test_no_op_mutant_has_its_parents_features(monkeypatch):
     assert all(extract(mutant) == extract(parent) for parent, _, mutant in no_ops)
 
 
-@pytest.mark.parametrize(
+_THREE_CLOCKS = pytest.mark.parametrize(
     "now",
     [REFERENCE_TIME, REFERENCE_TIME.astimezone(dt.timezone(dt.timedelta(hours=2))), dt.datetime(2049, 12, 31, 23, 59, 59, tzinfo=dt.timezone.utc)],
     ids=["reference", "plus-two", "end-of-utctime"],
 )
+
+
+@_THREE_CLOCKS
 def test_a_mutant_equals_its_parent_exactly_when_it_encodes_to_its_parents_der(now):
     # the premise of deciding no-ops from fields: over seeded traces that
     # take every action, lenient mutants (an explicit FALSE flag) among
@@ -471,6 +476,48 @@ def test_a_mutant_equals_its_parent_exactly_when_it_encodes_to_its_parents_der(n
             parent = mutant
     assert taken == set(range(CATALOG_SIZE))
     assert no_ops > 0 and lenient_no_ops > 0
+
+
+_TBS_FIELDS = tuple(name for name in certs_mod.Certificate.__dataclass_fields__ if name not in ("outer_sig_alg_raw", "signature_value"))
+
+
+@_THREE_CLOCKS
+def test_an_anchored_mutants_signature_verifies_exactly_when_its_tbs_is_its_seeds(now):
+    # the premise of deciding a mutant's signature by where it came from:
+    # mutants are never re-signed, so over seeded traces that take every
+    # action, the mock-signature check over an anchored mutant's TBS agrees
+    # with the field rule -- its TBS fields equal its seed's, and the
+    # seed's signature verifies.  Traces open with a pair of actions that
+    # undoes itself, and each issuer's country edits rename it to another
+    # anchor
+    corpus = generate_corpus(24, 1)
+    seeds = [certs_mod.parse_der(entry.der) for entry in corpus.entries]
+    trust = TrustStore(corpus.trust.anchors())
+    for seed in seeds:
+        for name in (seed.issuer.with_country("US"), seed.issuer.with_country("CN"), seed.issuer.without_country()):
+            if trust.lookup(name.der) is None:
+                trust.add(TrustAnchor(name.der, f"renamed-{len(trust)}"))
+    returns = ((9, 10), (4, 4), (15, 15), (12, 13))
+    rng = random.Random(23)
+    taken, seen = set(), Counter()
+    for i, seed in enumerate(seeds * 4):
+        trace = [*returns[i % len(returns)], *(rng.randrange(CATALOG_SIZE) for _ in range(8))]
+        taken.update(trace)
+        mutant = seed
+        for action in trace:
+            mutant = apply(mutant, action, now=now)
+            anchor = trust.lookup(mutant.issuer.der)
+            if anchor is None or trust.lookup(mutant.subject.der) is not None:
+                continue  # no anchor to check against, or an anchor itself
+            assert (mutant.signature_value, mutant.outer_sig_alg_raw) == (seed.signature_value, seed.outer_sig_alg_raw)
+            hashed = mutant.signature_value == b"\x00" + certs_mod.mock_sign(mutant.tbs, anchor.tag)
+            same_tbs = all(getattr(mutant, name) == getattr(seed, name) for name in _TBS_FIELDS)
+            assert hashed == (same_tbs and seed.signature_value == b"\x00" + certs_mod.mock_sign(seed.tbs, anchor.tag))
+            seen[hashed, same_tbs, anchor.tag.startswith("renamed-")] += 1
+    assert taken == set(range(CATALOG_SIZE))
+    assert seen[True, True, False] > 0  # back at the seed's TBS, and verified
+    assert seen[False, False, True] > 0  # renamed to another anchor
+    assert seen[False, False, False] > seen[True, True, False]
 
 
 def test_baseline_featurizes_nothing(monkeypatch):

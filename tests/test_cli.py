@@ -692,12 +692,14 @@ def test_mistyped_external_backend_field_is_a_clean_error(tmp_path, corpus_dir, 
         ({"timeout": 10**400}, "backend timeout: must be above 0 and at most 2147483.647 seconds"),
         ({"command": ["true", "a\x00b"]}, "command argument 'a\\x00b' holds a NUL"),
         ({"command": ["true", "{trust}"], "trust": "\ud800"}, "backend trust: '\\ud800' is not UTF-8 text"),
+        ({"command": ["true", "-CAfile", "{trust}"]}, "command argument '{trust}' holds {trust}, but the backend has no trust path"),
     ],
-    ids=["bad-regex", "timeout-zero", "timeout-nan", "timeout-huge", "argument-nul", "trust-surrogate"],
+    ids=["bad-regex", "timeout-zero", "timeout-nan", "timeout-huge", "argument-nul", "trust-surrogate", "trust-missing"],
 )
 def test_unrunnable_external_backend_is_a_clean_error(tmp_path, corpus_dir, capsys, edit, problem):
     # each loaded before and raised at the first verification: re.error,
-    # a timeout subprocess cannot wait, an argument the OS cannot take
+    # a timeout subprocess cannot wait, an argument the OS cannot take;
+    # or ran and failed every input alike: a {trust} filled with nothing
     external = {"id": "ext", "kind": "external", "command": ["true", "{cert}"], "patterns": [{"code": -15}], **edit}
     path = tmp_path / "backends.json"
     path.write_text(json.dumps({"format": "diffcert-backends", "version": 1, "backends": [_SIMULATED, external]}))

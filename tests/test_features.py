@@ -49,7 +49,7 @@ def reference_extract(cert, now):
     vec[6] = sig_algs.index(alg) + 1 if alg in sig_algs else 0
     if cert.serial == 0:
         vec[7] = 1
-    elif len(cert.serial_raw) > 20:
+    elif len(asn1.encode_int_content(cert.serial)) > 20:
         vec[7] = 3
     elif cert.serial < 0:
         vec[7] = 2

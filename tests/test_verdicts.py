@@ -239,7 +239,7 @@ def test_validity_window_matches_datetime_sums(now):
         earliest_end = int(local_now.timestamp()) - profile.time_linger_seconds
         for not_before in (latest_start - ONE_YEAR, latest_start - 1, latest_start, latest_start + 1):
             for not_after in (earliest_end - 1, earliest_end, earliest_end + 1, no_expiry):
-                facts = verdicts.InputFacts(strict_ok=True, not_before=not_before, not_after=not_after)
+                facts = verdicts.InputFacts(strict_ok=True, not_before=not_before, not_after=not_after, failures=((-2, None, True),))
                 expected = _outside_validity_per_datetimes(profile, not_before, not_after, now)
                 code = verdicts.judge(profile, facts, verdicts.validity_window(profile, now))
                 assert code == (-2 if expected else 1), (profile, not_before, not_after)
@@ -464,7 +464,7 @@ def test_connection_error_is_no_delta_category():
 
 def _script_backend(script: str, patterns, timeout=10.0, command_prefix=None):
     command = tuple(command_prefix or (sys.executable, "-c", script, "{cert}", "{trust}"))
-    return ExternalBackend("stub", command, tuple(patterns), timeout=timeout)
+    return ExternalBackend("stub", command, tuple(patterns), trust_path="roots.pem", timeout=timeout)
 
 
 CATCH_ALL = PatternRule(code=-15)
@@ -484,7 +484,7 @@ def test_external_verify_pattern_match(tmp_path):
         "import sys; print('certificate has expired'); sys.exit(2)",
         [PatternRule(code=-2, match="certificate has expired"), CATCH_ALL],
     )
-    assert external_verify(spec, b"\x30\x00") == -2
+    assert external_verify(spec, b"\x30\x00", NOW) == -2
 
 
 def test_external_verify_exit_status_rule(tmp_path):
@@ -492,7 +492,7 @@ def test_external_verify_exit_status_rule(tmp_path):
         "import sys; sys.exit(0)",
         [PatternRule(code=1, exit_status=0), PatternRule(code=-2, match="expired"), CATCH_ALL],
     )
-    assert external_verify(spec, b"\x30\x00") == 1
+    assert external_verify(spec, b"\x30\x00", NOW) == 1
 
 
 def test_external_verify_first_match_wins(tmp_path):
@@ -500,7 +500,7 @@ def test_external_verify_first_match_wins(tmp_path):
         "print('expired and self signed')",
         [PatternRule(code=-12, match="self signed"), PatternRule(code=-2, match="expired"), CATCH_ALL],
     )
-    assert external_verify(spec, b"\x30\x00") == -12
+    assert external_verify(spec, b"\x30\x00", NOW) == -12
 
 
 def test_external_verify_unmatched_falls_through(tmp_path):
@@ -508,19 +508,19 @@ def test_external_verify_unmatched_falls_through(tmp_path):
         "print('some novel diagnostic nobody classified')",
         [PatternRule(code=-2, match="expired"), CATCH_ALL],
     )
-    assert external_verify(spec, b"\x30\x00") == -15
+    assert external_verify(spec, b"\x30\x00", NOW) == -15
 
 
 def test_external_verify_receives_cert_file(tmp_path):
     script = "import sys; blob = open(sys.argv[1], 'rb').read(); print('LEN', len(blob))"
     spec = _script_backend(script, [PatternRule(code=1, match="LEN 4"), CATCH_ALL])
-    assert external_verify(spec, b"\x30\x02\x05\x00") == 1
+    assert external_verify(spec, b"\x30\x02\x05\x00", NOW) == 1
 
 
 def test_external_verify_tolerates_non_utf8_output():
     script = "import sys; sys.stdout.buffer.write(b'bad \\xff\\xfe bytes then expired\\n')"
     spec = _script_backend(script, [PatternRule(code=-2, match="expired"), CATCH_ALL])
-    assert external_verify(spec, b"\x30\x00") == -2
+    assert external_verify(spec, b"\x30\x00", NOW) == -2
 
 
 def test_external_verify_timeout_maps_to_connection_error():
@@ -529,7 +529,7 @@ def test_external_verify_timeout_maps_to_connection_error():
         [CATCH_ALL],
         timeout=0.3,
     )
-    assert external_verify(spec, b"\x30\x00") == -13
+    assert external_verify(spec, b"\x30\x00", NOW) == -13
 
 
 @pytest.mark.skipif(shutil.which("openssl") is None, reason="openssl not installed")
@@ -544,14 +544,14 @@ def test_openssl_verify_adapter():
             CATCH_ALL,
         ),
     )
-    assert external_verify(backend, encode_der(issued())) == -1
-    assert external_verify(backend, b"\x30\x00") == -15
+    assert external_verify(backend, encode_der(issued()), NOW) == -1
+    assert external_verify(backend, b"\x30\x00", NOW) == -15
 
 
 def test_external_verify_missing_binary():
     spec = ExternalBackend("gone", ("/nonexistent/verifier", "{cert}"), (CATCH_ALL,))
     with pytest.raises(BackendUnavailable):
-        external_verify(spec, b"\x30\x00")
+        external_verify(spec, b"\x30\x00", NOW)
 
 
 def test_backend_spec_requires_catch_all():
@@ -574,7 +574,17 @@ def test_backend_spec_patterns_map_to_verdict_codes(code):
 def test_backend_command_formats_with_cert_and_trust_alone(arg):
     with pytest.raises(ValueError, match="command argument"):
         ExternalBackend("x", ("v", arg), (CATCH_ALL,), trust_path="/etc/roots.pem")
-    ExternalBackend("x", ("v", "{cert}", "--CAfile={trust}", "-attime={now}", "{{literal}}"), (CATCH_ALL,))
+    ExternalBackend("x", ("v", "{cert}", "--CAfile={trust}", "-attime={now}", "{{literal}}"), (CATCH_ALL,), trust_path="/etc/roots.pem")
+
+
+@pytest.mark.parametrize("arg", ["{trust}", "--CAfile={trust}"])
+def test_backend_command_with_trust_needs_a_trust_path(arg):
+    # an empty {trust} would fail every input alike, and each certificate
+    # the simulated profiles accept would book a false discrepancy
+    with pytest.raises(ValueError, match="has no trust path"):
+        ExternalBackend("x", ("v", arg, "{cert}"), (CATCH_ALL,))
+    ExternalBackend("x", ("v", arg, "{cert}"), (CATCH_ALL,), trust_path="/etc/roots.pem")
+    ExternalBackend("x", ("v", "{{trust}}", "{cert}"), (CATCH_ALL,))  # a literal, not a placeholder
 
 
 _ECHO_NOW = "import sys; open(sys.argv[1], 'a').write(sys.argv[2] + '\\n')"  # appends its clock argument to a log
@@ -1070,10 +1080,10 @@ _EXTERNAL = st.fixed_dictionaries(
             ).map(lambda drawn: [drawn[0], *drawn[1]])
         ),
         "patterns": _mostly(st.lists(_PATTERN, max_size=2).map(lambda rules: [*rules, {"code": -15}])),
+        "trust": _mostly(_EDGE_TEXT),
     },
     optional={
         "timeout": _mostly(st.sampled_from([10, 2.5, 0, -1.5, float("nan"), float("inf"), 1e7])),
-        "trust": _mostly(_EDGE_TEXT),
     },
 )
 _SIMULATED = st.fixed_dictionaries({"kind": st.just("simulated")}, optional={"profile": _PROFILES})

@@ -6,7 +6,7 @@ facts pass and judgement as the oracle of the tagged failure list."""
 import datetime as dt
 from typing import NamedTuple
 
-from diffcert import x509oids as oid
+from diffcert import asn1, x509oids as oid
 from diffcert.certs import Certificate, MalformedDer, UnsupportedStructure, mock_sign, parse_der
 from diffcert.verdicts import (
     _SEVERITY_RANK,
@@ -126,7 +126,7 @@ def reference_derive_facts(data: Certificate | bytes, trust: TrustStore, lenient
                 trust_code = SIGNATURE_ERROR
     return ReferenceFacts(
         cert.strict_der, cert.version, bool(cert.extensions), cert.signature_algorithm.oid not in SUPPORTED_SIG_ALGS,
-        cert.not_before.seconds, cert.not_after.seconds, cert.serial <= 0, len(cert.serial_raw) > 20,
+        cert.not_before.seconds, cert.not_after.seconds, cert.serial <= 0, len(asn1.encode_int_content(cert.serial)) > 20,
         name_failures, tuple(ext_codes), legacy_issuer, trust_code,
     )
 
